@@ -12,6 +12,8 @@ from __future__ import annotations
 import functools
 import itertools
 
+import numpy as np
+
 from .errors import NotPrimePower
 
 _MAX_FIELD_ORDER = 4096  # the constructions here never need larger fields
@@ -179,6 +181,22 @@ class Field:
 
     def elements(self) -> range:
         return range(self.q)
+
+    @functools.cached_property
+    def add_table(self) -> np.ndarray:
+        """q x q addition table, in the smallest unsigned dtype holding q-1."""
+        a = np.arange(self.q)
+        out = np.zeros((self.q, self.q), dtype=np.uint8 if self.q <= 256 else np.uint16)
+        pi = 1
+        for _ in range(self.k):
+            out += ((a[:, None] // pi + a[None, :] // pi) % self.p * pi).astype(out.dtype)
+            pi *= self.p
+        return out
+
+    @functools.cached_property
+    def mul_table(self) -> np.ndarray:
+        """q x q multiplication table, same dtype as add_table."""
+        return np.array(self._mul, dtype=self.add_table.dtype)
 
     def __repr__(self):
         return f"Field(q={self.q})"

@@ -4,7 +4,13 @@ Rows are stored as immutable tuples of ints; every operation returns a new
 array.  Constructed arrays carry claimed strength / minimal-distance
 certificates; claims are re-checked immediately when the work fits inside a
 configurable verification budget, otherwise the array is marked
-"constructed, unverified" and reports surface that status.
+"constructed, unverified" and reports surface that status.  A claim that
+fails its re-check raises ClaimFailed.
+
+Strength is checked by vectorized counts: each t-column subset's rows become
+mixed-radix keys, and one np.bincount per chunk of subsets counts them.  The
+exact dict count runs only on the first failing subset, to extract the
+BalanceWitness that reports name.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import numpy as np
 from .algebra import Field
 from .errors import (
     AlphabetMismatch,
+    ClaimFailed,
     EmptyResult,
     NotDivisible,
     RowCountMismatch,
@@ -146,36 +153,84 @@ class MixedLevelArray:
 # --- verification ------------------------------------------------------------
 
 
+#: cap on rows x subsets counted by one np.bincount in is_orthogonal_array,
+#: which bounds the kernel's scratch memory independently of C(n, t)
+_CHUNK_CELLS = 1 << 15
+
+
+def _subset_witness(A: MixedLevelArray, cols: tuple[int, ...]) -> Optional[BalanceWitness]:
+    """Exact dict count on one column subset: the first violation, or None."""
+    r = A.r
+    prod = math.prod(A.alphabets[c] for c in cols)
+    counts: dict[tuple[int, ...], int] = {}
+    for row in A.rows:
+        key = tuple(row[c] for c in cols)
+        counts[key] = counts.get(key, 0) + 1
+    if r % prod:
+        # the index is fractional, so no balanced count exists; name the
+        # lexicographically first tuple as the concrete witness
+        first = (0,) * len(cols)
+        return BalanceWitness(cols, first, counts.get(first, 0), r / prod,
+                              "index r/prod(s_j) is not an integer")
+    lam = r // prod
+    if len(counts) != prod:
+        missing = next(levels for levels in
+                       itertools.product(*(range(A.alphabets[c]) for c in cols))
+                       if levels not in counts)
+        return BalanceWitness(cols, missing, 0, lam, "level tuple missing")
+    for key, cnt in counts.items():
+        if cnt != lam:
+            return BalanceWitness(cols, key, cnt, lam, "unbalanced count")
+    return None
+
+
+def _first_unbalanced(A: MixedLevelArray, chunk: list[tuple[int, ...]],
+                      prods: list[int]) -> Optional[int]:
+    """Index in `chunk` of the first subset whose level counts are not all
+    r/prod, or None.  Every prod divides r, so each key fits in int64."""
+    m = A._as_np()
+    r = A.r
+    cols = np.array(chunk, dtype=np.intp)
+    radix = np.array([[A.alphabets[c] for c in subset] for subset in chunk], dtype=np.int64)
+    # mixed-radix weights, last column of each subset least significant
+    weights = np.ones_like(radix)
+    weights[:, :-1] = np.cumprod(radix[:, :0:-1], axis=1)[:, ::-1]
+    sizes = np.array(prods, dtype=np.int64)
+    # each subset's keys get their own range of the one bincount
+    offsets = np.cumsum(sizes) - sizes
+    keys = np.broadcast_to(offsets, (r, len(chunk))).copy()
+    for j in range(cols.shape[1]):
+        keys += m[:, cols[:, j]] * weights[:, j]
+    counts = np.bincount(keys.ravel(), minlength=int(sizes.sum()))
+    lam = np.repeat(r // sizes, sizes)
+    bad = np.flatnonzero(counts != lam)
+    if not bad.size:
+        return None
+    return int(np.searchsorted(offsets, bad[0], side="right")) - 1
+
+
 def is_orthogonal_array(A: MixedLevelArray, t: int):
     """Check the equal-frequency condition at strength t.
 
     Returns (True, None) or (False, BalanceWitness).  A non-integer index
-    r / prod(s_j) is reported as a witness, not an exception.
+    r / prod(s_j) is reported as a witness, not an exception.  The witness
+    names the first failing column subset in itertools.combinations order.
     """
     if not 1 <= t <= A.n:
         raise ValueError(f"strength {t} out of range 1..{A.n}")
     r = A.r
-    for cols in itertools.combinations(range(A.n), t):
-        prod = math.prod(A.alphabets[c] for c in cols)
-        counts: dict[tuple[int, ...], int] = {}
-        for row in A.rows:
-            key = tuple(row[c] for c in cols)
-            counts[key] = counts.get(key, 0) + 1
-        if r % prod:
-            # the index is fractional, so no balanced count exists; name the
-            # lexicographically first tuple as the concrete witness
-            first = min(itertools.product(*(range(A.alphabets[c]) for c in cols)))
-            return False, BalanceWitness(cols, first, counts.get(first, 0), r / prod,
-                                         "index r/prod(s_j) is not an integer")
-        lam = r // prod
-        if len(counts) != prod:
-            missing = next(levels for levels in
-                           itertools.product(*(range(A.alphabets[c]) for c in cols))
-                           if levels not in counts)
-            return False, BalanceWitness(cols, missing, 0, lam, "level tuple missing")
-        for key, cnt in counts.items():
-            if cnt != lam:
-                return False, BalanceWitness(cols, key, cnt, lam, "unbalanced count")
+    subsets = itertools.combinations(range(A.n), t)
+    per_chunk = max(1, _CHUNK_CELLS // r)
+    while chunk := list(itertools.islice(subsets, per_chunk)):
+        prods = [math.prod(A.alphabets[c] for c in cols) for cols in chunk]
+        # a subset whose prod does not divide r fails without counting; only
+        # the subsets before the first such one can fail earlier
+        stop = next((i for i, p in enumerate(prods) if r % p), len(chunk))
+        bad = _first_unbalanced(A, chunk[:stop], prods[:stop]) if stop else None
+        if bad is None and stop < len(chunk):
+            bad = stop
+        if bad is not None:
+            return False, _subset_witness(A, chunk[bad])
     return True, None
 
 
@@ -214,7 +269,7 @@ def distance_check_cost(A: MixedLevelArray) -> int:
 def ensure_checked(A: MixedLevelArray, budget: Optional[int] = None) -> MixedLevelArray:
     """Re-check the array's claims, spending at most `budget` elementary checks.
 
-    Claims that fit the budget are verified (an AssertionError means the
+    Claims that fit the budget are verified (ClaimFailed means the
     construction is buggy); claims that do not remain marked unverified.
     """
     if budget is None:
@@ -222,12 +277,14 @@ def ensure_checked(A: MixedLevelArray, budget: Optional[int] = None) -> MixedLev
     if A._strength > 0 and not A._strength_checked:
         if strength_check_cost(A, A._strength) <= budget:
             ok, witness = is_orthogonal_array(A, A._strength)
-            assert ok, f"strength {A._strength} claim failed: {witness}"
+            if not ok:
+                raise ClaimFailed(f"strength {A._strength} claim failed: {witness}")
             A._strength_checked = True
     if A._md is not None and not A._md_checked:
         if distance_check_cost(A) <= budget:
             prof = distance_profile(A)
-            assert prof.md == A._md, f"md claim {A._md} != actual {prof.md}"
+            if prof.md != A._md:
+                raise ClaimFailed(f"md claim {A._md} != actual {prof.md}")
             A._md_checked = True
     return A
 
@@ -243,12 +300,14 @@ def _claimed(rows, alphabets, strength_claim: int = 0, md_claim: Optional[int] =
 def certify(A: MixedLevelArray, t: int, md: Optional[int] = None) -> MixedLevelArray:
     """Unconditionally verify strength t (and md, if given) and record it."""
     ok, witness = is_orthogonal_array(A, t)
-    assert ok, f"strength {t} verification failed: {witness}"
+    if not ok:
+        raise ClaimFailed(f"strength {t} verification failed: {witness}")
     A._strength = t
     A._strength_checked = True
     if md is not None:
         prof = distance_profile(A)
-        assert prof.md == md, f"md {md} verification failed: actual {prof.md}"
+        if prof.md != md:
+            raise ClaimFailed(f"md {md} verification failed: actual {prof.md}")
         A._md = md
         A._md_checked = True
     return A

@@ -15,6 +15,7 @@ from .errors import (
     AssetCorrupt,
     BadFactorization,
     BadGeometry,
+    ClaimFailed,
     DivisibilityViolated,
     ExcludedS,
     IngredientUnavailable,
@@ -288,6 +289,9 @@ def main(argv=None) -> int:
         return EXIT_INGREDIENT
     except AssetCorrupt as exc:
         print(f"asset corrupt: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
+    except ClaimFailed as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except _USAGE_ERRORS as exc:
         print(f"invalid request: {exc}", file=sys.stderr)

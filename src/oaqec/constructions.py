@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
-from .algebra import factorize_prime_powers, field_create, is_prime_power, poly_eval
+import numpy as np
+
+from .algebra import factorize_prime_powers, field_create, is_prime_power
 from .arrays import (
     DEFAULT_VERIFICATION_BUDGET,
     MixedLevelArray,
@@ -56,12 +58,16 @@ def bush(s: int, t: int, budget: Optional[int] = None) -> MixedLevelArray:
     if t - 1 > s:
         raise StrengthTooHigh(f"need s >= t-1 (got s={s}, t={t})")
     f = field_create(s)
-    points = f.elements()
-    rows = []
-    for coeffs in itertools.product(range(s), repeat=t):
-        # coeffs are low-degree-first, matching poly_eval
-        rows.append(tuple(poly_eval(f, coeffs, e) for e in points) + (coeffs[-1],))
-    rows.sort()
+    # Horner's rule over the field tables evaluates every polynomial
+    # (coefficients low degree first) at every point at once
+    coeffs = np.indices((s,) * t, dtype=f.add_table.dtype).reshape(t, -1).T
+    points = np.arange(s)
+    acc = np.zeros((len(coeffs), s), dtype=f.add_table.dtype)
+    for j in range(t - 1, -1, -1):
+        acc = f.add_table[f.mul_table[acc, points], coeffs[:, j:j + 1]]
+    table = np.hstack([acc, coeffs[:, -1:]])
+    table = table[np.lexsort(table.T[::-1])]
+    rows = map(tuple, table.tolist())
     return _claimed(rows, (s,) * (s + 1), t, (s + 1) - t + 1, budget)
 
 

@@ -64,6 +64,16 @@ class AssetCorrupt(ToolkitError):
     """A bundled or user-supplied asset failed its declared checks."""
 
 
+# --- claim certification ----------------------------------------------------
+
+class ClaimFailed(ToolkitError, AssertionError):
+    """A strength, distance or balance claim failed its re-check.
+
+    Raised explicitly, so `python -O` cannot strip the check; it stays an
+    AssertionError for callers that catch a failed self-check as one.
+    """
+
+
 # --- code synthesis ---------------------------------------------------------
 
 class BadGeometry(ToolkitError):

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .algebra import Field, field_create, is_prime_power, prime_power_decomposition
 from .arrays import BalanceWitness, MixedLevelArray, ensure_checked, kronecker_sum
-from .errors import IngredientUnavailable, NotPrimePower
+from .errors import ClaimFailed, IngredientUnavailable, NotPrimePower
 
 
 class DifferenceScheme:
@@ -93,7 +93,8 @@ def is_difference_scheme(D: DifferenceScheme, t: int):
 def _verified(rows, s, t, field=None) -> DifferenceScheme:
     D = DifferenceScheme(rows, s, strength=t, field=field)
     ok, witness = is_difference_scheme(D, t)
-    assert ok, f"scheme self-check failed at strength {t}: {witness}"
+    if not ok:
+        raise ClaimFailed(f"scheme self-check failed at strength {t}: {witness}")
     return D
 
 

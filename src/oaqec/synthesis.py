@@ -12,9 +12,9 @@ from .arrays import (DEFAULT_VERIFICATION_BUDGET, MixedLevelArray,
                      is_orthogonal_array, multiply_oa, strength_check_cost)
 from .constructions import (asset_get, bush, full_factorial_mixed,
                             resolve_symmetric_oa)
-from .errors import (BadFactorization, BadGeometry, DivisibilityViolated,
-                     ExcludedS, IngredientUnavailable, NegativeM, NotFromOA,
-                     NotPartitionable, SBoundViolated)
+from .errors import (BadFactorization, BadGeometry, ClaimFailed,
+                     DivisibilityViolated, ExcludedS, IngredientUnavailable,
+                     NegativeM, NotFromOA, NotPartitionable, SBoundViolated)
 from .schemes import d3_scheme, d_2s, oa_from_scheme
 
 # --- quantum singleton arithmetic ---------------------------------------------
@@ -113,7 +113,9 @@ class OrthogonalPartition:
         if self.strength_checked:
             for arr in arrays:
                 ok, witness = is_orthogonal_array(arr, self.strength)
-                assert ok, f"block is not balanced to strength {self.strength}: {witness}"
+                if not ok:
+                    raise ClaimFailed(f"block is not balanced to strength "
+                                      f"{self.strength}: {witness}")
 
     @property
     def K(self) -> int:

@@ -84,6 +84,14 @@ def test_field_create_deterministic():
     assert a._mul == b._mul
 
 
+@pytest.mark.parametrize("q", [2, 4, 7, 8, 9, 16, 25, 27])
+def test_numpy_tables_match_scalar_arithmetic(q):
+    f = field_create(q)
+    for a, b in itertools.product(f.elements(), repeat=2):
+        assert f.add_table[a, b] == f.add(a, b)
+        assert f.mul_table[a, b] == f.mul(a, b)
+
+
 def test_poly_eval():
     f3 = field_create(3)
     assert poly_eval(f3, (1, 2), 2) == 2  # 1 + 2*2 = 5 = 2 mod 3

@@ -1,10 +1,15 @@
 import itertools
+import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import naive_distance_set, naive_is_oa, naive_strength
+from oaqec import arrays
 from oaqec.arrays import (
+    BalanceWitness,
     MixedLevelArray,
     attach_index_column,
     certify,
@@ -24,6 +29,7 @@ from oaqec.arrays import (
 )
 from oaqec.errors import (
     AlphabetMismatch,
+    ClaimFailed,
     EmptyResult,
     NotDivisible,
     RowCountMismatch,
@@ -115,6 +121,104 @@ def test_is_oa_matches_naive_oracle():
         A = MixedLevelArray(rows, alphabets)
         for t in range(1, n + 1):
             assert is_orthogonal_array(A, t)[0] == naive_is_oa(rows, alphabets, t)
+
+
+@st.composite
+def small_arrays(draw):
+    """Random arrays (r <= 40, n <= 6, alphabets 2-5), or a full factorial
+    with one row dropped, duplicated or changed."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6), label="n")
+        alphabets = draw(st.lists(st.integers(2, 5), min_size=n, max_size=n))
+        rows = draw(st.lists(st.tuples(*(st.integers(0, s - 1) for s in alphabets)),
+                             min_size=1, max_size=40))
+        return rows, alphabets
+    alphabets = draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
+    while math.prod(alphabets) > 19:
+        alphabets.pop()
+    lam = draw(st.integers(1, 39 // math.prod(alphabets)), label="lambda")
+    rows = [list(tup) for tup in itertools.product(*(range(s) for s in alphabets))
+            for _ in range(lam)]
+    i = draw(st.integers(0, len(rows) - 1), label="row")
+    op = draw(st.sampled_from(("drop", "duplicate", "change")), label="op")
+    if op == "drop" and len(rows) > 1:
+        rows.pop(i)
+    elif op == "duplicate":
+        rows.append(list(rows[i]))
+    else:
+        j = draw(st.integers(0, len(alphabets) - 1), label="column")
+        rows[i][j] = draw(st.integers(0, alphabets[j] - 1), label="symbol")
+    return [tuple(row) for row in rows], alphabets
+
+
+def first_failing_subset(rows, alphabets, t):
+    """Scan t-subsets in combinations order with the naive oracle."""
+    for cols in itertools.combinations(range(len(alphabets)), t):
+        projected = [tuple(row[c] for c in cols) for row in rows]
+        if not naive_is_oa(projected, [alphabets[c] for c in cols], t):
+            return cols
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=small_arrays(), chunk_cells=st.sampled_from((1, 7, 64, 1 << 15)))
+def test_strength_kernel_matches_naive_oracle_and_exact_witness(case, chunk_cells):
+    rows, alphabets = case
+    A = MixedLevelArray(rows, alphabets)
+    with mock.patch.object(arrays, "_CHUNK_CELLS", chunk_cells):
+        for t in range(1, A.n + 1):
+            ok, witness = is_orthogonal_array(A, t)
+            assert ok == naive_is_oa(rows, alphabets, t)
+            cols = first_failing_subset(rows, alphabets, t)
+            assert witness == (None if cols is None else arrays._subset_witness(A, cols))
+
+
+FACTORIAL_22 = list(itertools.product(range(2), repeat=2))
+
+
+@pytest.mark.parametrize("rows,witness", [
+    (FACTORIAL_22[:3],
+     BalanceWitness((0,), (0,), 2, 1.5, "index r/prod(s_j) is not an integer")),
+    ([(0, 0), (0, 1), (1, 0), (1, 0)],
+     BalanceWitness((0, 1), (1, 1), 0, 1, "level tuple missing")),
+    (FACTORIAL_22 + [(0, 0), (0, 1), (1, 0), (1, 0)],
+     BalanceWitness((0, 1), (1, 0), 3, 2, "unbalanced count")),
+])
+def test_perturbed_factorials_hit_every_failure_kind(rows, witness):
+    A = MixedLevelArray(rows, (2, 2))
+    t = len(witness.columns)
+    assert is_orthogonal_array(A, t) == (False, witness)
+
+
+def test_is_oa_single_row():
+    A = MixedLevelArray([(1, 0, 2)], (2, 3, 3))
+    for t in (1, 2, 3):
+        ok, witness = is_orthogonal_array(A, t)
+        assert not ok
+        assert witness.columns == tuple(range(t))
+        assert witness.reason == "index r/prod(s_j) is not an integer"
+    assert is_orthogonal_array(A, 1)[1] == BalanceWitness(
+        (0,), (0,), 0, 0.5, "index r/prod(s_j) is not an integer")
+
+
+def test_is_oa_at_full_width():
+    assert is_orthogonal_array(full_factorial((2, 3, 2)), 3) == (True, None)
+    rows = list(full_factorial((2, 3, 2)).rows)
+    rows[-1] = (1, 2, 0)
+    ok, witness = is_orthogonal_array(MixedLevelArray(rows, (2, 3, 2)), 3)
+    assert not ok
+    assert witness == BalanceWitness((0, 1, 2), (1, 2, 1), 0, 1, "level tuple missing")
+
+
+def test_is_oa_subset_product_beyond_int64():
+    # prod(s_j) = 10^20 does not fit in int64: the index check must fail the
+    # subset before any mixed-radix key is formed
+    A = MixedLevelArray([(0,) * 5, (1,) * 5], (10**4,) * 5)
+    assert 10**20 > 2**63
+    ok, witness = is_orthogonal_array(A, 5)
+    assert not ok
+    assert witness == BalanceWitness((0, 1, 2, 3, 4), (0,) * 5, 1, 2 / 10**20,
+                                     "index r/prod(s_j) is not an integer")
 
 
 def test_kronecker_sum_rows_pinned():
@@ -236,6 +340,8 @@ def test_ensure_checked_budget_and_failure():
     A = MixedLevelArray(EVEN_WEIGHT, (2, 2, 2))
     A._strength = 3  # false claim
     with pytest.raises(AssertionError):
+        ensure_checked(A, budget=10**6)
+    with pytest.raises(ClaimFailed, match="strength 3 claim failed"):
         ensure_checked(A, budget=10**6)
     B = MixedLevelArray(EVEN_WEIGHT, (2, 2, 2))
     B._strength = 3

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import oaqec
 from oaqec.cli import main
 from oaqec.formats import code_from_ket_text, code_from_record_text, code_to_ket_text
 
@@ -230,3 +235,47 @@ def test_assets_add_rejects_wrong_strength(tmp_path, capsys):
 def test_assets_add_requires_file_and_dir(capsys):
     rc, _, err = run(capsys, "assets", "add")
     assert rc == 2 and "invalid request" in err
+
+
+# --- claim checks under python -O --------------------------------------------------
+
+
+def run_optimized(args, env=None):
+    """Run a Python child with -O (asserts stripped) that imports this oaqec."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = str(Path(oaqec.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-O", *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_false_strength_claim_exits_4_under_optimize():
+    script = """
+import sys
+from oaqec import cli
+from oaqec.arrays import MixedLevelArray, ensure_checked
+
+assert sys.flags.optimize
+
+def false_claim(args):
+    A = MixedLevelArray([(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)], (2, 2, 2))
+    A._strength = 3
+    return ensure_checked(A)
+
+cli._dispatch = false_claim
+sys.exit(cli.main(["construct", "--theorem", "t1", "--s", "2"]))
+"""
+    proc = run_optimized(["-c", script])
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("verification failed: strength 3 claim failed")
+    assert "Traceback" not in proc.stderr
+
+
+def test_false_asset_claim_is_corrupt_under_optimize(tmp_path):
+    (tmp_path / "bad.txt").write_text("OA 4 3 3\n2 2 2\n0 0 0\n0 1 1\n1 0 1\n1 1 0\n")
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"bad": {"r": 4, "n": 3, "alphabets": [2, 2, 2], "t": 3, "md": 2,
+                 "file": "bad.txt"}}))
+    env = dict(os.environ, OAQEC_ASSET_DIR=str(tmp_path))
+    proc = run_optimized(["-m", "oaqec.cli", "assets", "verify"], env)
+    assert proc.returncode == 4, proc.stdout
+    assert proc.stderr.startswith("asset corrupt: bad: strength 3 verification failed")

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
 
+from oaqec.algebra import field_create, is_prime_power, poly_eval
 from oaqec.arrays import (
+    _claimed,
     distance_profile,
     is_orthogonal_array,
     saturation_check,
@@ -60,6 +63,23 @@ def test_bush_strength_and_md_family(s, t):
     ok, _ = is_orthogonal_array(A, t)
     assert ok
     assert distance_profile(A).md == s + 2 - t
+
+
+def bush_by_poly_eval(s, t):
+    """Reference Bush array: each polynomial evaluated point by point."""
+    f = field_create(s)
+    rows = sorted(tuple(poly_eval(f, coeffs, e) for e in f.elements()) + (coeffs[-1],)
+                  for coeffs in itertools.product(range(s), repeat=t))
+    return _claimed(rows, (s,) * (s + 1), t, s + 2 - t)
+
+
+@pytest.mark.parametrize("s,t", [(s, t) for s in range(2, 14) if is_prime_power(s)
+                                 for t in range(1, s + 2) if s ** t <= 20_000])
+def test_bush_matches_poly_eval_transcription(s, t):
+    A = bush(s, t)
+    ref = bush_by_poly_eval(s, t)
+    assert A.rows == ref.rows
+    assert (A.strength, A.md, A.status()) == (ref.strength, ref.md, ref.status())
 
 
 def test_bush_degree_one_is_repeated_diagonal():
