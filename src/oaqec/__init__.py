@@ -9,6 +9,7 @@ from .arrays import (
     MixedLevelArray,
     attach_index_column,
     certify,
+    claim,
     delete_columns,
     derive_subarray,
     distance_profile,
@@ -16,7 +17,6 @@ from .arrays import (
     expansive_replacement,
     from_text,
     is_orthogonal_array,
-    kronecker_sum,
     multiply_oa,
     saturated_hd_formula,
     saturation_check,

@@ -2,9 +2,13 @@
 
 Rows are stored as immutable tuples of ints; every operation returns a new
 array.  Constructed arrays carry claimed strength / minimal-distance
-certificates; claims are re-checked immediately when the work fits inside a
-configurable verification budget, otherwise the array is marked
-"constructed, unverified" and reports surface that status.  A claim that
+certificates, and only this module stores them.  Other modules record claims
+through `claim` (re-checked at once when the work fits a configurable
+verification budget, else the array is marked "constructed, unverified" and
+reports surface that status), `certify` (checked unconditionally),
+`measure_md` (the exact distance, when the pair scan fits the budget) and
+`claim_blocks` (partition blocks, checked all together or not at all).  The
+array operations here carry the claims their results inherit.  A claim that
 fails its re-check raises ClaimFailed.
 
 Strength is checked by vectorized counts: each t-column subset's rows become
@@ -22,9 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Field
 from .errors import (
-    AlphabetMismatch,
     ClaimFailed,
     EmptyResult,
     NotDivisible,
@@ -136,12 +138,9 @@ class MixedLevelArray:
 
     def sorted_rows(self) -> "MixedLevelArray":
         """Same array with rows in lexicographic order (claims carry over)."""
-        out = MixedLevelArray(sorted(self.rows), self.alphabets)
-        out._strength = self._strength
-        out._strength_checked = self._strength_checked
-        out._md = self._md
-        out._md_checked = self._md_checked
-        return out
+        return _carried(MixedLevelArray(sorted(self.rows), self.alphabets),
+                        self._strength, self._strength_checked,
+                        self._md, self._md_checked)
 
     def __repr__(self):
         alpha = "x".join(str(s) for s in self.alphabets) if self.n <= 8 else \
@@ -266,14 +265,17 @@ def distance_check_cost(A: MixedLevelArray) -> int:
     return A.r * (A.r - 1) // 2
 
 
+def _budget(budget: Optional[int]) -> int:
+    return DEFAULT_VERIFICATION_BUDGET if budget is None else budget
+
+
 def ensure_checked(A: MixedLevelArray, budget: Optional[int] = None) -> MixedLevelArray:
     """Re-check the array's claims, spending at most `budget` elementary checks.
 
     Claims that fit the budget are verified (ClaimFailed means the
     construction is buggy); claims that do not remain marked unverified.
     """
-    if budget is None:
-        budget = DEFAULT_VERIFICATION_BUDGET
+    budget = _budget(budget)
     if A._strength > 0 and not A._strength_checked:
         if strength_check_cost(A, A._strength) <= budget:
             ok, witness = is_orthogonal_array(A, A._strength)
@@ -289,11 +291,18 @@ def ensure_checked(A: MixedLevelArray, budget: Optional[int] = None) -> MixedLev
     return A
 
 
-def _claimed(rows, alphabets, strength_claim: int = 0, md_claim: Optional[int] = None,
-             budget: Optional[int] = None) -> MixedLevelArray:
-    A = MixedLevelArray(rows, alphabets)
-    A._strength = strength_claim
-    A._md = md_claim
+def claim(A: MixedLevelArray, *, strength: Optional[int] = None,
+          md: Optional[int] = None, budget: Optional[int] = None) -> MixedLevelArray:
+    """Record a strength and/or minimal-distance claim on A, then re-check
+    every claim A carries within `budget` (see ensure_checked).
+
+    A claim equal to the one A already carries keeps its checked state; a
+    different one replaces it unchecked.  Returns A.
+    """
+    if strength is not None and strength != A._strength:
+        A._strength, A._strength_checked = strength, False
+    if md is not None and md != A._md:
+        A._md, A._md_checked = md, False
     return ensure_checked(A, budget)
 
 
@@ -313,30 +322,52 @@ def certify(A: MixedLevelArray, t: int, md: Optional[int] = None) -> MixedLevelA
     return A
 
 
-# --- array algebra -----------------------------------------------------------
+def measure_md(A: MixedLevelArray, budget: Optional[int] = None) -> Optional[int]:
+    """Exact minimal distance of A when the pair scan fits `budget`, else None.
 
-
-def kronecker_sum(A: MixedLevelArray, B: MixedLevelArray,
-                  group: Optional[Field] = None,
-                  strength_claim: int = 0,
-                  budget: Optional[int] = None) -> MixedLevelArray:
-    """Blockwise sum: the (i,j) block of the result is a_ij + B.
-
-    All columns of both operands must share one alphabet size s; addition is
-    in Z_s unless a field of order s is supplied as the group.
+    A checked distance claim is returned without a scan.  A measured
+    distance is recorded on A as a checked claim; ClaimFailed is raised when
+    it contradicts an unchecked claim A already carries.
     """
-    s_set = set(A.alphabets) | set(B.alphabets)
-    if len(s_set) != 1:
-        raise AlphabetMismatch(f"operands must share one alphabet, got {sorted(s_set)}")
-    s = s_set.pop()
-    if group is not None and group.q != s:
-        raise AlphabetMismatch(f"group order {group.q} != alphabet {s}")
-    add = group.add if group is not None else (lambda x, y: (x + y) % s)
-    rows = []
-    for arow in A.rows:
-        for brow in B.rows:
-            rows.append(tuple(add(a, b) for a in arow for b in brow))
-    return _claimed(rows, (s,) * (A.n * B.n), strength_claim, budget=budget)
+    if A._md is not None and A._md_checked:
+        return A._md
+    if distance_check_cost(A) > _budget(budget):
+        return None
+    md = distance_profile(A).md
+    if A._md is not None and A._md != md:
+        raise ClaimFailed(f"claimed distance {A._md} contradicts the computed {md}")
+    A._md, A._md_checked = md, True
+    return md
+
+
+def claim_blocks(blocks, alphabets: Sequence[int], t: int,
+                 budget: Optional[int] = None) -> list[MixedLevelArray]:
+    """Arrays for row blocks over shared alphabets, each claiming strength t.
+
+    The blocks are checked all together or not at all: only when their
+    summed strength-check cost fits the budget.
+    """
+    arrays = [MixedLevelArray(blk, alphabets) for blk in blocks]
+    checked = sum(strength_check_cost(arr, t) for arr in arrays) <= _budget(budget)
+    for arr in arrays:
+        if checked:
+            ok, witness = is_orthogonal_array(arr, t)
+            if not ok:
+                raise ClaimFailed(f"block is not balanced to strength {t}: {witness}")
+        _carried(arr, t, checked)
+    return arrays
+
+
+def _carried(A: MixedLevelArray, strength: int, strength_checked: bool,
+             md: Optional[int] = None, md_checked: bool = False) -> MixedLevelArray:
+    """Record claims on A with a checked state the caller has settled:
+    inherited from A's source array or decided by a check that just ran."""
+    A._strength, A._strength_checked = strength, strength_checked
+    A._md, A._md_checked = md, md_checked
+    return A
+
+
+# --- array algebra -----------------------------------------------------------
 
 
 def multiply_oa(A: MixedLevelArray, B: MixedLevelArray,
@@ -361,7 +392,7 @@ def multiply_oa(A: MixedLevelArray, B: MixedLevelArray,
     md = None
     if A.md is not None and B.md is not None:
         md = min(A.md, B.md)
-    return _claimed(rows, alphabets, t, md, budget)
+    return claim(MixedLevelArray(rows, alphabets), strength=t, md=md, budget=budget)
 
 
 def expansive_replacement(A: MixedLevelArray, col: int, B: MixedLevelArray,
@@ -382,10 +413,16 @@ def expansive_replacement(A: MixedLevelArray, col: int, B: MixedLevelArray,
     if B.strength < min(t, B.n):
         raise ShapeMismatch(
             f"replacement needs strength >= {min(t, B.n)}, has {B.strength}")
-    lookup = sorted(B.rows)
-    rows = [row[:col] + lookup[row[col]] + row[col + 1:] for row in A.rows]
     alphabets = A.alphabets[:col] + B.alphabets + A.alphabets[col + 1:]
-    return _claimed(rows, alphabets, t, budget=budget)
+    return claim(MixedLevelArray(splice_rows(A.rows, col, B), alphabets),
+                 strength=t, budget=budget)
+
+
+def splice_rows(rows, col: int, B: MixedLevelArray) -> list[tuple[int, ...]]:
+    """Rows with level i of column `col` replaced by row i of B's rows in
+    lexicographic order (the row map of expansive_replacement)."""
+    lookup = sorted(B.rows)
+    return [row[:col] + lookup[row[col]] + row[col + 1:] for row in rows]
 
 
 def delete_columns(A: MixedLevelArray, cols: Iterable[int],
@@ -400,11 +437,9 @@ def delete_columns(A: MixedLevelArray, cols: Iterable[int],
         raise EmptyResult("cannot delete every column")
     rows = [tuple(row[j] for j in keep) for row in A.rows]
     alphabets = tuple(A.alphabets[j] for j in keep)
-    t = min(A.strength, len(keep))
-    out = MixedLevelArray(rows, alphabets)
-    out._strength = t
     # any projection of a checked strength-t array is itself checked
-    out._strength_checked = A.strength_checked
+    out = _carried(MixedLevelArray(rows, alphabets), min(A.strength, len(keep)),
+                   A.strength_checked)
     return ensure_checked(out, budget)
 
 
@@ -422,7 +457,8 @@ def derive_subarray(A: MixedLevelArray, col: int, symbol: int,
     rows = [row[:col] + row[col + 1:] for row in A.rows if row[col] == symbol]
     alphabets = A.alphabets[:col] + A.alphabets[col + 1:]
     t = max(A.strength - 1, 0)
-    return _claimed(rows, alphabets, min(t, len(alphabets)), budget=budget)
+    return claim(MixedLevelArray(rows, alphabets), strength=min(t, len(alphabets)),
+                 budget=budget)
 
 
 def attach_index_column(A: MixedLevelArray, block_size: int) -> MixedLevelArray:

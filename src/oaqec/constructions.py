@@ -20,16 +20,13 @@ import numpy as np
 
 from .algebra import factorize_prime_powers, field_create, is_prime_power
 from .arrays import (
-    DEFAULT_VERIFICATION_BUDGET,
     MixedLevelArray,
-    _claimed,
     attach_index_column,
     certify,
+    claim,
     delete_columns,
-    distance_check_cost,
-    distance_profile,
-    ensure_checked,
     from_text,
+    measure_md,
     multiply_oa,
 )
 from .errors import (
@@ -67,8 +64,8 @@ def bush(s: int, t: int, budget: Optional[int] = None) -> MixedLevelArray:
         acc = f.add_table[f.mul_table[acc, points], coeffs[:, j:j + 1]]
     table = np.hstack([acc, coeffs[:, -1:]])
     table = table[np.lexsort(table.T[::-1])]
-    rows = map(tuple, table.tolist())
-    return _claimed(rows, (s,) * (s + 1), t, (s + 1) - t + 1, budget)
+    A = MixedLevelArray(map(tuple, table.tolist()), (s,) * (s + 1))
+    return claim(A, strength=t, md=(s + 1) - t + 1, budget=budget)
 
 
 def hyperoval_oa(s: int, budget: Optional[int] = None) -> MixedLevelArray:
@@ -87,7 +84,7 @@ def hyperoval_oa(s: int, budget: Optional[int] = None) -> MixedLevelArray:
                      for x in f.elements())
         rows.append((a2, a1) + quad)
     rows.sort()
-    return _claimed(rows, (s,) * (s + 2), 3, s, budget)
+    return claim(MixedLevelArray(rows, (s,) * (s + 2)), strength=3, md=s, budget=budget)
 
 
 def full_factorial_mixed(alphabets, lam: int = 1) -> MixedLevelArray:
@@ -117,8 +114,9 @@ def _prime_power_piece(u: int, n_cols: int, t: int,
         return f"alphabet {u} supports at most {u + 1} columns (need {n_cols})"
     if A.n > n_cols:
         A = delete_columns(A, range(n_cols, A.n), budget)
-        A._md = n_cols - t + 1  # index unity, so the distance is forced
-    return ensure_checked(A, budget)
+        # index unity, so the distance is forced
+        A = claim(A, md=n_cols - t + 1, budget=budget)
+    return A
 
 
 def resolve_symmetric_oa(s: int, n_cols: int, t: int,
@@ -161,7 +159,7 @@ def resolve_symmetric_oa(s: int, n_cols: int, t: int,
                 out = multiply_oa(out, piece, budget)
             _note(f"OA({out.r},{n_cols},{s},{t}) as a columnwise product over "
                   f"prime-power factors {factors}")
-            return ensure_checked(out, budget)
+            return out
         failures.append(bad)
     elif not is_prime_power(s):
         failures.append("product: no nontrivial prime-power factorization")
@@ -174,10 +172,7 @@ def resolve_symmetric_oa(s: int, n_cols: int, t: int,
         A = asset_get(rec.name, asset_dir, budget)
         if A.n > n_cols:
             A = delete_columns(A, range(n_cols, A.n), budget)
-            # the projected distance is recomputed, never assumed
-            if distance_check_cost(A) <= (budget or DEFAULT_VERIFICATION_BUDGET):
-                A._md = distance_profile(A).md
-                A._md_checked = True
+            measure_md(A, budget)  # the projected distance is recomputed, never assumed
         digest = rec.sha256[:16] if rec.sha256 else "builder"
         _note(f"OA({A.r},{n_cols},{s},{t}) from asset {rec.name} ({digest})")
         return A

@@ -22,10 +22,6 @@ class NotPowerOfTwo(ToolkitError):
 
 # --- array algebra ----------------------------------------------------------
 
-class AlphabetMismatch(ToolkitError):
-    """Operands do not share the alphabet the operation requires."""
-
-
 class ShapeMismatch(ToolkitError):
     """Operand dimensions are incompatible."""
 

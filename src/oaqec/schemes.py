@@ -8,12 +8,11 @@ property before returning, so no unverified scheme ever escapes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Field, field_create, is_prime_power, prime_power_decomposition
-from .arrays import BalanceWitness, MixedLevelArray, ensure_checked, kronecker_sum
-from .errors import ClaimFailed, IngredientUnavailable, NotPrimePower
+from .arrays import BalanceWitness, MixedLevelArray, claim
+from .errors import ClaimFailed, NotPrimePower
 
 
 class DifferenceScheme:
@@ -56,9 +55,6 @@ class DifferenceScheme:
 
     def group_tag(self) -> str:
         return "field" if self.field is not None else "cyclic"
-
-    def to_array(self) -> MixedLevelArray:
-        return MixedLevelArray(self.rows, (self.s,) * self.c)
 
     def __repr__(self):
         return (f"DifferenceScheme(r={self.r}, c={self.c}, s={self.s}, "
@@ -171,116 +167,22 @@ def _d_2s_even(s: int) -> DifferenceScheme:
     return _verified(rows, s, 2, field=f)
 
 
-def _search_scheme(r: int, c: int, s: int, t: int,
-                   node_budget: int = 2_000_000) -> Optional[list[tuple[int, ...]]]:
-    """Deterministic backtracking search for a scheme, first column zero,
-    rows filled in lexicographic value order.  Small cases only."""
-    lam = r // s ** (t - 1)
-    rows: list[list[int]] = []
-    # pair-difference counters, keyed (col_a, col_b) -> value -> count
-    counts = {(a, b): [0] * s for a in range(c) for b in range(a + 1, c)}
-
-    def place(row):
-        for (a, b), tally in counts.items():
-            tally[(row[a] - row[b]) % s] += 1
-
-    def unplace(row):
-        for (a, b), tally in counts.items():
-            tally[(row[a] - row[b]) % s] -= 1
-
-    def feasible(row):
-        return all(tally[(row[a] - row[b]) % s] < lam
-                   for (a, b), tally in counts.items())
-
-    nodes = 0
-
-    def extend():
-        nonlocal nodes
-        if len(rows) == r:
-            return True
-        for tail in itertools.product(range(s), repeat=c - 1):
-            row = [0, *tail]
-            if rows and row <= rows[-1]:
-                continue  # rows kept strictly increasing to break symmetry
-            nodes += 1
-            if nodes > node_budget:
-                return False
-            if feasible(row):
-                place(row)
-                rows.append(row)
-                if extend():
-                    return True
-                rows.pop()
-                unplace(row)
-        return False
-
-    if t != 2 or r % s ** (t - 1):
-        return None
-    if extend():
-        return [tuple(row) for row in rows]
-    return None
-
-
 def d_2s(s: int) -> DifferenceScheme:
-    """A verified width-2s, 2s-row scheme over a group of order s.
-
-    Strategy order: the algebraic construction (covers every prime power),
-    then a budgeted backtracking search.
-    """
+    """A verified width-2s, 2s-row scheme over a group of order s, by the
+    algebraic construction for even or odd prime powers."""
     if not is_prime_power(s):
         raise NotPrimePower(f"{s} is not a prime power")
     (p, _), = prime_power_decomposition(s)
-    try:
-        return _d_2s_even(s) if p == 2 else _d_2s_odd(s)
-    except AssertionError:
-        found = _search_scheme(2 * s, 2 * s, s, 2)
-        if found is None:
-            raise IngredientUnavailable(
-                f"no width-{2 * s} scheme over Z_{s} found within budget") from None
-        return _verified(found, s, 2)
+    return _d_2s_even(s) if p == 2 else _d_2s_odd(s)
 
 
 def oa_from_scheme(D: DifferenceScheme, budget: Optional[int] = None) -> MixedLevelArray:
-    """Lift a scheme to an orthogonal array by summing it with the full
-    one-column array over its own group (strength carries over)."""
-    col = MixedLevelArray([(v,) for v in range(D.s)], (D.s,))
-    out = kronecker_sum(D.to_array(), col, group=D.field,
-                        strength_claim=D.strength, budget=budget)
-    return out
+    """Lift a scheme to an orthogonal array: every scheme row is followed by
+    its shifts by each constant vector (v, ..., v) of the scheme's own group,
+    so consecutive blocks of s rows come from one scheme row.  The scheme's
+    strength carries over as the array's claim."""
+    add = D.field.add if D.field is not None else (lambda x, y: (x + y) % D.s)
+    rows = [tuple(add(a, v) for a in row) for row in D.rows for v in range(D.s)]
+    return claim(MixedLevelArray(rows, (D.s,) * D.c), strength=D.strength,
+                 budget=budget)
 
-
-# --- plain-text serialization -------------------------------------------------
-
-
-def scheme_to_text(D: DifferenceScheme) -> str:
-    """Text format: `DS r c s t [group]`, then the rows (group defaults to
-    cyclic when the tag is omitted)."""
-    head = f"DS {D.r} {D.c} {D.s} {D.strength}"
-    if D.field is not None:
-        head += " field"
-    lines = [head]
-    lines.extend(" ".join(str(x) for x in row) for row in D.rows)
-    return "\n".join(lines) + "\n"
-
-
-def scheme_from_text(text: str) -> DifferenceScheme:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines())
-             if ln and not ln.startswith("#")]
-    head = lines[0].split()
-    if head[0] != "DS" or len(head) not in (5, 6):
-        raise ValueError(f"bad header: {lines[0]!r}")
-    r, c, s, t = (int(x) for x in head[1:5])
-    field = None
-    if len(head) == 6:
-        if head[5] != "field":
-            raise ValueError(f"unknown group tag {head[5]!r}")
-        field = field_create(s)
-    rows = [tuple(int(x) for x in ln.split()) for ln in lines[1:1 + r]]
-    if len(rows) != r or any(len(row) != c for row in rows):
-        raise ValueError("scheme body does not match header dimensions")
-    D = DifferenceScheme(rows, s, strength=t, field=field)
-    if t:
-        ok, witness = is_difference_scheme(D, t)
-        if not ok:
-            raise ValueError(f"declared strength {t} fails: {witness}")
-    return D

@@ -13,6 +13,7 @@ from oaqec.arrays import (
     MixedLevelArray,
     attach_index_column,
     certify,
+    claim,
     delete_columns,
     derive_subarray,
     distance_profile,
@@ -20,7 +21,6 @@ from oaqec.arrays import (
     expansive_replacement,
     from_text,
     is_orthogonal_array,
-    kronecker_sum,
     multiply_oa,
     saturated_hd_formula,
     saturation_check,
@@ -28,7 +28,6 @@ from oaqec.arrays import (
     to_text,
 )
 from oaqec.errors import (
-    AlphabetMismatch,
     ClaimFailed,
     EmptyResult,
     NotDivisible,
@@ -221,26 +220,6 @@ def test_is_oa_subset_product_beyond_int64():
                                      "index r/prod(s_j) is not an integer")
 
 
-def test_kronecker_sum_rows_pinned():
-    D = MixedLevelArray([(0, 0), (0, 1)], (2, 2))
-    col = MixedLevelArray([(0,), (1,)], (2,))
-    out = kronecker_sum(D, col)
-    assert out.rows == ((0, 0), (1, 1), (0, 1), (1, 0))
-    assert is_orthogonal_array(out, 2)[0]
-
-
-def test_kronecker_sum_zero_row():
-    zero = MixedLevelArray([(0, 0, 0)], (3, 3, 3))
-    col = MixedLevelArray([(v,) for v in range(3)], (3,))
-    out = kronecker_sum(zero, col)
-    assert out.rows == tuple((v, v, v) for v in range(3))
-
-
-def test_kronecker_sum_alphabet_mismatch():
-    with pytest.raises(AlphabetMismatch):
-        kronecker_sum(full_factorial((2, 3)), full_factorial((2,)))
-
-
 def test_multiply_oa():
     A = certify(MixedLevelArray(EVEN_WEIGHT, (2, 2, 2)), 2)
     B = certify(MixedLevelArray([(a, b, (a + b) % 3)
@@ -338,13 +317,11 @@ def test_text_roundtrip():
 
 def test_ensure_checked_budget_and_failure():
     A = MixedLevelArray(EVEN_WEIGHT, (2, 2, 2))
-    A._strength = 3  # false claim
     with pytest.raises(AssertionError):
-        ensure_checked(A, budget=10**6)
+        claim(A, strength=3, budget=10**6)  # false claim
     with pytest.raises(ClaimFailed, match="strength 3 claim failed"):
         ensure_checked(A, budget=10**6)
     B = MixedLevelArray(EVEN_WEIGHT, (2, 2, 2))
-    B._strength = 3
-    ensure_checked(B, budget=1)  # too small to check anything
+    claim(B, strength=3, budget=1)  # too small to check anything
     assert not B.strength_checked
     assert B.status() == "constructed, unverified"

@@ -252,14 +252,13 @@ def test_false_strength_claim_exits_4_under_optimize():
     script = """
 import sys
 from oaqec import cli
-from oaqec.arrays import MixedLevelArray, ensure_checked
+from oaqec.arrays import MixedLevelArray, claim
 
 assert sys.flags.optimize
 
 def false_claim(args):
     A = MixedLevelArray([(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)], (2, 2, 2))
-    A._strength = 3
-    return ensure_checked(A)
+    return claim(A, strength=3)
 
 cli._dispatch = false_claim
 sys.exit(cli.main(["construct", "--theorem", "t1", "--s", "2"]))

@@ -9,7 +9,8 @@ import pytest
 
 from oaqec.algebra import field_create, is_prime_power, poly_eval
 from oaqec.arrays import (
-    _claimed,
+    MixedLevelArray,
+    claim,
     distance_profile,
     is_orthogonal_array,
     saturation_check,
@@ -70,7 +71,7 @@ def bush_by_poly_eval(s, t):
     f = field_create(s)
     rows = sorted(tuple(poly_eval(f, coeffs, e) for e in f.elements()) + (coeffs[-1],)
                   for coeffs in itertools.product(range(s), repeat=t))
-    return _claimed(rows, (s,) * (s + 1), t, s + 2 - t)
+    return claim(MixedLevelArray(rows, (s,) * (s + 1)), strength=t, md=s + 2 - t)
 
 
 @pytest.mark.parametrize("s,t", [(s, t) for s in range(2, 14) if is_prime_power(s)
@@ -236,9 +237,8 @@ def test_asset_corrupt_payload_rejected(tmp_path):
     good = asset_get("oa_100_4_10_2")
     rows = [list(row) for row in good.rows]
     rows[0][0] = (rows[0][0] + 1) % 10
-    from oaqec.arrays import MixedLevelArray
-    bad = MixedLevelArray(rows, good.alphabets)
-    bad._strength = 2
+    # a zero budget records the false claim unchecked, so it reaches the file
+    bad = claim(MixedLevelArray(rows, good.alphabets), strength=2, budget=0)
     payload = to_text(bad)
     (tmp_path / "bad.txt").write_text(payload)
     import hashlib

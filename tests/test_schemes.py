@@ -4,18 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from oaqec.algebra import is_prime_power
 from oaqec.arrays import distance_profile, is_orthogonal_array, strength
-from oaqec.errors import IngredientUnavailable, NotPrimePower
+from oaqec.errors import NotPrimePower
 from oaqec.schemes import (
     DifferenceScheme,
-    _search_scheme,
     d3_scheme,
     d_2s,
     d_sss,
     is_difference_scheme,
     oa_from_scheme,
-    scheme_from_text,
-    scheme_to_text,
 )
 
 from conftest import naive_is_difference_scheme
@@ -113,7 +111,19 @@ def test_oa_from_scheme_d3_2_gives_the_even_weight_extension():
     assert strength(A) == 3
 
 
-@pytest.mark.parametrize("s", [2, 3, 4, 5])
+def test_oa_from_scheme_rows_pinned():
+    # each scheme row is followed by its shifts, in consecutive blocks of s
+    out = oa_from_scheme(DifferenceScheme([(0, 0), (0, 1)], 2))
+    assert out.rows == ((0, 0), (1, 1), (0, 1), (1, 0))
+    assert is_orthogonal_array(out, 2)[0]
+
+
+def test_oa_from_scheme_zero_row():
+    out = oa_from_scheme(DifferenceScheme([(0, 0, 0)], 3))
+    assert out.rows == tuple((v, v, v) for v in range(3))
+
+
+@pytest.mark.parametrize("s", [s for s in range(2, 17) if is_prime_power(s)])
 def test_oa_from_scheme_d_2s_shape(s):
     A = oa_from_scheme(d_2s(s))
     assert (A.r, A.n) == (2 * s * s, 2 * s)
@@ -122,41 +132,3 @@ def test_oa_from_scheme_d_2s_shape(s):
     assert strength(A) >= 2
     assert distance_profile(A).md == 2 * s - 2
 
-
-def test_search_scheme_small_case_verifies():
-    found = _search_scheme(4, 4, 2, 2)
-    assert found is not None
-    assert naive_is_difference_scheme(found, 2, 2)
-
-
-def test_search_scheme_gives_up_within_budget():
-    # No width-4 scheme with 2 rows over Z_2 exists; the search must
-    # terminate empty rather than loop.
-    assert _search_scheme(2, 4, 2, 2) is None
-
-
-def test_scheme_text_roundtrip_cyclic():
-    D = d3_scheme(3)
-    text = scheme_to_text(D)
-    assert text.splitlines()[0] == "DS 9 4 3 3"
-    E = scheme_from_text(text)
-    assert E.rows == D.rows and E.strength == 3 and E.field is None
-
-
-def test_scheme_text_roundtrip_field_tag():
-    D = d_sss(4)
-    text = scheme_to_text(D)
-    assert text.splitlines()[0] == "DS 4 4 4 2 field"
-    E = scheme_from_text(text)
-    assert E.rows == D.rows and E.group_tag() == "field"
-
-
-def test_scheme_from_text_rejects_false_strength_claim():
-    bad = "DS 2 2 2 2\n0 0\n0 0\n"
-    with pytest.raises(ValueError, match="declared strength"):
-        scheme_from_text(bad)
-
-
-def test_scheme_from_text_rejects_bad_header():
-    with pytest.raises(ValueError, match="bad header"):
-        scheme_from_text("OA 2 2 2\n0 0\n0 1\n")

@@ -294,7 +294,7 @@ def test_resplit_reproduces_bundled_code_from_merged_columns():
     # Merge two binary legs of the bundled 8-state code back into one 4-symbol
     # column, rebuild the array-backed input, then split the column again:
     # the resulting basis must be identical to the bundled one.
-    from oaqec.arrays import MixedLevelArray
+    from oaqec.arrays import MixedLevelArray, claim
     from oaqec.synthesis import OrthogonalPartition, code_from_partitioned_oa
 
     fixture, _ = load_fixture("qmds_8_8_3")
@@ -303,9 +303,8 @@ def test_resplit_reproduces_bundled_code_from_merged_columns():
         return ket[:3] + (2 * ket[3] + ket[4],) + ket[5:]
 
     blocks = [tuple(merge(k) for k in state) for state in fixture.basis]
-    parent = MixedLevelArray([r for b in blocks for r in b],
-                             (4, 4, 4, 4, 2, 2, 2)).sorted_rows()
-    parent._strength = 2
+    parent = claim(MixedLevelArray([r for b in blocks for r in b],
+                                   (4, 4, 4, 4, 2, 2, 2)).sorted_rows(), strength=2)
     assert distance_profile(parent).md == 3
     part = OrthogonalPartition(parent, blocks, 2)
     merged = code_from_partitioned_oa(parent, part, 2, 3, h_exact=True,
@@ -349,3 +348,30 @@ def test_provenance_records_route_and_ingredients():
     assert prov.ingredients
     assert prov.t_prime == 1 and prov.h >= 2
     assert any("asset" in ing for ing in prov.ingredients)
+
+
+def test_uncovered_parent_raises_claim_failed_under_optimize():
+    from test_cli import run_optimized
+
+    script = """
+import sys
+from dataclasses import replace
+from oaqec.arrays import MixedLevelArray
+from oaqec.errors import ClaimFailed
+from oaqec.synthesis import QuantumCode, theorem_5s2
+
+assert sys.flags.optimize
+code = theorem_5s2(3, [3])
+prov = code.provenance
+parent = MixedLevelArray(prov.parent.rows + (prov.parent.rows[0],),
+                         prov.parent.alphabets)
+try:
+    QuantumCode(code.params, code.basis, replace(prov, parent=parent))
+except ClaimFailed as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+    proc = run_optimized(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "basis states do not cover the parent array\n"
