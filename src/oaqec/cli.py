@@ -120,7 +120,7 @@ def _cmd_construct(args) -> int:
     code = _dispatch(args)
     claimed = code.params.d_plus_1 - 1
     report = verify_code(code, claimed)
-    crossed = cross_validate(code)
+    crossed = cross_validate(code, report)
     print(report.render())
     print(crossed.render())
     print(provenance_block(code))

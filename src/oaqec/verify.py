@@ -1,4 +1,17 @@
-"""Exact reduction checks certifying distances of compiled quantum codes."""
+"""Exact reduction checks certifying distances of compiled quantum codes.
+
+Each coordinate subset S is decided with numpy on the kets of all states,
+stacked.  The kets of a code are distinct, so a reduced cross matrix has an
+entry off its diagonal, or between two states, exactly when two kets agree on
+the complement of S.  strict-uniform therefore passes S when no two kets
+collide on the complement and every state counts each level tuple on S
+block/prod(s_j) times.  definition-5 fails S when kets of two states collide
+on the complement, and otherwise compares the states' level counts on S.
+Rows become mixed-radix keys, or lexicographic ranks where prod(s_j) exceeds
+int64.  The exact reduced cross matrices are built only to extract the
+ReductionWitnesses of failing subsets, and to decide a definition-5 subset on
+which kets of one state collide.
+"""
 from __future__ import annotations
 
 from collections import Counter, defaultdict
@@ -7,8 +20,10 @@ from itertools import combinations
 from math import prod
 from typing import Optional
 
+import numpy as np
+
 from .arrays import MixedLevelArray, distance_profile, is_orthogonal_array
-from .errors import ProvenanceMissing
+from .errors import ClaimFailed, ProvenanceMissing
 from .synthesis import CodeParams, QuantumCode
 
 MODES = ("strict-uniform", "definition-5")
@@ -84,7 +99,8 @@ def _check_subset(code: QuantumCode, S: tuple[int, ...], mode: str,
     reference: Optional[dict] = None
     for i in range(K):
         M = reduced_cross_matrix(code, i, i, S)
-        assert M.trace() == block, "self pair count must equal the state size"
+        if M.trace() != block:
+            raise ClaimFailed("self pair count must equal the state size")
         if mode == "strict-uniform":
             levels = prod(code.params.alphabets[c] for c in S)
             if block % levels:
@@ -128,6 +144,62 @@ def _check_subset(code: QuantumCode, S: tuple[int, ...], mode: str,
     return out
 
 
+_INT64_LIMIT = 1 << 63
+
+
+def _row_keys(kets: np.ndarray, cols, alphabets) -> np.ndarray:
+    """One int64 per ket, equal exactly when the kets agree on cols.
+
+    Mixed-radix digits while prod(s_j) over cols fits int64 (so keys lie in
+    [0, prod)), else ranks of the lexicographically sorted column slice."""
+    if prod(alphabets[c] for c in cols) <= _INT64_LIMIT:
+        keys = np.zeros(len(kets), dtype=np.int64)
+        for c in cols:
+            keys = keys * alphabets[c] + kets[:, c]
+        return keys
+    part = kets[:, list(cols)]
+    order = np.lexsort(part.T)
+    step = np.any(part[order[1:]] != part[order[:-1]], axis=1)
+    keys = np.empty(len(kets), dtype=np.int64)
+    keys[order] = np.concatenate(([0], np.cumsum(step)))
+    return keys
+
+
+def _subset_passes(code: QuantumCode, kets: np.ndarray, S: tuple[int, ...],
+                   mode: str) -> bool:
+    """Whether _check_subset finds no violation on S, decided with numpy.
+
+    kets stacks the states' kets in basis order, block rows per state."""
+    K, block = code.params.K, code.kets_per_state
+    alphabets = code.params.alphabets
+    if mode == "strict-uniform":
+        levels = prod(alphabets[c] for c in S)
+        uniform, rest = divmod(block, levels)
+        if rest or not uniform:
+            return False
+    elif K == 1:
+        return True
+    comp = [c for c in range(code.params.n) if c not in S]
+    keys = _row_keys(kets, comp, alphabets)
+    order = np.argsort(keys)
+    collide = keys[order[1:]] == keys[order[:-1]]
+    if mode == "strict-uniform":
+        if collide.any():
+            return False
+        offsets = np.arange(K, dtype=np.int64)[:, None] * levels
+        counts = np.bincount(
+            (_row_keys(kets, S, alphabets).reshape(K, block) + offsets).ravel(),
+            minlength=K * levels)
+        return bool(np.all(counts == uniform))
+    states = order // block
+    if np.any(collide & (states[1:] != states[:-1])):
+        return False
+    if collide.any():
+        return not _check_subset(code, S, mode)
+    per_state = np.sort(_row_keys(kets, S, alphabets).reshape(K, block), axis=1)
+    return bool(np.all(per_state == per_state[0]))
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of the reduction checks for one code at one claimed distance."""
@@ -162,7 +234,8 @@ def _assert_hermitian_samples(code: QuantumCode, S: tuple[int, ...]) -> None:
         M = reduced_cross_matrix(code, i, j, S)
         W = reduced_cross_matrix(code, j, i, S)
         flipped = {(y, x): v for (x, y), v in W.counts.items()}
-        assert M.counts == flipped, "pair counts must transpose under state swap"
+        if M.counts != flipped:
+            raise ClaimFailed("pair counts must transpose under state swap")
 
 
 def verify_code(code: QuantumCode, d: Optional[int] = None,
@@ -172,7 +245,9 @@ def verify_code(code: QuantumCode, d: Optional[int] = None,
     strict-uniform demands diagonal, uniform self reductions; definition-5
     only demands self reductions identical across states.  Both demand all
     cross reductions vanish.  The certified distance is the largest d'+1 whose
-    level fully passes; passing at a level implies passing below (asserted)."""
+    level fully passes; passing at a level implies passing below (checked).
+    Witnesses come from the exact reductions of the first failing subsets of
+    the claimed level."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if d is None:
@@ -180,6 +255,8 @@ def verify_code(code: QuantumCode, d: Optional[int] = None,
     if d < 0 or d > code.params.n:
         raise ValueError(f"claimed error count {d} out of range")
     n = code.params.n
+    kets = np.array([ket for state in code.basis for ket in state],
+                    dtype=np.int64).reshape(-1, n)
     subsets_checked = 0
     level_ok: list[bool] = []
     per_subset: list[tuple[tuple[int, ...], bool]] = []
@@ -188,21 +265,25 @@ def verify_code(code: QuantumCode, d: Optional[int] = None,
         ok = True
         for S in combinations(range(n), dp):
             subsets_checked += 1
-            ws = _check_subset(code, S, mode)
+            passed = _subset_passes(code, kets, S, mode)
             if dp == d:
-                per_subset.append((S, not ws))
-                if ws and len(witnesses) < 8:
+                per_subset.append((S, passed))
+                if not passed and len(witnesses) < 8:
+                    ws = _check_subset(code, S, mode)
+                    if not ws:
+                        raise ClaimFailed(f"subset {S} failed the {mode} counts "
+                                          "but its exact reductions show no violation")
                     witnesses.extend(ws)
-            if ws:
-                ok = False
+            ok = ok and passed
         level_ok.append(ok)
     if d >= 1:
         _assert_hermitian_samples(code, (0,))
     certified = 0
     while certified < d and level_ok[certified]:
         certified += 1
-    assert not any(level_ok[certified:]), \
-        "a level passed above a failing one; reductions must be monotone"
+    if any(level_ok[certified:]):
+        raise ClaimFailed("a level passed above a failing one; "
+                          "reductions must be monotone")
     return VerificationReport(params=code.params, mode=mode,
                               claimed_distance=d + 1,
                               certified_distance=certified + 1,
@@ -232,15 +313,26 @@ class CrossValidation:
                 f"{'agree' if self.agree else 'DISAGREE'}")
 
 
-def cross_validate(code: QuantumCode) -> CrossValidation:
+def cross_validate(code: QuantumCode,
+                   report: Optional[VerificationReport] = None) -> CrossValidation:
     """Independently re-derive the distance from the basis kets two ways.
 
     The array side rebuilds the parent from the union of all kets, computes
     its exact minimal distance, and re-checks every state's balance at
-    strength d; neither side reuses any claim carried by the construction."""
+    strength d; neither side reuses any claim carried by the construction.
+    The reduction side is `report`, the caller's strict-uniform verify_code
+    report of this code at its claimed distance, or a fresh verify_code run
+    when none is given."""
     if code.provenance is None:
         raise ProvenanceMissing("cross validation needs an array-backed code")
     d = code.params.d_plus_1 - 1
+    if report is not None and (report.params != code.params
+                               or report.mode != "strict-uniform"
+                               or report.claimed_distance != d + 1):
+        raise ValueError(f"report of {report.params.code_string()} in mode "
+                         f"{report.mode} at claimed distance "
+                         f"{report.claimed_distance} does not match "
+                         f"{code.params.code_string()} in strict-uniform mode")
     alphabets = code.params.alphabets
     rebuilt = MixedLevelArray([ket for state in code.basis for ket in state],
                               alphabets)
@@ -251,6 +343,8 @@ def cross_validate(code: QuantumCode) -> CrossValidation:
         blocks_ok = all(is_orthogonal_array(MixedLevelArray(state, alphabets), d)[0]
                         for state in code.basis)
     comb = md >= d + 1 and blocks_ok
-    quantum = verify_code(code, d, "strict-uniform").passed
+    if report is None:
+        report = verify_code(code, d, "strict-uniform")
+    quantum = report.passed
     return CrossValidation(quantum_pass=quantum, combinatorial_pass=comb,
                            parent_md=md, blocks_balanced=blocks_ok)

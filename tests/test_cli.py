@@ -8,10 +8,12 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import oaqec
+from oaqec import cli, verify
 from oaqec.cli import main
 from oaqec.formats import code_from_ket_text, code_from_record_text, code_to_ket_text
 
@@ -66,6 +68,33 @@ def test_construct_composed_split(capsys):
                        "--q-factors", "6,2")
     assert rc == 0
     assert "((5,12,2))_{12^2 6^1 2^2}" in out
+
+
+def test_construct_runs_the_reduction_checks_once(capsys):
+    calls = []
+    real = verify.verify_code
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return real(*args, **kwargs)
+
+    with mock.patch.object(verify, "verify_code", counted), \
+            mock.patch.object(cli, "verify_code", counted):
+        rc, out, err = run(capsys, "construct", "--theorem", "t4", "--s", "12",
+                           "--d", "1", "--l", "1", "--factors", "2")
+    assert rc == 0 and "; agree" in out
+    assert calls == [(1,)]
+
+
+def test_construct_nine_state_distance_four_code(capsys):
+    # ((8,9,4))_{9^7 3^1}: 6561 kets, 92 subsets per reduction check
+    rc, out, err = run(capsys, "construct", "--theorem", "t4", "--s", "9",
+                       "--d", "3", "--l", "1", "--factors", "3",
+                       "--unverified-ok")
+    assert rc == 0
+    assert "code ((8,9,4))_{9^7 3^1}" in out
+    assert "result: PASS" in out
+    assert "; agree" in out
 
 
 def test_construct_missing_ingredient_exits_3(capsys):

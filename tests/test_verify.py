@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import itertools
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oaqec.errors import ProvenanceMissing
+from oaqec import verify
+from oaqec.errors import ClaimFailed, ProvenanceMissing
 from oaqec.formats import code_from_ket_text, load_fixture
 from oaqec.synthesis import QuantumCode, make_code_params, theorem_5s2, theorem_tn
 from oaqec.verify import (
+    MODES,
     CrossValidation,
     cross_validate,
     reduced_cross_matrix,
@@ -142,6 +146,177 @@ def test_corrupted_code_yields_witnesses_and_lower_certificate():
     assert report.witnesses
 
 
+# --- decision kernel against the naive oracle ------------------------------------
+
+
+def naive_subset_passes(code, S, mode):
+    """The reduction conditions on one subset, from brute-force pair counts."""
+    n, K = code.params.n, code.params.K
+    block = code.kets_per_state
+    for i, j in itertools.combinations(range(K), 2):
+        if naive_cross_counts(code.basis[i], code.basis[j], S, n):
+            return False
+    selves = [naive_cross_counts(state, state, S, n) for state in code.basis]
+    if mode == "definition-5":
+        return all(counts == selves[0] for counts in selves)
+    levels = math.prod(code.params.alphabets[c] for c in S)
+    if block % levels:
+        return False
+    uniform = {(x, x): block // levels for x in itertools.product(
+        *(range(code.params.alphabets[c]) for c in S))}
+    return all(counts == uniform for counts in selves)
+
+
+def naive_report(code, d, mode):
+    """(per_subset, certified_distance, witnesses) as verify_code must give
+    them: verdicts from the oracle, witnesses from the exact dict path on the
+    first failing subsets of level d."""
+    level_ok = []
+    per_subset, witnesses = [], []
+    for dp in range(1, d + 1):
+        verdicts = [(S, naive_subset_passes(code, S, mode))
+                    for S in itertools.combinations(range(code.params.n), dp)]
+        level_ok.append(all(ok for _, ok in verdicts))
+        if dp == d:
+            per_subset = verdicts
+            for S, ok in verdicts:
+                if not ok and len(witnesses) < 8:
+                    witnesses.extend(verify._check_subset(code, S, mode))
+    certified = next((k for k, ok in enumerate(level_ok) if not ok), d)
+    return tuple(per_subset), certified + 1, tuple(witnesses)
+
+
+def assert_matches_oracle(code, ds=None):
+    for mode in MODES:
+        for d in range(code.params.n + 1) if ds is None else ds:
+            report = verify_code(code, d, mode)
+            per_subset, certified, witnesses = naive_report(code, d, mode)
+            assert report.per_subset == per_subset
+            assert report.certified_distance == certified
+            assert report.witnesses == witnesses
+            assert report.passed == (certified == d + 1)
+
+
+def mutant(code, si, ki, column, delta):
+    """The code with one ket changed in one coordinate, or None when the new
+    word is already a ket."""
+    ket = code.basis[si][ki]
+    s = code.params.alphabets[column]
+    cand = ket[:column] + ((ket[column] + 1 + delta % (s - 1)) % s,) + ket[column + 1:]
+    if any(cand in state for state in code.basis):
+        return None
+    basis = [list(state) for state in code.basis]
+    basis[si][ki] = cand
+    return QuantumCode(code.params, basis)
+
+
+def divmod_digits(word, alphabets):
+    """The mixed-radix digits of word, last column least significant."""
+    digits = []
+    for s in reversed(alphabets):
+        word, x = divmod(word, s)
+        digits.append(x)
+    return tuple(digits[::-1])
+
+
+REAL_CODES = (theorem_5s2(2, [2]), theorem_tn(4, 1, 1, [2]),
+              theorem_tn(4, 1, 1, [2, 2]))
+
+
+@st.composite
+def small_codes(draw):
+    """Random codes (K 1-4, n <= 5, alphabets 2-4, disjoint equal-size ket
+    sets), or a small emitted code with one ket moved."""
+    if draw(st.booleans()):
+        code = draw(st.sampled_from(REAL_CODES), label="code")
+        si = draw(st.integers(0, code.params.K - 1), label="state")
+        ki = draw(st.integers(0, code.kets_per_state - 1), label="ket")
+        column = draw(st.integers(0, code.params.n - 1), label="column")
+        moved = mutant(code, si, ki, column, draw(st.integers(0, 2), label="delta"))
+        return code if moved is None else moved
+    n = draw(st.integers(1, 5), label="n")
+    alphabets = tuple(draw(st.lists(st.integers(2, 4), min_size=n, max_size=n)))
+    words = math.prod(alphabets)
+    K = draw(st.integers(1, min(4, words)), label="K")
+    block = draw(st.integers(1, min(6, words // K)), label="block")
+    picks = draw(st.lists(st.integers(0, words - 1), min_size=K * block,
+                          max_size=K * block, unique=True))
+    kets = [divmod_digits(w, alphabets) for w in picks]
+    params = make_code_params(n, 0, alphabets, K)
+    return QuantumCode(params, [kets[i * block:(i + 1) * block] for i in range(K)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(code=small_codes(), limit=st.sampled_from((1 << 63, 1)))
+def test_decision_kernel_matches_naive_oracle_and_exact_witnesses(code, limit):
+    # limit 1 sends every non-empty column set through the lexsort ranks
+    with mock.patch.object(verify, "_INT64_LIMIT", limit):
+        assert_matches_oracle(code)
+
+
+def test_single_state_code_passes_definition_5_at_every_level():
+    code = REAL_CODES[0]
+    assert code.params.K == 1
+    assert_matches_oracle(code)
+    assert verify_code(code, code.params.n, "definition-5").passed
+
+
+def test_state_size_not_divisible_by_level_count():
+    params = make_code_params(2, 0, (4, 2), 2)
+    code = QuantumCode(params, [[(0, 0), (1, 1)], [(2, 0), (3, 1)]])
+    report = verify_code(code, 1, "strict-uniform")
+    assert report.per_subset == (((0,), False), ((1,), True))
+    assert any("divisible" in w.reason for w in report.witnesses)
+    assert_matches_oracle(code)
+
+
+@pytest.mark.parametrize("basis,verdicts", [
+    # both states collide with themselves off column 1 and agree
+    ([[(0, 0), (0, 1)], [(1, 0), (1, 1)]], (((0,), False), ((1,), True))),
+    # only state 0 collides off column 1, so the self reductions differ
+    ([[(0, 0), (0, 1)], [(1, 0), (2, 1)]], (((0,), False), ((1,), False))),
+])
+def test_definition_5_with_kets_of_one_state_colliding(basis, verdicts):
+    alphabets = (max(k[0] for s in basis for k in s) + 1, 2)
+    code = QuantumCode(make_code_params(2, 0, alphabets, 2), basis)
+    with mock.patch.object(verify, "_check_subset", wraps=verify._check_subset) as exact:
+        report = verify_code(code, 1, "definition-5")
+    assert report.per_subset == verdicts
+    assert exact.called  # the collision case is decided by the exact path
+    assert_matches_oracle(code)
+
+
+TERNARY_64 = divmod_digits(2 ** 64, (3,) * 64)
+
+
+@pytest.mark.parametrize("basis,passed", [
+    # balanced columns, no two kets agree on 63 columns
+    ([[(a,) * 64 for a in range(3)],
+      [tuple((c + a) % 3 for c in range(64)) for a in range(3)]], True),
+    # state 1's first ket agrees with (0,)*64 everywhere but column 5
+    ([[(a,) * 64 for a in range(3)],
+      [tuple(int(c == 5) for c in range(64))]
+      + [tuple((c + a) % 3 for c in range(64)) for a in (1, 2)]], False),
+    # base-3 values 0 and 2^64: equal modulo 2^64, different as words
+    ([[(0,) * 64], [TERNARY_64]], False),
+])
+def test_complement_keys_beyond_int64(basis, passed):
+    # every complement of one column spans 3^63 > 2^63 words, so collisions
+    # are found by lexsort ranks, not by (wrapping) mixed-radix keys
+    code = QuantumCode(make_code_params(64, 1, (3,) * 64, 2), basis)
+    assert_matches_oracle(code, (1,))
+    report = verify_code(code, 1, "definition-5")
+    assert report.passed == passed
+    assert dict(report.per_subset)[(0,)]  # no collision off column 0
+
+
+def test_failing_verdict_without_exact_witness_is_an_internal_fault():
+    code, d = load_fixture("qmds_4_12_2")
+    with mock.patch.object(verify, "_check_subset", return_value=[]):
+        with pytest.raises(ClaimFailed):
+            verify_code(code, d + 1)
+
+
 # --- cross validation --------------------------------------------------------------
 
 
@@ -167,3 +342,21 @@ def test_cross_validation_rejects_corruption_on_both_sides():
     assert not crossed.combinatorial_pass
     assert crossed.agree  # both oracles fail for the same reason
     assert "DISAGREE" not in crossed.render()
+
+
+def test_cross_validation_reuses_a_matching_report():
+    code = theorem_tn(12, 1, 1, [2])
+    report = verify_code(code, 1, "strict-uniform")
+    with mock.patch.object(verify, "verify_code", side_effect=AssertionError):
+        crossed = cross_validate(code, report)
+    assert crossed == cross_validate(code)
+
+
+def test_cross_validation_rejects_a_mismatched_report():
+    code = theorem_tn(12, 1, 1, [2])
+    other = theorem_5s2(2, [2])
+    for report in (verify_code(code, 1, "definition-5"),
+                   verify_code(code, 2, "strict-uniform"),
+                   verify_code(other, 2, "strict-uniform")):
+        with pytest.raises(ValueError):
+            cross_validate(code, report)
