@@ -118,9 +118,8 @@ def _write_outputs(code: QuantumCode, args) -> None:
 
 def _cmd_construct(args) -> int:
     code = _dispatch(args)
-    claimed = code.params.d_plus_1 - 1
-    report = verify_code(code, claimed)
-    crossed = cross_validate(code, report)
+    crossed = cross_validate(code)
+    report = crossed.report
     print(report.render())
     print(crossed.render())
     print(provenance_block(code))

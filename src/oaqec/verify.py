@@ -7,10 +7,10 @@ the complement of S.  strict-uniform therefore passes S when no two kets
 collide on the complement and every state counts each level tuple on S
 block/prod(s_j) times.  definition-5 fails S when kets of two states collide
 on the complement, and otherwise compares the states' level counts on S.
-Rows become mixed-radix keys, or lexicographic ranks where prod(s_j) exceeds
-int64.  The exact reduced cross matrices are built only to extract the
-ReductionWitnesses of failing subsets, and to decide a definition-5 subset on
-which kets of one state collide.
+Rows are compared through the ranks of their lexicographically sorted column
+slices, which never overflow.  The exact reduced cross matrices are built only
+to extract the ReductionWitnesses of failing subsets, and to decide a
+definition-5 subset on which kets of one state collide.
 """
 from __future__ import annotations
 
@@ -144,60 +144,53 @@ def _check_subset(code: QuantumCode, S: tuple[int, ...], mode: str,
     return out
 
 
-_INT64_LIMIT = 1 << 63
-
-
-def _row_keys(kets: np.ndarray, cols, alphabets) -> np.ndarray:
-    """One int64 per ket, equal exactly when the kets agree on cols.
-
-    Mixed-radix digits while prod(s_j) over cols fits int64 (so keys lie in
-    [0, prod)), else ranks of the lexicographically sorted column slice."""
-    if prod(alphabets[c] for c in cols) <= _INT64_LIMIT:
-        keys = np.zeros(len(kets), dtype=np.int64)
-        for c in cols:
-            keys = keys * alphabets[c] + kets[:, c]
-        return keys
+def _row_ranks(kets: np.ndarray, cols) -> tuple[np.ndarray, np.ndarray]:
+    """(order, ranks): order sorts the kets lexicographically on cols, and
+    ranks[k] counts the distinct cols-slices below ket k's, so two kets share
+    a rank exactly when they agree on cols.  Ranks lie in [0, prod(s_j))."""
+    if not cols:
+        return np.arange(len(kets)), np.zeros(len(kets), dtype=np.int64)
     part = kets[:, list(cols)]
     order = np.lexsort(part.T)
     step = np.any(part[order[1:]] != part[order[:-1]], axis=1)
-    keys = np.empty(len(kets), dtype=np.int64)
-    keys[order] = np.concatenate(([0], np.cumsum(step)))
-    return keys
+    ranks = np.empty(len(kets), dtype=np.int64)
+    ranks[order] = np.concatenate(([0], np.cumsum(step)))
+    return order, ranks
 
 
-def _subset_passes(code: QuantumCode, kets: np.ndarray, S: tuple[int, ...],
-                   mode: str) -> bool:
-    """Whether _check_subset finds no violation on S, decided with numpy.
+def _decide_subset(code: QuantumCode, kets: np.ndarray, S: tuple[int, ...],
+                   mode: str) -> tuple[bool, Optional[list[ReductionWitness]]]:
+    """(passes, exact): whether _check_subset finds no violation on S, decided
+    with numpy, and _check_subset's witnesses when it had to run.
 
     kets stacks the states' kets in basis order, block rows per state."""
     K, block = code.params.K, code.kets_per_state
-    alphabets = code.params.alphabets
     if mode == "strict-uniform":
-        levels = prod(alphabets[c] for c in S)
+        levels = prod(code.params.alphabets[c] for c in S)
         uniform, rest = divmod(block, levels)
         if rest or not uniform:
-            return False
+            return False, None
     elif K == 1:
-        return True
+        return True, None
     comp = [c for c in range(code.params.n) if c not in S]
-    keys = _row_keys(kets, comp, alphabets)
-    order = np.argsort(keys)
+    order, keys = _row_ranks(kets, comp)
     collide = keys[order[1:]] == keys[order[:-1]]
     if mode == "strict-uniform":
         if collide.any():
-            return False
+            return False, None
         offsets = np.arange(K, dtype=np.int64)[:, None] * levels
         counts = np.bincount(
-            (_row_keys(kets, S, alphabets).reshape(K, block) + offsets).ravel(),
+            (_row_ranks(kets, S)[1].reshape(K, block) + offsets).ravel(),
             minlength=K * levels)
-        return bool(np.all(counts == uniform))
+        return bool(np.all(counts == uniform)), None
     states = order // block
     if np.any(collide & (states[1:] != states[:-1])):
-        return False
+        return False, None
     if collide.any():
-        return not _check_subset(code, S, mode)
-    per_state = np.sort(_row_keys(kets, S, alphabets).reshape(K, block), axis=1)
-    return bool(np.all(per_state == per_state[0]))
+        exact = _check_subset(code, S, mode)
+        return not exact, exact
+    per_state = np.sort(_row_ranks(kets, S)[1].reshape(K, block), axis=1)
+    return bool(np.all(per_state == per_state[0])), None
 
 
 @dataclass(frozen=True)
@@ -255,8 +248,10 @@ def verify_code(code: QuantumCode, d: Optional[int] = None,
     if d < 0 or d > code.params.n:
         raise ValueError(f"claimed error count {d} out of range")
     n = code.params.n
+    # the narrowest unsigned dtype lets lexsort use its radix sort
     kets = np.array([ket for state in code.basis for ket in state],
-                    dtype=np.int64).reshape(-1, n)
+                    dtype=np.min_scalar_type(max(code.params.alphabets) - 1)
+                    ).reshape(-1, n)
     subsets_checked = 0
     level_ok: list[bool] = []
     per_subset: list[tuple[tuple[int, ...], bool]] = []
@@ -265,11 +260,11 @@ def verify_code(code: QuantumCode, d: Optional[int] = None,
         ok = True
         for S in combinations(range(n), dp):
             subsets_checked += 1
-            passed = _subset_passes(code, kets, S, mode)
+            passed, exact = _decide_subset(code, kets, S, mode)
             if dp == d:
                 per_subset.append((S, passed))
                 if not passed and len(witnesses) < 8:
-                    ws = _check_subset(code, S, mode)
+                    ws = _check_subset(code, S, mode) if exact is None else exact
                     if not ws:
                         raise ClaimFailed(f"subset {S} failed the {mode} counts "
                                           "but its exact reductions show no violation")
@@ -295,11 +290,18 @@ def verify_code(code: QuantumCode, d: Optional[int] = None,
 
 @dataclass(frozen=True)
 class CrossValidation:
-    """Agreement between the reduction checks and the array-side checks."""
-    quantum_pass: bool
+    """Agreement between the reduction checks and the array-side checks.
+
+    report is the strict-uniform verify_code report of the code at its
+    claimed distance."""
+    report: VerificationReport
     combinatorial_pass: bool
     parent_md: int
     blocks_balanced: bool
+
+    @property
+    def quantum_pass(self) -> bool:
+        return self.report.passed
 
     @property
     def agree(self) -> bool:
@@ -313,26 +315,16 @@ class CrossValidation:
                 f"{'agree' if self.agree else 'DISAGREE'}")
 
 
-def cross_validate(code: QuantumCode,
-                   report: Optional[VerificationReport] = None) -> CrossValidation:
+def cross_validate(code: QuantumCode) -> CrossValidation:
     """Independently re-derive the distance from the basis kets two ways.
 
     The array side rebuilds the parent from the union of all kets, computes
     its exact minimal distance, and re-checks every state's balance at
-    strength d; neither side reuses any claim carried by the construction.
-    The reduction side is `report`, the caller's strict-uniform verify_code
-    report of this code at its claimed distance, or a fresh verify_code run
-    when none is given."""
+    strength d; the reduction side runs verify_code in strict-uniform mode.
+    Neither side reuses any claim carried by the construction."""
     if code.provenance is None:
         raise ProvenanceMissing("cross validation needs an array-backed code")
     d = code.params.d_plus_1 - 1
-    if report is not None and (report.params != code.params
-                               or report.mode != "strict-uniform"
-                               or report.claimed_distance != d + 1):
-        raise ValueError(f"report of {report.params.code_string()} in mode "
-                         f"{report.mode} at claimed distance "
-                         f"{report.claimed_distance} does not match "
-                         f"{code.params.code_string()} in strict-uniform mode")
     alphabets = code.params.alphabets
     rebuilt = MixedLevelArray([ket for state in code.basis for ket in state],
                               alphabets)
@@ -343,8 +335,6 @@ def cross_validate(code: QuantumCode,
         blocks_ok = all(is_orthogonal_array(MixedLevelArray(state, alphabets), d)[0]
                         for state in code.basis)
     comb = md >= d + 1 and blocks_ok
-    if report is None:
-        report = verify_code(code, d, "strict-uniform")
-    quantum = report.passed
-    return CrossValidation(quantum_pass=quantum, combinatorial_pass=comb,
-                           parent_md=md, blocks_balanced=blocks_ok)
+    return CrossValidation(report=verify_code(code, d, "strict-uniform"),
+                           combinatorial_pass=comb, parent_md=md,
+                           blocks_balanced=blocks_ok)

@@ -82,8 +82,8 @@ def test_construct_runs_the_reduction_checks_once(capsys):
             mock.patch.object(cli, "verify_code", counted):
         rc, out, err = run(capsys, "construct", "--theorem", "t4", "--s", "12",
                            "--d", "1", "--l", "1", "--factors", "2")
-    assert rc == 0 and "; agree" in out
-    assert calls == [(1,)]
+    assert rc == 0 and "result: PASS" in out and "; agree" in out
+    assert calls == [(1, "strict-uniform")]
 
 
 def test_construct_nine_state_distance_four_code(capsys):
