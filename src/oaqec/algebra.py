@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from .errors import NotPrimePower
+from .errors import ClaimFailed, NotPrimePower
 
 _MAX_FIELD_ORDER = 4096  # the constructions here never need larger fields
 
@@ -205,18 +205,21 @@ class Field:
         q, add, mul = self.q, self.add, self.mul
         rng = range(q)
         for a in rng:
-            assert add(a, 0) == a and mul(a, 1) == a and mul(a, 0) == 0
-            assert add(a, self.neg(a)) == 0
-            if a:
-                assert mul(a, self._inv[a]) == 1
+            if not (add(a, 0) == a and mul(a, 1) == a and mul(a, 0) == 0
+                    and add(a, self.neg(a)) == 0
+                    and (not a or mul(a, self._inv[a]) == 1)):
+                raise ClaimFailed(f"GF({q}): identity or inverse fails at {a}")
             for b in rng:
-                assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+                if not (add(a, b) == add(b, a) and mul(a, b) == mul(b, a)):
+                    raise ClaimFailed(f"GF({q}): commutativity fails at {(a, b)}")
         for a in rng:
             for b in rng:
                 for c in rng:
-                    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-                    assert mul(a, mul(b, c)) == mul(mul(a, b), c)
-                    assert add(a, add(b, c)) == add(add(a, b), c)
+                    if not (mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+                            and mul(a, mul(b, c)) == mul(mul(a, b), c)
+                            and add(a, add(b, c)) == add(add(a, b), c)):
+                        raise ClaimFailed(f"GF({q}): distributivity or "
+                                          f"associativity fails at {(a, b, c)}")
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,9 +1,10 @@
 """Mixed-level array data model and generic array algebra.
 
-Rows are stored as immutable tuples of ints; every operation returns a new
-array.  Constructed arrays carry claimed strength / minimal-distance
-certificates, and only this module stores them.  Other modules record claims
-through `claim` (re-checked at once when the work fits a configurable
+Each array is one read-only int64 ndarray; `rows` is a computed tuple view.
+The ndarray is validated once when the array is built, and the operations
+here are ndarray operations that return new arrays.  Constructed arrays
+carry claimed strength / minimal-distance certificates, and only this module
+stores them.  Other modules record claims through `claim` (re-checked at once when the work fits a configurable
 verification budget, else the array is marked "constructed, unverified" and
 reports surface that status), `certify` (checked unconditionally),
 `measure_md` (the exact distance, when the pair scan fits the budget) and
@@ -68,38 +69,51 @@ class DistanceProfile:
 
 
 class MixedLevelArray:
-    """An r x n integer matrix with per-column alphabet sizes."""
+    """An r x n read-only int64 `matrix` with per-column alphabet sizes."""
 
-    __slots__ = ("rows", "alphabets", "_strength", "_strength_checked",
-                 "_md", "_md_checked", "_np_cache")
+    __slots__ = ("matrix", "alphabets", "_strength", "_strength_checked",
+                 "_md", "_md_checked")
 
-    def __init__(self, rows: Iterable[Sequence[int]], alphabets: Sequence[int]):
+    def __init__(self, rows: np.ndarray | Iterable[Sequence[int]],
+                 alphabets: Sequence[int]):
         self.alphabets = tuple(int(s) for s in alphabets)
         if not self.alphabets:
             raise EmptyResult("array needs at least one column")
         if any(s < 2 for s in self.alphabets):
             raise ValueError("alphabet sizes must be >= 2")
-        self.rows = tuple(tuple(int(x) for x in row) for row in rows)
-        if not self.rows:
+        try:
+            matrix = np.array(rows if isinstance(rows, np.ndarray) else list(rows),
+                              dtype=np.int64)
+        except OverflowError as exc:
+            raise SymbolOutOfRange(f"entry outside the int64 range: {exc}") from None
+        except ValueError as exc:
+            raise ShapeMismatch(f"rows do not form an integer matrix: {exc}") from None
+        if len(matrix) == 0:
             raise EmptyResult("array needs at least one row")
-        n = len(self.alphabets)
-        for row in self.rows:
-            if len(row) != n:
-                raise ShapeMismatch(f"row length {len(row)} != {n} columns")
-            for x, s in zip(row, self.alphabets):
-                if not 0 <= x < s:
-                    raise SymbolOutOfRange(f"entry {x} out of range for alphabet {s}")
+        if matrix.ndim != 2 or matrix.shape[1] != self.n:
+            raise ShapeMismatch(f"rows do not form a matrix with {self.n} columns")
+        bad = (matrix < 0) | (matrix >= self.alphabets)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise SymbolOutOfRange(f"entry {matrix[i, j]} out of range for alphabet "
+                                   f"{self.alphabets[j]}")
+        matrix.setflags(write=False)
+        self.matrix = matrix
         self._strength = 0
         self._strength_checked = False
         self._md = None
         self._md_checked = False
-        self._np_cache = None
 
     # -- basic shape --------------------------------------------------------
 
     @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as tuples of Python ints (a copy, built on each call)."""
+        return tuple(map(tuple, self.matrix.tolist()))
+
+    @property
     def r(self) -> int:
-        return len(self.rows)
+        return self.matrix.shape[0]
 
     @property
     def n(self) -> int:
@@ -131,14 +145,9 @@ class MixedLevelArray:
     def status(self) -> str:
         return "verified" if self.verified else "constructed, unverified"
 
-    def _as_np(self) -> np.ndarray:
-        if self._np_cache is None:
-            self._np_cache = np.array(self.rows, dtype=np.int64)
-        return self._np_cache
-
     def sorted_rows(self) -> "MixedLevelArray":
         """Same array with rows in lexicographic order (claims carry over)."""
-        return _carried(MixedLevelArray(sorted(self.rows), self.alphabets),
+        return _carried(MixedLevelArray(lexsorted(self.matrix), self.alphabets),
                         self._strength, self._strength_checked,
                         self._md, self._md_checked)
 
@@ -147,6 +156,11 @@ class MixedLevelArray:
             f"{self.alphabets[0]}..{self.alphabets[-1]}"
         return (f"MixedLevelArray(r={self.r}, n={self.n}, alphabets={alpha}, "
                 f"strength={self._strength}, md={self._md}, {self.status()})")
+
+
+def lexsorted(matrix: np.ndarray) -> np.ndarray:
+    """The rows of `matrix` in lexicographic order, first column most significant."""
+    return matrix[np.lexsort(matrix.T[::-1])]
 
 
 # --- verification ------------------------------------------------------------
@@ -162,8 +176,7 @@ def _subset_witness(A: MixedLevelArray, cols: tuple[int, ...]) -> Optional[Balan
     r = A.r
     prod = math.prod(A.alphabets[c] for c in cols)
     counts: dict[tuple[int, ...], int] = {}
-    for row in A.rows:
-        key = tuple(row[c] for c in cols)
+    for key in map(tuple, A.matrix[:, list(cols)].tolist()):
         counts[key] = counts.get(key, 0) + 1
     if r % prod:
         # the index is fractional, so no balanced count exists; name the
@@ -187,7 +200,6 @@ def _first_unbalanced(A: MixedLevelArray, chunk: list[tuple[int, ...]],
                       prods: list[int]) -> Optional[int]:
     """Index in `chunk` of the first subset whose level counts are not all
     r/prod, or None.  Every prod divides r, so each key fits in int64."""
-    m = A._as_np()
     r = A.r
     cols = np.array(chunk, dtype=np.intp)
     radix = np.array([[A.alphabets[c] for c in subset] for subset in chunk], dtype=np.int64)
@@ -199,7 +211,7 @@ def _first_unbalanced(A: MixedLevelArray, chunk: list[tuple[int, ...]],
     offsets = np.cumsum(sizes) - sizes
     keys = np.broadcast_to(offsets, (r, len(chunk))).copy()
     for j in range(cols.shape[1]):
-        keys += m[:, cols[:, j]] * weights[:, j]
+        keys += A.matrix[:, cols[:, j]] * weights[:, j]
     counts = np.bincount(keys.ravel(), minlength=int(sizes.sum()))
     lam = np.repeat(r // sizes, sizes)
     bad = np.flatnonzero(counts != lam)
@@ -248,7 +260,7 @@ def distance_profile(A: MixedLevelArray) -> DistanceProfile:
     """Exact minimal distance and distance set over all row pairs."""
     if A.r < 2:
         raise TooFewRows("distance needs at least two rows")
-    m = A._as_np()
+    m = A.matrix
     seen = np.zeros(A.n + 1, dtype=bool)
     for i in range(A.r - 1):
         d = np.count_nonzero(m[i + 1:] != m[i], axis=1)
@@ -340,14 +352,13 @@ def measure_md(A: MixedLevelArray, budget: Optional[int] = None) -> Optional[int
     return md
 
 
-def claim_blocks(blocks, alphabets: Sequence[int], t: int,
-                 budget: Optional[int] = None) -> list[MixedLevelArray]:
-    """Arrays for row blocks over shared alphabets, each claiming strength t.
+def claim_blocks(arrays: Sequence[MixedLevelArray], t: int,
+                 budget: Optional[int] = None) -> Sequence[MixedLevelArray]:
+    """Record a strength-t claim on every block array of a partition.
 
     The blocks are checked all together or not at all: only when their
-    summed strength-check cost fits the budget.
+    summed strength-check cost fits the budget.  Returns `arrays`.
     """
-    arrays = [MixedLevelArray(blk, alphabets) for blk in blocks]
     checked = sum(strength_check_cost(arr, t) for arr in arrays) <= _budget(budget)
     for arr in arrays:
         if checked:
@@ -382,11 +393,7 @@ def multiply_oa(A: MixedLevelArray, B: MixedLevelArray,
     if A.n != B.n:
         raise ShapeMismatch(f"column counts differ: {A.n} != {B.n}")
     q = B.alphabets
-    rows = []
-    for arow in A.rows:
-        scaled = tuple(a * qj for a, qj in zip(arow, q))
-        for brow in B.rows:
-            rows.append(tuple(x + b for x, b in zip(scaled, brow)))
+    rows = (A.matrix[:, None, :] * np.array(q) + B.matrix[None, :, :]).reshape(-1, A.n)
     alphabets = tuple(sj * qj for sj, qj in zip(A.alphabets, q))
     t = min(A.strength, B.strength)
     md = None
@@ -414,15 +421,15 @@ def expansive_replacement(A: MixedLevelArray, col: int, B: MixedLevelArray,
         raise ShapeMismatch(
             f"replacement needs strength >= {min(t, B.n)}, has {B.strength}")
     alphabets = A.alphabets[:col] + B.alphabets + A.alphabets[col + 1:]
-    return claim(MixedLevelArray(splice_rows(A.rows, col, B), alphabets),
+    return claim(MixedLevelArray(splice_rows(A.matrix, col, B), alphabets),
                  strength=t, budget=budget)
 
 
-def splice_rows(rows, col: int, B: MixedLevelArray) -> list[tuple[int, ...]]:
-    """Rows with level i of column `col` replaced by row i of B's rows in
+def splice_rows(matrix: np.ndarray, col: int, B: MixedLevelArray) -> np.ndarray:
+    """`matrix` with level i of column `col` replaced by row i of B's rows in
     lexicographic order (the row map of expansive_replacement)."""
-    lookup = sorted(B.rows)
-    return [row[:col] + lookup[row[col]] + row[col + 1:] for row in rows]
+    lookup = lexsorted(B.matrix)
+    return np.hstack([matrix[:, :col], lookup[matrix[:, col]], matrix[:, col + 1:]])
 
 
 def delete_columns(A: MixedLevelArray, cols: Iterable[int],
@@ -435,10 +442,9 @@ def delete_columns(A: MixedLevelArray, cols: Iterable[int],
     keep = [j for j in range(A.n) if j not in drop]
     if not keep:
         raise EmptyResult("cannot delete every column")
-    rows = [tuple(row[j] for j in keep) for row in A.rows]
     alphabets = tuple(A.alphabets[j] for j in keep)
     # any projection of a checked strength-t array is itself checked
-    out = _carried(MixedLevelArray(rows, alphabets), min(A.strength, len(keep)),
+    out = _carried(MixedLevelArray(A.matrix[:, keep], alphabets), min(A.strength, len(keep)),
                    A.strength_checked)
     return ensure_checked(out, budget)
 
@@ -454,7 +460,7 @@ def derive_subarray(A: MixedLevelArray, col: int, symbol: int,
     if not 0 <= symbol < A.alphabets[col]:
         raise SymbolOutOfRange(f"symbol {symbol} out of range for alphabet "
                                f"{A.alphabets[col]}")
-    rows = [row[:col] + row[col + 1:] for row in A.rows if row[col] == symbol]
+    rows = np.delete(A.matrix[A.matrix[:, col] == symbol], col, axis=1)
     alphabets = A.alphabets[:col] + A.alphabets[col + 1:]
     t = max(A.strength - 1, 0)
     return claim(MixedLevelArray(rows, alphabets), strength=min(t, len(alphabets)),
@@ -468,8 +474,8 @@ def attach_index_column(A: MixedLevelArray, block_size: int) -> MixedLevelArray:
     levels = A.r // block_size
     if levels < 2:
         raise NotDivisible("index column needs at least two blocks")
-    rows = [(i // block_size,) + row for i, row in enumerate(A.rows)]
-    return MixedLevelArray(rows, (levels,) + A.alphabets)
+    index = np.arange(A.r)[:, None] // block_size
+    return MixedLevelArray(np.hstack([index, A.matrix]), (levels,) + A.alphabets)
 
 
 def saturation_check(A: MixedLevelArray) -> bool:

@@ -13,19 +13,10 @@ from .arrays import distance_profile, from_text, is_orthogonal_array
 from .constructions import asset_get, asset_list, asset_records
 from .errors import (
     AssetCorrupt,
-    BadFactorization,
-    BadGeometry,
     ClaimFailed,
-    DivisibilityViolated,
     ExcludedS,
     IngredientUnavailable,
-    NegativeM,
-    NotFromOA,
-    NotPartitionable,
-    NotPrimePower,
-    ProvenanceMissing,
-    SBoundViolated,
-    ShapeMismatch,
+    ToolkitError,
 )
 from .formats import (
     code_from_ket_text,
@@ -51,11 +42,6 @@ EXIT_INGREDIENT = 3
 EXIT_VERIFICATION = 4
 
 THEOREMS = ("t1", "t2", "t3", "t4", "c1", "c2", "c3", "t5")
-
-_USAGE_ERRORS = (BadFactorization, BadGeometry, DivisibilityViolated,
-                 NegativeM, NotFromOA, NotPartitionable, NotPrimePower,
-                 ProvenanceMissing, SBoundViolated, ShapeMismatch, ValueError)
-
 
 class _UsageError(ValueError):
     """Bad flag combination detected after argparse."""
@@ -292,7 +278,7 @@ def main(argv=None) -> int:
     except ClaimFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except _USAGE_ERRORS as exc:
+    except (ToolkitError, ValueError) as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

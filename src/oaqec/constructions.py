@@ -9,7 +9,6 @@ that are fully re-verified on load.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from .arrays import (
     claim,
     delete_columns,
     from_text,
+    lexsorted,
     measure_md,
     multiply_oa,
 )
@@ -62,9 +62,7 @@ def bush(s: int, t: int, budget: Optional[int] = None) -> MixedLevelArray:
     acc = np.zeros((len(coeffs), s), dtype=f.add_table.dtype)
     for j in range(t - 1, -1, -1):
         acc = f.add_table[f.mul_table[acc, points], coeffs[:, j:j + 1]]
-    table = np.hstack([acc, coeffs[:, -1:]])
-    table = table[np.lexsort(table.T[::-1])]
-    A = MixedLevelArray(map(tuple, table.tolist()), (s,) * (s + 1))
+    A = MixedLevelArray(lexsorted(np.hstack([acc, coeffs[:, -1:]])), (s,) * (s + 1))
     return claim(A, strength=t, md=(s + 1) - t + 1, budget=budget)
 
 
@@ -78,13 +76,11 @@ def hyperoval_oa(s: int, budget: Optional[int] = None) -> MixedLevelArray:
     if s < 2 or s & (s - 1):
         raise NotPowerOfTwo(f"{s} is not a power of two >= 2")
     f = field_create(s)
-    rows = []
-    for a2, a1, a0 in itertools.product(range(s), repeat=3):
-        quad = tuple(f.add(f.mul(a2, f.mul(x, x)), f.add(f.mul(a1, x), a0))
-                     for x in f.elements())
-        rows.append((a2, a1) + quad)
-    rows.sort()
-    return claim(MixedLevelArray(rows, (s,) * (s + 2)), strength=3, md=s, budget=budget)
+    a2, a1, a0 = np.indices((s,) * 3).reshape(3, -1, 1)
+    x = np.arange(s)
+    quad = f.add_table[f.mul_table[a2, f.mul_table[x, x]], f.add_table[f.mul_table[a1, x], a0]]
+    table = lexsorted(np.hstack([a2, a1, quad]))
+    return claim(MixedLevelArray(table, (s,) * (s + 2)), strength=3, md=s, budget=budget)
 
 
 def full_factorial_mixed(alphabets, lam: int = 1) -> MixedLevelArray:
@@ -94,10 +90,9 @@ def full_factorial_mixed(alphabets, lam: int = 1) -> MixedLevelArray:
         raise ValueError("alphabets must be nonempty")
     if lam < 1:
         raise ValueError(f"index must be >= 1, got {lam}")
-    rows = [tup for tup in itertools.product(*(range(a) for a in alphabets))
-            for _ in range(lam)]
-    md = None if len(rows) == 1 else (1 if lam == 1 else 0)
-    A = MixedLevelArray(rows, alphabets)
+    table = np.repeat(np.indices(alphabets).reshape(len(alphabets), -1).T, lam, axis=0)
+    md = None if len(table) == 1 else (1 if lam == 1 else 0)
+    A = MixedLevelArray(table, alphabets)
     return certify(A, len(alphabets), md)
 
 

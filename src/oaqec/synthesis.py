@@ -5,10 +5,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .algebra import factorize_prime_powers, is_prime_power
 from .arrays import (MixedLevelArray, attach_index_column, claim, claim_blocks,
-                     delete_columns, expansive_replacement, measure_md,
-                     multiply_oa, splice_rows)
+                     delete_columns, expansive_replacement, lexsorted,
+                     measure_md, multiply_oa, splice_rows)
 # re-exported: the benchmark harness wraps and calls it through this module
 from .arrays import is_orthogonal_array  # noqa: F401
 from .constructions import (asset_get, bush, full_factorial_mixed,
@@ -94,29 +96,27 @@ class OrthogonalPartition:
                  budget: Optional[int] = None):
         if strength < 1:
             raise ValueError("partition strength must be at least 1")
-        blocks = tuple(tuple(tuple(int(x) for x in row) for row in blk)
-                       for blk in blocks)
-        if not blocks or any(not blk for blk in blocks):
+        blocks = list(blocks)
+        if not blocks or any(len(blk) == 0 for blk in blocks):
             raise NotPartitionable("partition needs nonempty blocks")
-        size = len(blocks[0])
-        if any(len(blk) != size for blk in blocks):
+        if len({len(blk) for blk in blocks}) != 1:
             raise NotPartitionable("blocks must all have the same number of rows")
-        merged = sorted(row for blk in blocks for row in blk)
-        if merged != sorted(parent.rows):
+        arrays = [MixedLevelArray(blk, parent.alphabets) for blk in blocks]
+        merged = np.vstack([arr.matrix for arr in arrays])
+        if not np.array_equal(lexsorted(merged), lexsorted(parent.matrix)):
             raise NotPartitionable("blocks do not cover the parent rows exactly")
         self.parent = parent
         self.strength = int(strength)
-        self._arrays = claim_blocks(blocks, parent.alphabets, self.strength, budget)
-        self.blocks = tuple(arr.rows for arr in self._arrays)
+        self._arrays = claim_blocks(arrays, self.strength, budget)
         self.strength_checked = self._arrays[0].strength_checked
 
     @property
     def K(self) -> int:
-        return len(self.blocks)
+        return len(self._arrays)
 
     @property
     def block_size(self) -> int:
-        return len(self.blocks[0])
+        return self._arrays[0].r
 
     def block_arrays(self) -> list[MixedLevelArray]:
         """The blocks as arrays over the parent's alphabets (claims attached)."""
@@ -140,15 +140,14 @@ def partition_by_prefix(A: MixedLevelArray, l: int,
         raise ValueError(f"prefix width {l} needs array strength above {l}")
     srt = A.sorted_rows()
     if l == 0:
-        return srt, OrthogonalPartition(srt, (srt.rows,), A.strength, budget)
+        return srt, OrthogonalPartition(srt, (srt.matrix,), A.strength, budget)
     parent = delete_columns(srt, range(l), budget)
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for row in srt.rows:
-        groups.setdefault(row[:l], []).append(row[l:])
-    sizes = {len(rows) for rows in groups.values()}
+    # sorted rows with one prefix are consecutive: split where the prefix changes
+    starts = np.flatnonzero(np.diff(srt.matrix[:, :l], axis=0).any(axis=1)) + 1
+    sizes = set(np.diff(starts, prepend=0, append=srt.r).tolist())
     if len(sizes) != 1:
         raise NotPartitionable(f"prefix groups have unequal sizes {sorted(sizes)}")
-    blocks = tuple(tuple(rows) for rows in groups.values())
+    blocks = np.split(parent.matrix, starts)
     return parent, OrthogonalPartition(parent, blocks, A.strength - l, budget)
 
 
@@ -224,8 +223,8 @@ def code_from_partitioned_oa(A: MixedLevelArray, partition: OrthogonalPartition,
                              h_exact: bool = False,
                              notes: tuple[str, ...] = ()) -> QuantumCode:
     """Compile an array plus a strength-t' partition into an ((n,K,min(t'+1,h))) code."""
-    if partition.parent is not A and (partition.parent.rows != A.rows or
-                                      partition.parent.alphabets != A.alphabets):
+    if partition.parent is not A and (partition.parent.alphabets != A.alphabets or
+                                      not np.array_equal(partition.parent.matrix, A.matrix)):
         raise ValueError("partition does not belong to the given array")
     if t_prime < 1 or t_prime > partition.strength:
         raise ValueError(f"t'={t_prime} outside the partition strength {partition.strength}")
@@ -237,7 +236,7 @@ def code_from_partitioned_oa(A: MixedLevelArray, partition: OrthogonalPartition,
                       ingredients=tuple(ingredients), parent=A,
                       partition=partition, t_prime=t_prime, h=h,
                       h_exact=h_exact, notes=tuple(notes))
-    return QuantumCode(params, partition.blocks, prov)
+    return QuantumCode(params, (arr.rows for arr in partition.block_arrays()), prov)
 
 
 # --- shared helpers -------------------------------------------------------------
@@ -267,7 +266,7 @@ def _claim_equal(value: int, expected: int, what: str) -> None:
 def _whole_partition(A: MixedLevelArray, t_prime: int,
                      budget: Optional[int]) -> OrthogonalPartition:
     """The trivial one-block partition of A at strength t'."""
-    return OrthogonalPartition(A, (A.rows,), t_prime, budget)
+    return OrthogonalPartition(A, (A.matrix,), t_prime, budget)
 
 
 def _factorial_ingredient(F: MixedLevelArray) -> str:
@@ -458,7 +457,7 @@ def theorem_tn(s: int, d: int, l: int, s_factors, q_factors=None, *,
     col = stripped.n - 1 if replace_col is None else replace_col
     F1 = full_factorial_mixed(s_factors, s // w1)
     B = expansive_replacement(stripped, col, F1, budget)
-    blocks = [splice_rows(blk, col, F1) for blk in part.blocks]
+    blocks = [splice_rows(blk.matrix, col, F1) for blk in part.block_arrays()]
     ingredients = list(trace) + [_factorial_ingredient(F1)]
     notes: list[str] = []
 
@@ -530,7 +529,7 @@ def theorem_huan(code: QuantumCode, col: Optional[int], q_factors, *,
             f"factor product {math.prod(q_factors)} must equal the column alphabet {s1}")
     F = full_factorial_mixed(q_factors, 1)
     B = expansive_replacement(parent, col, F, budget).sorted_rows()
-    blocks = [splice_rows(blk, col, F) for blk in prov.partition.blocks]
+    blocks = [splice_rows(blk.matrix, col, F) for blk in prov.partition.block_arrays()]
     h, h_exact = _certified_h(B, prov.h, budget)
     part = OrthogonalPartition(B, blocks, prov.t_prime, budget)
     return code_from_partitioned_oa(

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Optional
 
-from .errors import IngredientUnavailable
+from .errors import ClaimFailed, IngredientUnavailable
 from .synthesis import (
     CodeParams,
     QuantumCode,
@@ -52,12 +52,17 @@ class TableRowExpectation:
     note: str = ""
 
     def __post_init__(self) -> None:
-        assert len(self.alphabets) == self.n
-        assert self.d_plus_1 == self.d + 1
+        if len(self.alphabets) != self.n:
+            raise ClaimFailed(f"{self.label}: {len(self.alphabets)} alphabet "
+                              f"sizes for n={self.n}")
+        if self.d_plus_1 != self.d + 1:
+            raise ClaimFailed(f"{self.label}: stored d+1={self.d_plus_1} "
+                              f"for d={self.d}")
         bound = prod(sorted(self.alphabets)[: self.n - 2 * self.d])
-        assert self.m == bound - self.K, (
-            f"{self.label}: stored m={self.m} but the window arithmetic "
-            f"gives {bound - self.K}")
+        if self.m != bound - self.K:
+            raise ClaimFailed(
+                f"{self.label}: stored m={self.m} but the window arithmetic "
+                f"gives {bound - self.K}")
 
     @property
     def label(self) -> str:

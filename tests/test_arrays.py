@@ -3,6 +3,7 @@ import math
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,6 +37,55 @@ from oaqec.errors import (
     SymbolOutOfRange,
     TooFewRows,
 )
+
+
+# --- constructor contract ------------------------------------------------------
+
+
+@pytest.mark.parametrize("rows,alphabets,error", [
+    ([(0, 1), (1,)], (2, 2), ShapeMismatch),
+    ([(0, 1, 0)], (2, 2), ShapeMismatch),
+    (np.zeros((3, 3), dtype=np.int64), (2, 2), ShapeMismatch),
+    ([(0, 1), (1, -1)], (2, 2), SymbolOutOfRange),
+    ([(0, 1), (2, 1)], (2, 2), SymbolOutOfRange),
+    ([(0, 2**70)], (2, 2), SymbolOutOfRange),
+    ([], (2, 2), EmptyResult),
+    (np.zeros((0, 2), dtype=np.int64), (2, 2), EmptyResult),
+    ([(0, 0)], (), EmptyResult),
+    ([(0, 0)], (2, 1), ValueError),
+])
+def test_constructor_rejects_malformed_input(rows, alphabets, error):
+    with pytest.raises(error):
+        MixedLevelArray(rows, alphabets)
+
+
+def test_constructor_names_the_first_out_of_range_entry():
+    with pytest.raises(SymbolOutOfRange, match="^entry 3 out of range for alphabet 3$"):
+        MixedLevelArray([(0, 1), (1, 3), (5, 0)], (2, 3))
+
+
+def test_matrix_is_a_read_only_copy_of_the_callers_array():
+    source = np.array([[0, 1], [1, 0]])
+    A = MixedLevelArray(source, (2, 2))
+    source[0, 0] = 1
+    assert A.rows == ((0, 1), (1, 0))
+    assert A.matrix.dtype == np.int64
+    assert not A.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        A.matrix[0, 0] = 1
+
+
+def test_rows_and_witnesses_hold_python_ints():
+    A = MixedLevelArray(np.array([[0, 0], [0, 1], [1, 0], [1, 0]], dtype=np.uint8), (2, 2))
+    assert all(type(x) is int for row in A.rows for x in row)
+    ok, witness = is_orthogonal_array(A, 2)
+    assert not ok
+    assert witness == BalanceWitness((0, 1), (1, 1), 0, 1, "level tuple missing")
+    assert all(type(x) is int for x in witness.levels + (witness.observed,))
+    _, witness = is_orthogonal_array(MixedLevelArray(A.rows + ((1, 0),), (2, 2)), 1)
+    assert type(witness.observed) is int
+    assert str(witness) == ("columns (0,), levels (0,): observed 2, "
+                            "expected 2.5 (index r/prod(s_j) is not an integer)")
 
 
 def full_factorial(alphabets):

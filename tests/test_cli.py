@@ -266,6 +266,19 @@ def test_assets_add_requires_file_and_dir(capsys):
     assert rc == 2 and "invalid request" in err
 
 
+@pytest.mark.parametrize("text", [
+    "OA 4 3 2\n2 2 2\n0 0 0\n0 1 1\n1 0 2\n1 1 0\n",
+    "OA 0 3 2\n2 2 2\n",
+], ids=["entry-outside-alphabet", "zero-rows"])
+def test_assets_add_rejects_malformed_array_as_usage_error(tmp_path, capsys, text):
+    src = tmp_path / "bad.txt"
+    src.write_text(text)
+    store = tmp_path / "store"
+    rc, _, err = run(capsys, "assets", "add", "--file", str(src), "--dir", str(store))
+    assert rc == 2 and err.startswith("invalid request: ")
+    assert not store.exists()
+
+
 # --- claim checks under python -O --------------------------------------------------
 
 

@@ -125,6 +125,18 @@ def test_partition_rejects_uneven_blocks():
         OrthogonalPartition(A, (A.rows[:2], A.rows[:2]), 1)
 
 
+def test_partition_rejects_an_empty_block():
+    A = bush(2, 2)
+    from oaqec.synthesis import OrthogonalPartition
+
+    with pytest.raises(NotPartitionable, match="nonempty"):
+        OrthogonalPartition(A, (A.rows, ()), 1)
+    with pytest.raises(NotPartitionable, match="nonempty"):
+        OrthogonalPartition(A, (A.matrix, A.matrix[:0]), 1)
+    with pytest.raises(NotPartitionable, match="nonempty"):
+        OrthogonalPartition(A, (), 1)
+
+
 # --- first driver family ------------------------------------------------------
 
 

@@ -85,6 +85,30 @@ def test_rows_self_check_their_defect_arithmetic():
             alphabets=good.alphabets, m=good.m + 1)
 
 
+def test_wrong_stored_m_raises_claim_failed_under_optimize():
+    from test_cli import run_optimized
+
+    script = """
+import sys
+from dataclasses import replace
+from oaqec.errors import ClaimFailed
+from oaqec.tables import expectations
+
+assert sys.flags.optimize
+good = expectations("I")[0]
+try:
+    replace(good, m=good.m + 1)
+except ClaimFailed as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+    proc = run_optimized(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("t1 s=2 d=2 f=2: stored m=2 but the window "
+                           "arithmetic gives 1\n")
+
+
 # --- row comparison -----------------------------------------------------------
 
 
