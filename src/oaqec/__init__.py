@@ -17,6 +17,7 @@ from .arrays import (
     expansive_replacement,
     from_text,
     is_orthogonal_array,
+    minimal_distance,
     multiply_oa,
     saturated_hd_formula,
     saturation_check,

@@ -4,18 +4,26 @@ Each array is one read-only int64 ndarray; `rows` is a computed tuple view.
 The ndarray is validated once when the array is built, and the operations
 here are ndarray operations that return new arrays.  Constructed arrays
 carry claimed strength / minimal-distance certificates, and only this module
-stores them.  Other modules record claims through `claim` (re-checked at once when the work fits a configurable
-verification budget, else the array is marked "constructed, unverified" and
-reports surface that status), `certify` (checked unconditionally),
-`measure_md` (the exact distance, when the pair scan fits the budget) and
-`claim_blocks` (partition blocks, checked all together or not at all).  The
-array operations here carry the claims their results inherit.  A claim that
-fails its re-check raises ClaimFailed.
+stores them.  Other modules record claims through `claim` (re-checked at
+once when the work fits a configurable verification budget, else the array
+is marked "constructed, unverified" and reports surface that status),
+`certify` (checked unconditionally), `measure_md` (the exact distance, when
+its check fits the budget) and `claim_blocks` (partition blocks, checked all
+together or not at all).  The array operations here carry the claims their
+results inherit.  A claim that fails its re-check raises ClaimFailed.
 
 Strength is checked by vectorized counts: each t-column subset's rows become
 mixed-radix keys, and one np.bincount per chunk of subsets counts them.  The
 exact dict count runs only on the first failing subset, to extract the
 BalanceWitness that reports name.
+
+Minimal distance is computed from column projections (`minimal_distance`):
+with distinct rows, md >= h exactly when every projection onto n - h + 1
+columns is injective.  A projection is tested by sorting its mixed-radix
+keys, or not at all when it has fewer level tuples than rows.  The budget
+still prices a distance check as the r(r-1)/2 row pairs of a pair scan
+(`distance_check_cost`).  `distance_profile` keeps the pair scan for the
+full distance set.
 """
 
 from __future__ import annotations
@@ -269,6 +277,54 @@ def distance_profile(A: MixedLevelArray) -> DistanceProfile:
     return DistanceProfile(md=min(hd), hd=hd)
 
 
+#: largest mixed-radix key minimal_distance builds before re-ranking
+_KEY_MAX = np.iinfo(np.int64).max
+
+
+def _projection_collides(columns: np.ndarray, alphabets: Sequence[int],
+                         cols: Iterable[int]) -> bool:
+    """True when two rows agree on every column in `cols`.  columns[j] holds
+    column j of the array, contiguous."""
+    r = columns.shape[1]
+    if math.prod(alphabets[c] for c in cols) < r:
+        return True  # more rows than level tuples (pigeonhole)
+    keys = np.zeros(r, dtype=np.int64)
+    radix = 1
+    for c in cols:
+        s = alphabets[c]
+        if radix > _KEY_MAX // s:
+            # the next digit would overflow: replace the keys by their ranks
+            uniq, keys = np.unique(keys, return_inverse=True)
+            radix = len(uniq)
+        keys *= s
+        keys += columns[c]
+        radix *= s
+    keys.sort()
+    return bool(np.any(keys[1:] == keys[:-1]))
+
+
+def minimal_distance(A: MixedLevelArray) -> int:
+    """Exact minimal Hamming distance between two rows of A.
+
+    Two rows at distance d agree on n - d columns, so with distinct rows the
+    minimal distance is n - k + 1 for the smallest k at which every k-column
+    projection is injective (Hedayat, Sloane & Stufken 1999, ch. 4).  Levels
+    k = 1, 2, ... are searched for a colliding projection; 0 means repeated
+    rows.
+    """
+    if A.r < 2:
+        raise TooFewRows("distance needs at least two rows")
+    n, alphabets = A.n, A.alphabets
+    columns = np.ascontiguousarray(A.matrix.T)
+    if _projection_collides(columns, alphabets, range(n)):
+        return 0
+    for k in range(1, n):
+        if not any(_projection_collides(columns, alphabets, cols)
+                   for cols in itertools.combinations(range(n), k)):
+            return n - k + 1
+    return 1
+
+
 def strength_check_cost(A: MixedLevelArray, t: int) -> int:
     return A.r * math.comb(A.n, t)
 
@@ -286,6 +342,8 @@ def ensure_checked(A: MixedLevelArray, budget: Optional[int] = None) -> MixedLev
 
     Claims that fit the budget are verified (ClaimFailed means the
     construction is buggy); claims that do not remain marked unverified.
+    A distance claim is priced as a pair scan, r(r-1)/2 checks, and
+    checked with minimal_distance.
     """
     budget = _budget(budget)
     if A._strength > 0 and not A._strength_checked:
@@ -296,9 +354,9 @@ def ensure_checked(A: MixedLevelArray, budget: Optional[int] = None) -> MixedLev
             A._strength_checked = True
     if A._md is not None and not A._md_checked:
         if distance_check_cost(A) <= budget:
-            prof = distance_profile(A)
-            if prof.md != A._md:
-                raise ClaimFailed(f"md claim {A._md} != actual {prof.md}")
+            md = minimal_distance(A)
+            if md != A._md:
+                raise ClaimFailed(f"md claim {A._md} != actual {md}")
             A._md_checked = True
     return A
 
@@ -326,26 +384,27 @@ def certify(A: MixedLevelArray, t: int, md: Optional[int] = None) -> MixedLevelA
     A._strength = t
     A._strength_checked = True
     if md is not None:
-        prof = distance_profile(A)
-        if prof.md != md:
-            raise ClaimFailed(f"md {md} verification failed: actual {prof.md}")
+        actual = minimal_distance(A)
+        if actual != md:
+            raise ClaimFailed(f"md {md} verification failed: actual {actual}")
         A._md = md
         A._md_checked = True
     return A
 
 
 def measure_md(A: MixedLevelArray, budget: Optional[int] = None) -> Optional[int]:
-    """Exact minimal distance of A when the pair scan fits `budget`, else None.
+    """Exact minimal distance of A when its check fits `budget`, else None.
 
-    A checked distance claim is returned without a scan.  A measured
-    distance is recorded on A as a checked claim; ClaimFailed is raised when
-    it contradicts an unchecked claim A already carries.
+    The check is priced as a pair scan, r(r-1)/2 checks, and runs as
+    minimal_distance.  A checked distance claim is returned as it is.  A
+    measured distance is recorded on A as a checked claim; ClaimFailed is
+    raised when it contradicts an unchecked claim A already carries.
     """
     if A._md is not None and A._md_checked:
         return A._md
     if distance_check_cost(A) > _budget(budget):
         return None
-    md = distance_profile(A).md
+    md = minimal_distance(A)
     if A._md is not None and A._md != md:
         raise ClaimFailed(f"claimed distance {A._md} contradicts the computed {md}")
     A._md, A._md_checked = md, True

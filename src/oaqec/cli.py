@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from . import tables
-from .arrays import distance_profile, from_text, is_orthogonal_array
+from .arrays import from_text, is_orthogonal_array, minimal_distance
 from .constructions import asset_get, asset_list, asset_records
 from .errors import (
     AssetCorrupt,
@@ -184,7 +184,7 @@ def _assets_add(args) -> int:
     ok, witness = is_orthogonal_array(array, declared_t)
     if not ok:
         raise AssetCorrupt(f"{args.file}: strength {declared_t} fails: {witness}")
-    measured_md = distance_profile(array).md
+    measured_md = minimal_distance(array)
     if args.md is not None and args.md != measured_md:
         raise AssetCorrupt(f"{args.file}: declared MD {args.md}, measured {measured_md}")
 

@@ -244,7 +244,8 @@ def code_from_partitioned_oa(A: MixedLevelArray, partition: OrthogonalPartition,
 
 def _certified_h(A: MixedLevelArray, fallback: int,
                  budget: Optional[int]) -> tuple[int, bool]:
-    """Exact minimal distance when the pair scan fits the budget, else a floor."""
+    """Exact minimal distance when its check (priced as a pair scan, r(r-1)/2)
+    fits the budget, else a floor."""
     md = measure_md(A, budget)
     return (fallback, False) if md is None else (md, True)
 

@@ -10,7 +10,8 @@ on the complement, and otherwise compares the states' level counts on S.
 Rows are compared through the ranks of their lexicographically sorted column
 slices, which never overflow.  The exact reduced cross matrices are built only
 to extract the ReductionWitnesses of failing subsets, and to decide a
-definition-5 subset on which kets of one state collide.
+definition-5 subset on which kets of one state collide; even then only the
+self reductions and state pairs that the numpy pass flags are built.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arrays import MixedLevelArray, distance_profile, is_orthogonal_array
+from .arrays import MixedLevelArray, is_orthogonal_array, minimal_distance
 from .errors import ClaimFailed, ProvenanceMissing
 from .synthesis import CodeParams, QuantumCode
 
@@ -91,13 +92,16 @@ class ReductionWitness:
 
 
 def _check_subset(code: QuantumCode, S: tuple[int, ...], mode: str,
+                  states: list[int], pairs: list[tuple[int, int]],
                   cap: int = 4) -> list[ReductionWitness]:
-    """All violations (up to cap) of the reduction conditions on one subset."""
-    K = code.params.K
+    """All violations (up to cap) of the reduction conditions on one subset,
+    from the exact self reductions of `states` and cross reductions of
+    `pairs` (both ascending).  The reductions left out must hold no
+    violation, and in definition-5 `states` starts with the reference 0."""
     block = code.kets_per_state
     out: list[ReductionWitness] = []
     reference: Optional[dict] = None
-    for i in range(K):
+    for i in states:
         M = reduced_cross_matrix(code, i, i, S)
         if M.trace() != block:
             raise ClaimFailed("self pair count must equal the state size")
@@ -132,15 +136,14 @@ def _check_subset(code: QuantumCode, S: tuple[int, ...], mode: str,
                                             "reduction differs from state 0"))
         if len(out) >= cap:
             return out[:cap]
-    for i in range(K):
-        for j in range(i + 1, K):
-            M = reduced_cross_matrix(code, i, j, S)
-            if not M.is_zero():
-                (x, y), v = sorted(M.counts.items())[0]
-                out.append(ReductionWitness(S, i, j, x, y, v, 0,
-                                            "cross reduction is nonzero"))
-                if len(out) >= cap:
-                    return out[:cap]
+    for i, j in pairs:
+        M = reduced_cross_matrix(code, i, j, S)
+        if not M.is_zero():
+            (x, y), v = sorted(M.counts.items())[0]
+            out.append(ReductionWitness(S, i, j, x, y, v, 0,
+                                        "cross reduction is nonzero"))
+            if len(out) >= cap:
+                return out[:cap]
     return out
 
 
@@ -158,39 +161,78 @@ def _row_ranks(kets: np.ndarray, cols) -> tuple[np.ndarray, np.ndarray]:
     return order, ranks
 
 
+def _cross_pairs(states: np.ndarray, collide: np.ndarray, K: int) -> list[tuple[int, int]]:
+    """Ascending state pairs (i, j), i < j, with kets that agree on the
+    complement.  states[p] is the state of the p-th ket in complement order,
+    and collide[p] says the p-th and (p+1)-th kets agree on the complement."""
+    group = np.concatenate(([0], np.cumsum(~collide)))
+    # each (group, state) once, ascending
+    group, members = np.divmod(np.unique(group * K + states), K)
+    shared = np.isin(group, group[1:][group[1:] == group[:-1]])
+    cuts = np.flatnonzero(np.diff(group[shared])) + 1
+    pairs: set[tuple[int, int]] = set()
+    for ids in np.split(members[shared], cuts):
+        pairs.update(combinations(ids.tolist(), 2))
+    return sorted(pairs)
+
+
 def _decide_subset(code: QuantumCode, kets: np.ndarray, S: tuple[int, ...],
-                   mode: str) -> tuple[bool, Optional[list[ReductionWitness]]]:
-    """(passes, exact): whether _check_subset finds no violation on S, decided
+                   mode: str, explain: bool
+                   ) -> tuple[bool, Optional[list[ReductionWitness]]]:
+    """(passes, exact): whether S passes the reduction conditions, decided
     with numpy, and _check_subset's witnesses when it had to run.
 
-    kets stacks the states' kets in basis order, block rows per state."""
+    _check_subset runs on the reductions this pass flags: to decide a
+    definition-5 subset on which kets of one state collide, and to explain
+    a failing subset when `explain` is set.  kets stacks the states' kets in
+    basis order, block rows per state."""
     K, block = code.params.K, code.kets_per_state
-    if mode == "strict-uniform":
+    strict = mode == "strict-uniform"
+    if strict:
         levels = prod(code.params.alphabets[c] for c in S)
         uniform, rest = divmod(block, levels)
-        if rest or not uniform:
+        if rest and not explain:
             return False, None
     elif K == 1:
         return True, None
     comp = [c for c in range(code.params.n) if c not in S]
     order, keys = _row_ranks(kets, comp)
     collide = keys[order[1:]] == keys[order[:-1]]
-    if mode == "strict-uniform":
-        if collide.any():
-            return False, None
+    states = order // block
+    # the sort is stable, so kets of one state that collide are adjacent
+    within = collide & (states[1:] == states[:-1])
+    cross = collide & ~within
+    if not explain and (cross.any() or strict and collide.any()):
+        return False, None
+    # flagged[i]: the self reduction of state i may hold a violation
+    flagged = np.zeros(K, dtype=bool)
+    flagged[states[1:][within]] = True
+    if strict and rest:
+        flagged[:] = True
+    elif strict:
         offsets = np.arange(K, dtype=np.int64)[:, None] * levels
         counts = np.bincount(
             (_row_ranks(kets, S)[1].reshape(K, block) + offsets).ravel(),
-            minlength=K * levels)
-        return bool(np.all(counts == uniform)), None
-    states = order // block
-    if np.any(collide & (states[1:] != states[:-1])):
+            minlength=K * levels).reshape(K, levels)
+        flagged |= np.any(counts != uniform, axis=1)
+    else:
+        per_state = np.sort(_row_ranks(kets, S)[1].reshape(K, block), axis=1)
+        # a state's self reduction equals state 0's when both have no
+        # colliding kets and the same multiset of S-slices; when both have
+        # colliding kets, only the exact reductions can tell
+        flagged |= np.any(per_state != per_state[0], axis=1) | flagged[0]
+    # only a definition-5 subset whose sole collisions lie within states
+    # needs the exact reductions to be decided
+    decided = strict or cross.any() or not collide.any()
+    if decided and not (flagged.any() or cross.any()):
+        return True, None
+    if decided and not explain:
         return False, None
-    if collide.any():
-        exact = _check_subset(code, S, mode)
-        return not exact, exact
-    per_state = np.sort(_row_ranks(kets, S)[1].reshape(K, block), axis=1)
-    return bool(np.all(per_state == per_state[0])), None
+    if not strict:
+        flagged[0] = True  # the reference the other states are compared with
+    exact = _check_subset(code, S, mode, np.flatnonzero(flagged).tolist(),
+                          _cross_pairs(states, collide, K) if cross.any() else [])
+    return (False if decided else not exact), exact
 
 
 @dataclass(frozen=True)
@@ -260,15 +302,15 @@ def verify_code(code: QuantumCode, d: Optional[int] = None,
         ok = True
         for S in combinations(range(n), dp):
             subsets_checked += 1
-            passed, exact = _decide_subset(code, kets, S, mode)
+            explain = dp == d and len(witnesses) < 8
+            passed, exact = _decide_subset(code, kets, S, mode, explain)
             if dp == d:
                 per_subset.append((S, passed))
-                if not passed and len(witnesses) < 8:
-                    ws = _check_subset(code, S, mode) if exact is None else exact
-                    if not ws:
+                if not passed and explain:
+                    if not exact:
                         raise ClaimFailed(f"subset {S} failed the {mode} counts "
                                           "but its exact reductions show no violation")
-                    witnesses.extend(ws)
+                    witnesses.extend(exact)
             ok = ok and passed
         level_ok.append(ok)
     if d >= 1:
@@ -319,16 +361,18 @@ def cross_validate(code: QuantumCode) -> CrossValidation:
     """Independently re-derive the distance from the basis kets two ways.
 
     The array side rebuilds the parent from the union of all kets, computes
-    its exact minimal distance, and re-checks every state's balance at
-    strength d; the reduction side runs verify_code in strict-uniform mode.
-    Neither side reuses any claim carried by the construction."""
+    its exact minimal distance from column projections (minimal_distance,
+    which shares no code with the rank kernel of the reduction side), and
+    re-checks every state's balance at strength d; the reduction side runs
+    verify_code in strict-uniform mode.  Neither side reuses any claim
+    carried by the construction."""
     if code.provenance is None:
         raise ProvenanceMissing("cross validation needs an array-backed code")
     d = code.params.d_plus_1 - 1
     alphabets = code.params.alphabets
     rebuilt = MixedLevelArray([ket for state in code.basis for ket in state],
                               alphabets)
-    md = distance_profile(rebuilt).md if rebuilt.r > 1 else rebuilt.n + 1
+    md = minimal_distance(rebuilt) if rebuilt.r > 1 else rebuilt.n + 1
     if d == 0:
         blocks_ok = True
     else:

@@ -22,12 +22,15 @@ from oaqec.arrays import (
     expansive_replacement,
     from_text,
     is_orthogonal_array,
+    measure_md,
+    minimal_distance,
     multiply_oa,
     saturated_hd_formula,
     saturation_check,
     strength,
     to_text,
 )
+from oaqec.constructions import bush
 from oaqec.errors import (
     ClaimFailed,
     EmptyResult,
@@ -158,6 +161,83 @@ def test_distance_profile_matches_naive_oracle():
         oracle = naive_distance_set(rows)
         assert set(prof.hd) == oracle
         assert prof.md == min(oracle)
+
+
+@st.composite
+def distance_arrays(draw):
+    """Random arrays (2 <= r <= 40, n <= 7, alphabets 2-5), some with a
+    repeated row and some with two rows that differ in few columns."""
+    n = draw(st.integers(1, 7), label="n")
+    alphabets = draw(st.lists(st.integers(2, 5), min_size=n, max_size=n))
+    rows = draw(st.lists(st.tuples(*(st.integers(0, s - 1) for s in alphabets)),
+                         min_size=2, max_size=40))
+    i = draw(st.integers(0, len(rows) - 1), label="row")
+    near = list(rows[i])
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=n), label="changed"):
+        near[j] = draw(st.integers(0, alphabets[j] - 1))
+    if draw(st.booleans()):
+        rows = rows[:-1] + [tuple(near)]
+    return rows, alphabets
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=distance_arrays(), key_max=st.sampled_from((1, 30, arrays._KEY_MAX)))
+def test_minimal_distance_matches_naive_oracle(case, key_max):
+    rows, alphabets = case
+    # a small key cap forces the np.unique re-rank on small arrays
+    with mock.patch.object(arrays, "_KEY_MAX", key_max):
+        assert minimal_distance(MixedLevelArray(rows, alphabets)) == \
+            min(naive_distance_set(rows))
+
+
+@pytest.mark.parametrize("rows,alphabets,md", [
+    ([(0, 1), (0, 1)], (2, 2), 0),  # repeated row
+    ([(0, 1, 2), (1, 0, 2), (0, 1, 2)], (2, 2, 3), 0),
+    ([(0, 1), (1, 1)], (2, 2), 1),  # r = 2
+    ([(0, 1, 2), (1, 0, 0)], (2, 2, 3), 3),
+    ([(0,), (1,), (2,)], (3,), 1),  # a single column
+    ([(0,), (1,), (0,)], (3,), 0),
+    (EVEN_WEIGHT, (2, 2, 2), 2),
+])
+def test_minimal_distance_cases(rows, alphabets, md):
+    assert minimal_distance(MixedLevelArray(rows, alphabets)) == md
+    assert md == min(naive_distance_set(rows))
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5, 7])
+def test_minimal_distance_is_n_on_strength_one_bush_arrays(s):
+    A = bush(s, 1)
+    assert minimal_distance(A) == A.n == min(naive_distance_set(A.rows))
+
+
+def test_minimal_distance_reranks_keys_beyond_int64():
+    rng = random.Random(144)
+    rows = [tuple(rng.randrange(144) for _ in range(10)) for _ in range(30)]
+    rows.append(rows[0][:7] + tuple((x + 1) % 144 for x in rows[0][7:]))
+    A = MixedLevelArray(rows, (144,) * 10)
+    assert 144 ** 10 > 2 ** 63
+    with mock.patch.object(arrays.np, "unique", wraps=np.unique) as unique:
+        assert minimal_distance(A) == min(naive_distance_set(rows)) == 3
+    assert unique.called
+
+
+def test_minimal_distance_needs_two_rows():
+    with pytest.raises(TooFewRows):
+        minimal_distance(MixedLevelArray([(0, 0)], (2, 2)))
+
+
+def test_false_distance_claims_fail_with_pinned_messages():
+    def even_weight():
+        return MixedLevelArray(EVEN_WEIGHT, (2, 2, 2))  # md 2
+    with pytest.raises(ClaimFailed, match=r"^md claim 3 != actual 2$"):
+        claim(even_weight(), md=3)
+    with pytest.raises(ClaimFailed, match=r"^md 1 verification failed: actual 2$"):
+        certify(even_weight(), 2, md=1)
+    A = claim(even_weight(), md=3, budget=0)  # carried, not checked
+    assert not A.md_checked
+    with pytest.raises(ClaimFailed, match=r"^claimed distance 3 contradicts the computed 2$"):
+        measure_md(A)
+    assert measure_md(claim(even_weight(), md=2)) == 2
 
 
 def test_is_oa_matches_naive_oracle():

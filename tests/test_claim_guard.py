@@ -2,7 +2,9 @@
 
 Only `oaqec.arrays` may store the private claim fields of MixedLevelArray,
 and the modules that build and certify arrays may not guard a claim with
-`assert`, which `python -O` strips.
+`assert`, which `python -O` strips.  The array route of cross validation
+takes its distance from the `arrays` kernel, which shares no code with the
+rank kernel of the reduction route in `verify`.
 """
 
 from __future__ import annotations
@@ -53,3 +55,71 @@ def test_claim_modules_have_no_assert_statements():
         if lines:
             offenders[name] = lines
     assert offenders == {}
+
+
+def _imported_names(tree: ast.AST) -> set[str]:
+    """Every module and name an import statement in the tree mentions."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _function(tree: ast.AST, name: str) -> ast.FunctionDef:
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _calls(tree: ast.AST, name: str) -> bool:
+    return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == name for node in ast.walk(tree))
+
+
+def independence_faults(arrays_source: str, verify_source: str) -> list[str]:
+    """Ways the two sources break the independence of the two routes."""
+    faults = []
+    if any(name.split(".")[-1] == "verify"
+           for name in _imported_names(ast.parse(arrays_source))):
+        faults.append("arrays.py imports from verify")
+    tree = ast.parse(verify_source)
+    if not any(isinstance(node, ast.ImportFrom) and node.level == 1
+               and node.module == "arrays"
+               and "minimal_distance" in {alias.name for alias in node.names}
+               for node in tree.body):
+        faults.append("verify.py does not import minimal_distance from arrays")
+    cross = _function(tree, "cross_validate")
+    used = {node.id for node in ast.walk(cross) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(cross) if isinstance(node, ast.Attribute)}
+    if "_row_ranks" in used:
+        faults.append("cross_validate references _row_ranks")
+    md_values = [node.value for node in ast.walk(cross) if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "md" for t in node.targets)]
+    if not md_values or not all(_calls(value, "minimal_distance") for value in md_values):
+        faults.append("cross_validate does not take md from minimal_distance")
+    return faults
+
+
+def test_array_route_is_independent_of_the_reduction_route():
+    assert independence_faults((SRC / "arrays.py").read_text(),
+                               (SRC / "verify.py").read_text()) == []
+
+
+def test_independence_guard_has_teeth():
+    arrays_source = (SRC / "arrays.py").read_text()
+    verify_source = (SRC / "verify.py").read_text()
+    md_line = "md = minimal_distance(rebuilt)"
+    assert md_line in verify_source
+    mutants = {
+        "imports": (arrays_source + "\nfrom .verify import _row_ranks\n", verify_source),
+        "module import": ("from . import verify\n" + arrays_source, verify_source),
+        "pair scan": (arrays_source, verify_source.replace(
+            md_line, "md = distance_profile(rebuilt).md")),
+        "rank kernel": (arrays_source, verify_source.replace(
+            md_line, "md = minimal_distance(rebuilt) + 0 * len(_row_ranks(kets, [])[0])")),
+    }
+    for name, (arrays_mutant, verify_mutant) in mutants.items():
+        assert independence_faults(arrays_mutant, verify_mutant), name

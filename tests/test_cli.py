@@ -249,6 +249,7 @@ def test_assets_add_rejects_wrong_distance(tmp_path, capsys):
     rc, _, err = run(capsys, "assets", "add", "--file", str(src),
                      "--md", "3", "--dir", str(store))
     assert rc == 4 and "asset corrupt" in err
+    assert err.rstrip().endswith("declared MD 3, measured 2")
 
 
 def test_assets_add_rejects_wrong_strength(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from unittest import mock
 
 import pytest
@@ -16,12 +17,14 @@ from oaqec.synthesis import QuantumCode, make_code_params, theorem_5s2, theorem_
 from oaqec.verify import (
     MODES,
     CrossValidation,
+    ReductionWitness,
     cross_validate,
     reduced_cross_matrix,
     verify_code,
 )
 
 from conftest import naive_cross_counts
+from test_acceptance import corrupted, emitted_codes
 
 
 def toy_code():
@@ -167,23 +170,84 @@ def naive_subset_passes(code, S, mode):
     return all(counts == uniform for counts in selves)
 
 
+def unrestricted_check_subset(code, S, mode, cap=4):
+    """The exact witness path on every self reduction, then every cross
+    pair, until cap witnesses: what the flagged path must reproduce."""
+    K = code.params.K
+    block = code.kets_per_state
+    out = []
+    reference = None
+    for i in range(K):
+        M = reduced_cross_matrix(code, i, i, S)
+        assert M.trace() == block
+        if mode == "strict-uniform":
+            levels = math.prod(code.params.alphabets[c] for c in S)
+            if block % levels:
+                out.append(ReductionWitness(S, i, i, None, None, block, levels,
+                                            "state size not divisible by the level count"))
+                continue
+            uniform = block // levels
+            for (x, y), v in sorted(M.off_diagonal().items()):
+                out.append(ReductionWitness(S, i, i, x, y, v, 0,
+                                            "off-diagonal reduction entry"))
+            diag = M.diagonal()
+            if len(diag) != levels:
+                missing = levels - len(diag)
+                out.append(ReductionWitness(S, i, i, None, None, 0, uniform,
+                                            f"{missing} level tuples never occur"))
+            for x, v in sorted(diag.items()):
+                if v != uniform:
+                    out.append(ReductionWitness(S, i, i, x, x, v, uniform,
+                                                "nonuniform diagonal entry"))
+        else:
+            if reference is None:
+                reference = M.counts
+            elif M.counts != reference:
+                keys = set(M.counts) | set(reference)
+                x, y = min(k for k in keys
+                           if M.counts.get(k, 0) != reference.get(k, 0))
+                out.append(ReductionWitness(S, i, i, x, y, M.counts.get((x, y), 0),
+                                            reference.get((x, y), 0),
+                                            "reduction differs from state 0"))
+        if len(out) >= cap:
+            return out[:cap]
+    for i in range(K):
+        for j in range(i + 1, K):
+            M = reduced_cross_matrix(code, i, j, S)
+            if not M.is_zero():
+                (x, y), v = sorted(M.counts.items())[0]
+                out.append(ReductionWitness(S, i, j, x, y, v, 0,
+                                            "cross reduction is nonzero"))
+                if len(out) >= cap:
+                    return out[:cap]
+    return out
+
+
+def unrestricted_witnesses(code, per_subset, mode):
+    """The witnesses of the unrestricted path on the first failing subsets
+    of the level-d verdicts, as verify_code must report them."""
+    witnesses = []
+    for S, ok in per_subset:
+        if not ok and len(witnesses) < 8:
+            witnesses.extend(unrestricted_check_subset(code, S, mode))
+    return tuple(witnesses)
+
+
 def naive_report(code, d, mode):
     """(per_subset, certified_distance, witnesses) as verify_code must give
-    them: verdicts from the oracle, witnesses from the exact dict path on the
-    first failing subsets of level d."""
+    them: verdicts from the oracle, witnesses from the unrestricted exact dict
+    path on the first failing subsets of level d."""
     level_ok = []
-    per_subset, witnesses = [], []
+    per_subset, witnesses = [], ()
     for dp in range(1, d + 1):
         verdicts = [(S, naive_subset_passes(code, S, mode))
                     for S in itertools.combinations(range(code.params.n), dp)]
         level_ok.append(all(ok for _, ok in verdicts))
         if dp == d:
             per_subset = verdicts
-            for S, ok in verdicts:
-                if not ok and len(witnesses) < 8:
-                    witnesses.extend(verify._check_subset(code, S, mode))
+            witnesses = unrestricted_witnesses(code, verdicts, mode)
     certified = next((k for k, ok in enumerate(level_ok) if not ok), d)
-    return tuple(per_subset), certified + 1, tuple(witnesses)
+    return tuple(per_subset), certified + 1, witnesses
 
 
 def assert_matches_oracle(code, ds=None):
@@ -316,6 +380,33 @@ def test_failing_verdict_without_exact_witness_is_an_internal_fault():
     with mock.patch.object(verify, "_check_subset", return_value=[]):
         with pytest.raises(ClaimFailed):
             verify_code(code, d + 1)
+
+
+def emitted_codes_and_mutants():
+    """The 55 emitted codes of acceptance criterion 7 and, for each of the
+    seeds 1-3, two one-ket mutants of each drawn in turn from one rng."""
+    pool = emitted_codes()
+    cases = list(pool)
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        cases += [corrupted(code, rng) for code in pool for _ in range(2)]
+    return cases
+
+
+def test_flagged_witnesses_equal_the_unrestricted_exact_path():
+    checked = failing = 0
+    for code in emitted_codes_and_mutants():
+        d = code.params.d_plus_1 - 1
+        for level in (d, d + 1):
+            if level > code.params.n:
+                continue
+            for mode in MODES:
+                report = verify_code(code, level, mode)
+                want = unrestricted_witnesses(code, report.per_subset, mode)
+                assert report.witnesses == want, (code.params.code_string(), level, mode)
+                checked += 1
+                failing += not report.passed
+    assert checked == 4 * 385 and failing > checked // 2
 
 
 # --- cross validation --------------------------------------------------------------

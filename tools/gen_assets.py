@@ -25,7 +25,7 @@ from oaqec.arrays import (
     MixedLevelArray,
     attach_index_column,
     certify,
-    distance_profile,
+    minimal_distance,
     to_text,
 )
 
@@ -336,7 +336,7 @@ def gen_oa_72() -> MixedLevelArray:
 
 
 def emit(name: str, A: MixedLevelArray, manifest: dict):
-    md = distance_profile(A).md
+    md = minimal_distance(A)
     text = to_text(A)
     path = OUT_DIR / f"{name}.txt"
     path.write_text(text)
