@@ -20,10 +20,12 @@ BalanceWitness that reports name.
 Minimal distance is computed from column projections (`minimal_distance`):
 with distinct rows, md >= h exactly when every projection onto n - h + 1
 columns is injective.  A projection is tested by sorting its mixed-radix
-keys, or not at all when it has fewer level tuples than rows.  The budget
-still prices a distance check as the r(r-1)/2 row pairs of a pair scan
-(`distance_check_cost`).  `distance_profile` keeps the pair scan for the
-full distance set.
+keys, and a level with fewer level tuples than rows needs no sort.  When the
+search would sort more than (r-1)/2 projections (a wide array with a large
+distance), `minimal_distance` runs the pair scan of `distance_profile`
+instead, which also keeps the full distance set.  The budget prices a
+distance check as the r(r-1)/2 row pairs of a pair scan
+(`distance_check_cost`).
 """
 
 from __future__ import annotations
@@ -283,12 +285,10 @@ _KEY_MAX = np.iinfo(np.int64).max
 
 def _projection_collides(columns: np.ndarray, alphabets: Sequence[int],
                          cols: Iterable[int]) -> bool:
-    """True when two rows agree on every column in `cols`.  columns[j] holds
-    column j of the array, contiguous."""
-    r = columns.shape[1]
-    if math.prod(alphabets[c] for c in cols) < r:
-        return True  # more rows than level tuples (pigeonhole)
-    keys = np.zeros(r, dtype=np.int64)
+    """True when two rows agree on every column in `cols`, decided by sorting
+    their mixed-radix keys.  columns[j] holds column j of the array,
+    contiguous."""
+    keys = np.zeros(columns.shape[1], dtype=np.int64)
     radix = 1
     for c in cols:
         s = alphabets[c]
@@ -303,26 +303,53 @@ def _projection_collides(columns: np.ndarray, alphabets: Sequence[int],
     return bool(np.any(keys[1:] == keys[:-1]))
 
 
-def minimal_distance(A: MixedLevelArray) -> int:
-    """Exact minimal Hamming distance between two rows of A.
+def _projection_md(A: MixedLevelArray, max_sorts: float) -> Optional[int]:
+    """Minimal distance of A from its column projections, or None once
+    deciding it would sort more than `max_sorts` projections.
 
     Two rows at distance d agree on n - d columns, so with distinct rows the
     minimal distance is n - k + 1 for the smallest k at which every k-column
     projection is injective (Hedayat, Sloane & Stufken 1999, ch. 4).  Levels
     k = 1, 2, ... are searched for a colliding projection; 0 means repeated
-    rows.
+    rows.  At a level whose k smallest alphabets have fewer level tuples
+    than there are rows, some projection collides by pigeonhole, so the
+    level needs no sort; at any other level every projection is sorted
+    until one collides.
+    """
+    r, n, alphabets = A.r, A.n, A.alphabets
+    columns = np.ascontiguousarray(A.matrix.T)
+    if math.prod(alphabets) < r or _projection_collides(columns, alphabets, range(n)):
+        return 0
+    smallest = sorted(alphabets)
+    sorts = 0
+    for k in range(1, n):
+        if math.prod(smallest[:k]) < r:
+            continue
+        for cols in itertools.combinations(range(n), k):
+            sorts += 1
+            if sorts > max_sorts:
+                return None
+            if _projection_collides(columns, alphabets, cols):
+                break
+        else:
+            return n - k + 1
+    return 1
+
+
+def minimal_distance(A: MixedLevelArray) -> int:
+    """Exact minimal Hamming distance between two rows of A.
+
+    The projection search (`_projection_md`) keys r rows per projection it
+    sorts, and the pair scan of distance_profile compares r(r-1)/2 row
+    pairs.  The search runs first and hands over to the pair scan once it
+    would sort more than (r-1)/2 projections, so a wide array with a large
+    distance, whose last level has C(n, n-md+1) projections, costs at most
+    about twice the pair scan.
     """
     if A.r < 2:
         raise TooFewRows("distance needs at least two rows")
-    n, alphabets = A.n, A.alphabets
-    columns = np.ascontiguousarray(A.matrix.T)
-    if _projection_collides(columns, alphabets, range(n)):
-        return 0
-    for k in range(1, n):
-        if not any(_projection_collides(columns, alphabets, cols)
-                   for cols in itertools.combinations(range(n), k)):
-            return n - k + 1
-    return 1
+    md = _projection_md(A, (A.r - 1) // 2)
+    return distance_profile(A).md if md is None else md
 
 
 def strength_check_cost(A: MixedLevelArray, t: int) -> int:

@@ -161,18 +161,14 @@ def _row_ranks(kets: np.ndarray, cols) -> tuple[np.ndarray, np.ndarray]:
     return order, ranks
 
 
-def _cross_pairs(states: np.ndarray, collide: np.ndarray, K: int) -> list[tuple[int, int]]:
+def _cross_pairs(states: np.ndarray, collide: np.ndarray) -> list[tuple[int, int]]:
     """Ascending state pairs (i, j), i < j, with kets that agree on the
     complement.  states[p] is the state of the p-th ket in complement order,
     and collide[p] says the p-th and (p+1)-th kets agree on the complement."""
-    group = np.concatenate(([0], np.cumsum(~collide)))
-    # each (group, state) once, ascending
-    group, members = np.divmod(np.unique(group * K + states), K)
-    shared = np.isin(group, group[1:][group[1:] == group[:-1]])
-    cuts = np.flatnonzero(np.diff(group[shared])) + 1
     pairs: set[tuple[int, int]] = set()
-    for ids in np.split(members[shared], cuts):
-        pairs.update(combinations(ids.tolist(), 2))
+    for group in np.split(states, np.flatnonzero(~collide) + 1):
+        if len(group) > 1:
+            pairs.update(combinations(np.unique(group).tolist(), 2))
     return sorted(pairs)
 
 
@@ -231,7 +227,7 @@ def _decide_subset(code: QuantumCode, kets: np.ndarray, S: tuple[int, ...],
     if not strict:
         flagged[0] = True  # the reference the other states are compared with
     exact = _check_subset(code, S, mode, np.flatnonzero(flagged).tolist(),
-                          _cross_pairs(states, collide, K) if cross.any() else [])
+                          _cross_pairs(states, collide) if cross.any() else [])
     return (False if decided else not exact), exact
 
 

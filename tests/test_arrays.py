@@ -181,13 +181,18 @@ def distance_arrays(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=distance_arrays(), key_max=st.sampled_from((1, 30, arrays._KEY_MAX)))
-def test_minimal_distance_matches_naive_oracle(case, key_max):
+@given(case=distance_arrays(), key_max=st.sampled_from((1, 30, arrays._KEY_MAX)),
+       max_sorts=st.sampled_from((0, 1, 3, math.inf)))
+def test_minimal_distance_matches_naive_oracle(case, key_max, max_sorts):
     rows, alphabets = case
+    A = MixedLevelArray(rows, alphabets)
+    md = min(naive_distance_set(rows))
     # a small key cap forces the np.unique re-rank on small arrays
     with mock.patch.object(arrays, "_KEY_MAX", key_max):
-        assert minimal_distance(MixedLevelArray(rows, alphabets)) == \
-            min(naive_distance_set(rows))
+        assert minimal_distance(A) == md
+        assert arrays._projection_md(A, math.inf) == md
+        # a capped search either gives up or is exact
+        assert arrays._projection_md(A, max_sorts) in (None, md)
 
 
 @pytest.mark.parametrize("rows,alphabets,md", [
@@ -219,6 +224,43 @@ def test_minimal_distance_reranks_keys_beyond_int64():
     with mock.patch.object(arrays.np, "unique", wraps=np.unique) as unique:
         assert minimal_distance(A) == min(naive_distance_set(rows)) == 3
     assert unique.called
+
+
+#: strength-1 binary array, 4 x 40, md 20: its projection search would have
+#: to show all C(40, 21) projections injective
+WIDE_MD_20 = [(0,) * 40, (1,) * 40, (0,) * 20 + (1,) * 20, (1,) * 20 + (0,) * 20]
+
+
+def bounded_projection_sorts(limit):
+    """Patch arrays._projection_collides to fail the test after `limit`
+    sorted projections instead of running an exponential search."""
+    real = arrays._projection_collides
+
+    def counted(*args):
+        counted.calls += 1
+        assert counted.calls <= limit, "projection search did not hand over"
+        return real(*args)
+    counted.calls = 0
+    return mock.patch.object(arrays, "_projection_collides", counted)
+
+
+def test_minimal_distance_hands_a_wide_array_to_the_pair_scan():
+    def wide():
+        return MixedLevelArray(WIDE_MD_20, (2,) * 40)
+    assert min(naive_distance_set(WIDE_MD_20)) == 20
+    # per call: the full-width check plus at most (r-1)/2 = 1 projection
+    with bounded_projection_sorts(2):
+        assert minimal_distance(wide()) == 20
+    with bounded_projection_sorts(2), \
+            mock.patch.object(arrays, "distance_profile",
+                              wraps=arrays.distance_profile) as pair_scan:
+        assert claim(wide(), strength=1, md=20).verified
+    assert pair_scan.call_count == 1
+    with bounded_projection_sorts(2):
+        assert measure_md(wide()) == 20
+    with bounded_projection_sorts(2), \
+            pytest.raises(ClaimFailed, match=r"^md claim 19 != actual 20$"):
+        claim(wide(), md=19)
 
 
 def test_minimal_distance_needs_two_rows():

@@ -17,6 +17,8 @@ from oaqec import cli, verify
 from oaqec.cli import main
 from oaqec.formats import code_from_ket_text, code_from_record_text, code_to_ket_text
 
+from test_arrays import bounded_projection_sorts
+
 
 def fixture_path(filename):
     return str(resources.files("oaqec.fixtures") / filename)
@@ -250,6 +252,20 @@ def test_assets_add_rejects_wrong_distance(tmp_path, capsys):
                      "--md", "3", "--dir", str(store))
     assert rc == 4 and "asset corrupt" in err
     assert err.rstrip().endswith("declared MD 3, measured 2")
+
+
+def test_assets_add_measures_a_wide_array_with_a_large_distance(tmp_path, capsys):
+    # 4 x 40, md 20: the projection search hands over to the pair scan
+    rows = ["0" * 40, "1" * 40, "0" * 20 + "1" * 20, "1" * 20 + "0" * 20]
+    src = tmp_path / "wide.txt"
+    src.write_text("OA 4 40 1\n" + " ".join(["2"] * 40) + "\n"
+                   + "".join(" ".join(row) + "\n" for row in rows))
+    store = tmp_path / "store"
+    with bounded_projection_sorts(2):
+        rc, out, _ = run(capsys, "assets", "add", "--file", str(src),
+                         "--md", "20", "--dir", str(store))
+    assert rc == 0 and "OA(4,40) strength 1 MD 20" in out
+    assert json.loads((store / "manifest.json").read_text())["wide"]["md"] == 20
 
 
 def test_assets_add_rejects_wrong_strength(tmp_path, capsys):
