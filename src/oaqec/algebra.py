@@ -5,6 +5,14 @@ vector of the element in base p, low-degree digit first.  The reduction
 polynomial is the lexicographically smallest monic irreducible (coefficients
 compared low-degree-first), found by exhaustive search and re-checked at
 creation, so two invocations always produce identical tables.
+
+Addition and multiplication are also kept as q x q numpy tables
+(`add_table`, `mul_table`).  Every field of order q <= 64 is checked when it
+is created: the tables must satisfy the field axioms (identities, negatives
+and inverses, commutativity, associativity and distributivity) on every
+element, pair and triple, and `add_table` must agree with the scalar `add`
+on every pair.  The triple laws are checked with numpy fancy indexing, one
+q x q slice per first element.
 """
 
 from __future__ import annotations
@@ -202,24 +210,38 @@ class Field:
         return f"Field(q={self.q})"
 
     def _check_axioms(self):
-        q, add, mul = self.q, self.add, self.mul
-        rng = range(q)
-        for a in rng:
-            if not (add(a, 0) == a and mul(a, 1) == a and mul(a, 0) == 0
-                    and add(a, self.neg(a)) == 0
-                    and (not a or mul(a, self._inv[a]) == 1)):
-                raise ClaimFailed(f"GF({q}): identity or inverse fails at {a}")
-            for b in rng:
-                if not (add(a, b) == add(b, a) and mul(a, b) == mul(b, a)):
-                    raise ClaimFailed(f"GF({q}): commutativity fails at {(a, b)}")
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    if not (mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-                            and mul(a, mul(b, c)) == mul(mul(a, b), c)
-                            and add(a, add(b, c)) == add(add(a, b), c)):
-                        raise ClaimFailed(f"GF({q}): distributivity or "
-                                          f"associativity fails at {(a, b, c)}")
+        """Check that add_table agrees with add on every pair, then the field
+        axioms on add_table and mul_table.
+
+        The triple laws are checked for one a at a time on q x q slices, so
+        temporaries stay O(q^2).  A failure names the first failing element
+        or pair in the order element a, pairs (a, b) for a = 0, 1, ..., and
+        otherwise the first failing triple in lexicographic order."""
+        q, A, M = self.q, self.add_table, self.mul_table
+        e = np.arange(q)
+        scalar = np.array([[self.add(a, b) for b in range(q)] for a in range(q)])
+        if (bad := np.argwhere(scalar != A)).size:
+            raise ClaimFailed(f"GF({q}): add_table disagrees with add at "
+                              f"{tuple(bad[0].tolist())}")
+        neg = np.array([self.neg(a) for a in range(q)])
+        element_ok = ((A[:, 0] == e) & (M[:, 1] == e) & (M[:, 0] == 0)
+                      & (A[e, neg] == 0) & ((e == 0) | (M[e, self._inv] == 1)))
+        bad_element = np.flatnonzero(~element_ok)
+        bad_pair = np.argwhere((A != A.T) | (M != M.T))
+        if bad_element.size and (not bad_pair.size or bad_element[0] <= bad_pair[0, 0]):
+            raise ClaimFailed(f"GF({q}): identity or inverse fails at {bad_element[0]}")
+        if bad_pair.size:
+            raise ClaimFailed(f"GF({q}): commutativity fails at "
+                              f"{tuple(bad_pair[0].tolist())}")
+        for a in range(q):
+            Aa, Ma = A[a], M[a]
+            ok = ((Ma[A] == A[Ma[:, None], Ma[None, :]])
+                  & (Ma[M] == M[Ma])
+                  & (Aa[A] == A[Aa]))
+            if not ok.all():
+                b, c = np.argwhere(~ok)[0].tolist()
+                raise ClaimFailed(f"GF({q}): distributivity or "
+                                  f"associativity fails at {(a, b, c)}")
 
 
 @functools.lru_cache(maxsize=None)

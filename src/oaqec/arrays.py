@@ -168,9 +168,21 @@ class MixedLevelArray:
                 f"strength={self._strength}, md={self._md}, {self.status()})")
 
 
+def lexsort_order(matrix: np.ndarray) -> np.ndarray:
+    """The permutation that sorts the rows of a non-negative integer matrix
+    lexicographically, first column most significant.  The sort keys are
+    cast to the narrowest unsigned dtype holding the largest entry, so
+    np.lexsort can radix-sort them."""
+    keys = matrix.T[::-1]
+    if matrix.size:
+        keys = keys.astype(np.min_scalar_type(matrix.max()), copy=False)
+    return np.lexsort(keys)
+
+
 def lexsorted(matrix: np.ndarray) -> np.ndarray:
-    """The rows of `matrix` in lexicographic order, first column most significant."""
-    return matrix[np.lexsort(matrix.T[::-1])]
+    """The rows of a non-negative integer `matrix` in lexicographic order,
+    first column most significant."""
+    return matrix[lexsort_order(matrix)]
 
 
 # --- verification ------------------------------------------------------------

@@ -16,7 +16,7 @@ _ASSET = re.compile(r"asset (\w+)")
 
 def state_to_line(state) -> str:
     """One basis state as |a,b,...> kets joined by plus signs."""
-    return " + ".join("|" + ",".join(str(x) for x in ket) + ">" for ket in state)
+    return " + ".join("|" + ",".join(map(str, ket)) + ">" for ket in state)
 
 
 def parse_state_line(line: str) -> list[tuple[int, ...]]:
@@ -33,7 +33,7 @@ def code_to_ket_text(code: QuantumCode) -> str:
     """Serialize a code as a QKET header, an alphabet line and one state per line."""
     p = code.params
     lines = [f"QKET {p.n} {p.K}", " ".join(str(s) for s in p.alphabets)]
-    lines.extend(state_to_line(state) for state in code.basis)
+    lines.extend(state_to_line(code.state(i).tolist()) for i in range(p.K))
     return "\n".join(lines) + "\n"
 
 
@@ -71,7 +71,7 @@ def code_record(code: QuantumCode) -> dict:
                        "alphabets": list(p.alphabets), "m": p.m,
                        "singleton": p.singleton,
                        "m_range": list(p.m_range)},
-            "basis": [[list(ket) for ket in state] for state in code.basis],
+            "basis": [code.state(i).tolist() for i in range(p.K)],
             "status": code.status()}
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
+import numpy as np
+
 from .algebra import Field, field_create, is_prime_power, prime_power_decomposition
 from .arrays import BalanceWitness, MixedLevelArray, claim
 from .errors import ClaimFailed, NotPrimePower
@@ -53,6 +55,13 @@ class DifferenceScheme:
             return self.field.sub(a, b)
         return (a - b) % self.s
 
+    def add_table(self) -> np.ndarray:
+        """s x s table of the group law: the field's addition, or Z_s's."""
+        if self.field is not None:
+            return self.field.add_table
+        e = np.arange(self.s)
+        return (e[:, None] + e[None, :]) % self.s
+
     def group_tag(self) -> str:
         return "field" if self.field is not None else "cyclic"
 
@@ -73,16 +82,19 @@ def is_difference_scheme(D: DifferenceScheme, t: int):
         return False, BalanceWitness(tuple(range(t)), None, None,
                                      r / s ** (t - 1),
                                      "row count not divisible by s^(t-1)")
+    rows = np.array(D.rows)
+    add = D.add_table()
+    sub = add[:, np.argmax(add == 0, axis=1)]  # sub[a, b] = a - b
+    # a difference vector's index in itertools.product order
+    weights = s ** np.arange(t - 2, -1, -1)
     for cols in itertools.combinations(range(D.c), t):
-        counts: dict[tuple[int, ...], int] = {}
-        for row in D.rows:
-            base = row[cols[-1]]
-            key = tuple(D.sub(row[c], base) for c in cols[:-1])
-            counts[key] = counts.get(key, 0) + 1
-        for key in itertools.product(range(s), repeat=t - 1):
-            if counts.get(key, 0) != expected:
-                return False, BalanceWitness(cols, key, counts.get(key, 0),
-                                             expected, "coset unbalanced")
+        diffs = sub[rows[:, list(cols[:-1])], rows[:, [cols[-1]]]]
+        counts = np.bincount(diffs @ weights, minlength=s ** (t - 1))
+        bad = np.flatnonzero(counts != expected)
+        if bad.size:
+            key = tuple(int(x) for x in np.unravel_index(bad[0], (s,) * (t - 1)))
+            return False, BalanceWitness(cols, key, int(counts[bad[0]]),
+                                         expected, "coset unbalanced")
     return True, None
 
 
@@ -181,8 +193,7 @@ def oa_from_scheme(D: DifferenceScheme, budget: Optional[int] = None) -> MixedLe
     its shifts by each constant vector (v, ..., v) of the scheme's own group,
     so consecutive blocks of s rows come from one scheme row.  The scheme's
     strength carries over as the array's claim."""
-    add = D.field.add if D.field is not None else (lambda x, y: (x + y) % D.s)
-    rows = [tuple(add(a, v) for a in row) for row in D.rows for v in range(D.s)]
-    return claim(MixedLevelArray(rows, (D.s,) * D.c), strength=D.strength,
-                 budget=budget)
+    shifted = D.add_table()[np.array(D.rows)[:, None, :], np.arange(D.s)[:, None]]
+    return claim(MixedLevelArray(shifted.reshape(-1, D.c), (D.s,) * D.c),
+                 strength=D.strength, budget=budget)
 

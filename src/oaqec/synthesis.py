@@ -1,6 +1,7 @@
 """Compile orthogonal arrays with orthogonal partitions into explicit quantum codes."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -9,7 +10,7 @@ import numpy as np
 
 from .algebra import factorize_prime_powers, is_prime_power
 from .arrays import (MixedLevelArray, attach_index_column, claim, claim_blocks,
-                     delete_columns, expansive_replacement, lexsorted,
+                     delete_columns, expansive_replacement, lexsort_order, lexsorted,
                      measure_md, multiply_oa, splice_rows)
 # re-exported: the benchmark harness wraps and calls it through this module
 from .arrays import is_orthogonal_array  # noqa: F401
@@ -168,40 +169,92 @@ class Provenance:
     notes: tuple[str, ...] = ()
 
 
+def _state_matrix(state, n: int) -> np.ndarray:
+    """One state's kets as an int64 matrix with n columns, refusing a ket of
+    another length or an entry outside the int64 range."""
+    try:
+        matrix = np.array(state, dtype=np.int64)
+    except OverflowError:
+        raise BadGeometry("ket entry outside the int64 range") from None
+    except ValueError:
+        # ragged kets: name the first one of the wrong length
+        bad = next((len(ket) for ket in state if len(ket) != n), None)
+        raise BadGeometry(f"ket length {bad} != {n}" if bad is not None
+                          else f"kets must be sequences of {n} integers") from None
+    if matrix.size == 0:
+        return matrix.reshape(0, n)
+    if matrix.ndim != 2:
+        raise BadGeometry(f"a state must list kets of length {n}")
+    if matrix.shape[1] != n:
+        raise BadGeometry(f"ket length {matrix.shape[1]} != {n}")
+    return matrix
+
+
 class QuantumCode:
-    """A K-dimensional code whose basis states superpose disjoint row blocks."""
+    """A K-dimensional code whose basis states superpose disjoint row blocks.
+
+    `kets` is the basis as one read-only matrix of K * kets_per_state rows
+    and n columns, in the narrowest unsigned dtype holding every level: the
+    rows of state i are kets[i * kets_per_state:(i + 1) * kets_per_state]
+    (`state(i)`).  The order is canonical: kets sorted within each state,
+    and states ordered by their first ket.  `basis` is the same kets as a
+    tuple of states, each a tuple of int tuples, built when first read.
+
+    The geometry is checked on the whole matrix with numpy when the code is
+    built: K states of equal size, kets of length n, every entry inside its
+    alphabet, no ket repeated within or across states, and, for a code with
+    provenance, as many kets as parent rows.  A violation raises BadGeometry
+    (ClaimFailed for the parent count)."""
 
     def __init__(self, params: CodeParams, basis, provenance: Optional[Provenance] = None):
-        states = []
-        for state in basis:
-            kets = sorted(tuple(int(x) for x in ket) for ket in state)
-            states.append(tuple(kets))
-        self.basis = tuple(sorted(states))
         self.params = params
         self.provenance = provenance
-        if len(self.basis) != params.K:
-            raise BadGeometry(f"{len(self.basis)} states for dimension {params.K}")
-        sizes = {len(state) for state in self.basis}
+        states = [state if isinstance(state, np.ndarray) else list(state)
+                  for state in basis]
+        if len(states) != params.K:
+            raise BadGeometry(f"{len(states)} states for dimension {params.K}")
+        sizes = {len(state) for state in states}
         if len(sizes) != 1:
             raise BadGeometry(f"states have unequal ket counts {sorted(sizes)}")
-        seen = set()
-        for state in self.basis:
-            for ket in state:
-                if len(ket) != params.n:
-                    raise BadGeometry(f"ket length {len(ket)} != {params.n}")
-                for x, s in zip(ket, params.alphabets):
-                    if not 0 <= x < s:
-                        raise BadGeometry(f"ket entry {x} out of range for alphabet {s}")
-                if ket in seen:
-                    raise BadGeometry(f"ket {ket} appears in more than one state")
-                seen.add(ket)
-        if provenance is not None and \
-                params.K * self.kets_per_state != provenance.parent.r:
+        kets = np.concatenate([_state_matrix(state, params.n) for state in states])
+        bad = (kets < 0) | (kets >= params.alphabets)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise BadGeometry(f"ket entry {kets[i, j]} out of range for "
+                              f"alphabet {params.alphabets[j]}")
+        kets = kets.astype(np.min_scalar_type(max(params.alphabets) - 1))
+        if block := sizes.pop():
+            order = lexsort_order(kets)
+            repeated = np.flatnonzero(np.all(kets[order[1:]] == kets[order[:-1]], axis=1))
+            if repeated.size:
+                ket = tuple(kets[order[repeated[0]]].tolist())
+                raise BadGeometry(f"ket {ket} appears in more than one state")
+            # a stable sort of the sorted kets by state sorts every state;
+            # the states are disjoint, so their first kets alone order them
+            states = kets[order[np.argsort(order // block, kind="stable")]]
+            states = states.reshape(params.K, block, params.n)
+            kets = states[lexsort_order(states[:, 0])].reshape(-1, params.n)
+        kets.setflags(write=False)
+        self.kets = kets
+        if provenance is not None and len(kets) != provenance.parent.r:
             raise ClaimFailed("basis states do not cover the parent array")
 
     @property
     def kets_per_state(self) -> int:
-        return len(self.basis[0])
+        return len(self.kets) // self.params.K
+
+    def state(self, i: int) -> np.ndarray:
+        """The kets of basis state i: a read-only slice of `kets`."""
+        block = self.kets_per_state
+        return self.kets[i * block:(i + 1) * block]
+
+    @functools.cached_property
+    def basis(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The kets as a tuple of states, each a tuple of int tuples."""
+        rows = list(map(tuple, self.kets.tolist()))
+        block = self.kets_per_state
+        return tuple(tuple(rows[i * block:(i + 1) * block])
+                     for i in range(self.params.K))
 
     def status(self) -> str:
         """Whether every combinatorial claim behind this code was re-checked."""
@@ -236,7 +289,7 @@ def code_from_partitioned_oa(A: MixedLevelArray, partition: OrthogonalPartition,
                       ingredients=tuple(ingredients), parent=A,
                       partition=partition, t_prime=t_prime, h=h,
                       h_exact=h_exact, notes=tuple(notes))
-    return QuantumCode(params, (arr.rows for arr in partition.block_arrays()), prov)
+    return QuantumCode(params, (arr.matrix for arr in partition.block_arrays()), prov)
 
 
 # --- shared helpers -------------------------------------------------------------

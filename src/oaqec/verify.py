@@ -60,13 +60,19 @@ def reduced_cross_matrix(code: QuantumCode, i: int, j: int,
     """Count ket pairs of states i and j that agree everywhere off the subset."""
     S = tuple(subset)
     comp = [c for c in range(code.params.n) if c not in S]
+
+    def split(state: int):
+        """(complement slice, S slice) of each ket of the state, as tuples."""
+        kets = code.state(state)
+        return zip(map(tuple, kets[:, comp].tolist()),
+                   map(tuple, kets[:, list(S)].tolist()))
+
     groups: dict = defaultdict(list)
-    for v in code.basis[j]:
-        groups[tuple(v[c] for c in comp)].append(tuple(v[c] for c in S))
+    for key, y in split(j):
+        groups[key].append(y)
     counts: Counter = Counter()
-    for u in code.basis[i]:
-        x = tuple(u[c] for c in S)
-        for y in groups.get(tuple(u[c] for c in comp), ()):
+    for key, x in split(i):
+        for y in groups.get(key, ()):
             counts[(x, y)] += 1
     return ReducedCrossMatrix(i=i, j=j, subset=S, counts=dict(counts),
                               normalizer=code.kets_per_state)
@@ -172,17 +178,16 @@ def _cross_pairs(states: np.ndarray, collide: np.ndarray) -> list[tuple[int, int
     return sorted(pairs)
 
 
-def _decide_subset(code: QuantumCode, kets: np.ndarray, S: tuple[int, ...],
-                   mode: str, explain: bool
+def _decide_subset(code: QuantumCode, S: tuple[int, ...], mode: str,
+                   explain: bool
                    ) -> tuple[bool, Optional[list[ReductionWitness]]]:
     """(passes, exact): whether S passes the reduction conditions, decided
     with numpy, and _check_subset's witnesses when it had to run.
 
     _check_subset runs on the reductions this pass flags: to decide a
     definition-5 subset on which kets of one state collide, and to explain
-    a failing subset when `explain` is set.  kets stacks the states' kets in
-    basis order, block rows per state."""
-    K, block = code.params.K, code.kets_per_state
+    a failing subset when `explain` is set."""
+    kets, K, block = code.kets, code.params.K, code.kets_per_state
     strict = mode == "strict-uniform"
     if strict:
         levels = prod(code.params.alphabets[c] for c in S)
@@ -286,10 +291,6 @@ def verify_code(code: QuantumCode, d: Optional[int] = None,
     if d < 0 or d > code.params.n:
         raise ValueError(f"claimed error count {d} out of range")
     n = code.params.n
-    # the narrowest unsigned dtype lets lexsort use its radix sort
-    kets = np.array([ket for state in code.basis for ket in state],
-                    dtype=np.min_scalar_type(max(code.params.alphabets) - 1)
-                    ).reshape(-1, n)
     subsets_checked = 0
     level_ok: list[bool] = []
     per_subset: list[tuple[tuple[int, ...], bool]] = []
@@ -299,7 +300,7 @@ def verify_code(code: QuantumCode, d: Optional[int] = None,
         for S in combinations(range(n), dp):
             subsets_checked += 1
             explain = dp == d and len(witnesses) < 8
-            passed, exact = _decide_subset(code, kets, S, mode, explain)
+            passed, exact = _decide_subset(code, S, mode, explain)
             if dp == d:
                 per_subset.append((S, passed))
                 if not passed and explain:
@@ -366,14 +367,13 @@ def cross_validate(code: QuantumCode) -> CrossValidation:
         raise ProvenanceMissing("cross validation needs an array-backed code")
     d = code.params.d_plus_1 - 1
     alphabets = code.params.alphabets
-    rebuilt = MixedLevelArray([ket for state in code.basis for ket in state],
-                              alphabets)
+    rebuilt = MixedLevelArray(code.kets, alphabets)
     md = minimal_distance(rebuilt) if rebuilt.r > 1 else rebuilt.n + 1
     if d == 0:
         blocks_ok = True
     else:
-        blocks_ok = all(is_orthogonal_array(MixedLevelArray(state, alphabets), d)[0]
-                        for state in code.basis)
+        blocks_ok = all(is_orthogonal_array(MixedLevelArray(code.state(i), alphabets), d)[0]
+                        for i in range(code.params.K))
     comb = md >= d + 1 and blocks_ok
     return CrossValidation(report=verify_code(code, d, "strict-uniform"),
                            combinatorial_pass=comb, parent_md=md,

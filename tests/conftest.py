@@ -79,3 +79,49 @@ def naive_cross_counts(block_i, block_j, subset, n):
                 key = (tuple(u[c] for c in subset), tuple(v[c] for c in subset))
                 counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def naive_field_axiom_failure(add, mul, neg, inv):
+    """First field axiom violated by the q x q tables add and mul (nested
+    lists), as the message after 'GF(q): ', or None.  neg and inv list each
+    element's negative and inverse (inv[0] is ignored).  Scans element a and
+    then the pairs (a, b) for each a, then every triple, in index order."""
+    q = len(add)
+    for a in range(q):
+        if not (add[a][0] == a and mul[a][1] == a and mul[a][0] == 0
+                and add[a][neg[a]] == 0 and (not a or mul[a][inv[a]] == 1)):
+            return f"identity or inverse fails at {a}"
+        for b in range(q):
+            if not (add[a][b] == add[b][a] and mul[a][b] == mul[b][a]):
+                return f"commutativity fails at {(a, b)}"
+    for a in range(q):
+        for b in range(q):
+            for c in range(q):
+                if not (mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+                        and mul[a][mul[b][c]] == mul[mul[a][b]][c]
+                        and add[a][add[b][c]] == add[add[a][b]][c]):
+                    return f"distributivity or associativity fails at {(a, b, c)}"
+    return None
+
+
+def naive_canonical_basis(states):
+    """A basis in canonical order by plain tuple sorting: kets sorted within
+    each state, then the states sorted."""
+    return tuple(sorted(tuple(sorted(tuple(int(x) for x in ket) for ket in state))
+                        for state in states))
+
+
+def naive_scheme_witness(rows, s, t, sub):
+    """(columns, key, count) of the first unbalanced difference vector:
+    column subsets in combinations order, keys in product order; None when
+    the scheme is balanced.  The row count must be divisible by s^(t-1)."""
+    lam = len(rows) // s ** (t - 1)
+    for cols in itertools.combinations(range(len(rows[0])), t):
+        for key in itertools.product(range(s), repeat=t - 1):
+            count = 0
+            for row in rows:
+                if all(sub(row[c], row[cols[-1]]) == k for c, k in zip(cols, key)):
+                    count += 1
+            if count != lam:
+                return cols, key, count
+    return None

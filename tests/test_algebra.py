@@ -1,4 +1,6 @@
 import itertools
+import random
+import re
 
 import pytest
 
@@ -10,7 +12,9 @@ from oaqec.algebra import (
     poly_eval,
     prime_power_decomposition,
 )
-from oaqec.errors import NotPrimePower
+from oaqec.errors import ClaimFailed, NotPrimePower
+
+from conftest import naive_field_axiom_failure
 
 
 def test_prime_field_is_mod_arithmetic():
@@ -57,7 +61,7 @@ def test_division_by_zero():
         f.inv(0)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64])
 def test_field_axioms_exhaustive(q):
     f = field_create(q)
     els = list(f.elements())
@@ -84,12 +88,72 @@ def test_field_create_deterministic():
     assert a._mul == b._mul
 
 
-@pytest.mark.parametrize("q", [2, 4, 7, 8, 9, 16, 25, 27])
+@pytest.mark.parametrize("q", [2, 4, 7, 8, 9, 16, 25, 27, 32, 49, 64])
 def test_numpy_tables_match_scalar_arithmetic(q):
     f = field_create(q)
     for a, b in itertools.product(f.elements(), repeat=2):
         assert f.add_table[a, b] == f.add(a, b)
         assert f.mul_table[a, b] == f.mul(a, b)
+
+
+def _fresh(q):
+    """A new field of order q, so corrupting it leaves field_create's cache alone."""
+    (p, k), = prime_power_decomposition(q)
+    return Field(p, k)
+
+
+def _flip(table, a, b, delta):
+    out = table.copy()
+    out[a, b] = (int(out[a, b]) + delta) % len(table)
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_axiom_check_names_the_first_failure_like_the_scalar_loop(q):
+    # every one-entry corruption of the multiplication table is refused,
+    # naming the same element, pair or triple as a scalar scan would
+    f = _fresh(q)
+    neg = [f.neg(a) for a in range(q)]
+    for a, b, delta in itertools.product(range(q), range(q), range(1, q)):
+        f.mul_table = _flip(field_create(q).mul_table, a, b, delta)
+        want = naive_field_axiom_failure(f.add_table.tolist(), f.mul_table.tolist(),
+                                         neg, f._inv)
+        assert want is not None
+        with pytest.raises(ClaimFailed) as err:
+            f._check_axioms()
+        assert str(err.value) == f"GF({q}): {want}"
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 16, 27, 32, 49, 64])
+def test_axiom_check_refuses_one_corrupted_entry(q):
+    rng = random.Random(q)
+    for _ in range(8):
+        f = _fresh(q)
+        a, b, delta = rng.randrange(q), rng.randrange(q), rng.randrange(1, q)
+        if rng.random() < 0.5:
+            f.mul_table = _flip(f.mul_table, a, b, delta)
+            match = "fails at"
+        else:
+            f.add_table = _flip(f.add_table, a, b, delta)
+            match = f"add_table disagrees with add at {(a, b)}"
+        with pytest.raises(ClaimFailed, match=re.escape(match)):
+            f._check_axioms()
+
+
+def test_axiom_check_reports_a_failing_triple():
+    # in GF(4), x^2 = x + 1 and (x + 1)^2 = x; swapping the two squares keeps
+    # the table symmetric with identities and inverses intact, so only a
+    # triple law can fail
+    f = _fresh(4)
+    table = field_create(4).mul_table.copy()
+    table[2, 2], table[3, 3] = table[3, 3], table[2, 2]
+    f.mul_table = table
+    want = naive_field_axiom_failure(f.add_table.tolist(), table.tolist(),
+                                     [f.neg(a) for a in range(4)], f._inv)
+    assert want.startswith("distributivity or associativity fails at (")
+    with pytest.raises(ClaimFailed) as err:
+        f._check_axioms()
+    assert str(err.value) == f"GF(4): {want}"
 
 
 def test_poly_eval():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from oaqec.algebra import is_prime_power
@@ -16,7 +18,7 @@ from oaqec.schemes import (
     oa_from_scheme,
 )
 
-from conftest import naive_is_difference_scheme
+from conftest import naive_is_difference_scheme, naive_scheme_witness
 
 
 def test_d_sss_2_is_the_gf2_table():
@@ -132,3 +134,45 @@ def test_oa_from_scheme_d_2s_shape(s):
     assert strength(A) >= 2
     assert distance_profile(A).md == 2 * s - 2
 
+
+
+def _schemes():
+    for s in (2, 3, 4, 5, 7, 8, 9):
+        yield d_sss(s)
+        yield d_2s(s)
+    for s in (2, 3, 4, 6):
+        yield d3_scheme(s)
+    # the field's multiplication table read as a cyclic scheme
+    yield DifferenceScheme(d_sss(4).rows, 4)
+
+
+@pytest.mark.parametrize("D", list(_schemes()), ids=repr)
+def test_scheme_check_matches_the_naive_oracle_with_its_witness(D):
+    # the scheme itself and copies with one entry changed
+    rng = random.Random(D.s * 100 + D.c)
+    variants = [D]
+    for _ in range(6):
+        rows = [list(row) for row in D.rows]
+        i, j = rng.randrange(D.r), rng.randrange(D.c)
+        rows[i][j] = (rows[i][j] + rng.randrange(1, D.s)) % D.s
+        variants.append(DifferenceScheme(rows, D.s, field=D.field))
+    for E in variants:
+        for t in range(2, min(D.c, 3 if D.c <= 6 else 2) + 1):
+            ok, witness = is_difference_scheme(E, t)
+            assert ok == naive_is_difference_scheme(E.rows, E.s, t, sub=E.sub)
+            if ok:
+                assert witness is None
+            elif E.r % E.s ** (t - 1):
+                assert witness.reason == "row count not divisible by s^(t-1)"
+            else:
+                assert witness.reason == "coset unbalanced"
+                assert witness.expected == E.r // E.s ** (t - 1)
+                assert (witness.columns, witness.levels, witness.observed) == \
+                    naive_scheme_witness(E.rows, E.s, t, E.sub)
+
+
+@pytest.mark.parametrize("D", list(_schemes())[:-1], ids=repr)
+def test_oa_from_scheme_shifts_by_the_scheme_group(D):
+    add = D.field.add if D.field is not None else (lambda x, y: (x + y) % D.s)
+    want = tuple(tuple(add(a, v) for a in row) for row in D.rows for v in range(D.s))
+    assert oa_from_scheme(D).rows == want

@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oaqec.arrays import distance_profile, is_orthogonal_array
+from oaqec.arrays import MixedLevelArray, distance_profile, is_orthogonal_array
 from oaqec.constructions import bush, resolve_symmetric_oa
 from oaqec.errors import (
     BadFactorization,
     BadGeometry,
+    ClaimFailed,
     DivisibilityViolated,
     ExcludedS,
     IngredientUnavailable,
@@ -22,6 +27,7 @@ from oaqec.errors import (
 )
 from oaqec.formats import load_fixture
 from oaqec.synthesis import (
+    QuantumCode,
     admissible_m_range,
     corollary_5lie,
     m_value,
@@ -36,7 +42,8 @@ from oaqec.synthesis import (
 )
 from oaqec.verify import cross_validate, verify_code
 
-from conftest import naive_is_oa
+from conftest import naive_canonical_basis, naive_is_oa
+from test_acceptance import corrupted
 
 
 def sorted_alphabets(code):
@@ -387,3 +394,114 @@ sys.exit(1)
     proc = run_optimized(["-c", script])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "basis states do not cover the parent array\n"
+
+
+# --- the ket matrix of a code ---------------------------------------------------
+
+
+@st.composite
+def shuffled_bases(draw):
+    """(params, states): K disjoint equal-size ket sets in random order."""
+    n = draw(st.integers(1, 4), label="n")
+    alphabets = tuple(draw(st.lists(st.integers(2, 5), min_size=n, max_size=n)))
+    words = math.prod(alphabets)
+    K = draw(st.integers(1, min(4, words)), label="K")
+    block = draw(st.integers(1, min(5, words // K)), label="block")
+    picks = draw(st.lists(st.integers(0, words - 1), min_size=K * block,
+                          max_size=K * block, unique=True))
+    kets = [tuple(int(x) for x in np.unravel_index(w, alphabets)) for w in picks]
+    params = make_code_params(n, 0, alphabets, K)
+    return params, [kets[i * block:(i + 1) * block] for i in range(K)]
+
+
+INPUT_FORMS = {
+    "lists": lambda states: [list(state) for state in states],
+    "generators": lambda states: ((ket for ket in state) for state in states),
+    "lists of lists": lambda states: [[list(ket) for ket in state] for state in states],
+    "matrices": lambda states: [np.array(state) for state in states],
+    "one array": lambda states: np.array(states, dtype=np.uint64),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=shuffled_bases(), form=st.sampled_from(sorted(INPUT_FORMS)))
+def test_ket_matrix_is_the_canonical_basis(data, form):
+    params, states = data
+    code = QuantumCode(params, INPUT_FORMS[form](states))
+    want = naive_canonical_basis(states)
+    assert code.basis == want
+    assert code.kets.tolist() == [list(ket) for state in want for ket in state]
+    assert code.kets.dtype == np.min_scalar_type(max(params.alphabets) - 1)
+    assert not code.kets.flags.writeable
+    assert code.kets_per_state == len(states[0])
+    for i, state in enumerate(want):
+        assert code.state(i).tolist() == [list(ket) for ket in state]
+
+
+def _params(n=2, alphabets=(3, 3), K=2):
+    return make_code_params(n, 0, alphabets, K)
+
+
+@pytest.mark.parametrize("basis,message", [
+    ([[(0, 0)]], "1 states for dimension 2"),
+    ([[(0, 0)], [(1, 1)], [(2, 2)]], "3 states for dimension 2"),
+    ([[(0, 0), (1, 1)], [(2, 2)]], r"unequal ket counts \[1, 2\]"),
+    ([[(0, 0)], [(1, 1, 1)]], "ket length 3 != 2"),
+    ([[(0, 0), (1,)], [(2, 2), (1, 1)]], "ket length 1 != 2"),
+    ([np.zeros((1, 3), dtype=int), [(1, 1)]], "ket length 3 != 2"),
+    ([[0, 1], [2, 2]], "a state must list kets of length 2"),
+    ([[(0, "x")], [(1, 1)]], "kets must be sequences of 2 integers"),
+    ([[(0, 3)], [(1, 1)]], "ket entry 3 out of range for alphabet 3"),
+    ([[(0, 0)], [(-1, 1)]], "ket entry -1 out of range for alphabet 3"),
+    ([[(0, 0)], [(1, 2 ** 70)]], "outside the int64 range"),
+    ([[(0, 0)], [np.array([2 ** 64 - 1, 0], dtype=np.uint64)]], "out of range"),
+    ([[(0, 0), (0, 0)], [(1, 1), (2, 2)]], r"ket \(0, 0\) appears"),
+    ([[(0, 0), (1, 2)], [(1, 1), (1, 2)]], r"ket \(1, 2\) appears"),
+])
+def test_code_geometry_refusals(basis, message):
+    with pytest.raises(BadGeometry, match=message):
+        QuantumCode(_params(), basis)
+
+
+def test_code_geometry_checks_entries_against_their_own_alphabet():
+    params = _params(alphabets=(2, 4))
+    assert QuantumCode(params, [[(1, 3)], [(0, 2)]]).basis == (((0, 2),), ((1, 3),))
+    with pytest.raises(BadGeometry, match="ket entry 2 out of range for alphabet 2"):
+        QuantumCode(params, [[(2, 1)], [(0, 2)]])
+
+
+def test_code_refuses_kets_that_do_not_cover_the_parent():
+    code = theorem_5s2(3, [3])
+    prov = code.provenance
+    parent = MixedLevelArray(np.vstack([prov.parent.matrix, prov.parent.matrix[:1]]),
+                             prov.parent.alphabets)
+    with pytest.raises(ClaimFailed, match="basis states do not cover the parent array"):
+        QuantumCode(code.params, code.basis, replace(prov, parent=parent))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: theorem_tn(4, 1, 1, [2]),
+    lambda: theorem_tn(8, 1, 1, [2]),
+    lambda: theorem_s1(9, 2, 3),
+], ids=["tn-4", "tn-8", "s1-9"])
+def test_reports_do_not_depend_on_the_basis_input_form(build):
+    code = build()
+    rng = random.Random(3)
+    for bad in (False, True):
+        if bad:
+            code = corrupted(code, rng)
+        shuffled = [list(state) for state in code.basis]
+        for state in shuffled:
+            rng.shuffle(state)
+        rng.shuffle(shuffled)
+        from_tuples = QuantumCode(code.params, shuffled, code.provenance)
+        block = code.kets_per_state
+        from_matrix = QuantumCode(
+            code.params, code.kets.reshape(code.params.K, block, code.params.n),
+            code.provenance)
+        assert np.array_equal(from_tuples.kets, from_matrix.kets)
+        d = code.params.d_plus_1 - 1
+        for mode in ("strict-uniform", "definition-5"):
+            assert verify_code(from_tuples, d, mode) == verify_code(from_matrix, d, mode)
+        assert cross_validate(from_tuples) == cross_validate(from_matrix)
+        assert cross_validate(from_tuples).quantum_pass is not bad
