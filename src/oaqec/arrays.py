@@ -519,15 +519,9 @@ def expansive_replacement(A: MixedLevelArray, col: int, B: MixedLevelArray,
         raise ShapeMismatch(
             f"replacement needs strength >= {min(t, B.n)}, has {B.strength}")
     alphabets = A.alphabets[:col] + B.alphabets + A.alphabets[col + 1:]
-    return claim(MixedLevelArray(splice_rows(A.matrix, col, B), alphabets),
-                 strength=t, budget=budget)
-
-
-def splice_rows(matrix: np.ndarray, col: int, B: MixedLevelArray) -> np.ndarray:
-    """`matrix` with level i of column `col` replaced by row i of B's rows in
-    lexicographic order (the row map of expansive_replacement)."""
-    lookup = lexsorted(B.matrix)
-    return np.hstack([matrix[:, :col], lookup[matrix[:, col]], matrix[:, col + 1:]])
+    M = A.matrix
+    rows = np.hstack([M[:, :col], lexsorted(B.matrix)[M[:, col]], M[:, col + 1:]])
+    return claim(MixedLevelArray(rows, alphabets), strength=t, budget=budget)
 
 
 def delete_columns(A: MixedLevelArray, cols: Iterable[int],

@@ -48,13 +48,11 @@ class _UsageError(ValueError):
 
 
 def _parse_factors(text: str, flag: str) -> list[int]:
+    """The integers of a comma-separated list; the builders validate them."""
     try:
-        values = [int(part) for part in text.replace(",", " ").split()]
+        return [int(part) for part in text.replace(",", " ").split()]
     except ValueError:
         raise _UsageError(f"{flag} expects comma-separated integers, got {text!r}")
-    if not values or any(v < 2 for v in values):
-        raise _UsageError(f"{flag} entries must all be >= 2, got {text!r}")
-    return values
 
 
 def _require(condition: bool, message: str) -> None:

@@ -97,7 +97,7 @@ class ExcludedS(ToolkitError):
 
 
 class NotPartitionable(ToolkitError):
-    """Rows cannot be split into equal blocks by the requested prefix."""
+    """Rows cannot be split into the requested number of equal blocks."""
 
 
 class NotFromOA(ToolkitError):

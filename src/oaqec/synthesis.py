@@ -1,4 +1,10 @@
-"""Compile orthogonal arrays with orthogonal partitions into explicit quantum codes."""
+"""Compile orthogonal arrays with orthogonal partitions into explicit quantum codes.
+
+An orthogonal partition is its parent array's row order: block i is a run of
+consecutive rows.  Expansive replacement keeps row order, so a partition of
+an array is one of every array replaced from it, and the builders never
+split or re-sort blocks; a code canonicalises its kets, so row order never
+reaches an output."""
 from __future__ import annotations
 
 import functools
@@ -10,8 +16,8 @@ import numpy as np
 
 from .algebra import factorize_prime_powers, is_prime_power
 from .arrays import (MixedLevelArray, attach_index_column, claim, claim_blocks,
-                     delete_columns, expansive_replacement, lexsort_order, lexsorted,
-                     measure_md, multiply_oa, splice_rows)
+                     delete_columns, expansive_replacement, lexsort_order,
+                     measure_md, multiply_oa)
 # re-exported: the benchmark harness wraps and calls it through this module
 from .arrays import is_orthogonal_array  # noqa: F401
 from .constructions import (asset_get, bush, full_factorial_mixed,
@@ -91,33 +97,29 @@ def make_code_params(n: int, d: int, alphabets: Sequence[int], K: int) -> CodePa
 
 
 class OrthogonalPartition:
-    """Rows of a parent array split into equal blocks, each balanced to a stated strength."""
+    """A parent array whose rows are stored block by block: K equal blocks,
+    block i being rows i*b ... (i+1)*b - 1 with b = r / K, each balanced to
+    a stated strength.  The blocks' strength claims are checked all together
+    or not at all, within `budget` (see claim_blocks)."""
 
-    def __init__(self, parent: MixedLevelArray, blocks, strength: int,
+    def __init__(self, parent: MixedLevelArray, K: int, strength: int,
                  budget: Optional[int] = None):
         if strength < 1:
             raise ValueError("partition strength must be at least 1")
-        blocks = list(blocks)
-        if not blocks or any(len(blk) == 0 for blk in blocks):
-            raise NotPartitionable("partition needs nonempty blocks")
-        if len({len(blk) for blk in blocks}) != 1:
-            raise NotPartitionable("blocks must all have the same number of rows")
-        arrays = [MixedLevelArray(blk, parent.alphabets) for blk in blocks]
-        merged = np.vstack([arr.matrix for arr in arrays])
-        if not np.array_equal(lexsorted(merged), lexsorted(parent.matrix)):
-            raise NotPartitionable("blocks do not cover the parent rows exactly")
+        if not 1 <= K <= parent.r or parent.r % K:
+            raise NotPartitionable(f"{parent.r} rows do not split into {K} "
+                                   f"equal nonempty blocks")
         self.parent = parent
+        self.K = int(K)
         self.strength = int(strength)
-        self._arrays = claim_blocks(arrays, self.strength, budget)
+        self._arrays = claim_blocks([MixedLevelArray(blk, parent.alphabets)
+                                     for blk in np.split(parent.matrix, K)],
+                                    self.strength, budget)
         self.strength_checked = self._arrays[0].strength_checked
 
     @property
-    def K(self) -> int:
-        return len(self._arrays)
-
-    @property
     def block_size(self) -> int:
-        return self._arrays[0].r
+        return self.parent.r // self.K
 
     def block_arrays(self) -> list[MixedLevelArray]:
         """The blocks as arrays over the parent's alphabets (claims attached)."""
@@ -133,23 +135,23 @@ def partition_by_prefix(A: MixedLevelArray, l: int,
                         ) -> tuple[MixedLevelArray, OrthogonalPartition]:
     """Strip the first l columns and group rows by the removed prefix.
 
-    Returns the stripped parent and the partition of its rows into one block
-    per prefix value; each block inherits strength A.strength - l."""
+    Returns the stripped parent, its rows sorted so that each prefix group
+    is one block of consecutive rows, and its partition into one block per
+    prefix value; each block inherits strength A.strength - l."""
     if not 0 <= l < A.n:
         raise ValueError(f"prefix width {l} out of range for {A.n} columns")
     if A.strength <= l and l > 0:
         raise ValueError(f"prefix width {l} needs array strength above {l}")
     srt = A.sorted_rows()
     if l == 0:
-        return srt, OrthogonalPartition(srt, (srt.matrix,), A.strength, budget)
+        return srt, OrthogonalPartition(srt, 1, A.strength, budget)
     parent = delete_columns(srt, range(l), budget)
     # sorted rows with one prefix are consecutive: split where the prefix changes
     starts = np.flatnonzero(np.diff(srt.matrix[:, :l], axis=0).any(axis=1)) + 1
     sizes = set(np.diff(starts, prepend=0, append=srt.r).tolist())
     if len(sizes) != 1:
         raise NotPartitionable(f"prefix groups have unequal sizes {sorted(sizes)}")
-    blocks = np.split(parent.matrix, starts)
-    return parent, OrthogonalPartition(parent, blocks, A.strength - l, budget)
+    return parent, OrthogonalPartition(parent, len(starts) + 1, A.strength - l, budget)
 
 
 # --- compiled codes -------------------------------------------------------------
@@ -157,16 +159,21 @@ def partition_by_prefix(A: MixedLevelArray, l: int,
 
 @dataclass(frozen=True)
 class Provenance:
-    """How a code was built: construction route, ingredients and certificates."""
+    """How a code was built: construction route, ingredients and certificates.
+
+    The parent array is the partition's: its rows in block order."""
     construction: str
     parameters: tuple[tuple[str, str], ...]
     ingredients: tuple[str, ...]
-    parent: MixedLevelArray
     partition: OrthogonalPartition
     t_prime: int
     h: int
     h_exact: bool
     notes: tuple[str, ...] = ()
+
+    @property
+    def parent(self) -> MixedLevelArray:
+        return self.partition.parent
 
 
 def _state_matrix(state, n: int) -> np.ndarray:
@@ -268,17 +275,14 @@ class QuantumCode:
         return f"QuantumCode({self.params.code_string()}, {self.status()})"
 
 
-def code_from_partitioned_oa(A: MixedLevelArray, partition: OrthogonalPartition,
-                             t_prime: int, h: int, *,
+def code_from_partitioned_oa(partition: OrthogonalPartition, t_prime: int, h: int, *,
                              construction: str = "orthogonal-partition compilation",
                              parameters: tuple[tuple[str, str], ...] = (),
                              ingredients: tuple[str, ...] = (),
                              h_exact: bool = False,
                              notes: tuple[str, ...] = ()) -> QuantumCode:
-    """Compile an array plus a strength-t' partition into an ((n,K,min(t'+1,h))) code."""
-    if partition.parent is not A and (partition.parent.alphabets != A.alphabets or
-                                      not np.array_equal(partition.parent.matrix, A.matrix)):
-        raise ValueError("partition does not belong to the given array")
+    """Compile a strength-t' partition of an array into an ((n,K,min(t'+1,h))) code."""
+    A = partition.parent
     if t_prime < 1 or t_prime > partition.strength:
         raise ValueError(f"t'={t_prime} outside the partition strength {partition.strength}")
     if h < 1:
@@ -286,9 +290,8 @@ def code_from_partitioned_oa(A: MixedLevelArray, partition: OrthogonalPartition,
     d_plus_1 = min(t_prime + 1, h)
     params = make_code_params(A.n, d_plus_1 - 1, A.alphabets, partition.K)
     prov = Provenance(construction=construction, parameters=tuple(parameters),
-                      ingredients=tuple(ingredients), parent=A,
-                      partition=partition, t_prime=t_prime, h=h,
-                      h_exact=h_exact, notes=tuple(notes))
+                      ingredients=tuple(ingredients), partition=partition,
+                      t_prime=t_prime, h=h, h_exact=h_exact, notes=tuple(notes))
     return QuantumCode(params, (arr.matrix for arr in partition.block_arrays()), prov)
 
 
@@ -317,18 +320,32 @@ def _claim_equal(value: int, expected: int, what: str) -> None:
         raise ClaimFailed(f"{what} {value} != closed form {expected}")
 
 
-def _whole_partition(A: MixedLevelArray, t_prime: int,
-                     budget: Optional[int]) -> OrthogonalPartition:
-    """The trivial one-block partition of A at strength t'."""
-    return OrthogonalPartition(A, (A.matrix,), t_prime, budget)
-
-
 def _factorial_ingredient(F: MixedLevelArray) -> str:
     lam = F.r // math.prod(F.alphabets)
     return f"full factorial on {F.alphabets} with index {lam}"
 
 
 # --- ((4+k, 1, 3)) codes from a width-4 difference-scheme lift ------------------
+
+
+def _lifted_code(B: MixedLevelArray, s: int, factors: tuple[int, ...],
+                 replace_col: Optional[int], budget: Optional[int],
+                 ingredients: list[str], construction: str) -> QuantumCode:
+    """The ((4+k, 1, 3)) code of a strength-2, distance-3 lift B: split a
+    column of B into the factors (when there are several), compile B as one
+    block and check the defect m = s - 1."""
+    if len(factors) > 1:
+        col = B.n - 1 if replace_col is None else replace_col
+        F = full_factorial_mixed(factors, 1)
+        B = expansive_replacement(B, col, F, budget)
+        ingredients.append(_factorial_ingredient(F))
+    h, h_exact = _certified_h(B, 3, budget)
+    code = code_from_partitioned_oa(
+        OrthogonalPartition(B, 1, 2, budget), 2, h, construction=construction,
+        parameters=(("s", str(s)), ("factors", str(factors))),
+        ingredients=tuple(ingredients), h_exact=h_exact)
+    _claim_equal(code.params.m, s - 1, "defect")
+    return code
 
 
 def theorem_5s2(s: int, factors, *, replace_col: Optional[int] = None,
@@ -343,21 +360,8 @@ def theorem_5s2(s: int, factors, *, replace_col: Optional[int] = None,
               strength=2, md=3, budget=budget)
     ingredients = [f"difference scheme D({D.r},{D.c},{s}) of width {D.c}",
                    f"index column over {B.alphabets[0]} blocks"]
-    if len(factors) > 1:
-        col = B.n - 1 if replace_col is None else replace_col
-        F = full_factorial_mixed(factors, 1)
-        B = expansive_replacement(B, col, F, budget)
-        ingredients.append(_factorial_ingredient(F))
-    B = B.sorted_rows()
-    h, h_exact = _certified_h(B, 3, budget)
-    part = _whole_partition(B, 2, budget)
-    code = code_from_partitioned_oa(
-        B, part, 2, h,
-        construction="width-4 difference-scheme lift with index column",
-        parameters=(("s", str(s)), ("factors", str(factors))),
-        ingredients=tuple(ingredients), h_exact=h_exact)
-    _claim_equal(code.params.m, s - 1, "defect")
-    return code
+    return _lifted_code(B, s, factors, replace_col, budget, ingredients,
+                        "width-4 difference-scheme lift with index column")
 
 
 # --- ((4+k, 1, 3)) codes from a width-2s difference-scheme lift -----------------
@@ -412,21 +416,8 @@ def theorem_52s(s: int, factors, *, replace_col: Optional[int] = None,
         raise BadFactorization(f"factors {given} do not multiply to {s}")
     ingredients: list[str] = []
     B = _base_52s(s, budget, asset_dir, ingredients)
-    if len(factors) > 1:
-        col = B.n - 1 if replace_col is None else replace_col
-        F = full_factorial_mixed(factors, 1)
-        B = expansive_replacement(B, col, F, budget)
-        ingredients.append(_factorial_ingredient(F))
-    B = B.sorted_rows()
-    h, h_exact = _certified_h(B, 3, budget)
-    part = _whole_partition(B, 2, budget)
-    code = code_from_partitioned_oa(
-        B, part, 2, h,
-        construction="width-2s difference-scheme lift with index column",
-        parameters=(("s", str(s)), ("factors", str(factors))),
-        ingredients=tuple(ingredients), h_exact=h_exact)
-    _claim_equal(code.params.m, s - 1, "defect")
-    return code
+    return _lifted_code(B, s, factors, replace_col, budget, ingredients,
+                        "width-2s difference-scheme lift with index column")
 
 
 # --- ((2d+1, 1, d+1)) codes from an index-unity symmetric array -----------------
@@ -450,14 +441,13 @@ def theorem_s1(s: int, d: int, s1: int, *, replace_col: Optional[int] = None,
         raise IngredientUnavailable(
             f"resolved array has {base.r} rows, need the unit-index {s ** d}")
     # unit index forces the distance
-    base = claim(base.sorted_rows(), md=d + 1, budget=budget)
+    base = claim(base, md=d + 1, budget=budget)
     col = base.n - 1 if replace_col is None else replace_col
     F = full_factorial_mixed((s // s1, s1), 1)
-    B = expansive_replacement(base, col, F, budget).sorted_rows()
+    B = expansive_replacement(base, col, F, budget)
     h, h_exact = _certified_h(B, d + 1, budget)
-    part = _whole_partition(B, d, budget)
     code = code_from_partitioned_oa(
-        B, part, d, h,
+        OrthogonalPartition(B, 1, d, budget), d, h,
         construction="unit-index symmetric array with one column split in two",
         parameters=(("s", str(s)), ("d", str(d)), ("s1", str(s1))),
         ingredients=tuple(trace) + (_factorial_ingredient(F),),
@@ -502,7 +492,7 @@ def theorem_tn(s: int, d: int, l: int, s_factors, q_factors=None, *,
         raise IngredientUnavailable(
             f"resolved array has {base.r} rows, need the unit-index {s ** (d + l)}")
     # unit index forces the distance
-    base = claim(base.sorted_rows(), md=d + l + 2, budget=budget)
+    base = claim(base, md=d + l + 2, budget=budget)
     stripped, part = partition_by_prefix(base, l, budget)
     if l > 0:
         # unit index survives dropping the prefix
@@ -511,7 +501,6 @@ def theorem_tn(s: int, d: int, l: int, s_factors, q_factors=None, *,
     col = stripped.n - 1 if replace_col is None else replace_col
     F1 = full_factorial_mixed(s_factors, s // w1)
     B = expansive_replacement(stripped, col, F1, budget)
-    blocks = [splice_rows(blk.matrix, col, F1) for blk in part.block_arrays()]
     ingredients = list(trace) + [_factorial_ingredient(F1)]
     notes: list[str] = []
 
@@ -525,10 +514,8 @@ def theorem_tn(s: int, d: int, l: int, s_factors, q_factors=None, *,
             raise BadGeometry(f"column {col2} is not an original {s}-level column")
         F2 = full_factorial_mixed(q_factors, 1)
         B = expansive_replacement(B, col2, F2, budget)
-        blocks = [splice_rows(blk, col2, F2) for blk in blocks]
         ingredients.append(_factorial_ingredient(F2))
 
-    B = B.sorted_rows()
     h, h_exact = _certified_h(B, d + 1, budget)
     d_eff = min(d + 1, h) - 1
     m_pred = m_value(B.n, d_eff, B.alphabets, s ** l)
@@ -539,9 +526,9 @@ def theorem_tn(s: int, d: int, l: int, s_factors, q_factors=None, *,
         closed = s * w1 // w - 1
         agree = "matches" if m_pred == closed else "DIFFERS FROM"
         notes.append(f"defect {m_pred} {agree} the closed form {closed}")
-    part = OrthogonalPartition(B, blocks, d, budget)
+    # replacement keeps row order, so B's rows are still in the prefix blocks
     code = code_from_partitioned_oa(
-        B, part, d, h,
+        OrthogonalPartition(B, part.K, d, budget), d, h,
         construction="prefix-partitioned symmetric array with split columns",
         parameters=(("s", str(s)), ("d", str(d)), ("l", str(l)),
                     ("s_factors", str(s_factors)),
@@ -582,12 +569,11 @@ def theorem_huan(code: QuantumCode, col: Optional[int], q_factors, *,
         raise BadFactorization(
             f"factor product {math.prod(q_factors)} must equal the column alphabet {s1}")
     F = full_factorial_mixed(q_factors, 1)
-    B = expansive_replacement(parent, col, F, budget).sorted_rows()
-    blocks = [splice_rows(blk.matrix, col, F) for blk in prov.partition.block_arrays()]
+    # replacement keeps row order, so B's rows are still in block order
+    B = expansive_replacement(parent, col, F, budget)
     h, h_exact = _certified_h(B, prov.h, budget)
-    part = OrthogonalPartition(B, blocks, prov.t_prime, budget)
     return code_from_partitioned_oa(
-        B, part, prov.t_prime, h,
+        OrthogonalPartition(B, prov.partition.K, prov.t_prime, budget), prov.t_prime, h,
         construction="column split of an array-backed code",
         parameters=(("column", str(col)), ("q_factors", str(q_factors))),
         ingredients=prov.ingredients + (_factorial_ingredient(F),),

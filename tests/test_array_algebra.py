@@ -13,7 +13,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import naive_distance_set, naive_strength
 from oaqec.arrays import (
@@ -33,7 +33,7 @@ from oaqec.errors import (
     NotPartitionable,
     ShapeMismatch,
 )
-from oaqec.synthesis import partition_by_prefix
+from oaqec.synthesis import OrthogonalPartition, partition_by_prefix
 
 BUDGETS = (None, 0, 60)
 
@@ -256,6 +256,28 @@ def test_partition_by_prefix_blocks_match_tuple_grouping(data, budget):
         DEFAULT_VERIFICATION_BUDGET if budget is None else budget)
     assert {flags(arr) for arr in arrays} == {(t, checked, None, False)}
     assert (part.K, part.block_size) == (len(blocks), len(blocks[0]))
+
+
+#: the full factorials F (alphabets, index) with F.r rows, by row count
+FACTORIALS = {2: [((2,), 1)], 3: [((3,), 1)], 4: [((4,), 1), ((2, 2), 1), ((2,), 2)]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), budget=st.sampled_from(BUDGETS))
+def test_partition_survives_expansive_replacement(data, budget):
+    A = data.draw(arrays_st())
+    l = data.draw(st.integers(0, A.n - 1))
+    try:
+        parent, part = partition_by_prefix(A, l, budget)
+    except (ValueError, NotPartitionable):
+        assume(False)
+    col = data.draw(st.integers(0, parent.n - 1))
+    F = full_factorial_mixed(*data.draw(st.sampled_from(FACTORIALS[parent.alphabets[col]])))
+    replaced = OrthogonalPartition(expansive_replacement(parent, col, F, budget),
+                                   part.K, part.strength, budget)
+    # the per-block splice is the oracle: blocks stay runs of parent rows
+    assert [arr.rows for arr in replaced.block_arrays()] == [
+        tuple(ref_splice(blk.rows, col, F.rows)) for blk in part.block_arrays()]
 
 
 @settings(max_examples=60, deadline=None)

@@ -118,6 +118,31 @@ def test_construct_usage_errors_exit_2(capsys):
     assert rc == 2 and "invalid request" in err
 
 
+RECIPE_BASES = {
+    "t1": ("--s", "4"),
+    "t2": ("--s", "4"),
+    "t3": ("--s", "4", "--d", "1"),
+    "t4": ("--s", "4", "--d", "1", "--l", "1"),
+    "c3": ("--s", "4"),
+    "t5": ("--s", "12", "--d", "1", "--l", "1"),
+}
+# factor lists the builders refuse; the CLI only parses them
+BAD_FACTORS = [(theorem, ("--factors", text) + (("--q-factors", "6,2") if theorem == "t5" else ()))
+               for theorem in RECIPE_BASES for text in ("1,4", ",", "1")]
+BAD_FACTORS += [("t4", ("--factors", "2", "--q-factors", "1,4")),
+                ("t4", ("--factors", "2", "--q-factors", ",")),
+                ("t5", ("--factors", "2", "--q-factors", "1,12")),
+                ("t5", ("--factors", "2", "--q-factors", ","))]
+
+
+@pytest.mark.parametrize("theorem,factors", BAD_FACTORS,
+                         ids=[f"{t}{''.join(f)}" for t, f in BAD_FACTORS])
+def test_construct_refuses_bad_factor_lists_with_exit_2(capsys, theorem, factors):
+    rc, _, err = run(capsys, "construct", "--theorem", theorem,
+                     *RECIPE_BASES[theorem], *factors)
+    assert rc == 2 and "invalid request" in err
+
+
 def test_construct_unknown_theorem_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["construct", "--theorem", "t9", "--s", "2"])

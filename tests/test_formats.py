@@ -141,7 +141,7 @@ def test_provenance_block_injects_digest_when_missing():
     base = theorem_tn(12, 1, 1, [2])
     prov = base.provenance
     bare = Provenance(construction=prov.construction, parameters=prov.parameters,
-                      ingredients=("asset oa_144_5_12_2",), parent=prov.parent,
+                      ingredients=("asset oa_144_5_12_2",),
                       partition=prov.partition, t_prime=prov.t_prime,
                       h=prov.h, h_exact=prov.h_exact)
     code = QuantumCode(base.params, base.basis, bare)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -27,6 +28,7 @@ from oaqec.errors import (
 )
 from oaqec.formats import load_fixture
 from oaqec.synthesis import (
+    OrthogonalPartition,
     QuantumCode,
     admissible_m_range,
     corollary_5lie,
@@ -122,26 +124,13 @@ def test_partition_by_prefix_rejects_width_at_or_above_strength():
         partition_by_prefix(A, A.n)
 
 
-def test_partition_rejects_uneven_blocks():
+def test_partition_refuses_a_block_count_that_does_not_split_the_rows():
     A = bush(2, 2)
-    from oaqec.synthesis import OrthogonalPartition
-
-    with pytest.raises(NotPartitionable):
-        OrthogonalPartition(A, (A.rows[:1], A.rows[1:]), 1)
-    with pytest.raises(NotPartitionable):
-        OrthogonalPartition(A, (A.rows[:2], A.rows[:2]), 1)
-
-
-def test_partition_rejects_an_empty_block():
-    A = bush(2, 2)
-    from oaqec.synthesis import OrthogonalPartition
-
-    with pytest.raises(NotPartitionable, match="nonempty"):
-        OrthogonalPartition(A, (A.rows, ()), 1)
-    with pytest.raises(NotPartitionable, match="nonempty"):
-        OrthogonalPartition(A, (A.matrix, A.matrix[:0]), 1)
-    with pytest.raises(NotPartitionable, match="nonempty"):
-        OrthogonalPartition(A, (), 1)
+    for K in (0, 3, A.r + 1):
+        with pytest.raises(NotPartitionable, match="equal nonempty blocks"):
+            OrthogonalPartition(A, K, 1)
+    with pytest.raises(ValueError, match="at least 1"):
+        OrthogonalPartition(A, 2, 0)
 
 
 # --- first driver family ------------------------------------------------------
@@ -313,8 +302,8 @@ def test_resplit_reproduces_bundled_code_from_merged_columns():
     # Merge two binary legs of the bundled 8-state code back into one 4-symbol
     # column, rebuild the array-backed input, then split the column again:
     # the resulting basis must be identical to the bundled one.
-    from oaqec.arrays import MixedLevelArray, claim
-    from oaqec.synthesis import OrthogonalPartition, code_from_partitioned_oa
+    from oaqec.arrays import claim
+    from oaqec.synthesis import code_from_partitioned_oa
 
     fixture, _ = load_fixture("qmds_8_8_3")
 
@@ -323,10 +312,10 @@ def test_resplit_reproduces_bundled_code_from_merged_columns():
 
     blocks = [tuple(merge(k) for k in state) for state in fixture.basis]
     parent = claim(MixedLevelArray([r for b in blocks for r in b],
-                                   (4, 4, 4, 4, 2, 2, 2)).sorted_rows(), strength=2)
+                                   (4, 4, 4, 4, 2, 2, 2)), strength=2)
     assert distance_profile(parent).md == 3
-    part = OrthogonalPartition(parent, blocks, 2)
-    merged = code_from_partitioned_oa(parent, part, 2, 3, h_exact=True,
+    part = OrthogonalPartition(parent, len(blocks), 2)
+    merged = code_from_partitioned_oa(part, 2, 3, h_exact=True,
                                       construction="merged-bit reference input")
     assert merged.params.code_string() == "((7,8,3))_{4^4 2^3}"
     assert verify_code(merged).passed
@@ -337,6 +326,37 @@ def test_resplit_reproduces_bundled_code_from_merged_columns():
 
 
 # --- shared driver behaviour -----------------------------------------------------
+
+
+# SHA-256 of the canonical ket bytes of one build per builder
+EMITTED_KETS = {
+    "t1 s=6 f=2x3": ("93f8791c26867f1bfebbaacc63bf30d08ad68927ae3be413763d4caada9d124f",
+                     lambda: theorem_5s2(6, [2, 3])),
+    "t2 s=6 f=2x3": ("8c543919bc1ebd47d45161d830ceaa53ee4ff9db1b3c47363e8b355501246021",
+                     lambda: theorem_52s(6, [2, 3])),
+    "t3 s=49 d=2 s1=7": ("a24a1b421eec9c7c61559190f2ec0c82c5513c1c3b3974482cf195a68b7851a2",
+                         lambda: theorem_s1(49, 2, 7)),
+    "t4 s=8 d=3 l=1 f=2": ("486816732670936f1ce1f9275b84c536e60dda8506ae5bc09799f2325575edf6",
+                           lambda: theorem_tn(8, 3, 1, [2])),
+    "t4 s=9 d=2 l=1 f=3": ("e8585cd08d3e4873b974d75f2daa585da8f226efea49cdcc6a544a1c9c89213c",
+                           lambda: theorem_tn(9, 2, 1, [3])),
+    "t4 s=7 d=1 l=2 f=7": ("ac570a1c9a857640494093edcd270d1ae688bbddba4c6fa277292f447d82311c",
+                           lambda: theorem_tn(7, 1, 2, [7])),
+    "t4 s=12 d=1 l=1 f=3 q=4x3": (
+        "a473c31e91244e46431c035177d66451d0421aba877753672da9313d2b9aae27",
+        lambda: theorem_tn(12, 1, 1, [3], [4, 3])),
+    "c3 s=4 f=2x2": ("ac719c5f2e9c34bbfd2f18de79810e8fddda4a0d5015b36b8f7a074c0b45b44c",
+                     lambda: corollary_5lie(4, [2, 2])),
+    "t5 s=12 d=1 l=1 f=2 q=6x2": (
+        "dfab95bb6d6de1bfde71c4b8ab7b867e19391f29195b37d26ae495df4c6d4494",
+        lambda: theorem_huan(theorem_tn(12, 1, 1, [2]), None, [6, 2])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMITTED_KETS))
+def test_builders_emit_pinned_kets(name):
+    digest, build = EMITTED_KETS[name]
+    assert hashlib.sha256(build().kets.tobytes()).hexdigest() == digest
 
 
 def test_recorded_window_matches_recomputation():
@@ -377,15 +397,16 @@ import sys
 from dataclasses import replace
 from oaqec.arrays import MixedLevelArray
 from oaqec.errors import ClaimFailed
-from oaqec.synthesis import QuantumCode, theorem_5s2
+from oaqec.synthesis import OrthogonalPartition, QuantumCode, theorem_5s2
 
 assert sys.flags.optimize
 code = theorem_5s2(3, [3])
 prov = code.provenance
 parent = MixedLevelArray(prov.parent.rows + (prov.parent.rows[0],),
                          prov.parent.alphabets)
+partition = OrthogonalPartition(parent, 1, prov.t_prime, budget=0)
 try:
-    QuantumCode(code.params, code.basis, replace(prov, parent=parent))
+    QuantumCode(code.params, code.basis, replace(prov, partition=partition))
 except ClaimFailed as exc:
     print(exc)
     sys.exit(0)
@@ -475,8 +496,9 @@ def test_code_refuses_kets_that_do_not_cover_the_parent():
     prov = code.provenance
     parent = MixedLevelArray(np.vstack([prov.parent.matrix, prov.parent.matrix[:1]]),
                              prov.parent.alphabets)
+    partition = OrthogonalPartition(parent, 1, prov.t_prime, budget=0)
     with pytest.raises(ClaimFailed, match="basis states do not cover the parent array"):
-        QuantumCode(code.params, code.basis, replace(prov, parent=parent))
+        QuantumCode(code.params, code.basis, replace(prov, partition=partition))
 
 
 @pytest.mark.parametrize("build", [
