@@ -15,7 +15,8 @@ results inherit.  A claim that fails its re-check raises ClaimFailed.
 Strength is checked by vectorized counts: each t-column subset's rows become
 mixed-radix keys, and one np.bincount per chunk of subsets counts them.  The
 exact dict count runs only on the first failing subset, to extract the
-BalanceWitness that reports name.
+BalanceWitness that reports name.  A partition's blocks share one pass: the
+block number is the most significant digit of each key.
 
 Minimal distance is computed from column projections (`minimal_distance`):
 with distinct rows, md >= h exactly when every projection onto n - h + 1
@@ -219,51 +220,61 @@ def _subset_witness(A: MixedLevelArray, cols: tuple[int, ...]) -> Optional[Balan
 
 
 def _first_unbalanced(A: MixedLevelArray, chunk: list[tuple[int, ...]],
-                      prods: list[int]) -> Optional[int]:
-    """Index in `chunk` of the first subset whose level counts are not all
-    r/prod, or None.  Every prod divides r, so each key fits in int64."""
-    r = A.r
+                      prods: list[int], blocks: int) -> Optional[tuple[int, int]]:
+    """(i, block): index in `chunk` of the first subset whose level counts
+    are not all b/prod in each block of b = r/blocks rows, and the first
+    block failing it; or None.  Every prod divides b, so keys fit in int64."""
+    b = A.r // blocks
     cols = np.array(chunk, dtype=np.intp)
     radix = np.array([[A.alphabets[c] for c in subset] for subset in chunk], dtype=np.int64)
     # mixed-radix weights, last column of each subset least significant
     weights = np.ones_like(radix)
     weights[:, :-1] = np.cumprod(radix[:, :0:-1], axis=1)[:, ::-1]
     sizes = np.array(prods, dtype=np.int64)
-    # each subset's keys get their own range of the one bincount
+    # key digits: block number, then the subset's own range, then its levels
     offsets = np.cumsum(sizes) - sizes
-    keys = np.broadcast_to(offsets, (r, len(chunk))).copy()
+    total = int(sizes.sum())
+    keys = (np.arange(A.r) // b * total)[:, None] + offsets
     for j in range(cols.shape[1]):
         keys += A.matrix[:, cols[:, j]] * weights[:, j]
-    counts = np.bincount(keys.ravel(), minlength=int(sizes.sum()))
-    lam = np.repeat(r // sizes, sizes)
-    bad = np.flatnonzero(counts != lam)
-    if not bad.size:
+    counts = np.bincount(keys.ravel(), minlength=blocks * total).reshape(blocks, total)
+    bad = counts != np.repeat(b // sizes, sizes)
+    cells = np.flatnonzero(bad.any(axis=0))
+    if not cells.size:
         return None
-    return int(np.searchsorted(offsets, bad[0], side="right")) - 1
+    i = int(np.searchsorted(offsets, cells[0], side="right")) - 1
+    return i, int(np.argmax(bad[:, offsets[i]:offsets[i] + sizes[i]].any(axis=1)))
 
 
-def is_orthogonal_array(A: MixedLevelArray, t: int):
-    """Check the equal-frequency condition at strength t.
+def is_orthogonal_array(A: MixedLevelArray, t: int, blocks: int = 1):
+    """Check the equal-frequency condition at strength t on each of `blocks`
+    runs of b = r / blocks consecutive rows.
 
     Returns (True, None) or (False, BalanceWitness).  A non-integer index
-    r / prod(s_j) is reported as a witness, not an exception.  The witness
-    names the first failing column subset in itertools.combinations order.
+    b / prod(s_j) is reported as a witness, not an exception.  The witness
+    names the first failing column subset in itertools.combinations order,
+    taken on the first block that fails there.
     """
     if not 1 <= t <= A.n:
         raise ValueError(f"strength {t} out of range 1..{A.n}")
-    r = A.r
+    if not 1 <= blocks <= A.r or A.r % blocks:
+        raise ValueError(f"{A.r} rows do not split into {blocks} equal blocks")
+    b = A.r // blocks
     subsets = itertools.combinations(range(A.n), t)
-    per_chunk = max(1, _CHUNK_CELLS // r)
+    per_chunk = max(1, _CHUNK_CELLS // A.r)
     while chunk := list(itertools.islice(subsets, per_chunk)):
         prods = [math.prod(A.alphabets[c] for c in cols) for cols in chunk]
-        # a subset whose prod does not divide r fails without counting; only
-        # the subsets before the first such one can fail earlier
-        stop = next((i for i, p in enumerate(prods) if r % p), len(chunk))
-        bad = _first_unbalanced(A, chunk[:stop], prods[:stop]) if stop else None
+        # a subset whose prod does not divide b fails in every block without
+        # counting; only the subsets before the first such one can fail earlier
+        stop = next((i for i, p in enumerate(prods) if b % p), len(chunk))
+        bad = _first_unbalanced(A, chunk[:stop], prods[:stop], blocks) if stop else None
         if bad is None and stop < len(chunk):
-            bad = stop
+            bad = stop, 0
         if bad is not None:
-            return False, _subset_witness(A, chunk[bad])
+            i, block = bad
+            if blocks > 1:
+                A = MixedLevelArray(A.matrix[block * b:(block + 1) * b], A.alphabets)
+            return False, _subset_witness(A, chunk[i])
     return True, None
 
 
@@ -450,21 +461,17 @@ def measure_md(A: MixedLevelArray, budget: Optional[int] = None) -> Optional[int
     return md
 
 
-def claim_blocks(arrays: Sequence[MixedLevelArray], t: int,
-                 budget: Optional[int] = None) -> Sequence[MixedLevelArray]:
-    """Record a strength-t claim on every block array of a partition.
-
-    The blocks are checked all together or not at all: only when their
-    summed strength-check cost fits the budget.  Returns `arrays`.
-    """
-    checked = sum(strength_check_cost(arr, t) for arr in arrays) <= _budget(budget)
-    for arr in arrays:
-        if checked:
-            ok, witness = is_orthogonal_array(arr, t)
-            if not ok:
-                raise ClaimFailed(f"block is not balanced to strength {t}: {witness}")
-        _carried(arr, t, checked)
-    return arrays
+def claim_blocks(parent: MixedLevelArray, K: int, t: int,
+                 budget: Optional[int] = None) -> bool:
+    """Check the K blocks of consecutive rows of `parent` at strength t in
+    one pass when the blocks' summed cost, strength_check_cost(parent, t),
+    fits the budget.  Returns whether the check ran; ClaimFailed if it failed."""
+    if strength_check_cost(parent, t) > _budget(budget):
+        return False
+    ok, witness = is_orthogonal_array(parent, t, K)
+    if not ok:
+        raise ClaimFailed(f"block is not balanced to strength {t}: {witness}")
+    return True
 
 
 def _carried(A: MixedLevelArray, strength: int, strength_checked: bool,
@@ -603,6 +610,8 @@ def from_text(text: str) -> MixedLevelArray:
     """Parse the shared text format; the strength header is kept as a claim."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines())
              if ln and not ln.startswith("#")]
+    if len(lines) < 2:
+        raise ValueError("array text needs an OA header line and an alphabet line")
     head = lines[0].split()
     if len(head) != 4 or head[0] != "OA":
         raise ValueError(f"bad header: {lines[0]!r}")

@@ -31,10 +31,12 @@ from .arrays import (
 )
 from .errors import (
     AssetCorrupt,
+    ClaimFailed,
     IngredientUnavailable,
     NotPowerOfTwo,
     NotPrimePower,
     StrengthTooHigh,
+    ToolkitError,
 )
 from .schemes import d_2s, oa_from_scheme
 
@@ -288,12 +290,15 @@ def asset_get(name: str, asset_dir: Optional[str] = None,
             if digest != rec.sha256:
                 raise AssetCorrupt(f"{name}: sha256 mismatch "
                                    f"(manifest {rec.sha256[:12]}…, file {digest[:12]}…)")
-        A = from_text(payload.decode())
+        try:
+            A = from_text(payload.decode())
+        except (ToolkitError, ValueError) as exc:
+            raise AssetCorrupt(f"{name}: unreadable payload: {exc}") from exc
     if (A.r, A.n, A.alphabets) != (rec.r, rec.n, rec.alphabets):
         raise AssetCorrupt(f"{name}: payload shape {A.r}x{A.n} alphabets "
                            f"{A.alphabets} does not match record")
     try:
         certify(A, rec.strength, rec.md)
-    except AssertionError as exc:
+    except ClaimFailed as exc:
         raise AssetCorrupt(f"{name}: {exc}") from exc
     return A

@@ -11,6 +11,7 @@ from .errors import ShapeMismatch
 from .synthesis import QuantumCode, make_code_params
 
 _KET = re.compile(r"\|([^|>⟩]+)[>⟩]")
+_SEP = re.compile(r"[,\s]+")
 _ASSET = re.compile(r"asset (\w+)")
 
 
@@ -21,9 +22,7 @@ def state_to_line(state) -> str:
 
 def parse_state_line(line: str) -> list[tuple[int, ...]]:
     """Parse a superposition line; ket entries split on commas or whitespace."""
-    kets = []
-    for body in _KET.findall(line):
-        kets.append(tuple(int(tok) for tok in re.split(r"[,\s]+", body.strip())))
+    kets = [tuple(map(int, _SEP.split(body.strip()))) for body in _KET.findall(line)]
     if not kets:
         raise ShapeMismatch(f"no kets found in line: {line[:60]!r}")
     return kets

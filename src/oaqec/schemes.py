@@ -50,11 +50,6 @@ class DifferenceScheme:
     def c(self) -> int:
         return len(self.rows[0])
 
-    def sub(self, a: int, b: int) -> int:
-        if self.field is not None:
-            return self.field.sub(a, b)
-        return (a - b) % self.s
-
     def add_table(self) -> np.ndarray:
         """s x s table of the group law: the field's addition, or Z_s's."""
         if self.field is not None:

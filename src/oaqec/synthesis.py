@@ -99,8 +99,8 @@ def make_code_params(n: int, d: int, alphabets: Sequence[int], K: int) -> CodePa
 class OrthogonalPartition:
     """A parent array whose rows are stored block by block: K equal blocks,
     block i being rows i*b ... (i+1)*b - 1 with b = r / K, each balanced to
-    a stated strength.  The blocks' strength claims are checked all together
-    or not at all, within `budget` (see claim_blocks)."""
+    a stated strength.  The blocks are checked all together, in one pass
+    over the parent, or not at all, within `budget` (see claim_blocks)."""
 
     def __init__(self, parent: MixedLevelArray, K: int, strength: int,
                  budget: Optional[int] = None):
@@ -112,18 +112,11 @@ class OrthogonalPartition:
         self.parent = parent
         self.K = int(K)
         self.strength = int(strength)
-        self._arrays = claim_blocks([MixedLevelArray(blk, parent.alphabets)
-                                     for blk in np.split(parent.matrix, K)],
-                                    self.strength, budget)
-        self.strength_checked = self._arrays[0].strength_checked
+        self.strength_checked = claim_blocks(parent, self.K, self.strength, budget)
 
     @property
     def block_size(self) -> int:
         return self.parent.r // self.K
-
-    def block_arrays(self) -> list[MixedLevelArray]:
-        """The blocks as arrays over the parent's alphabets (claims attached)."""
-        return list(self._arrays)
 
     def __repr__(self):
         return (f"OrthogonalPartition(K={self.K}, block_size={self.block_size}, "
@@ -131,27 +124,27 @@ class OrthogonalPartition:
 
 
 def partition_by_prefix(A: MixedLevelArray, l: int,
-                        budget: Optional[int] = None
-                        ) -> tuple[MixedLevelArray, OrthogonalPartition]:
+                        budget: Optional[int] = None) -> tuple[MixedLevelArray, int]:
     """Strip the first l columns and group rows by the removed prefix.
 
-    Returns the stripped parent, its rows sorted so that each prefix group
-    is one block of consecutive rows, and its partition into one block per
-    prefix value; each block inherits strength A.strength - l."""
+    Returns the stripped array, its rows sorted so that each prefix group
+    is one block of consecutive rows, and the number K of groups.  Each
+    group inherits strength A.strength - l, so the stripped array with K
+    blocks is a partition of that strength."""
     if not 0 <= l < A.n:
         raise ValueError(f"prefix width {l} out of range for {A.n} columns")
-    if A.strength <= l and l > 0:
+    if A.strength <= l:
         raise ValueError(f"prefix width {l} needs array strength above {l}")
     srt = A.sorted_rows()
     if l == 0:
-        return srt, OrthogonalPartition(srt, 1, A.strength, budget)
+        return srt, 1
     parent = delete_columns(srt, range(l), budget)
     # sorted rows with one prefix are consecutive: split where the prefix changes
     starts = np.flatnonzero(np.diff(srt.matrix[:, :l], axis=0).any(axis=1)) + 1
     sizes = set(np.diff(starts, prepend=0, append=srt.r).tolist())
     if len(sizes) != 1:
         raise NotPartitionable(f"prefix groups have unequal sizes {sorted(sizes)}")
-    return parent, OrthogonalPartition(parent, len(starts) + 1, A.strength - l, budget)
+    return parent, len(starts) + 1
 
 
 # --- compiled codes -------------------------------------------------------------
@@ -166,7 +159,6 @@ class Provenance:
     parameters: tuple[tuple[str, str], ...]
     ingredients: tuple[str, ...]
     partition: OrthogonalPartition
-    t_prime: int
     h: int
     h_exact: bool
     notes: tuple[str, ...] = ()
@@ -174,6 +166,10 @@ class Provenance:
     @property
     def parent(self) -> MixedLevelArray:
         return self.partition.parent
+
+    @property
+    def t_prime(self) -> int:
+        return self.partition.strength
 
 
 def _state_matrix(state, n: int) -> np.ndarray:
@@ -275,7 +271,7 @@ class QuantumCode:
         return f"QuantumCode({self.params.code_string()}, {self.status()})"
 
 
-def code_from_partitioned_oa(partition: OrthogonalPartition, t_prime: int, h: int, *,
+def code_from_partitioned_oa(partition: OrthogonalPartition, h: int, *,
                              construction: str = "orthogonal-partition compilation",
                              parameters: tuple[tuple[str, str], ...] = (),
                              ingredients: tuple[str, ...] = (),
@@ -283,16 +279,14 @@ def code_from_partitioned_oa(partition: OrthogonalPartition, t_prime: int, h: in
                              notes: tuple[str, ...] = ()) -> QuantumCode:
     """Compile a strength-t' partition of an array into an ((n,K,min(t'+1,h))) code."""
     A = partition.parent
-    if t_prime < 1 or t_prime > partition.strength:
-        raise ValueError(f"t'={t_prime} outside the partition strength {partition.strength}")
     if h < 1:
         raise ValueError(f"distance floor h={h} must be positive")
-    d_plus_1 = min(t_prime + 1, h)
+    d_plus_1 = min(partition.strength + 1, h)
     params = make_code_params(A.n, d_plus_1 - 1, A.alphabets, partition.K)
     prov = Provenance(construction=construction, parameters=tuple(parameters),
                       ingredients=tuple(ingredients), partition=partition,
-                      t_prime=t_prime, h=h, h_exact=h_exact, notes=tuple(notes))
-    return QuantumCode(params, (arr.matrix for arr in partition.block_arrays()), prov)
+                      h=h, h_exact=h_exact, notes=tuple(notes))
+    return QuantumCode(params, A.matrix.reshape(partition.K, -1, A.n), prov)
 
 
 # --- shared helpers -------------------------------------------------------------
@@ -341,7 +335,7 @@ def _lifted_code(B: MixedLevelArray, s: int, factors: tuple[int, ...],
         ingredients.append(_factorial_ingredient(F))
     h, h_exact = _certified_h(B, 3, budget)
     code = code_from_partitioned_oa(
-        OrthogonalPartition(B, 1, 2, budget), 2, h, construction=construction,
+        OrthogonalPartition(B, 1, 2, budget), h, construction=construction,
         parameters=(("s", str(s)), ("factors", str(factors))),
         ingredients=tuple(ingredients), h_exact=h_exact)
     _claim_equal(code.params.m, s - 1, "defect")
@@ -447,7 +441,7 @@ def theorem_s1(s: int, d: int, s1: int, *, replace_col: Optional[int] = None,
     B = expansive_replacement(base, col, F, budget)
     h, h_exact = _certified_h(B, d + 1, budget)
     code = code_from_partitioned_oa(
-        OrthogonalPartition(B, 1, d, budget), d, h,
+        OrthogonalPartition(B, 1, d, budget), h,
         construction="unit-index symmetric array with one column split in two",
         parameters=(("s", str(s)), ("d", str(d)), ("s1", str(s1))),
         ingredients=tuple(trace) + (_factorial_ingredient(F),),
@@ -493,7 +487,7 @@ def theorem_tn(s: int, d: int, l: int, s_factors, q_factors=None, *,
             f"resolved array has {base.r} rows, need the unit-index {s ** (d + l)}")
     # unit index forces the distance
     base = claim(base, md=d + l + 2, budget=budget)
-    stripped, part = partition_by_prefix(base, l, budget)
+    stripped, K = partition_by_prefix(base, l, budget)
     if l > 0:
         # unit index survives dropping the prefix
         stripped = claim(stripped, md=d + 2, budget=budget)
@@ -528,7 +522,7 @@ def theorem_tn(s: int, d: int, l: int, s_factors, q_factors=None, *,
         notes.append(f"defect {m_pred} {agree} the closed form {closed}")
     # replacement keeps row order, so B's rows are still in the prefix blocks
     code = code_from_partitioned_oa(
-        OrthogonalPartition(B, part.K, d, budget), d, h,
+        OrthogonalPartition(B, K, d, budget), h,
         construction="prefix-partitioned symmetric array with split columns",
         parameters=(("s", str(s)), ("d", str(d)), ("l", str(l)),
                     ("s_factors", str(s_factors)),
@@ -573,7 +567,7 @@ def theorem_huan(code: QuantumCode, col: Optional[int], q_factors, *,
     B = expansive_replacement(parent, col, F, budget)
     h, h_exact = _certified_h(B, prov.h, budget)
     return code_from_partitioned_oa(
-        OrthogonalPartition(B, prov.partition.K, prov.t_prime, budget), prov.t_prime, h,
+        OrthogonalPartition(B, prov.partition.K, prov.t_prime, budget), h,
         construction="column split of an array-backed code",
         parameters=(("column", str(col)), ("q_factors", str(q_factors))),
         ingredients=prov.ingredients + (_factorial_ingredient(F),),

@@ -360,20 +360,17 @@ def cross_validate(code: QuantumCode) -> CrossValidation:
     The array side rebuilds the parent from the union of all kets, computes
     its exact minimal distance from column projections (minimal_distance,
     which shares no code with the rank kernel of the reduction side), and
-    re-checks every state's balance at strength d; the reduction side runs
+    re-checks every state's balance at strength d in one pass over it
+    (each state is a block of its rows); the reduction side runs
     verify_code in strict-uniform mode.  Neither side reuses any claim
     carried by the construction."""
     if code.provenance is None:
         raise ProvenanceMissing("cross validation needs an array-backed code")
     d = code.params.d_plus_1 - 1
-    alphabets = code.params.alphabets
-    rebuilt = MixedLevelArray(code.kets, alphabets)
+    rebuilt = MixedLevelArray(code.kets, code.params.alphabets)
     md = minimal_distance(rebuilt) if rebuilt.r > 1 else rebuilt.n + 1
-    if d == 0:
-        blocks_ok = True
-    else:
-        blocks_ok = all(is_orthogonal_array(MixedLevelArray(code.state(i), alphabets), d)[0]
-                        for i in range(code.params.K))
+    # state i is the i-th run of kets_per_state rows of the rebuilt parent
+    blocks_ok = d == 0 or is_orthogonal_array(rebuilt, d, code.params.K)[0]
     comb = md >= d + 1 and blocks_ok
     return CrossValidation(report=verify_code(code, d, "strict-uniform"),
                            combinatorial_pass=comb, parent_md=md,

@@ -12,10 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import naive_distance_set, naive_strength
+from conftest import naive_distance_set, naive_is_oa, naive_strength
 from oaqec.arrays import (
     DEFAULT_VERIFICATION_BUDGET,
     MixedLevelArray,
@@ -233,12 +234,17 @@ def test_sorted_rows_matches_tuple_sort(A):
     assert flags(out) == flags(A)
 
 
+def split_rows(A, K):
+    """The K blocks of A's rows, as tuples of int tuples."""
+    return [tuple(map(tuple, blk.tolist())) for blk in np.split(A.matrix, K)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), budget=st.sampled_from(BUDGETS))
 def test_partition_by_prefix_blocks_match_tuple_grouping(data, budget):
     A = data.draw(arrays_st())
     l = data.draw(st.integers(0, A.n - 1))
-    if l > 0 and A.strength <= l or l == 0 and A.strength == 0:
+    if A.strength <= l:
         with pytest.raises(ValueError):
             partition_by_prefix(A, l, budget)
         return
@@ -247,14 +253,15 @@ def test_partition_by_prefix_blocks_match_tuple_grouping(data, budget):
         with pytest.raises(NotPartitionable):
             partition_by_prefix(A, l, budget)
         return
-    parent, part = partition_by_prefix(A, l, budget)
+    parent, K = partition_by_prefix(A, l, budget)
     assert parent.rows == tuple(row[l:] for row in sorted(A.rows))
-    arrays = part.block_arrays()
-    assert [arr.rows for arr in arrays] == blocks
+    assert split_rows(parent, K) == blocks
     t = A.strength - l
-    checked = sum(arr.r * math.comb(arr.n, t) for arr in arrays) <= (
+    assert all(naive_is_oa(blk, parent.alphabets, t) for blk in blocks)
+    part = OrthogonalPartition(parent, K, t, budget)
+    checked = parent.r * math.comb(parent.n, t) <= (
         DEFAULT_VERIFICATION_BUDGET if budget is None else budget)
-    assert {flags(arr) for arr in arrays} == {(t, checked, None, False)}
+    assert part.strength_checked is checked
     assert (part.K, part.block_size) == (len(blocks), len(blocks[0]))
 
 
@@ -268,16 +275,17 @@ def test_partition_survives_expansive_replacement(data, budget):
     A = data.draw(arrays_st())
     l = data.draw(st.integers(0, A.n - 1))
     try:
-        parent, part = partition_by_prefix(A, l, budget)
+        parent, K = partition_by_prefix(A, l, budget)
     except (ValueError, NotPartitionable):
         assume(False)
     col = data.draw(st.integers(0, parent.n - 1))
     F = full_factorial_mixed(*data.draw(st.sampled_from(FACTORIALS[parent.alphabets[col]])))
     replaced = OrthogonalPartition(expansive_replacement(parent, col, F, budget),
-                                   part.K, part.strength, budget)
+                                   K, A.strength - l, budget)
     # the per-block splice is the oracle: blocks stay runs of parent rows
-    assert [arr.rows for arr in replaced.block_arrays()] == [
-        tuple(ref_splice(blk.rows, col, F.rows)) for blk in part.block_arrays()]
+    blocks = split_rows(replaced.parent, K)
+    assert blocks == [tuple(ref_splice(blk, col, F.rows)) for blk in split_rows(parent, K)]
+    assert all(naive_is_oa(blk, replaced.parent.alphabets, A.strength - l) for blk in blocks)
 
 
 @settings(max_examples=60, deadline=None)

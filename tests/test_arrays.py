@@ -344,6 +344,64 @@ def test_strength_kernel_matches_naive_oracle_and_exact_witness(case, chunk_cell
             assert witness == (None if cols is None else arrays._subset_witness(A, cols))
 
 
+@st.composite
+def blocked_arrays(draw):
+    """(rows, alphabets, K): K equal blocks of random rows, or of row-shuffled
+    full factorials (index 1 or 2), each maybe with one entry changed."""
+    alphabets = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+    while math.prod(alphabets) > 16:
+        alphabets.pop()
+    K = draw(st.integers(1, 4), label="K")
+    if draw(st.booleans()):
+        size = draw(st.integers(1, 10), label="block size")
+        rows = draw(st.lists(st.tuples(*(st.integers(0, s - 1) for s in alphabets)),
+                             min_size=K * size, max_size=K * size))
+        return rows, alphabets, K
+    lam = draw(st.integers(1, 2), label="lambda")
+    factorial = [tup for tup in itertools.product(*(range(s) for s in alphabets))
+                 for _ in range(lam)]
+    rows = []
+    for _ in range(K):
+        block = [list(tup) for tup in draw(st.permutations(factorial))]
+        if draw(st.booleans(), label="change"):
+            i = draw(st.integers(0, len(block) - 1), label="row")
+            j = draw(st.integers(0, len(alphabets) - 1), label="column")
+            block[i][j] = draw(st.integers(0, alphabets[j] - 1), label="symbol")
+        rows.extend(map(tuple, block))
+    return rows, alphabets, K
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=blocked_arrays(), chunk_cells=st.sampled_from((1, 7, 64, 1 << 15)))
+def test_block_strength_kernel_matches_naive_oracle_on_each_block(case, chunk_cells):
+    rows, alphabets, K = case
+    A = MixedLevelArray(rows, alphabets)
+    b = len(rows) // K
+    blocks = [rows[i * b:(i + 1) * b] for i in range(K)]
+    with mock.patch.object(arrays, "_CHUNK_CELLS", chunk_cells):
+        for t in range(1, A.n + 1):
+            ok, witness = is_orthogonal_array(A, t, K)
+            assert ok == all(naive_is_oa(blk, alphabets, t) for blk in blocks)
+            # combinations order is tuple order, so the first failing subset
+            # is the least of the blocks' first failing subsets
+            firsts = [first_failing_subset(blk, alphabets, t) for blk in blocks]
+            cols = min((c for c in firsts if c is not None), default=None)
+            if cols is None:
+                assert witness is None
+            else:
+                block = MixedLevelArray(blocks[firsts.index(cols)], alphabets)
+                assert witness == arrays._subset_witness(block, cols)
+
+
+def test_is_oa_refuses_a_block_count_that_does_not_split_the_rows():
+    A = full_factorial((2, 2, 3))
+    assert is_orthogonal_array(A, 2, 2) == (False, BalanceWitness(
+        (0, 1), (0, 0), 3, 1.5, "index r/prod(s_j) is not an integer"))
+    for K in (0, 5, 13, -1):
+        with pytest.raises(ValueError, match="rows do not split into"):
+            is_orthogonal_array(A, 1, K)
+
+
 FACTORIAL_22 = list(itertools.product(range(2), repeat=2))
 
 

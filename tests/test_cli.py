@@ -311,7 +311,9 @@ def test_assets_add_requires_file_and_dir(capsys):
 @pytest.mark.parametrize("text", [
     "OA 4 3 2\n2 2 2\n0 0 0\n0 1 1\n1 0 2\n1 1 0\n",
     "OA 0 3 2\n2 2 2\n",
-], ids=["entry-outside-alphabet", "zero-rows"])
+    "OA 4 3 2\n",
+    "",
+], ids=["entry-outside-alphabet", "zero-rows", "no-alphabet-line", "empty"])
 def test_assets_add_rejects_malformed_array_as_usage_error(tmp_path, capsys, text):
     src = tmp_path / "bad.txt"
     src.write_text(text)
@@ -319,6 +321,19 @@ def test_assets_add_rejects_malformed_array_as_usage_error(tmp_path, capsys, tex
     rc, _, err = run(capsys, "assets", "add", "--file", str(src), "--dir", str(store))
     assert rc == 2 and err.startswith("invalid request: ")
     assert not store.exists()
+
+
+def test_assets_verify_reports_an_unparsable_payload_as_corrupt(tmp_path, capsys,
+                                                               monkeypatch):
+    # the header promises 4 rows, the file holds 2
+    (tmp_path / "short.txt").write_text("OA 4 3 2\n2 2 2\n0 0 0\n0 1 1\n")
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"short": {"r": 4, "n": 3, "alphabets": [2, 2, 2], "t": 2, "md": 2,
+                   "file": "short.txt"}}))
+    monkeypatch.setenv("OAQEC_ASSET_DIR", str(tmp_path))
+    rc, _, err = run(capsys, "assets", "verify")
+    assert rc == 4
+    assert err == "asset corrupt: short: unreadable payload: expected 4 rows, found 2\n"
 
 
 # --- claim checks under python -O --------------------------------------------------

@@ -101,19 +101,20 @@ def test_code_string_groups_repeated_sizes_descending():
 
 def test_partition_by_prefix_strips_and_groups():
     A = bush(3, 3)  # OA(27, 4, 3, 3)
-    parent, part = partition_by_prefix(A, 1)
+    parent, K = partition_by_prefix(A, 1)
     assert parent.n == A.n - 1 and parent.r == A.r
-    assert part.K == 3 and part.block_size == 9
-    assert part.strength == 2
-    for block in part.block_arrays():
-        assert naive_is_oa(block.rows, block.alphabets, 2)
+    assert K == 3
+    part = OrthogonalPartition(parent, K, A.strength - 1)
+    assert part.block_size == 9 and part.strength_checked
+    for block in np.split(parent.matrix, K):
+        assert naive_is_oa(block.tolist(), parent.alphabets, 2)
 
 
 def test_partition_by_prefix_zero_keeps_everything_in_one_block():
     A = bush(2, 2)
-    parent, part = partition_by_prefix(A, 0)
-    assert parent.n == A.n and part.K == 1
-    assert part.block_size == A.r
+    parent, K = partition_by_prefix(A, 0)
+    assert parent.n == A.n and K == 1
+    assert parent.rows == tuple(sorted(A.rows))
 
 
 def test_partition_by_prefix_rejects_width_at_or_above_strength():
@@ -131,6 +132,17 @@ def test_partition_refuses_a_block_count_that_does_not_split_the_rows():
             OrthogonalPartition(A, K, 1)
     with pytest.raises(ValueError, match="at least 1"):
         OrthogonalPartition(A, 2, 0)
+
+
+def test_unbalanced_partition_fails_its_check_or_is_carried_unchecked():
+    # sorted rows of OA(4, 3, 2, 2): column 0 is constant on each half
+    A = bush(2, 2).sorted_rows()
+    assert not naive_is_oa(A.rows[:2], A.alphabets, 1)
+    with pytest.raises(ClaimFailed, match=r"^block is not balanced to strength 1: "
+                                          r"columns \(0,\), levels \(1,\)"):
+        OrthogonalPartition(A, 2, 1)
+    part = OrthogonalPartition(A, 2, 1, budget=0)
+    assert part.strength_checked is False
 
 
 # --- first driver family ------------------------------------------------------
@@ -315,7 +327,7 @@ def test_resplit_reproduces_bundled_code_from_merged_columns():
                                    (4, 4, 4, 4, 2, 2, 2)), strength=2)
     assert distance_profile(parent).md == 3
     part = OrthogonalPartition(parent, len(blocks), 2)
-    merged = code_from_partitioned_oa(part, 2, 3, h_exact=True,
+    merged = code_from_partitioned_oa(part, 3, h_exact=True,
                                       construction="merged-bit reference input")
     assert merged.params.code_string() == "((7,8,3))_{4^4 2^3}"
     assert verify_code(merged).passed

@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 from oaqec import verify
 from oaqec.errors import ClaimFailed, ProvenanceMissing
 from oaqec.formats import code_from_ket_text, load_fixture
-from oaqec.synthesis import QuantumCode, make_code_params, theorem_5s2, theorem_tn
+from oaqec.constructions import bush
+from oaqec.synthesis import (OrthogonalPartition, QuantumCode, code_from_partitioned_oa,
+                             make_code_params, theorem_5s2, theorem_tn)
 from oaqec.verify import (
     MODES,
     CrossValidation,
@@ -434,6 +436,16 @@ def test_cross_validation_rejects_corruption_on_both_sides():
     assert not crossed.combinatorial_pass
     assert crossed.agree  # both oracles fail for the same reason
     assert "DISAGREE" not in crossed.render()
+
+
+def test_cross_validation_checks_each_state_not_their_union():
+    # the union of the two states is OA(4, 3, 2, 2), whose distance is 2,
+    # but column 0 is constant on each state
+    A = bush(2, 2).sorted_rows()
+    code = code_from_partitioned_oa(OrthogonalPartition(A, 2, 1, budget=0), 2)
+    crossed = cross_validate(code)
+    assert crossed.parent_md == 2 and not crossed.blocks_balanced
+    assert not crossed.combinatorial_pass and not crossed.quantum_pass
 
 
 def test_cross_validation_keeps_the_strict_uniform_report():
