@@ -178,9 +178,6 @@ class Field:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self._inv[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self._mul[a][self.inv(b)]
-
     def pow(self, a: int, n: int) -> int:
         out = 1
         for _ in range(n):

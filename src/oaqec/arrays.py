@@ -246,15 +246,11 @@ def _first_unbalanced(A: MixedLevelArray, chunk: list[tuple[int, ...]],
     return i, int(np.argmax(bad[:, offsets[i]:offsets[i] + sizes[i]].any(axis=1)))
 
 
-def is_orthogonal_array(A: MixedLevelArray, t: int, blocks: int = 1):
-    """Check the equal-frequency condition at strength t on each of `blocks`
-    runs of b = r / blocks consecutive rows.
-
-    Returns (True, None) or (False, BalanceWitness).  A non-integer index
-    b / prod(s_j) is reported as a witness, not an exception.  The witness
-    names the first failing column subset in itertools.combinations order,
-    taken on the first block that fails there.
-    """
+def _first_unbalanced_subset(A: MixedLevelArray, t: int, blocks: int
+                             ) -> Optional[tuple[tuple[int, ...], int]]:
+    """(subset, block): the first t-column subset, in itertools.combinations
+    order, whose level counts are unbalanced on some run of b = r / blocks
+    consecutive rows, and the first such block; or None."""
     if not 1 <= t <= A.n:
         raise ValueError(f"strength {t} out of range 1..{A.n}")
     if not 1 <= blocks <= A.r or A.r % blocks:
@@ -271,19 +267,34 @@ def is_orthogonal_array(A: MixedLevelArray, t: int, blocks: int = 1):
         if bad is None and stop < len(chunk):
             bad = stop, 0
         if bad is not None:
-            i, block = bad
-            if blocks > 1:
-                A = MixedLevelArray(A.matrix[block * b:(block + 1) * b], A.alphabets)
-            return False, _subset_witness(A, chunk[i])
-    return True, None
+            return chunk[bad[0]], bad[1]
+    return None
+
+
+def is_orthogonal_array(A: MixedLevelArray, t: int, blocks: int = 1):
+    """Check the equal-frequency condition at strength t on each of `blocks`
+    runs of b = r / blocks consecutive rows.
+
+    Returns (True, None) or (False, BalanceWitness).  A non-integer index
+    b / prod(s_j) is reported as a witness, not an exception.  The witness
+    names the first failing column subset in itertools.combinations order,
+    taken on the first block that fails there.
+    """
+    bad = _first_unbalanced_subset(A, t, blocks)
+    if bad is None:
+        return True, None
+    cols, block = bad
+    if blocks > 1:
+        b = A.r // blocks
+        A = MixedLevelArray(A.matrix[block * b:(block + 1) * b], A.alphabets)
+    return False, _subset_witness(A, cols)
 
 
 def strength(A: MixedLevelArray) -> int:
-    """Largest t with is_orthogonal_array(A, t); 0 if even t=1 fails."""
+    """Largest t at which A is an orthogonal array; 0 if even t=1 fails."""
     best = 0
     for t in range(1, A.n + 1):
-        ok, _ = is_orthogonal_array(A, t)
-        if not ok:
+        if _first_unbalanced_subset(A, t, 1) is not None:
             break
         best = t
     return best

@@ -43,6 +43,13 @@ EXIT_VERIFICATION = 4
 
 THEOREMS = ("t1", "t2", "t3", "t4", "c1", "c2", "c3", "t5")
 
+#: the theorems that read each optional construct flag (every one reads --s
+#: and --factors); any other theorem refuses the flag
+_FLAG_READERS = {"d": ("t3", "c1", "t4", "c2", "t5"),
+                 "l": ("t4", "c2", "t5"),
+                 "q_factors": ("t4", "c2", "t5")}
+
+
 class _UsageError(ValueError):
     """Bad flag combination detected after argparse."""
 
@@ -61,6 +68,9 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _dispatch(args) -> QuantumCode:
+    for flag, readers in _FLAG_READERS.items():
+        _require(getattr(args, flag) is None or args.theorem in readers,
+                 f"{args.theorem} does not take --{flag.replace('_', '-')}")
     factors = _parse_factors(args.factors, "--factors") if args.factors else None
     q_factors = _parse_factors(args.q_factors, "--q-factors") if args.q_factors else None
     theorem, s = args.theorem, args.s
@@ -217,8 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "split on top of a t4 build)")
     construct.add_argument("--s", type=int, required=True,
                            help="wide-alphabet size")
-    construct.add_argument("--d", type=int, help="detection distance d")
-    construct.add_argument("--l", type=int, default=0,
+    construct.add_argument("--d", type=int,
+                           help="detection distance d (t3/c1/t4/c2/t5)")
+    construct.add_argument("--l", type=int,
                            help="number of index columns (t4/c2/t5)")
     construct.add_argument("--factors",
                            help="comma-separated replacement factors")

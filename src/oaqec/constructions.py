@@ -118,7 +118,6 @@ def _prime_power_piece(u: int, n_cols: int, t: int,
 
 def resolve_symmetric_oa(s: int, n_cols: int, t: int,
                          budget: Optional[int] = None,
-                         asset_dir: Optional[str] = None,
                          trace: Optional[list[str]] = None) -> MixedLevelArray:
     """Find an OA(*, n_cols, s, t): direct polynomial constructions first,
     then a columnwise product over the prime-power factors of s, then the
@@ -158,15 +157,13 @@ def resolve_symmetric_oa(s: int, n_cols: int, t: int,
                   f"prime-power factors {factors}")
             return out
         failures.append(bad)
-    elif not is_prime_power(s):
-        failures.append("product: no nontrivial prime-power factorization")
 
-    candidates = [rec for rec in asset_records(asset_dir).values()
+    candidates = [rec for rec in asset_records().values()
                   if rec.alphabets == (s,) * rec.n
                   and rec.n >= n_cols and rec.strength >= t]
     if candidates:
         rec = min(candidates, key=lambda rec: (rec.r, rec.name))
-        A = asset_get(rec.name, asset_dir, budget)
+        A = asset_get(rec.name, budget=budget)
         if A.n > n_cols:
             A = delete_columns(A, range(n_cols, A.n), budget)
             measure_md(A, budget)  # the projected distance is recomputed, never assumed

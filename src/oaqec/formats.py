@@ -4,7 +4,6 @@ from __future__ import annotations
 import json
 import re
 from importlib import resources
-from typing import Optional
 
 from .constructions import asset_records
 from .errors import ShapeMismatch
@@ -88,8 +87,7 @@ def code_from_record_text(text: str) -> QuantumCode:
     return QuantumCode(params, rec["basis"])
 
 
-def provenance_block(code: QuantumCode,
-                     asset_dir: Optional[str] = None) -> str:
+def provenance_block(code: QuantumCode) -> str:
     """Human-readable account of how a code was built, with asset digests."""
     prov = code.provenance
     lines = [f"code: {code.params.code_string()}",
@@ -109,7 +107,7 @@ def provenance_block(code: QuantumCode,
         hit = _ASSET.search(ing)
         if hit:
             if records is None:
-                records = asset_records(asset_dir)
+                records = asset_records()
             rec = records.get(hit.group(1))
             if rec is not None and rec.sha256 and rec.sha256[:16] not in ing:
                 ing = f"{ing} (sha256 {rec.sha256[:16]})"

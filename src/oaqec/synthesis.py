@@ -323,15 +323,14 @@ def _factorial_ingredient(F: MixedLevelArray) -> str:
 
 
 def _lifted_code(B: MixedLevelArray, s: int, factors: tuple[int, ...],
-                 replace_col: Optional[int], budget: Optional[int],
-                 ingredients: list[str], construction: str) -> QuantumCode:
-    """The ((4+k, 1, 3)) code of a strength-2, distance-3 lift B: split a
-    column of B into the factors (when there are several), compile B as one
-    block and check the defect m = s - 1."""
+                 budget: Optional[int], ingredients: list[str],
+                 construction: str) -> QuantumCode:
+    """The ((4+k, 1, 3)) code of a strength-2, distance-3 lift B: split the
+    last column of B into the factors (when there are several), compile B
+    as one block and check the defect m = s - 1."""
     if len(factors) > 1:
-        col = B.n - 1 if replace_col is None else replace_col
         F = full_factorial_mixed(factors, 1)
-        B = expansive_replacement(B, col, F, budget)
+        B = expansive_replacement(B, B.n - 1, F, budget)
         ingredients.append(_factorial_ingredient(F))
     h, h_exact = _certified_h(B, 3, budget)
     code = code_from_partitioned_oa(
@@ -342,8 +341,7 @@ def _lifted_code(B: MixedLevelArray, s: int, factors: tuple[int, ...],
     return code
 
 
-def theorem_5s2(s: int, factors, *, replace_col: Optional[int] = None,
-                budget: Optional[int] = None) -> QuantumCode:
+def theorem_5s2(s: int, factors, *, budget: Optional[int] = None) -> QuantumCode:
     """Distance-3 code on alphabets (s^2)^1 s^(4-k) f_1..f_k with defect m = s-1."""
     factors, given = _normalized_factors(factors), factors
     if math.prod(factors) != s:
@@ -354,14 +352,14 @@ def theorem_5s2(s: int, factors, *, replace_col: Optional[int] = None,
               strength=2, md=3, budget=budget)
     ingredients = [f"difference scheme D({D.r},{D.c},{s}) of width {D.c}",
                    f"index column over {B.alphabets[0]} blocks"]
-    return _lifted_code(B, s, factors, replace_col, budget, ingredients,
+    return _lifted_code(B, s, factors, budget, ingredients,
                         "width-4 difference-scheme lift with index column")
 
 
 # --- ((4+k, 1, 3)) codes from a width-2s difference-scheme lift -----------------
 
 
-def _base_52s(s: int, budget: Optional[int], asset_dir: Optional[str],
+def _base_52s(s: int, budget: Optional[int],
               ingredients: list[str]) -> MixedLevelArray:
     """A strength-2, distance-3 array on (2s)^1 s^4 for any s >= 2 with one."""
     if is_prime_power(s):
@@ -372,22 +370,23 @@ def _base_52s(s: int, budget: Optional[int], asset_dir: Optional[str],
         A = sat if sat.n == 5 else delete_columns(sat, range(5, sat.n), budget)
         return claim(A, strength=2, md=3, budget=budget)
     pieces = factorize_prime_powers(s)
+    # the pieces are sorted by prime, so 2 comes before 3
     small = [u for u in pieces if u < 4]
-    if small == [2, 3] or small == [3, 2]:
-        P = asset_get("oa_72_5_12_6666", asset_dir, budget)
+    if small == [2, 3]:
+        P = asset_get("oa_72_5_12_6666", budget=budget)
         ingredients.append("asset oa_72_5_12_6666")
         taken = {2, 3}
     elif small == [2]:
-        P = asset_get("oa_8_5_4_2222", asset_dir, budget)
+        P = asset_get("oa_8_5_4_2222", budget=budget)
         ingredients.append("asset oa_8_5_4_2222")
         taken = {2}
     elif small == [3]:
-        P = asset_get("oa_18_5_6_3333", asset_dir, budget)
+        P = asset_get("oa_18_5_6_3333", budget=budget)
         ingredients.append("asset oa_18_5_6_3333")
         taken = {3}
     else:
         u0 = min(pieces)
-        P = _base_52s(u0, budget, asset_dir, ingredients)
+        P = _base_52s(u0, budget, ingredients)
         taken = {u0}
     for u in pieces:
         if u in taken:
@@ -401,26 +400,24 @@ def _base_52s(s: int, budget: Optional[int], asset_dir: Optional[str],
     return P
 
 
-def theorem_52s(s: int, factors, *, replace_col: Optional[int] = None,
-                budget: Optional[int] = None,
-                asset_dir: Optional[str] = None) -> QuantumCode:
+def theorem_52s(s: int, factors, *, budget: Optional[int] = None) -> QuantumCode:
     """Distance-3 code on alphabets (2s)^1 s^(4-k) f_1..f_k with defect m = s-1."""
     factors, given = _normalized_factors(factors), factors
     if math.prod(factors) != s:
         raise BadFactorization(f"factors {given} do not multiply to {s}")
     ingredients: list[str] = []
-    B = _base_52s(s, budget, asset_dir, ingredients)
-    return _lifted_code(B, s, factors, replace_col, budget, ingredients,
+    B = _base_52s(s, budget, ingredients)
+    return _lifted_code(B, s, factors, budget, ingredients,
                         "width-2s difference-scheme lift with index column")
 
 
 # --- ((2d+1, 1, d+1)) codes from an index-unity symmetric array -----------------
 
 
-def theorem_s1(s: int, d: int, s1: int, *, replace_col: Optional[int] = None,
-               budget: Optional[int] = None,
-               asset_dir: Optional[str] = None) -> QuantumCode:
-    """Distance-(d+1) code on s^(2d-1) (s/s1)^1 s1^1 with defect m = s1 - 1."""
+def theorem_s1(s: int, d: int, s1: int, *,
+               budget: Optional[int] = None) -> QuantumCode:
+    """Distance-(d+1) code on s^(2d-1) (s/s1)^1 s1^1 with defect m = s1 - 1:
+    the last column of a unit-index symmetric array is split in two."""
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
     if s1 < 2:
@@ -430,15 +427,14 @@ def theorem_s1(s: int, d: int, s1: int, *, replace_col: Optional[int] = None,
     if s < s1 * s1:
         raise SBoundViolated(f"need s >= s1^2 = {s1 * s1}, got s={s}")
     trace: list[str] = []
-    base = resolve_symmetric_oa(s, 2 * d, d, budget, asset_dir, trace)
+    base = resolve_symmetric_oa(s, 2 * d, d, budget, trace)
     if base.r != s ** d:
         raise IngredientUnavailable(
             f"resolved array has {base.r} rows, need the unit-index {s ** d}")
     # unit index forces the distance
     base = claim(base, md=d + 1, budget=budget)
-    col = base.n - 1 if replace_col is None else replace_col
     F = full_factorial_mixed((s // s1, s1), 1)
-    B = expansive_replacement(base, col, F, budget)
+    B = expansive_replacement(base, base.n - 1, F, budget)
     h, h_exact = _certified_h(B, d + 1, budget)
     code = code_from_partitioned_oa(
         OrthogonalPartition(B, 1, d, budget), h,
@@ -453,19 +449,13 @@ def theorem_s1(s: int, d: int, s1: int, *, replace_col: Optional[int] = None,
 # --- ((n, s^l, d+1)) codes from a prefix-partitioned symmetric array ------------
 
 
-def _original_positions(n_after: int, col: int, width: int) -> list[int]:
-    """Positions in the replaced array that survive from the original columns."""
-    return list(range(col)) + list(range(col + width, n_after))
-
-
 def theorem_tn(s: int, d: int, l: int, s_factors, q_factors=None, *,
-               replace_col: Optional[int] = None, q_col: Optional[int] = None,
-               budget: Optional[int] = None,
-               asset_dir: Optional[str] = None) -> QuantumCode:
+               budget: Optional[int] = None) -> QuantumCode:
     """Dimension-s^l, distance-(d+1) code built by splitting symmetric columns.
 
-    One s-column is replaced by a factorial on s_factors (product dividing s);
-    optionally a second s-column is split exactly into q_factors (product s)."""
+    The last s-column is replaced by a factorial on s_factors (product
+    dividing s); optionally the s-column before it is split exactly into
+    q_factors (product s)."""
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
     if l < 0:
@@ -481,7 +471,7 @@ def theorem_tn(s: int, d: int, l: int, s_factors, q_factors=None, *,
                 f"second factor product {math.prod(q_factors)} must equal {s}")
 
     trace: list[str] = []
-    base = resolve_symmetric_oa(s, 2 * d + 2 * l + 1, d + l, budget, asset_dir, trace)
+    base = resolve_symmetric_oa(s, 2 * d + 2 * l + 1, d + l, budget, trace)
     if base.r != s ** (d + l):
         raise IngredientUnavailable(
             f"resolved array has {base.r} rows, need the unit-index {s ** (d + l)}")
@@ -492,22 +482,16 @@ def theorem_tn(s: int, d: int, l: int, s_factors, q_factors=None, *,
         # unit index survives dropping the prefix
         stripped = claim(stripped, md=d + 2, budget=budget)
 
-    col = stripped.n - 1 if replace_col is None else replace_col
+    # stripped keeps 2d + l + 1 >= 3 columns, so col - 1 is an s-column
+    col = stripped.n - 1
     F1 = full_factorial_mixed(s_factors, s // w1)
     B = expansive_replacement(stripped, col, F1, budget)
     ingredients = list(trace) + [_factorial_ingredient(F1)]
     notes: list[str] = []
 
     if q_factors is not None:
-        originals = [p for p in _original_positions(B.n, col, len(s_factors))
-                     if B.alphabets[p] == s]
-        if not originals:
-            raise BadGeometry("no full-alphabet column left for the second split")
-        col2 = max(originals) if q_col is None else q_col
-        if col2 not in originals:
-            raise BadGeometry(f"column {col2} is not an original {s}-level column")
         F2 = full_factorial_mixed(q_factors, 1)
-        B = expansive_replacement(B, col2, F2, budget)
+        B = expansive_replacement(B, col - 1, F2, budget)
         ingredients.append(_factorial_ingredient(F2))
 
     h, h_exact = _certified_h(B, d + 1, budget)
@@ -533,15 +517,12 @@ def theorem_tn(s: int, d: int, l: int, s_factors, q_factors=None, *,
     return code
 
 
-def corollary_5lie(s: int, factors, *, replace_col: Optional[int] = None,
-                   budget: Optional[int] = None,
-                   asset_dir: Optional[str] = None) -> QuantumCode:
+def corollary_5lie(s: int, factors, *, budget: Optional[int] = None) -> QuantumCode:
     """Distance-3 code on s^4 f_1..f_k via the d=2, l=0 column split."""
     if s < 4 or s in (6, 10):
         raise ExcludedS(
             f"s={s} has no five-column strength-2 symmetric ingredient")
-    return theorem_tn(s, 2, 0, factors, None, replace_col=replace_col,
-                      budget=budget, asset_dir=asset_dir)
+    return theorem_tn(s, 2, 0, factors, None, budget=budget)
 
 
 # --- splitting one column of an existing code -----------------------------------

@@ -330,24 +330,20 @@ def expectations(table_id: str) -> tuple[TableRowExpectation, ...]:
     return _TABLES[key]
 
 
-def build_row(row: TableRowExpectation, *, budget: Optional[int] = None,
-              asset_dir: Optional[str] = None) -> QuantumCode:
+def build_row(row: TableRowExpectation) -> QuantumCode:
     """Run the construction a table row points at and return the code."""
     factors = list(row.factors)
     q = list(row.q_factors) if row.q_factors else None
     if row.builder == "t1":
-        return theorem_5s2(row.s, factors, budget=budget)
+        return theorem_5s2(row.s, factors)
     if row.builder == "t2":
-        return theorem_52s(row.s, factors, budget=budget, asset_dir=asset_dir)
+        return theorem_52s(row.s, factors)
     if row.builder == "t3":
-        return theorem_s1(row.s, row.d, factors[0], budget=budget,
-                          asset_dir=asset_dir)
+        return theorem_s1(row.s, row.d, factors[0])
     if row.builder == "c3":
-        return corollary_5lie(row.s, factors, budget=budget,
-                              asset_dir=asset_dir)
+        return corollary_5lie(row.s, factors)
     if row.builder == "t4":
-        return theorem_tn(row.s, row.d, row.l, factors, q, budget=budget,
-                          asset_dir=asset_dir)
+        return theorem_tn(row.s, row.d, row.l, factors, q)
     raise ValueError(f"unknown builder {row.builder!r}")
 
 
@@ -364,8 +360,7 @@ def compare_row(row: TableRowExpectation, params: CodeParams) -> tuple[bool, str
     return False, "; ".join(diffs)
 
 
-def reproduce(table_id: str, *, max_s: int = 12, budget: Optional[int] = None,
-              asset_dir: Optional[str] = None) -> tuple[RowResult, ...]:
+def reproduce(table_id: str, *, max_s: int = 12) -> tuple[RowResult, ...]:
     """Rebuild every row of one catalogue and classify the outcome."""
     results = []
     for row in expectations(table_id):
@@ -374,7 +369,7 @@ def reproduce(table_id: str, *, max_s: int = 12, budget: Optional[int] = None,
                                      f"s={row.s} beyond the size cutoff {max_s}"))
             continue
         try:
-            code = build_row(row, budget=budget, asset_dir=asset_dir)
+            code = build_row(row)
         except IngredientUnavailable as exc:
             if row.annotation in (INGREDIENT_GAP, NOT_CONSTRUCTIBLE):
                 results.append(RowResult(row, SKIPPED, None,

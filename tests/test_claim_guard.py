@@ -4,7 +4,9 @@ Only `oaqec.arrays` may store the private claim fields of MixedLevelArray,
 and the modules that build and certify arrays may not guard a claim with
 `assert`, which `python -O` strips.  The array route of cross validation
 takes its distance from the `arrays` kernel, which shares no code with the
-rank kernel of the reduction route in `verify`.
+rank kernel of the reduction route in `verify`.  Every module but the package
+`__init__` uses each name it imports, unless the import is marked
+`# noqa: F401` as a deliberate re-export.
 """
 
 from __future__ import annotations
@@ -123,3 +125,43 @@ def test_independence_guard_has_teeth():
     }
     for name, (arrays_mutant, verify_mutant) in mutants.items():
         assert independence_faults(arrays_mutant, verify_mutant), name
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names the module source imports and never reads, skipping __future__
+    imports and imports marked `# noqa: F401`."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        imported.update((alias.asname or alias.name).split(".")[0]
+                        for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_modules_use_every_name_they_import():
+    offenders = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        names = unused_imports(path.read_text())
+        if names:
+            offenders[path.name] = names
+    assert offenders == {}
+
+
+def test_unused_import_guard_has_teeth():
+    formats_source = (SRC / "formats.py").read_text()
+    assert unused_imports(formats_source + "\nfrom zlib import crc32\n") == ["crc32"]
+    # the re-export in synthesis.py passes only through its noqa marker
+    synthesis_source = (SRC / "synthesis.py").read_text()
+    assert unused_imports(synthesis_source.replace("  # noqa: F401", "")) == [
+        "is_orthogonal_array"]

@@ -143,6 +143,26 @@ def test_construct_refuses_bad_factor_lists_with_exit_2(capsys, theorem, factors
     assert rc == 2 and "invalid request" in err
 
 
+# flags each theorem leaves unread, with a recipe the theorem would build
+UNREAD_FLAGS = [(theorem, base, flag, value)
+                for theorem, base in (("t1", ("--s", "3")), ("t2", ("--s", "3")),
+                                      ("c3", ("--s", "4", "--factors", "2,2")),
+                                      ("t3", ("--s", "4", "--d", "1", "--factors", "2")),
+                                      ("c1", ("--s", "4", "--d", "1", "--factors", "2")))
+                for flag, value in (("d", "2"), ("l", "1"), ("q-factors", "2,2"))
+                if not (flag == "d" and theorem in ("t3", "c1"))]
+
+
+@pytest.mark.parametrize("theorem,base,flag,value", UNREAD_FLAGS,
+                         ids=[f"{t}--{f}" for t, _, f, _ in UNREAD_FLAGS])
+def test_construct_refuses_a_flag_its_theorem_does_not_read(capsys, theorem, base,
+                                                            flag, value):
+    rc, out, err = run(capsys, "construct", "--theorem", theorem, *base,
+                       f"--{flag}", value)
+    assert rc == 2 and not out
+    assert err == f"invalid request: {theorem} does not take --{flag}\n"
+
+
 def test_construct_unknown_theorem_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["construct", "--theorem", "t9", "--s", "2"])
@@ -266,6 +286,21 @@ def test_assets_add_and_env_pickup(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("OAQEC_ASSET_DIR", str(store))
     rc, out, err = run(capsys, "assets", "list")
     assert rc == 0 and "oa_4_3_2_parity" in out
+
+
+def test_external_registry_reaches_the_builders_through_the_environment(
+        tmp_path, capsys, monkeypatch):
+    # a copy of the bundled OA(100,4,10,2) under a name that sorts first
+    bundled = Path(oaqec.__file__).resolve().parent / "assets" / "oa_100_4_10_2.txt"
+    store = tmp_path / "store"
+    rc, _, _ = run(capsys, "assets", "add", "--file", str(bundled),
+                   "--name", "a_100", "--dir", str(store))
+    assert rc == 0
+    monkeypatch.setenv("OAQEC_ASSET_DIR", str(store))
+    rc, out, err = run(capsys, "construct", "--theorem", "t3", "--s", "10",
+                       "--d", "2", "--factors", "2", "--unverified-ok")
+    assert rc == 0 and not err
+    assert "  - OA(100,4,10,2) from asset a_100 (" in out
 
 
 def test_assets_add_rejects_wrong_distance(tmp_path, capsys):

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oaqec import verify
+from oaqec import arrays, verify
 from oaqec.errors import ClaimFailed, ProvenanceMissing
 from oaqec.formats import code_from_ket_text, load_fixture
 from oaqec.constructions import bush
@@ -436,6 +436,17 @@ def test_cross_validation_rejects_corruption_on_both_sides():
     assert not crossed.combinatorial_pass
     assert crossed.agree  # both oracles fail for the same reason
     assert "DISAGREE" not in crossed.render()
+
+
+def test_cross_validation_decides_block_balance_without_a_witness():
+    code = corrupt(theorem_tn(12, 1, 1, [2]))
+    rebuilt = arrays.MixedLevelArray(code.kets, code.params.alphabets)
+    with mock.patch.object(arrays, "_subset_witness",
+                           wraps=arrays._subset_witness) as witness:
+        crossed = cross_validate(code)
+    assert witness.call_count == 0
+    ok, _ = arrays.is_orthogonal_array(rebuilt, 1, code.params.K)
+    assert not ok and crossed.blocks_balanced == ok
 
 
 def test_cross_validation_checks_each_state_not_their_union():
