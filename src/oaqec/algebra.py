@@ -6,13 +6,15 @@ polynomial is the lexicographically smallest monic irreducible (coefficients
 compared low-degree-first), found by exhaustive search and re-checked at
 creation, so two invocations always produce identical tables.
 
-Addition and multiplication are also kept as q x q numpy tables
-(`add_table`, `mul_table`).  Every field of order q <= 64 is checked when it
-is created: the tables must satisfy the field axioms (identities, negatives
-and inverses, commutativity, associativity and distributivity) on every
-element, pair and triple, and `add_table` must agree with the scalar `add`
-on every pair.  The triple laws are checked with numpy fancy indexing, one
-q x q slice per first element.
+Addition is also kept as a q x q numpy table (`add_table`), and
+multiplication only as one (`mul_table`): `mul`, `inv` and `pow` read it.
+The multiplication table is built with numpy, one block of rows at a time:
+the carry-less product of the digit vectors, reduced modulo the polynomial.
+Every field of order q <= 64 is checked when it is created: the tables must
+satisfy the field axioms (identities, negatives and inverses, commutativity,
+associativity and distributivity) on every element, pair and triple, and
+`add_table` must agree with the scalar `add` on every pair.  The triple laws
+are checked with numpy fancy indexing, one q x q slice per first element.
 """
 
 from __future__ import annotations
@@ -65,6 +67,8 @@ def _poly_trim(c: list[int]) -> tuple[int, ...]:
 
 
 def _poly_mul(a, b, p):
+    """Product of two polynomials over Z_p: the scalar reference that
+    Field.mul_table is tested against."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -120,31 +124,8 @@ class Field:
         self.k = k
         self.q = p**k
         self.poly = (0, 1) if k == 1 else _smallest_irreducible(p, k)
-        self._mul = self._build_mul_table()
-        self._inv = [0] * self.q
-        for a in range(1, self.q):
-            self._inv[a] = self._mul[a].index(1)
         if self.q <= 64:
             self._check_axioms()
-
-    # element index <-> coefficient vector, low-degree digit first
-    def _coeffs(self, e: int) -> tuple[int, ...]:
-        p, k = self.p, self.k
-        return tuple((e // p**i) % p for i in range(k))
-
-    def _index(self, coeffs) -> int:
-        return sum(c * self.p**i for i, c in enumerate(coeffs))
-
-    def _build_mul_table(self):
-        table = [[0] * self.q for _ in range(self.q)]
-        for a in range(self.q):
-            ca = self._coeffs(a)
-            for b in range(a, self.q):
-                prod = _poly_mod(_poly_mul(ca, self._coeffs(b), self.p), self.poly, self.p)
-                v = self._index(prod)
-                table[a][b] = v
-                table[b][a] = v
-        return table
 
     def add(self, a: int, b: int) -> int:
         p = self.p
@@ -171,17 +152,17 @@ class Field:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
+        return self.mul_table.item(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self._inv[a]
+        return int(np.argmax(self.mul_table[a] == 1))
 
     def pow(self, a: int, n: int) -> int:
         out = 1
         for _ in range(n):
-            out = self._mul[out][a]
+            out = self.mul_table.item(out, a)
         return out
 
     def elements(self) -> range:
@@ -200,8 +181,31 @@ class Field:
 
     @functools.cached_property
     def mul_table(self) -> np.ndarray:
-        """q x q multiplication table, same dtype as add_table."""
-        return np.array(self._mul, dtype=self.add_table.dtype)
+        """q x q multiplication table, same dtype as add_table.
+
+        a * b is the carry-less product of the digit vectors, reduced modulo
+        poly: the sum over the digits a_i of a of a_i * (x^i * b mod poly).
+        The table is built one block of rows at a time: the rows of the
+        elements a + c x^i with a < p^i are the rows of the elements a < p^i,
+        already built, plus the row of the monomial c x^i, which is one
+        add_table lookup per entry."""
+        p, k, q = self.p, self.k, self.q
+        add = self.add_table
+        out = np.zeros((q, q), dtype=add.dtype)
+        weights = p ** np.arange(k)
+        # digit vectors of x^i * b mod poly for every b, starting at i = 0
+        shifted = (np.arange(q)[:, None] // weights) % p
+        # x^k = -(poly_0 + poly_1 x + ... + poly_(k-1) x^(k-1)) modulo poly
+        wrap = -np.array(self.poly[:k])
+        for i in range(k):
+            if i:
+                top = shifted[:, -1:]
+                shifted = (np.hstack([np.zeros_like(top), shifted[:, :-1]]) + top * wrap) % p
+            block = p**i
+            for c in range(1, p):
+                monomial = (c * shifted) % p @ weights
+                out[c * block:(c + 1) * block] = add[out[:block], monomial]
+        return out
 
     def __repr__(self):
         return f"Field(q={self.q})"
@@ -221,8 +225,9 @@ class Field:
             raise ClaimFailed(f"GF({q}): add_table disagrees with add at "
                               f"{tuple(bad[0].tolist())}")
         neg = np.array([self.neg(a) for a in range(q)])
+        inv = np.argmax(M == 1, axis=1)
         element_ok = ((A[:, 0] == e) & (M[:, 1] == e) & (M[:, 0] == 0)
-                      & (A[e, neg] == 0) & ((e == 0) | (M[e, self._inv] == 1)))
+                      & (A[e, neg] == 0) & ((e == 0) | (M[e, inv] == 1)))
         bad_element = np.flatnonzero(~element_ok)
         bad_pair = np.argwhere((A != A.T) | (M != M.T))
         if bad_element.size and (not bad_pair.size or bad_element[0] <= bad_pair[0, 0]):

@@ -2,15 +2,22 @@
 
 Each array is one read-only int64 ndarray; `rows` is a computed tuple view.
 The ndarray is validated once when the array is built, and the operations
-here are ndarray operations that return new arrays.  Constructed arrays
-carry claimed strength / minimal-distance certificates, and only this module
-stores them.  Other modules record claims through `claim` (re-checked at
-once when the work fits a configurable verification budget, else the array
-is marked "constructed, unverified" and reports surface that status),
-`certify` (checked unconditionally), `measure_md` (the exact distance, when
-its check fits the budget) and `claim_blocks` (partition blocks, checked all
-together or not at all).  The array operations here carry the claims their
-results inherit.  A claim that fails its re-check raises ClaimFailed.
+here are ndarray operations that return new arrays.  Arrays carry claimed
+strength / minimal-distance certificates, and only this module stores them.
+
+Operations record, partitions and assets check.  `claim` only records a
+claim, unchecked, and every operation here (and every construction built
+from them) returns its result with the claims it inherits recorded that
+way.  A claim is checked by one of three calls: `ensure_checked` checks
+every claim an array carries when the work fits a verification budget
+(otherwise the array stays "constructed, unverified" and reports surface
+that status), `measure_md` records the exact distance when its check fits
+the budget, and `certify` checks unconditionally (arrays from outside
+input and full factorials).  `claim_blocks` checks a partition's blocks,
+all together or not at all.  A code's builder checks only the array the
+code is compiled from, where its partition is formed; no status reads the
+claims of an intermediate array.  A claim that fails its check raises
+ClaimFailed.
 
 Strength is checked by vectorized counts: each t-column subset's rows become
 mixed-radix keys, and one np.bincount per chunk of subsets counts them.  The
@@ -28,7 +35,6 @@ instead, which also keeps the full distance set.  The budget prices a
 distance check as the r(r-1)/2 row pairs of a pair scan
 (`distance_check_cost`).
 """
-
 from __future__ import annotations
 
 import itertools
@@ -49,7 +55,7 @@ from .errors import (
 )
 
 #: default cap on elementary checks (tuples counted or row pairs scanned)
-#: that constructors spend on re-verifying their own output
+#: that ensure_checked, measure_md and claim_blocks spend on one array
 DEFAULT_VERIFICATION_BUDGET = 10**6
 
 
@@ -157,10 +163,10 @@ class MixedLevelArray:
         return "verified" if self.verified else "constructed, unverified"
 
     def sorted_rows(self) -> "MixedLevelArray":
-        """Same array with rows in lexicographic order (claims carry over)."""
-        return _carried(MixedLevelArray(lexsorted(self.matrix), self.alphabets),
-                        self._strength, self._strength_checked,
-                        self._md, self._md_checked)
+        """Same array with rows in lexicographic order, its claims recorded
+        unchecked."""
+        return claim(MixedLevelArray(lexsorted(self.matrix), self.alphabets),
+                     strength=self._strength, md=self._md)
 
     def __repr__(self):
         alpha = "x".join(str(s) for s in self.alphabets) if self.n <= 8 else \
@@ -399,7 +405,7 @@ def _budget(budget: Optional[int]) -> int:
 
 
 def ensure_checked(A: MixedLevelArray, budget: Optional[int] = None) -> MixedLevelArray:
-    """Re-check the array's claims, spending at most `budget` elementary checks.
+    """Check the claims A carries, spending at most `budget` elementary checks.
 
     Claims that fit the budget are verified (ClaimFailed means the
     construction is buggy); claims that do not remain marked unverified.
@@ -423,9 +429,9 @@ def ensure_checked(A: MixedLevelArray, budget: Optional[int] = None) -> MixedLev
 
 
 def claim(A: MixedLevelArray, *, strength: Optional[int] = None,
-          md: Optional[int] = None, budget: Optional[int] = None) -> MixedLevelArray:
-    """Record a strength and/or minimal-distance claim on A, then re-check
-    every claim A carries within `budget` (see ensure_checked).
+          md: Optional[int] = None) -> MixedLevelArray:
+    """Record a strength and/or minimal-distance claim on A; nothing is
+    checked (see ensure_checked).
 
     A claim equal to the one A already carries keeps its checked state; a
     different one replaces it unchecked.  Returns A.
@@ -434,7 +440,7 @@ def claim(A: MixedLevelArray, *, strength: Optional[int] = None,
         A._strength, A._strength_checked = strength, False
     if md is not None and md != A._md:
         A._md, A._md_checked = md, False
-    return ensure_checked(A, budget)
+    return A
 
 
 def certify(A: MixedLevelArray, t: int, md: Optional[int] = None) -> MixedLevelArray:
@@ -485,20 +491,10 @@ def claim_blocks(parent: MixedLevelArray, K: int, t: int,
     return True
 
 
-def _carried(A: MixedLevelArray, strength: int, strength_checked: bool,
-             md: Optional[int] = None, md_checked: bool = False) -> MixedLevelArray:
-    """Record claims on A with a checked state the caller has settled:
-    inherited from A's source array or decided by a check that just ran."""
-    A._strength, A._strength_checked = strength, strength_checked
-    A._md, A._md_checked = md, md_checked
-    return A
-
-
 # --- array algebra -----------------------------------------------------------
 
 
-def multiply_oa(A: MixedLevelArray, B: MixedLevelArray,
-                budget: Optional[int] = None) -> MixedLevelArray:
+def multiply_oa(A: MixedLevelArray, B: MixedLevelArray) -> MixedLevelArray:
     """Columnwise product of two arrays with the same column count.
 
     Row (u, v) of the result has entries a_uj * q_j + b_vj where q_j is B's
@@ -515,11 +511,11 @@ def multiply_oa(A: MixedLevelArray, B: MixedLevelArray,
     md = None
     if A.md is not None and B.md is not None:
         md = min(A.md, B.md)
-    return claim(MixedLevelArray(rows, alphabets), strength=t, md=md, budget=budget)
+    return claim(MixedLevelArray(rows, alphabets), strength=t, md=md)
 
 
-def expansive_replacement(A: MixedLevelArray, col: int, B: MixedLevelArray,
-                          budget: Optional[int] = None) -> MixedLevelArray:
+def expansive_replacement(A: MixedLevelArray, col: int,
+                          B: MixedLevelArray) -> MixedLevelArray:
     """Replace the levels of one column by the rows of a smaller array.
 
     Level i of the column maps to row i of B after B's rows are sorted
@@ -539,11 +535,10 @@ def expansive_replacement(A: MixedLevelArray, col: int, B: MixedLevelArray,
     alphabets = A.alphabets[:col] + B.alphabets + A.alphabets[col + 1:]
     M = A.matrix
     rows = np.hstack([M[:, :col], lexsorted(B.matrix)[M[:, col]], M[:, col + 1:]])
-    return claim(MixedLevelArray(rows, alphabets), strength=t, budget=budget)
+    return claim(MixedLevelArray(rows, alphabets), strength=t)
 
 
-def delete_columns(A: MixedLevelArray, cols: Iterable[int],
-                   budget: Optional[int] = None) -> MixedLevelArray:
+def delete_columns(A: MixedLevelArray, cols: Iterable[int]) -> MixedLevelArray:
     """Project the array onto the complement of `cols`."""
     drop = set(cols)
     for c in drop:
@@ -553,14 +548,11 @@ def delete_columns(A: MixedLevelArray, cols: Iterable[int],
     if not keep:
         raise EmptyResult("cannot delete every column")
     alphabets = tuple(A.alphabets[j] for j in keep)
-    # any projection of a checked strength-t array is itself checked
-    out = _carried(MixedLevelArray(A.matrix[:, keep], alphabets), min(A.strength, len(keep)),
-                   A.strength_checked)
-    return ensure_checked(out, budget)
+    return claim(MixedLevelArray(A.matrix[:, keep], alphabets),
+                 strength=min(A.strength, len(keep)))
 
 
-def derive_subarray(A: MixedLevelArray, col: int, symbol: int,
-                    budget: Optional[int] = None) -> MixedLevelArray:
+def derive_subarray(A: MixedLevelArray, col: int, symbol: int) -> MixedLevelArray:
     """Rows whose `col` entry equals `symbol`, with that column removed.
 
     The result keeps strength at least t-1.
@@ -573,8 +565,7 @@ def derive_subarray(A: MixedLevelArray, col: int, symbol: int,
     rows = np.delete(A.matrix[A.matrix[:, col] == symbol], col, axis=1)
     alphabets = A.alphabets[:col] + A.alphabets[col + 1:]
     t = max(A.strength - 1, 0)
-    return claim(MixedLevelArray(rows, alphabets), strength=min(t, len(alphabets)),
-                 budget=budget)
+    return claim(MixedLevelArray(rows, alphabets), strength=min(t, len(alphabets)))
 
 
 def attach_index_column(A: MixedLevelArray, block_size: int) -> MixedLevelArray:
@@ -633,6 +624,4 @@ def from_text(text: str) -> MixedLevelArray:
     rows = [tuple(int(x) for x in ln.split()) for ln in lines[2:2 + r]]
     if len(rows) != r:
         raise ValueError(f"expected {r} rows, found {len(rows)}")
-    A = MixedLevelArray(rows, alphabets)
-    A._strength = t
-    return A
+    return claim(MixedLevelArray(rows, alphabets), strength=t)

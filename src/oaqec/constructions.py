@@ -2,8 +2,13 @@
 
 Polynomial (Bush) arrays and their hyperoval extension cover prime-power
 alphabets; composite alphabets are reached by columnwise products over the
-prime-power factorization; everything else comes from bundled data files
-that are fully re-verified on load.
+prime-power factorization; everything else comes from bundled data files.
+
+Constructions record, assets check.  A constructed array carries its
+strength and distance claims unchecked: the builder that compiles a code
+checks the one array the code is built from (see `arrays`).  A full
+factorial, and an asset loaded from a data file (outside input), is
+certified in full whatever the budget.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .arrays import (
     delete_columns,
     from_text,
     lexsorted,
-    measure_md,
     multiply_oa,
 )
 from .errors import (
@@ -43,7 +47,7 @@ from .schemes import d_2s, oa_from_scheme
 ASSET_DIR_ENV = "OAQEC_ASSET_DIR"
 
 
-def bush(s: int, t: int, budget: Optional[int] = None) -> MixedLevelArray:
+def bush(s: int, t: int) -> MixedLevelArray:
     """Polynomial array: OA(s^t, s+1, s, t) of index unity for s >= t-1.
 
     Rows are the polynomials of degree < t over GF(s); the first s columns
@@ -65,10 +69,10 @@ def bush(s: int, t: int, budget: Optional[int] = None) -> MixedLevelArray:
     for j in range(t - 1, -1, -1):
         acc = f.add_table[f.mul_table[acc, points], coeffs[:, j:j + 1]]
     A = MixedLevelArray(lexsorted(np.hstack([acc, coeffs[:, -1:]])), (s,) * (s + 1))
-    return claim(A, strength=t, md=(s + 1) - t + 1, budget=budget)
+    return claim(A, strength=t, md=(s + 1) - t + 1)
 
 
-def hyperoval_oa(s: int, budget: Optional[int] = None) -> MixedLevelArray:
+def hyperoval_oa(s: int) -> MixedLevelArray:
     """Two extra columns in characteristic 2: OA(s^3, s+2, s, 3) for s = 2^m.
 
     Rows (a2, a1, a0) range over GF(s)^3; the columns are a2, a1 and the
@@ -82,7 +86,7 @@ def hyperoval_oa(s: int, budget: Optional[int] = None) -> MixedLevelArray:
     x = np.arange(s)
     quad = f.add_table[f.mul_table[a2, f.mul_table[x, x]], f.add_table[f.mul_table[a1, x], a0]]
     table = lexsorted(np.hstack([a2, a1, quad]))
-    return claim(MixedLevelArray(table, (s,) * (s + 2)), strength=3, md=s, budget=budget)
+    return claim(MixedLevelArray(table, (s,) * (s + 2)), strength=3, md=s)
 
 
 def full_factorial_mixed(alphabets, lam: int = 1) -> MixedLevelArray:
@@ -98,26 +102,24 @@ def full_factorial_mixed(alphabets, lam: int = 1) -> MixedLevelArray:
     return certify(A, len(alphabets), md)
 
 
-def _prime_power_piece(u: int, n_cols: int, t: int,
-                       budget: Optional[int]) -> MixedLevelArray | str:
+def _prime_power_piece(u: int, n_cols: int, t: int) -> MixedLevelArray | str:
     """A symmetric index-unity OA(u^t, n_cols, u, t), or a reason string."""
     if u < t - 1:
         return f"alphabet {u} is below the strength floor t-1 = {t - 1}"
     if u + 1 >= n_cols:
-        A = bush(u, t, budget)
+        A = bush(u, t)
     elif t == 3 and u >= 2 and not u & (u - 1) and u + 2 >= n_cols:
-        A = hyperoval_oa(u, budget)
+        A = hyperoval_oa(u)
     else:
         return f"alphabet {u} supports at most {u + 1} columns (need {n_cols})"
     if A.n > n_cols:
-        A = delete_columns(A, range(n_cols, A.n), budget)
+        A = delete_columns(A, range(n_cols, A.n))
         # index unity, so the distance is forced
-        A = claim(A, md=n_cols - t + 1, budget=budget)
+        A = claim(A, md=n_cols - t + 1)
     return A
 
 
 def resolve_symmetric_oa(s: int, n_cols: int, t: int,
-                         budget: Optional[int] = None,
                          trace: Optional[list[str]] = None) -> MixedLevelArray:
     """Find an OA(*, n_cols, s, t): direct polynomial constructions first,
     then a columnwise product over the prime-power factors of s, then the
@@ -132,7 +134,7 @@ def resolve_symmetric_oa(s: int, n_cols: int, t: int,
             trace.append(text)
 
     if is_prime_power(s):
-        piece = _prime_power_piece(s, n_cols, t, budget)
+        piece = _prime_power_piece(s, n_cols, t)
         if isinstance(piece, MixedLevelArray):
             _note(f"OA({piece.r},{n_cols},{s},{t}) by polynomial construction")
             return piece
@@ -144,7 +146,7 @@ def resolve_symmetric_oa(s: int, n_cols: int, t: int,
     if len(factors) > 1:
         pieces, bad = [], None
         for u in factors:
-            piece = _prime_power_piece(u, n_cols, t, budget)
+            piece = _prime_power_piece(u, n_cols, t)
             if isinstance(piece, str):
                 bad = f"product: {piece}"
                 break
@@ -152,7 +154,7 @@ def resolve_symmetric_oa(s: int, n_cols: int, t: int,
         if bad is None:
             out = pieces[0]
             for piece in pieces[1:]:
-                out = multiply_oa(out, piece, budget)
+                out = multiply_oa(out, piece)
             _note(f"OA({out.r},{n_cols},{s},{t}) as a columnwise product over "
                   f"prime-power factors {factors}")
             return out
@@ -163,10 +165,9 @@ def resolve_symmetric_oa(s: int, n_cols: int, t: int,
                   and rec.n >= n_cols and rec.strength >= t]
     if candidates:
         rec = min(candidates, key=lambda rec: (rec.r, rec.name))
-        A = asset_get(rec.name, budget=budget)
+        A = asset_get(rec.name)
         if A.n > n_cols:
-            A = delete_columns(A, range(n_cols, A.n), budget)
-            measure_md(A, budget)  # the projected distance is recomputed, never assumed
+            A = delete_columns(A, range(n_cols, A.n))
         digest = rec.sha256[:16] if rec.sha256 else "builder"
         _note(f"OA({A.r},{n_cols},{s},{t}) from asset {rec.name} ({digest})")
         return A
@@ -267,8 +268,7 @@ def asset_list(asset_dir: Optional[str] = None) -> list[AssetRecord]:
     return sorted(asset_records(asset_dir).values(), key=lambda rec: rec.name)
 
 
-def asset_get(name: str, asset_dir: Optional[str] = None,
-              budget: Optional[int] = None) -> MixedLevelArray:
+def asset_get(name: str, asset_dir: Optional[str] = None) -> MixedLevelArray:
     """Load one registered array, fully re-verifying strength and MD."""
     records = asset_records(asset_dir)
     if name not in records:

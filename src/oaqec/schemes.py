@@ -183,12 +183,12 @@ def d_2s(s: int) -> DifferenceScheme:
     return _d_2s_even(s) if p == 2 else _d_2s_odd(s)
 
 
-def oa_from_scheme(D: DifferenceScheme, budget: Optional[int] = None) -> MixedLevelArray:
+def oa_from_scheme(D: DifferenceScheme) -> MixedLevelArray:
     """Lift a scheme to an orthogonal array: every scheme row is followed by
     its shifts by each constant vector (v, ..., v) of the scheme's own group,
     so consecutive blocks of s rows come from one scheme row.  The scheme's
-    strength carries over as the array's claim."""
+    strength carries over as the array's claim, recorded unchecked."""
     shifted = D.add_table()[np.array(D.rows)[:, None, :], np.arange(D.s)[:, None]]
     return claim(MixedLevelArray(shifted.reshape(-1, D.c), (D.s,) * D.c),
-                 strength=D.strength, budget=budget)
+                 strength=D.strength)
 

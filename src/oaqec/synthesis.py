@@ -16,8 +16,8 @@ import numpy as np
 
 from .algebra import factorize_prime_powers, is_prime_power
 from .arrays import (MixedLevelArray, attach_index_column, claim, claim_blocks,
-                     delete_columns, expansive_replacement, lexsort_order,
-                     measure_md, multiply_oa)
+                     delete_columns, ensure_checked, expansive_replacement,
+                     lexsort_order, measure_md, multiply_oa)
 # re-exported: the benchmark harness wraps and calls it through this module
 from .arrays import is_orthogonal_array  # noqa: F401
 from .constructions import (asset_get, bush, full_factorial_mixed,
@@ -99,8 +99,12 @@ def make_code_params(n: int, d: int, alphabets: Sequence[int], K: int) -> CodePa
 class OrthogonalPartition:
     """A parent array whose rows are stored block by block: K equal blocks,
     block i being rows i*b ... (i+1)*b - 1 with b = r / K, each balanced to
-    a stated strength.  The blocks are checked all together, in one pass
-    over the parent, or not at all, within `budget` (see claim_blocks)."""
+    a stated strength.
+
+    Forming a partition is where a code's array is checked: the claims the
+    parent carries are checked within `budget` (ensure_checked), then its
+    blocks, all together in one pass over the parent or not at all, within
+    the same budget (claim_blocks)."""
 
     def __init__(self, parent: MixedLevelArray, K: int, strength: int,
                  budget: Optional[int] = None):
@@ -112,6 +116,7 @@ class OrthogonalPartition:
         self.parent = parent
         self.K = int(K)
         self.strength = int(strength)
+        ensure_checked(parent, budget)
         self.strength_checked = claim_blocks(parent, self.K, self.strength, budget)
 
     @property
@@ -123,8 +128,7 @@ class OrthogonalPartition:
                 f"strength={self.strength})")
 
 
-def partition_by_prefix(A: MixedLevelArray, l: int,
-                        budget: Optional[int] = None) -> tuple[MixedLevelArray, int]:
+def partition_by_prefix(A: MixedLevelArray, l: int) -> tuple[MixedLevelArray, int]:
     """Strip the first l columns and group rows by the removed prefix.
 
     Returns the stripped array, its rows sorted so that each prefix group
@@ -138,7 +142,7 @@ def partition_by_prefix(A: MixedLevelArray, l: int,
     srt = A.sorted_rows()
     if l == 0:
         return srt, 1
-    parent = delete_columns(srt, range(l), budget)
+    parent = delete_columns(srt, range(l))
     # sorted rows with one prefix are consecutive: split where the prefix changes
     starts = np.flatnonzero(np.diff(srt.matrix[:, :l], axis=0).any(axis=1)) + 1
     sizes = set(np.diff(starts, prepend=0, append=srt.r).tolist())
@@ -330,7 +334,7 @@ def _lifted_code(B: MixedLevelArray, s: int, factors: tuple[int, ...],
     as one block and check the defect m = s - 1."""
     if len(factors) > 1:
         F = full_factorial_mixed(factors, 1)
-        B = expansive_replacement(B, B.n - 1, F, budget)
+        B = expansive_replacement(B, B.n - 1, F)
         ingredients.append(_factorial_ingredient(F))
     h, h_exact = _certified_h(B, 3, budget)
     code = code_from_partitioned_oa(
@@ -348,8 +352,7 @@ def theorem_5s2(s: int, factors, *, budget: Optional[int] = None) -> QuantumCode
         raise BadFactorization(f"factors {given} do not multiply to {s}")
     D = d3_scheme(s)
     # pairs sharing a scheme row at the same shift differ in 3 places
-    B = claim(attach_index_column(oa_from_scheme(D, budget), s),
-              strength=2, md=3, budget=budget)
+    B = claim(attach_index_column(oa_from_scheme(D), s), strength=2, md=3)
     ingredients = [f"difference scheme D({D.r},{D.c},{s}) of width {D.c}",
                    f"index column over {B.alphabets[0]} blocks"]
     return _lifted_code(B, s, factors, budget, ingredients,
@@ -359,44 +362,43 @@ def theorem_5s2(s: int, factors, *, budget: Optional[int] = None) -> QuantumCode
 # --- ((4+k, 1, 3)) codes from a width-2s difference-scheme lift -----------------
 
 
-def _base_52s(s: int, budget: Optional[int],
-              ingredients: list[str]) -> MixedLevelArray:
+def _base_52s(s: int, ingredients: list[str]) -> MixedLevelArray:
     """A strength-2, distance-3 array on (2s)^1 s^4 for any s >= 2 with one."""
     if is_prime_power(s):
         # the saturated strength-2 array on (2s)^1 s^(2s) from the width-2s
         # scheme; its five-column projection has distance exactly 3
-        sat = attach_index_column(oa_from_scheme(d_2s(s), budget), s)
+        sat = attach_index_column(oa_from_scheme(d_2s(s)), s)
         ingredients.append(f"saturated lift of D({2 * s},{2 * s},{s})")
-        A = sat if sat.n == 5 else delete_columns(sat, range(5, sat.n), budget)
-        return claim(A, strength=2, md=3, budget=budget)
+        A = sat if sat.n == 5 else delete_columns(sat, range(5, sat.n))
+        return claim(A, strength=2, md=3)
     pieces = factorize_prime_powers(s)
     # the pieces are sorted by prime, so 2 comes before 3
     small = [u for u in pieces if u < 4]
     if small == [2, 3]:
-        P = asset_get("oa_72_5_12_6666", budget=budget)
+        P = asset_get("oa_72_5_12_6666")
         ingredients.append("asset oa_72_5_12_6666")
         taken = {2, 3}
     elif small == [2]:
-        P = asset_get("oa_8_5_4_2222", budget=budget)
+        P = asset_get("oa_8_5_4_2222")
         ingredients.append("asset oa_8_5_4_2222")
         taken = {2}
     elif small == [3]:
-        P = asset_get("oa_18_5_6_3333", budget=budget)
+        P = asset_get("oa_18_5_6_3333")
         ingredients.append("asset oa_18_5_6_3333")
         taken = {3}
     else:
         u0 = min(pieces)
-        P = _base_52s(u0, budget, ingredients)
+        P = _base_52s(u0, ingredients)
         taken = {u0}
     for u in pieces:
         if u in taken:
             continue
-        Q = bush(u, 2, budget)
+        Q = bush(u, 2)
         if Q.n > 5:
-            Q = delete_columns(Q, range(5, Q.n), budget)
+            Q = delete_columns(Q, range(5, Q.n))
         ingredients.append(f"OA({Q.r},5,{u},2) by polynomial construction")
         # Q has unit index, so its distance is 4 > 3 and the product keeps P's
-        P = claim(multiply_oa(P, Q, budget), md=P.md, budget=budget)
+        P = claim(multiply_oa(P, Q), md=P.md)
     return P
 
 
@@ -406,7 +408,7 @@ def theorem_52s(s: int, factors, *, budget: Optional[int] = None) -> QuantumCode
     if math.prod(factors) != s:
         raise BadFactorization(f"factors {given} do not multiply to {s}")
     ingredients: list[str] = []
-    B = _base_52s(s, budget, ingredients)
+    B = _base_52s(s, ingredients)
     return _lifted_code(B, s, factors, budget, ingredients,
                         "width-2s difference-scheme lift with index column")
 
@@ -427,14 +429,12 @@ def theorem_s1(s: int, d: int, s1: int, *,
     if s < s1 * s1:
         raise SBoundViolated(f"need s >= s1^2 = {s1 * s1}, got s={s}")
     trace: list[str] = []
-    base = resolve_symmetric_oa(s, 2 * d, d, budget, trace)
+    base = resolve_symmetric_oa(s, 2 * d, d, trace)
     if base.r != s ** d:
         raise IngredientUnavailable(
             f"resolved array has {base.r} rows, need the unit-index {s ** d}")
-    # unit index forces the distance
-    base = claim(base, md=d + 1, budget=budget)
     F = full_factorial_mixed((s // s1, s1), 1)
-    B = expansive_replacement(base, base.n - 1, F, budget)
+    B = expansive_replacement(base, base.n - 1, F)
     h, h_exact = _certified_h(B, d + 1, budget)
     code = code_from_partitioned_oa(
         OrthogonalPartition(B, 1, d, budget), h,
@@ -471,27 +471,22 @@ def theorem_tn(s: int, d: int, l: int, s_factors, q_factors=None, *,
                 f"second factor product {math.prod(q_factors)} must equal {s}")
 
     trace: list[str] = []
-    base = resolve_symmetric_oa(s, 2 * d + 2 * l + 1, d + l, budget, trace)
+    base = resolve_symmetric_oa(s, 2 * d + 2 * l + 1, d + l, trace)
     if base.r != s ** (d + l):
         raise IngredientUnavailable(
             f"resolved array has {base.r} rows, need the unit-index {s ** (d + l)}")
-    # unit index forces the distance
-    base = claim(base, md=d + l + 2, budget=budget)
-    stripped, K = partition_by_prefix(base, l, budget)
-    if l > 0:
-        # unit index survives dropping the prefix
-        stripped = claim(stripped, md=d + 2, budget=budget)
+    stripped, K = partition_by_prefix(base, l)
 
     # stripped keeps 2d + l + 1 >= 3 columns, so col - 1 is an s-column
     col = stripped.n - 1
     F1 = full_factorial_mixed(s_factors, s // w1)
-    B = expansive_replacement(stripped, col, F1, budget)
+    B = expansive_replacement(stripped, col, F1)
     ingredients = list(trace) + [_factorial_ingredient(F1)]
     notes: list[str] = []
 
     if q_factors is not None:
         F2 = full_factorial_mixed(q_factors, 1)
-        B = expansive_replacement(B, col - 1, F2, budget)
+        B = expansive_replacement(B, col - 1, F2)
         ingredients.append(_factorial_ingredient(F2))
 
     h, h_exact = _certified_h(B, d + 1, budget)
@@ -545,7 +540,7 @@ def theorem_huan(code: QuantumCode, col: Optional[int], q_factors, *,
             f"factor product {math.prod(q_factors)} must equal the column alphabet {s1}")
     F = full_factorial_mixed(q_factors, 1)
     # replacement keeps row order, so B's rows are still in block order
-    B = expansive_replacement(parent, col, F, budget)
+    B = expansive_replacement(parent, col, F)
     h, h_exact = _certified_h(B, prov.h, budget)
     return code_from_partitioned_oa(
         OrthogonalPartition(B, prov.partition.K, prov.t_prime, budget), h,

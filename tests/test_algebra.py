@@ -6,6 +6,8 @@ import pytest
 
 from oaqec.algebra import (
     Field,
+    _poly_mod,
+    _poly_mul,
     factorize_prime_powers,
     field_create,
     is_prime_power,
@@ -85,7 +87,33 @@ def test_field_create_deterministic():
     a = Field(2, 3)
     b = Field(2, 3)
     assert a.poly == b.poly
-    assert a._mul == b._mul
+    assert (a.mul_table == b.mul_table).all()
+
+
+def _scalar_products(f):
+    """Every product a * b by the scalar polynomial helpers, as nested lists."""
+    p, k = f.p, f.k
+    digits = [tuple((e // p**i) % p for i in range(k)) for e in f.elements()]
+
+    def index(coeffs):
+        return sum(c * p**i for i, c in enumerate(coeffs))
+
+    return [[index(_poly_mod(_poly_mul(a, b, p), f.poly, p)) for b in digits]
+            for a in digits]
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49, 64, 81, 125, 128, 256])
+def test_mul_table_matches_the_scalar_polynomial_product(q):
+    assert field_create(q).mul_table.tolist() == _scalar_products(field_create(q))
+
+
+@pytest.mark.parametrize("q", [7, 9, 128, 256])
+def test_inv_and_pow_read_the_multiplication_table(q):
+    f = field_create(q)
+    for a in range(1, q):
+        assert f.mul_table[a, f.inv(a)] == 1
+        assert f.pow(a, q - 1) == 1 and f.pow(a, 1) == a
+        assert type(f.mul(a, a)) is int and type(f.inv(a)) is int
 
 
 @pytest.mark.parametrize("q", [2, 4, 7, 8, 9, 16, 25, 27, 32, 49, 64])
@@ -100,6 +128,12 @@ def _fresh(q):
     """A new field of order q, so corrupting it leaves field_create's cache alone."""
     (p, k), = prime_power_decomposition(q)
     return Field(p, k)
+
+
+def _inverses(q):
+    """Each element's inverse in the uncorrupted field (0 for 0)."""
+    f = field_create(q)
+    return [f.inv(a) if a else 0 for a in range(q)]
 
 
 def _flip(table, a, b, delta):
@@ -117,7 +151,7 @@ def test_axiom_check_names_the_first_failure_like_the_scalar_loop(q):
     for a, b, delta in itertools.product(range(q), range(q), range(1, q)):
         f.mul_table = _flip(field_create(q).mul_table, a, b, delta)
         want = naive_field_axiom_failure(f.add_table.tolist(), f.mul_table.tolist(),
-                                         neg, f._inv)
+                                         neg, _inverses(q))
         assert want is not None
         with pytest.raises(ClaimFailed) as err:
             f._check_axioms()
@@ -149,7 +183,7 @@ def test_axiom_check_reports_a_failing_triple():
     table[2, 2], table[3, 3] = table[3, 3], table[2, 2]
     f.mul_table = table
     want = naive_field_axiom_failure(f.add_table.tolist(), table.tolist(),
-                                     [f.neg(a) for a in range(4)], f._inv)
+                                     [f.neg(a) for a in range(4)], _inverses(4))
     assert want.startswith("distributivity or associativity fails at (")
     with pytest.raises(ClaimFailed) as err:
         f._check_axioms()

@@ -3,8 +3,9 @@
 Each operation is compared with a pure-tuple transcription of its row map,
 written here, on random small arrays (n <= 5, alphabets 2-4).  Row order and
 the claims each result carries must both be identical.  Input arrays carry
-their true strength and distance (from the naive oracles), recorded either
-checked or unchecked, so the carried claims are exercised in both states.
+their true strength and distance (from the naive oracles), recorded
+unchecked; an operation records its result's claims unchecked, and
+ensure_checked then checks them within the budget.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from oaqec.arrays import (
     claim,
     delete_columns,
     derive_subarray,
+    ensure_checked,
     expansive_replacement,
     multiply_oa,
 )
@@ -120,7 +122,7 @@ def arrays_st(draw, alphabets=None, r=None):
     A = MixedLevelArray(rows, alphabets)
     t = naive_strength(rows, alphabets)
     md = min(naive_distance_set(rows)) if len(rows) > 1 else None
-    claim(A, strength=t or None, md=md, budget=draw(st.sampled_from((0, None))))
+    claim(A, strength=t or None, md=md)
     return A
 
 
@@ -144,7 +146,7 @@ def raises_same(fn, ref):
 def test_multiply_oa_matches_tuple_product(data, budget):
     A = data.draw(arrays_st())
     B = data.draw(arrays_st(alphabets=data.draw(alphabets_st(n=A.n))))
-    out = multiply_oa(A, B, budget)
+    out = ensure_checked(multiply_oa(A, B), budget)
     assert out.rows == tuple(ref_multiply(A.rows, B.rows, B.alphabets))
     assert out.alphabets == tuple(s * q for s, q in zip(A.alphabets, B.alphabets))
     md = None if A.md is None or B.md is None else min(A.md, B.md)
@@ -158,7 +160,7 @@ def test_expansive_replacement_matches_tuple_splice(data, budget):
     A = data.draw(arrays_st())
     col = data.draw(st.integers(0, A.n - 1))
     B = data.draw(arrays_st(r=A.alphabets[col]))
-    out, want = raises_same(lambda: expansive_replacement(A, col, B, budget),
+    out, want = raises_same(lambda: ensure_checked(expansive_replacement(A, col, B), budget),
                             lambda: _checked_splice(A, col, B))
     if out is not None:
         assert out.rows == tuple(want)
@@ -178,7 +180,7 @@ def test_delete_columns_matches_tuple_projection(data, budget):
     A = data.draw(arrays_st())
     drop = data.draw(st.sets(st.integers(0, A.n - 1)))
     keep = [j for j in range(A.n) if j not in drop]
-    out, want = raises_same(lambda: delete_columns(A, drop, budget),
+    out, want = raises_same(lambda: ensure_checked(delete_columns(A, drop), budget),
                             lambda: _nonempty(ref_delete(A.rows, keep), keep))
     if out is not None:
         assert out.rows == tuple(want)
@@ -201,7 +203,7 @@ def test_derive_subarray_matches_tuple_selection(data, budget):
     col = data.draw(st.integers(0, A.n - 1))
     symbol = data.draw(st.integers(0, A.alphabets[col] - 1))
     out, want = raises_same(
-        lambda: derive_subarray(A, col, symbol, budget),
+        lambda: ensure_checked(derive_subarray(A, col, symbol), budget),
         lambda: _nonempty(ref_derive(A.rows, col, symbol), range(A.n - 1)))
     if out is not None:
         assert out.rows == tuple(want)
@@ -234,6 +236,23 @@ def test_sorted_rows_matches_tuple_sort(A):
     assert flags(out) == flags(A)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_operations_record_their_claims_unchecked(data):
+    # arrays this small fit the default budget, so every input claim is checked
+    A = ensure_checked(data.draw(arrays_st()))
+    B = ensure_checked(data.draw(arrays_st(alphabets=A.alphabets)))
+    assert A.strength == 0 or A.strength_checked
+    col = data.draw(st.integers(0, A.n - 1))
+    F = full_factorial_mixed((A.alphabets[col],), 1)
+    results = [multiply_oa(A, B), A.sorted_rows(), expansive_replacement(A, col, F)]
+    if A.n > 1:
+        results += [delete_columns(A, [col]),
+                    derive_subarray(A, col, int(A.matrix[0, col]))]
+    for out in results:
+        assert not out.strength_checked and not out.md_checked
+
+
 def split_rows(A, K):
     """The K blocks of A's rows, as tuples of int tuples."""
     return [tuple(map(tuple, blk.tolist())) for blk in np.split(A.matrix, K)]
@@ -246,14 +265,14 @@ def test_partition_by_prefix_blocks_match_tuple_grouping(data, budget):
     l = data.draw(st.integers(0, A.n - 1))
     if A.strength <= l:
         with pytest.raises(ValueError):
-            partition_by_prefix(A, l, budget)
+            partition_by_prefix(A, l)
         return
     blocks = ref_prefix_blocks(A.rows, l)
     if len({len(blk) for blk in blocks}) != 1:
         with pytest.raises(NotPartitionable):
-            partition_by_prefix(A, l, budget)
+            partition_by_prefix(A, l)
         return
-    parent, K = partition_by_prefix(A, l, budget)
+    parent, K = partition_by_prefix(A, l)
     assert parent.rows == tuple(row[l:] for row in sorted(A.rows))
     assert split_rows(parent, K) == blocks
     t = A.strength - l
@@ -275,12 +294,12 @@ def test_partition_survives_expansive_replacement(data, budget):
     A = data.draw(arrays_st())
     l = data.draw(st.integers(0, A.n - 1))
     try:
-        parent, K = partition_by_prefix(A, l, budget)
+        parent, K = partition_by_prefix(A, l)
     except (ValueError, NotPartitionable):
         assume(False)
     col = data.draw(st.integers(0, parent.n - 1))
     F = full_factorial_mixed(*data.draw(st.sampled_from(FACTORIALS[parent.alphabets[col]])))
-    replaced = OrthogonalPartition(expansive_replacement(parent, col, F, budget),
+    replaced = OrthogonalPartition(expansive_replacement(parent, col, F),
                                    K, A.strength - l, budget)
     # the per-block splice is the oracle: blocks stay runs of parent rows
     blocks = split_rows(replaced.parent, K)

@@ -254,13 +254,13 @@ def test_minimal_distance_hands_a_wide_array_to_the_pair_scan():
     with bounded_projection_sorts(2), \
             mock.patch.object(arrays, "distance_profile",
                               wraps=arrays.distance_profile) as pair_scan:
-        assert claim(wide(), strength=1, md=20).verified
+        assert ensure_checked(claim(wide(), strength=1, md=20)).verified
     assert pair_scan.call_count == 1
     with bounded_projection_sorts(2):
         assert measure_md(wide()) == 20
     with bounded_projection_sorts(2), \
             pytest.raises(ClaimFailed, match=r"^md claim 19 != actual 20$"):
-        claim(wide(), md=19)
+        ensure_checked(claim(wide(), md=19))
 
 
 def test_minimal_distance_needs_two_rows():
@@ -272,10 +272,10 @@ def test_false_distance_claims_fail_with_pinned_messages():
     def even_weight():
         return MixedLevelArray(EVEN_WEIGHT, (2, 2, 2))  # md 2
     with pytest.raises(ClaimFailed, match=r"^md claim 3 != actual 2$"):
-        claim(even_weight(), md=3)
+        ensure_checked(claim(even_weight(), md=3))
     with pytest.raises(ClaimFailed, match=r"^md 1 verification failed: actual 2$"):
         certify(even_weight(), 2, md=1)
-    A = claim(even_weight(), md=3, budget=0)  # carried, not checked
+    A = claim(even_weight(), md=3)  # recorded, not checked
     assert not A.md_checked
     with pytest.raises(ClaimFailed, match=r"^claimed distance 3 contradicts the computed 2$"):
         measure_md(A)
@@ -548,10 +548,10 @@ def test_text_roundtrip():
 def test_ensure_checked_budget_and_failure():
     A = MixedLevelArray(EVEN_WEIGHT, (2, 2, 2))
     with pytest.raises(AssertionError):
-        claim(A, strength=3, budget=10**6)  # false claim
+        ensure_checked(claim(A, strength=3), 10**6)  # false claim
     with pytest.raises(ClaimFailed, match="strength 3 claim failed"):
         ensure_checked(A, budget=10**6)
     B = MixedLevelArray(EVEN_WEIGHT, (2, 2, 2))
-    claim(B, strength=3, budget=1)  # too small to check anything
+    ensure_checked(claim(B, strength=3), 1)  # too small to check anything
     assert not B.strength_checked
     assert B.status() == "constructed, unverified"

@@ -2,7 +2,11 @@
 
 Only `oaqec.arrays` may store the private claim fields of MixedLevelArray,
 and the modules that build and certify arrays may not guard a claim with
-`assert`, which `python -O` strips.  The array route of cross validation
+`assert`, which `python -O` strips.  Operations record claims, and checks
+run in two places: the builders in `synthesis` check a code's array where
+its partition is formed (`ensure_checked`, `claim_blocks`, `measure_md`),
+and `constructions` certifies full factorials and loaded assets (`certify`,
+also open to the asset scripts in `tools/`).  The array route of cross validation
 takes its distance from the `arrays` kernel, which shares no code with the
 rank kernel of the reduction route in `verify`.  Every module but the package
 `__init__` uses each name it imports, unless the import is marked
@@ -17,6 +21,7 @@ from pathlib import Path
 import oaqec
 
 SRC = Path(oaqec.__file__).resolve().parent
+TOOLS = SRC.parents[1] / "tools"
 CLAIM_FIELDS = {"_strength", "_strength_checked", "_md", "_md_checked"}
 NO_ASSERT = ("algebra.py", "arrays.py", "constructions.py", "schemes.py",
              "synthesis.py", "tables.py", "verify.py")
@@ -57,6 +62,70 @@ def test_claim_modules_have_no_assert_statements():
         if lines:
             offenders[name] = lines
     assert offenders == {}
+
+
+#: check calls and the modules allowed to make them, besides arrays.py
+CHECK_CALLERS = {"ensure_checked": {"synthesis.py"}, "claim_blocks": {"synthesis.py"},
+                 "measure_md": {"synthesis.py"}, "certify": {"constructions.py", "tools"}}
+
+
+def _called_names(tree: ast.AST) -> set[str]:
+    """Every name called in the tree, as `f(...)` or `module.f(...)`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                names.add(node.func.id)
+            elif isinstance(node.func, ast.Attribute):
+                names.add(node.func.attr)
+    return names
+
+
+def check_policy_faults(sources: dict[str, str]) -> list[str]:
+    """Calls of a check outside the modules allowed to make it.  `sources`
+    maps a module's file name, or `tools/<name>` for a script, to its text."""
+    faults = []
+    for name, source in sorted(sources.items()):
+        if name == "arrays.py":
+            continue
+        place = "tools" if name.startswith("tools/") else name
+        for call in sorted(_called_names(ast.parse(source, name)) & set(CHECK_CALLERS)):
+            if place not in CHECK_CALLERS[call]:
+                faults.append(f"{name} calls {call}")
+    return faults
+
+
+def _policy_sources() -> dict[str, str]:
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    sources.update({f"tools/{path.name}": path.read_text() for path in TOOLS.glob("*.py")})
+    return sources
+
+
+def test_only_builders_check_claims_and_only_constructions_certify():
+    sources = _policy_sources()
+    assert "tools/gen_assets.py" in sources
+    assert check_policy_faults(sources) == []
+
+
+def test_check_policy_guard_has_teeth():
+    sources = _policy_sources()
+    # the rule sees the calls that are allowed today
+    assert {"ensure_checked", "claim_blocks", "measure_md"} <= _called_names(
+        ast.parse(sources["synthesis.py"]))
+    assert "certify" in _called_names(ast.parse(sources["constructions.py"]))
+    mutants = {
+        "constructions.py calls measure_md": ("constructions.py", "\nmeasure_md(A)\n"),
+        "constructions.py calls ensure_checked": (
+            "constructions.py", "\nA = arrays.ensure_checked(A, 10)\n"),
+        "schemes.py calls claim_blocks": ("schemes.py", "\nclaim_blocks(A, 2, 1)\n"),
+        "synthesis.py calls certify": ("synthesis.py", "\ncertify(A, 2)\n"),
+        "cli.py calls certify": ("cli.py", "\ncertify(A, 2)\n"),
+        "tools/gen_assets.py calls ensure_checked": (
+            "tools/gen_assets.py", "\nensure_checked(A)\n"),
+    }
+    for fault, (name, line) in mutants.items():
+        mutant = dict(sources, **{name: sources[name] + line})
+        assert check_policy_faults(mutant) == [fault], fault
 
 
 def _imported_names(tree: ast.AST) -> set[str]:

@@ -386,13 +386,13 @@ def test_false_strength_claim_exits_4_under_optimize():
     script = """
 import sys
 from oaqec import cli
-from oaqec.arrays import MixedLevelArray, claim
+from oaqec.arrays import MixedLevelArray, claim, ensure_checked
 
 assert sys.flags.optimize
 
 def false_claim(args):
     A = MixedLevelArray([(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)], (2, 2, 2))
-    return claim(A, strength=3)
+    return ensure_checked(claim(A, strength=3))
 
 cli._dispatch = false_claim
 sys.exit(cli.main(["construct", "--theorem", "t1", "--s", "2"]))

@@ -12,6 +12,7 @@ from oaqec.arrays import (
     MixedLevelArray,
     claim,
     distance_profile,
+    ensure_checked,
     is_orthogonal_array,
     saturation_check,
     strength,
@@ -39,7 +40,7 @@ from conftest import naive_distance_set, naive_is_oa
 
 
 def test_bush_2_2_rows_up_to_labeling():
-    A = bush(2, 2)
+    A = ensure_checked(bush(2, 2))
     assert (A.r, A.n) == (4, 3)
     assert set(A.rows) == {(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)}
     assert A.strength_checked and A.md == 2
@@ -52,7 +53,7 @@ def test_bush_3_2_md():
 
 
 def test_bush_4_3_md():
-    A = bush(4, 3)
+    A = ensure_checked(bush(4, 3))
     assert (A.r, A.n, A.md) == (64, 5, 3)
     assert A.verified
 
@@ -139,13 +140,13 @@ def test_full_factorial_errors():
 
 
 def test_resolver_prime_power_direct():
-    A = resolve_symmetric_oa(7, 5, 2)
+    A = ensure_checked(resolve_symmetric_oa(7, 5, 2))
     assert (A.r, A.n, A.md) == (49, 5, 4)
     assert A.verified
 
 
 def test_resolver_hyperoval_route():
-    A = resolve_symmetric_oa(4, 6, 3)
+    A = ensure_checked(resolve_symmetric_oa(4, 6, 3))
     assert (A.r, A.n) == (64, 6)
     assert A.md == 4 and A.verified
 
@@ -170,10 +171,10 @@ def test_resolver_product_56():
 
 
 def test_resolver_product_small_verified():
-    A = resolve_symmetric_oa(12, 3, 1)
+    A = ensure_checked(resolve_symmetric_oa(12, 3, 1))
     assert (A.r, A.n, A.strength, A.md) == (12, 3, 1, 3)
     assert A.verified
-    A = resolve_symmetric_oa(15, 4, 2)
+    A = ensure_checked(resolve_symmetric_oa(15, 4, 2))
     assert (A.r, A.n, A.strength, A.md) == (225, 4, 2, 3)
     assert A.verified
 
@@ -237,8 +238,8 @@ def test_asset_corrupt_payload_rejected(tmp_path):
     good = asset_get("oa_100_4_10_2")
     rows = [list(row) for row in good.rows]
     rows[0][0] = (rows[0][0] + 1) % 10
-    # a zero budget records the false claim unchecked, so it reaches the file
-    bad = claim(MixedLevelArray(rows, good.alphabets), strength=2, budget=0)
+    # claim records the false claim unchecked, so it reaches the file
+    bad = claim(MixedLevelArray(rows, good.alphabets), strength=2)
     payload = to_text(bad)
     (tmp_path / "bad.txt").write_text(payload)
     import hashlib

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from oaqec.algebra import is_prime_power
-from oaqec.arrays import distance_profile, is_orthogonal_array, strength
+from oaqec.arrays import distance_profile, ensure_checked, is_orthogonal_array, strength
 from oaqec.errors import NotPrimePower
 from oaqec.schemes import (
     DifferenceScheme,
@@ -110,7 +110,7 @@ def test_is_difference_scheme_strength_out_of_range():
 
 
 def test_oa_from_scheme_d3_2_gives_the_even_weight_extension():
-    A = oa_from_scheme(d3_scheme(2))
+    A = ensure_checked(oa_from_scheme(d3_scheme(2)))
     assert (A.r, A.n, A.strength) == (8, 4, 3)
     ok, _ = is_orthogonal_array(A, 3)
     assert ok

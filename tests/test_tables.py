@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from oaqec.errors import IngredientUnavailable
 from oaqec.tables import (
     EXCLUDED,
     INGREDIENT_GAP,
@@ -236,3 +237,38 @@ def test_build_row_rejects_unknown_builder():
     base = expectations("I")[0]
     with pytest.raises(ValueError):
         build_row(row_like(base, builder="t9"))
+
+
+#: the rows of I-VII built at max_s=12 whose code is "constructed, unverified";
+#: every other built row is "verified"
+UNVERIFIED_AT_MAX_S_12 = {
+    ("I", "t1 s=12 d=2 f=12"), ("I", "t1 s=12 d=2 f=2x6"), ("I", "t1 s=12 d=2 f=3x4"),
+    ("II", "t3 s=8 d=4 f=2"),
+    ("III", "t3 s=9 d=4 f=3"), ("III", "t3 s=9 d=5 f=3"),
+    ("VI", "t4 s=8 d=4 f=4"), ("VI", "t4 s=8 d=4 f=4x2"), ("VI", "t4 s=8 d=4 f=2x2"),
+    ("VI", "t4 s=8 d=4 f=2x2x2"), ("VI", "t4 s=9 d=4 f=3"), ("VI", "t4 s=9 d=4 f=3x3"),
+    ("VI", "t4 s=8 d=3 l=1 f=2"), ("VI", "t4 s=8 d=3 l=1 f=4"),
+    ("VI", "t4 s=8 d=3 l=1 f=4x2"), ("VI", "t4 s=8 d=3 l=1 f=2x2"),
+    ("VI", "t4 s=8 d=3 l=1 f=2x2x2"), ("VI", "t4 s=9 d=3 l=1 f=3"),
+    ("VI", "t4 s=9 d=3 l=1 f=3x3"),
+    ("VII", "t4 s=9 d=4 f=3"),
+}
+
+
+def test_every_catalogue_row_keeps_its_code_status():
+    statuses = {}
+    for table_id in TABLE_IDS:
+        for row in expectations(table_id):
+            if row.s > 12:
+                continue
+            try:
+                code = build_row(row)
+            except IngredientUnavailable:
+                continue
+            statuses[(table_id, row.label)] = code.status()
+    assert len(statuses) == 178
+    assert Counter(table for table, _ in UNVERIFIED_AT_MAX_S_12) == {
+        "I": 3, "II": 1, "III": 2, "VI": 13, "VII": 1}
+    assert {key for key, status in statuses.items()
+            if status == "constructed, unverified"} == UNVERIFIED_AT_MAX_S_12
+    assert set(statuses.values()) == {"verified", "constructed, unverified"}
