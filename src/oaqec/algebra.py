@@ -6,8 +6,10 @@ polynomial is the lexicographically smallest monic irreducible (coefficients
 compared low-degree-first), found by exhaustive search and re-checked at
 creation, so two invocations always produce identical tables.
 
-Addition is also kept as a q x q numpy table (`add_table`), and
-multiplication only as one (`mul_table`): `mul`, `inv` and `pow` read it.
+Addition is also kept as a q x q numpy table (`add_table`: a ^ b in
+characteristic 2, else the digits added mod p in the table's own narrow
+dtype), and multiplication only as one (`mul_table`): `mul`, `inv` and
+`pow` read it.
 The multiplication table is built with numpy, one block of rows at a time:
 the carry-less product of the digit vectors, reduced modulo the polynomial.
 Every field of order q <= 64 is checked when it is created: the tables must
@@ -27,6 +29,9 @@ import numpy as np
 from .errors import ClaimFailed, NotPrimePower
 
 _MAX_FIELD_ORDER = 4096  # the constructions here never need larger fields
+
+#: cells of one block of rows of a table under construction
+_TABLE_BLOCK_CELLS = 1 << 18
 
 
 def prime_power_decomposition(s: int) -> list[tuple[int, int]]:
@@ -170,13 +175,28 @@ class Field:
 
     @functools.cached_property
     def add_table(self) -> np.ndarray:
-        """q x q addition table, in the smallest unsigned dtype holding q-1."""
-        a = np.arange(self.q)
-        out = np.zeros((self.q, self.q), dtype=np.uint8 if self.q <= 256 else np.uint16)
-        pi = 1
-        for _ in range(self.k):
-            out += ((a[:, None] // pi + a[None, :] // pi) % self.p * pi).astype(out.dtype)
-            pi *= self.p
+        """q x q addition table, in the smallest unsigned dtype holding q-1.
+
+        For p = 2 it is a ^ b.  Otherwise the base-p digits are added mod p
+        one digit at a time, in the table's dtype, one block of rows at a
+        time; a digit sum that wraps around the dtype comes back below p
+        once p is subtracted."""
+        p, q = self.p, self.q
+        e = np.arange(q, dtype=np.uint8 if q <= 256 else np.uint16)
+        if p == 2:
+            return np.bitwise_xor.outer(e, e)
+        out = np.zeros((q, q), dtype=e.dtype)
+        rows = max(1, _TABLE_BLOCK_CELLS // q)
+        for lo in range(0, q, rows):
+            a, block = e[lo:lo + rows, None], out[lo:lo + rows]
+            pi = 1
+            for _ in range(self.k):
+                da, db = a // pi % p, e // pi % p
+                digit = da + db
+                np.subtract(digit, p, out=digit, where=da >= p - db)
+                digit *= pi
+                block += digit
+                pi *= p
         return out
 
     @functools.cached_property

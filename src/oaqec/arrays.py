@@ -19,8 +19,11 @@ code is compiled from, where its partition is formed; no status reads the
 claims of an intermediate array.  A claim that fails its check raises
 ClaimFailed.
 
-Strength is checked by vectorized counts: each t-column subset's rows become
-mixed-radix keys, and one np.bincount per chunk of subsets counts them.  The
+Strength is checked by vectorized counts over one contiguous column-major
+copy of the matrix.  The t-column subsets are taken as the one-column
+extensions of each (t-1)-column prefix: the prefix's mixed-radix key is
+built once, from the key of the prefix it shares the most columns with, and
+one np.bincount per chunk of last columns counts all its extensions.  The
 exact dict count runs only on the first failing subset, to extract the
 BalanceWitness that reports name.  A partition's blocks share one pass: the
 block number is the most significant digit of each key.
@@ -225,55 +228,61 @@ def _subset_witness(A: MixedLevelArray, cols: tuple[int, ...]) -> Optional[Balan
     return None
 
 
-def _first_unbalanced(A: MixedLevelArray, chunk: list[tuple[int, ...]],
-                      prods: list[int], blocks: int) -> Optional[tuple[int, int]]:
-    """(i, block): index in `chunk` of the first subset whose level counts
-    are not all b/prod in each block of b = r/blocks rows, and the first
-    block failing it; or None.  Every prod divides b, so keys fit in int64."""
-    b = A.r // blocks
-    cols = np.array(chunk, dtype=np.intp)
-    radix = np.array([[A.alphabets[c] for c in subset] for subset in chunk], dtype=np.int64)
-    # mixed-radix weights, last column of each subset least significant
-    weights = np.ones_like(radix)
-    weights[:, :-1] = np.cumprod(radix[:, :0:-1], axis=1)[:, ::-1]
-    sizes = np.array(prods, dtype=np.int64)
-    # key digits: block number, then the subset's own range, then its levels
-    offsets = np.cumsum(sizes) - sizes
-    total = int(sizes.sum())
-    keys = (np.arange(A.r) // b * total)[:, None] + offsets
-    for j in range(cols.shape[1]):
-        keys += A.matrix[:, cols[:, j]] * weights[:, j]
-    counts = np.bincount(keys.ravel(), minlength=blocks * total).reshape(blocks, total)
-    bad = counts != np.repeat(b // sizes, sizes)
-    cells = np.flatnonzero(bad.any(axis=0))
-    if not cells.size:
-        return None
-    i = int(np.searchsorted(offsets, cells[0], side="right")) - 1
-    return i, int(np.argmax(bad[:, offsets[i]:offsets[i] + sizes[i]].any(axis=1)))
-
-
 def _first_unbalanced_subset(A: MixedLevelArray, t: int, blocks: int
                              ) -> Optional[tuple[tuple[int, ...], int]]:
     """(subset, block): the first t-column subset, in itertools.combinations
     order, whose level counts are unbalanced on some run of b = r / blocks
-    consecutive rows, and the first such block; or None."""
-    if not 1 <= t <= A.n:
-        raise ValueError(f"strength {t} out of range 1..{A.n}")
-    if not 1 <= blocks <= A.r or A.r % blocks:
-        raise ValueError(f"{A.r} rows do not split into {blocks} equal blocks")
-    b = A.r // blocks
-    subsets = itertools.combinations(range(A.n), t)
-    per_chunk = max(1, _CHUNK_CELLS // A.r)
-    while chunk := list(itertools.islice(subsets, per_chunk)):
-        prods = [math.prod(A.alphabets[c] for c in cols) for cols in chunk]
-        # a subset whose prod does not divide b fails in every block without
-        # counting; only the subsets before the first such one can fail earlier
-        stop = next((i for i, p in enumerate(prods) if b % p), len(chunk))
-        bad = _first_unbalanced(A, chunk[:stop], prods[:stop], blocks) if stop else None
-        if bad is None and stop < len(chunk):
-            bad = stop, 0
-        if bad is not None:
-            return chunk[bad[0]], bad[1]
+    consecutive rows, and the first such block; or None.
+
+    The subsets come as the one-column extensions of each (t-1)-column
+    prefix.  A prefix's key (block number most significant, then its levels)
+    is built once, from the key of the prefix it shares the most columns
+    with.  A subset whose level product does not divide b fails in every
+    block without counting, and so does every subset through a prefix that
+    does not divide b: it fails with its first extension, block 0.  Every
+    other key stays below blocks * prod <= r, so no key overflows int64.
+    """
+    r, n, alphabets = A.r, A.n, A.alphabets
+    if not 1 <= t <= n:
+        raise ValueError(f"strength {t} out of range 1..{n}")
+    if not 1 <= blocks <= r or r % blocks:
+        raise ValueError(f"{r} rows do not split into {blocks} equal blocks")
+    b = r // blocks
+    columns = np.ascontiguousarray(A.matrix.T)
+    per_chunk = max(1, _CHUNK_CELLS // r)
+    # keys[d] and prods[d]: key and level product of the prefix's first d columns
+    keys, prods, prev = [np.arange(r) // b], [1], ()
+    for prefix in itertools.combinations(range(n - 1), t - 1):
+        # keep the keys of the columns this prefix shares with the previous one
+        d = next((i for i, (u, v) in enumerate(zip(prev, prefix)) if u != v), len(prev))
+        del keys[d + 1:], prods[d + 1:]
+        prev = prefix
+        for c in prefix[d:]:
+            prods.append(prods[-1] * alphabets[c])
+            if b % prods[-1]:
+                # combinations order sets the columns after a changed one to
+                # consecutive values, so this is the first subset through
+                # the failing columns
+                return prefix + (prefix[-1] + 1,), 0
+            keys.append(keys[-1] * alphabets[c] + columns[c])
+        for lo in range(prefix[-1] + 1 if prefix else 0, n, per_chunk):
+            sizes = [prods[-1] * s for s in alphabets[lo:lo + per_chunk]]
+            stop = next((i for i, p in enumerate(sizes) if b % p), len(sizes))
+            if stop:
+                # extension lo + i counts in cells offsets[i] + block * size + level
+                size = np.array(sizes[:stop], dtype=np.int64)
+                cells = blocks * size
+                offsets = np.cumsum(cells) - cells
+                ext = np.multiply.outer(alphabets[lo:lo + stop], keys[-1])
+                ext += columns[lo:lo + stop]
+                ext += offsets[:, None]
+                counts = np.bincount(ext.ravel(), minlength=int(cells.sum()))
+                bad = np.flatnonzero(counts != np.repeat(b // size, cells))
+                if bad.size:
+                    i = int(np.searchsorted(offsets, bad[0], side="right")) - 1
+                    return prefix + (lo + i,), int((bad[0] - offsets[i]) // size[i])
+            if stop < len(sizes):
+                return prefix + (lo + stop,), 0
     return None
 
 
@@ -456,6 +465,17 @@ def certify(A: MixedLevelArray, t: int, md: Optional[int] = None) -> MixedLevelA
             raise ClaimFailed(f"md {md} verification failed: actual {actual}")
         A._md = md
         A._md_checked = True
+    return A
+
+
+def from_certified(matrix: np.ndarray, alphabets: Sequence[int], t: int,
+                   md: int) -> MixedLevelArray:
+    """A fresh array over `matrix` whose strength t and md are recorded as
+    checked, without a check: only for a matrix that `certify` has already
+    passed with these claims.  `constructions.asset_get` is its one caller."""
+    A = MixedLevelArray(matrix, alphabets)
+    A._strength, A._strength_checked = t, True
+    A._md, A._md_checked = md, True
     return A
 
 

@@ -9,10 +9,18 @@ strength and distance claims unchecked: the builder that compiles a code
 checks the one array the code is built from (see `arrays`).  A full
 factorial, and an asset loaded from a data file (outside input), is
 certified in full whatever the budget.
+
+Work is not redone within a process.  The table of `bush(s, t)` is built
+once per (s, t) and kept read-only; each call wraps it in a fresh array, so
+one caller's claims never reach another's.  An asset payload is read and
+hashed on every load but certified once: a reload of the same bytes, for
+the same record parameters, gets a fresh array with the claims its first
+load checked.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -29,6 +37,7 @@ from .arrays import (
     certify,
     claim,
     delete_columns,
+    from_certified,
     from_text,
     lexsorted,
     multiply_oa,
@@ -52,7 +61,8 @@ def bush(s: int, t: int) -> MixedLevelArray:
 
     Rows are the polynomials of degree < t over GF(s); the first s columns
     evaluate each polynomial at a field element and the last column reads
-    off the degree-(t-1) coefficient.
+    off the degree-(t-1) coefficient.  Each call returns a fresh array, its
+    claims recorded unchecked, over a table built once per (s, t).
     """
     if not is_prime_power(s):
         raise NotPrimePower(f"{s} is not a prime power")
@@ -60,6 +70,13 @@ def bush(s: int, t: int) -> MixedLevelArray:
         raise ValueError(f"strength must be >= 1, got {t}")
     if t - 1 > s:
         raise StrengthTooHigh(f"need s >= t-1 (got s={s}, t={t})")
+    A = MixedLevelArray(_bush_table(s, t), (s,) * (s + 1))
+    return claim(A, strength=t, md=(s + 1) - t + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _bush_table(s: int, t: int) -> np.ndarray:
+    """The rows of bush(s, t), lexsorted and read-only, in the field's dtype."""
     f = field_create(s)
     # Horner's rule over the field tables evaluates every polynomial
     # (coefficients low degree first) at every point at once
@@ -68,8 +85,9 @@ def bush(s: int, t: int) -> MixedLevelArray:
     acc = np.zeros((len(coeffs), s), dtype=f.add_table.dtype)
     for j in range(t - 1, -1, -1):
         acc = f.add_table[f.mul_table[acc, points], coeffs[:, j:j + 1]]
-    A = MixedLevelArray(lexsorted(np.hstack([acc, coeffs[:, -1:]])), (s,) * (s + 1))
-    return claim(A, strength=t, md=(s + 1) - t + 1)
+    table = lexsorted(np.hstack([acc, coeffs[:, -1:]]))
+    table.setflags(write=False)
+    return table
 
 
 def hyperoval_oa(s: int) -> MixedLevelArray:
@@ -268,13 +286,23 @@ def asset_list(asset_dir: Optional[str] = None) -> list[AssetRecord]:
     return sorted(asset_records(asset_dir).values(), key=lambda rec: rec.name)
 
 
+#: matrices of asset payloads that `certify` passed, by (sha256 of the
+#: payload, r, n, alphabets, strength, md)
+_CERTIFIED_PAYLOADS: dict[tuple, np.ndarray] = {}
+
+
 def asset_get(name: str, asset_dir: Optional[str] = None) -> MixedLevelArray:
-    """Load one registered array, fully re-verifying strength and MD."""
+    """Load one registered array with its strength and MD certified.
+
+    A file's payload is read and hashed on every call and certified on its
+    first load with the record's parameters; a reload of the same bytes gets
+    a fresh array with the claims that check passed."""
     records = asset_records(asset_dir)
     if name not in records:
         known = ", ".join(sorted(records)) or "none"
         raise IngredientUnavailable(f"no asset named {name!r} (registered: {known})")
     rec = records[name]
+    key = None
     if rec.source == "builder" and rec.file is None:
         A = _BUILDERS[name]()
     else:
@@ -282,11 +310,14 @@ def asset_get(name: str, asset_dir: Optional[str] = None) -> MixedLevelArray:
         if not path.is_file():
             raise IngredientUnavailable(f"asset file missing: {path}")
         payload = path.read_bytes()
-        if rec.sha256:
-            digest = hashlib.sha256(payload).hexdigest()
-            if digest != rec.sha256:
-                raise AssetCorrupt(f"{name}: sha256 mismatch "
-                                   f"(manifest {rec.sha256[:12]}…, file {digest[:12]}…)")
+        digest = hashlib.sha256(payload).hexdigest()
+        if rec.sha256 and digest != rec.sha256:
+            raise AssetCorrupt(f"{name}: sha256 mismatch "
+                               f"(manifest {rec.sha256[:12]}…, file {digest[:12]}…)")
+        key = (digest, rec.r, rec.n, rec.alphabets, rec.strength, rec.md)
+        if key in _CERTIFIED_PAYLOADS:
+            return from_certified(_CERTIFIED_PAYLOADS[key], rec.alphabets,
+                                  rec.strength, rec.md)
         try:
             A = from_text(payload.decode())
         except (ToolkitError, ValueError) as exc:
@@ -298,4 +329,6 @@ def asset_get(name: str, asset_dir: Optional[str] = None) -> MixedLevelArray:
         certify(A, rec.strength, rec.md)
     except ClaimFailed as exc:
         raise AssetCorrupt(f"{name}: {exc}") from exc
+    if key is not None:
+        _CERTIFIED_PAYLOADS[key] = A.matrix
     return A

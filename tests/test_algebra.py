@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 
 from oaqec.algebra import (
@@ -114,6 +115,33 @@ def test_inv_and_pow_read_the_multiplication_table(q):
         assert f.mul_table[a, f.inv(a)] == 1
         assert f.pow(a, q - 1) == 1 and f.pow(a, 1) == a
         assert type(f.mul(a, a)) is int and type(f.inv(a)) is int
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_add_table_is_xor_in_characteristic_two(m):
+    q = 2**m
+    table = field_create(q).add_table
+    e = np.arange(q)
+    assert table.dtype == (np.uint8 if q <= 256 else np.uint16)
+    assert np.array_equal(table, e[:, None] ^ e[None, :])
+
+
+@pytest.mark.parametrize("q", [3**7, 5**5, 4093])
+def test_add_table_matches_scalar_add_on_sampled_pairs(q):
+    f = field_create(q)
+    rng = random.Random(q)
+    for _ in range(5000):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert f.add_table[a, b] == f.add(a, b)
+    assert f.add_table.dtype == np.uint16
+
+
+@pytest.mark.parametrize("q", [127, 243, 251])
+def test_add_table_digit_sums_that_wrap_the_dtype(q):
+    # digit sums of GF(251) reach 500, past the uint8 range of its table
+    f = field_create(q)
+    assert f.add_table.dtype == np.uint8
+    assert f.add_table.tolist() == [[f.add(a, b) for b in range(q)] for a in range(q)]
 
 
 @pytest.mark.parametrize("q", [2, 4, 7, 8, 9, 16, 25, 27, 32, 49, 64])

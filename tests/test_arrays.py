@@ -393,6 +393,100 @@ def test_block_strength_kernel_matches_naive_oracle_on_each_block(case, chunk_ce
                 assert witness == arrays._subset_witness(block, cols)
 
 
+def kernel_matches_oracle(rows, alphabets, t, K=1):
+    """Assert that the kernel returns the naive oracle's first failing subset
+    and block, and the exact witness of that block; return the kernel's
+    (subset, block) or None."""
+    A = MixedLevelArray(rows, alphabets)
+    b = len(rows) // K
+    blocks = [rows[i * b:(i + 1) * b] for i in range(K)]
+    firsts = [first_failing_subset(blk, alphabets, t) for blk in blocks]
+    cols = min((c for c in firsts if c is not None), default=None)
+    got = arrays._first_unbalanced_subset(A, t, K)
+    ok, witness = is_orthogonal_array(A, t, K)
+    if cols is None:
+        assert got is None and (ok, witness) == (True, None)
+        return None
+    block = firsts.index(cols)
+    assert got == (cols, block)
+    assert not ok
+    assert witness == arrays._subset_witness(MixedLevelArray(blocks[block], alphabets), cols)
+    return got
+
+
+def test_strength_kernel_at_t_one_and_t_n():
+    # t = 1 extends the empty prefix; t = n has one prefix and one extension
+    alphabets = (2, 3, 2)
+    rows = list(itertools.product(*(range(s) for s in alphabets)))
+    assert kernel_matches_oracle(rows, alphabets, 1) is None
+    assert kernel_matches_oracle(rows, alphabets, 3) is None
+    rows[-1] = (1, 2, 0)
+    assert kernel_matches_oracle(rows, alphabets, 1) == ((2,), 0)
+    assert kernel_matches_oracle(rows, alphabets, 3) == ((0, 1, 2), 0)
+    assert kernel_matches_oracle([(0,), (1,)], (2,), 1) is None
+    assert kernel_matches_oracle([(0,), (0,)], (2,), 1) == ((0,), 0)
+
+
+def test_strength_kernel_fails_a_non_dividing_prefix_without_counting():
+    # the first prefix (0, 1) has product 6, which does not divide b = 4
+    alphabets = (2, 3, 2, 2)
+    rows = [(a, 0, c, d) for a, c, d in itertools.product(range(2), repeat=3)]
+    with mock.patch.object(arrays.np, "bincount", wraps=np.bincount) as bincount:
+        assert kernel_matches_oracle(rows, alphabets, 3, K=2) == ((0, 1, 2), 0)
+    # the kernel itself counted nothing; the witness count is a dict count
+    assert bincount.call_count == 0
+    # a non-dividing extension after a balanced one: (0, 1) is counted first
+    rows = [(a, b, 0, c) for a, b, c in itertools.product(range(2), repeat=3)]
+    assert kernel_matches_oracle(rows, (2, 2, 3, 2), 2) == ((0, 2), 0)
+
+
+def test_strength_kernel_names_a_later_block():
+    factorial = list(itertools.product(range(2), repeat=3))
+    broken_02 = [(a, b, a) for a, b in itertools.product(range(2), repeat=2) for _ in range(2)]
+    broken_01 = [(a, a, c) for a, c in itertools.product(range(2), repeat=2) for _ in range(2)]
+    alphabets = (2, 2, 2)
+    assert kernel_matches_oracle(factorial + factorial[::-1] + broken_02, alphabets, 2, K=3) \
+        == ((0, 2), 2)
+    # the first failing subset wins over the first failing block
+    assert kernel_matches_oracle(factorial + broken_02 + broken_01, alphabets, 2, K=3) \
+        == ((0, 1), 2)
+
+
+def test_strength_kernel_with_prefix_products_beyond_int64():
+    rows = [(0, 0, 0), (1, 1, 1)]
+    # a prefix key is never formed, so not even a radix beyond int64 reaches numpy
+    for alphabets in ((2**62, 2**62, 2), (2**64, 2**64, 2)):
+        for t in (1, 2, 3):
+            assert kernel_matches_oracle(rows, alphabets, t) == (tuple(range(t)), 0)
+    # balanced small columns first, then an extension beyond int64
+    rows = [(a, b, 0) for a, b in itertools.product(range(2), repeat=2)]
+    assert kernel_matches_oracle(rows, (2, 2, 2**62), 2) == ((0, 2), 0)
+    assert kernel_matches_oracle(rows, (2, 2, 2**62), 3) == ((0, 1, 2), 0)
+
+
+@pytest.mark.parametrize("failing,expected", [
+    ({4: "unbalanced"}, ((0, 4), 0)),
+    ({5: "unbalanced"}, ((0, 5), 0)),
+    ({3: "unbalanced", 4: "levels"}, ((0, 3), 0)),
+    ({4: "levels", 5: "unbalanced"}, ((0, 4), 0)),
+])
+def test_strength_kernel_across_chunks_of_one_prefix(failing, expected):
+    # two extensions per chunk: prefix (0,) counts columns 1-2, 3-4, then 5
+    alphabets = [2] * 6
+    rows = [[a, b] + [(a + b + j) % 2 for j in range(4)]
+            for a, b in itertools.product(range(2), repeat=2)]
+    rows = [row[:] for row in rows for _ in range(2)]
+    for col, kind in failing.items():
+        if kind == "unbalanced":
+            for row in rows:
+                row[col] = row[0]
+        else:
+            alphabets[col] = 3
+    rows = [tuple(row) for row in rows]
+    with mock.patch.object(arrays, "_CHUNK_CELLS", 2 * len(rows)):
+        assert kernel_matches_oracle(rows, alphabets, 2) == expected
+
+
 def test_is_oa_refuses_a_block_count_that_does_not_split_the_rows():
     A = full_factorial((2, 2, 3))
     assert is_orthogonal_array(A, 2, 2) == (False, BalanceWitness(

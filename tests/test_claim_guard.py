@@ -6,7 +6,9 @@ and the modules that build and certify arrays may not guard a claim with
 run in two places: the builders in `synthesis` check a code's array where
 its partition is formed (`ensure_checked`, `claim_blocks`, `measure_md`),
 and `constructions` certifies full factorials and loaded assets (`certify`,
-also open to the asset scripts in `tools/`).  The array route of cross validation
+also open to the asset scripts in `tools/`).  Only `constructions.asset_get`
+may hand out the checked claims of an asset payload it has already
+certified (`from_certified`).  The array route of cross validation
 takes its distance from the `arrays` kernel, which shares no code with the
 rank kernel of the reduction route in `verify`.  Every module but the package
 `__init__` uses each name it imports, unless the import is marked
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import Optional
 
 import oaqec
 
@@ -64,9 +67,11 @@ def test_claim_modules_have_no_assert_statements():
     assert offenders == {}
 
 
-#: check calls and the modules allowed to make them, besides arrays.py
+#: check calls and the modules (or `module:function`) allowed to make them,
+#: besides arrays.py
 CHECK_CALLERS = {"ensure_checked": {"synthesis.py"}, "claim_blocks": {"synthesis.py"},
-                 "measure_md": {"synthesis.py"}, "certify": {"constructions.py", "tools"}}
+                 "measure_md": {"synthesis.py"}, "certify": {"constructions.py", "tools"},
+                 "from_certified": {"constructions.py:asset_get"}}
 
 
 def _called_names(tree: ast.AST) -> set[str]:
@@ -81,17 +86,30 @@ def _called_names(tree: ast.AST) -> set[str]:
     return names
 
 
+def _calls_by_function(tree: ast.Module) -> set[tuple[Optional[str], str]]:
+    """(function, name) for every name called in the module: `function` is
+    the module-level def around the call, or None outside one."""
+    calls = set()
+    for node in tree.body:
+        function = node.name if isinstance(node, ast.FunctionDef) else None
+        calls.update((function, name) for name in _called_names(node))
+    return calls
+
+
 def check_policy_faults(sources: dict[str, str]) -> list[str]:
-    """Calls of a check outside the modules allowed to make it.  `sources`
-    maps a module's file name, or `tools/<name>` for a script, to its text."""
+    """Calls of a check outside the modules (or functions) allowed to make
+    it.  `sources` maps a module's file name, or `tools/<name>` for a
+    script, to its text."""
     faults = []
     for name, source in sorted(sources.items()):
         if name == "arrays.py":
             continue
         place = "tools" if name.startswith("tools/") else name
-        for call in sorted(_called_names(ast.parse(source, name)) & set(CHECK_CALLERS)):
-            if place not in CHECK_CALLERS[call]:
-                faults.append(f"{name} calls {call}")
+        faults.extend(sorted({
+            f"{name} calls {call}"
+            for function, call in _calls_by_function(ast.parse(source, name))
+            if call in CHECK_CALLERS
+            and not {place, f"{place}:{function}"} & CHECK_CALLERS[call]}))
     return faults
 
 
@@ -126,6 +144,25 @@ def test_check_policy_guard_has_teeth():
     for fault, (name, line) in mutants.items():
         mutant = dict(sources, **{name: sources[name] + line})
         assert check_policy_faults(mutant) == [fault], fault
+
+
+def test_only_asset_get_hands_out_certified_claims():
+    sources = _policy_sources()
+    constructions = sources["constructions.py"]
+    assert ("asset_get", "from_certified") in _calls_by_function(ast.parse(constructions))
+    call = "from_certified(M, (2,), 1, 1)"
+    bush_def = "def bush(s: int, t: int) -> MixedLevelArray:\n"
+    assert bush_def in constructions
+    mutants = [
+        ("constructions.py", constructions + f"\nA = {call}\n"),
+        ("constructions.py", constructions + f"\ndef bush_again(s, t):\n    return {call}\n"),
+        ("constructions.py", constructions.replace(bush_def, f"{bush_def}    {call}\n")),
+        ("synthesis.py", sources["synthesis.py"] + f"\nA = arrays.{call}\n"),
+        ("tools/gen_assets.py", sources["tools/gen_assets.py"] + f"\nA = {call}\n"),
+    ]
+    for name, source in mutants:
+        assert check_policy_faults(dict(sources, **{name: source})) == [
+            f"{name} calls from_certified"], source[-80:]
 
 
 def _imported_names(tree: ast.AST) -> set[str]:

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import itertools
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from oaqec import arrays, constructions
 from oaqec.algebra import field_create, is_prime_power, poly_eval
 from oaqec.arrays import (
     MixedLevelArray,
@@ -282,3 +285,77 @@ def test_asset_external_dir_extends_registry(tmp_path):
 def test_asset_record_describe():
     rec = AssetRecord("x", 4, 3, (2, 2, 2), 2, 2)
     assert "OA(4,3,2x2x2,2)" in rec.describe()
+
+
+# --- reuse: one Bush table per (s, t), one certification per asset payload ----
+
+
+def test_bush_calls_return_distinct_arrays_over_one_table():
+    A, B = bush(5, 3), bush(5, 3)
+    assert A is not B and A.matrix is not B.matrix
+    assert np.array_equal(A.matrix, B.matrix)
+    ensure_checked(A)
+    claim(A, strength=2)
+    assert (A.strength, A.strength_checked, A.md_checked) == (2, False, True)
+    assert (B.strength, B.strength_checked, B.md, B.md_checked) == (3, False, 4, False)
+    assert ensure_checked(B).verified and not A.verified
+
+
+def test_shared_bush_table_is_read_only():
+    table = constructions._bush_table(3, 2)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    assert not bush(3, 2).matrix.flags.writeable
+
+
+def test_bush_table_cache_matches_a_fresh_build():
+    keys = [(s, t) for s in range(2, 14) if is_prime_power(s) for t in range(1, 5)
+            if t - 1 <= s]
+    cached = {key: constructions._bush_table(*key) for key in keys}
+    constructions._bush_table.cache_clear()
+    for key in keys:
+        fresh = constructions._bush_table(*key)
+        assert fresh is not cached[key]
+        assert fresh.dtype == cached[key].dtype
+        assert np.array_equal(fresh, cached[key]), key
+
+
+def _register(directory, name, A, *, strength, md, token):
+    """Write A as an external asset without a manifest sha256; `token` goes
+    into a comment line, so each test hashes its own payload."""
+    payload = f"# {token}\n" + to_text(A)
+    (directory / f"{name}.txt").write_text(payload)
+    manifest = {name: {"r": A.r, "n": A.n, "alphabets": list(A.alphabets),
+                       "t": strength, "md": md, "file": f"{name}.txt"}}
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+
+
+def test_asset_reload_of_the_same_payload_is_not_recertified(tmp_path):
+    _register(tmp_path, "ff_8", full_factorial_mixed((2, 2, 2)), strength=3, md=1,
+              token=f"reload {tmp_path}")
+    with mock.patch.object(arrays, "is_orthogonal_array",
+                           wraps=arrays.is_orthogonal_array) as check:
+        first = asset_get("ff_8", asset_dir=str(tmp_path))
+        assert check.call_count == 1
+        second = asset_get("ff_8", asset_dir=str(tmp_path))
+        assert check.call_count == 1
+    assert first is not second
+    assert np.array_equal(first.matrix, second.matrix)
+    assert (second.strength, second.md, second.verified) == (3, 1, True)
+    claim(second, strength=2)
+    assert first.strength == 3 and first.verified
+    assert asset_get("ff_8", asset_dir=str(tmp_path)).verified
+
+
+def test_rewritten_external_payload_is_certified_again(tmp_path):
+    _register(tmp_path, "ff_8", full_factorial_mixed((2, 2, 2)), strength=3, md=1,
+              token=f"rewrite {tmp_path}")
+    assert asset_get("ff_8", asset_dir=str(tmp_path)).verified
+    # different bytes, same record, and a false strength claim
+    rows = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
+            (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 0)]
+    _register(tmp_path, "ff_8", MixedLevelArray(rows, (2, 2, 2)), strength=3, md=1,
+              token=f"rewrite {tmp_path}")
+    with pytest.raises(AssetCorrupt, match="strength 3 verification failed"):
+        asset_get("ff_8", asset_dir=str(tmp_path))
