@@ -8,16 +8,17 @@ strength / minimal-distance certificates, and only this module stores them.
 Operations record, partitions and assets check.  `claim` only records a
 claim, unchecked, and every operation here (and every construction built
 from them) returns its result with the claims it inherits recorded that
-way.  A claim is checked by one of three calls: `ensure_checked` checks
-every claim an array carries when the work fits a verification budget
-(otherwise the array stays "constructed, unverified" and reports surface
-that status), `measure_md` records the exact distance when its check fits
-the budget, and `certify` checks unconditionally (arrays from outside
-input and full factorials).  `claim_blocks` checks a partition's blocks,
-all together or not at all.  A code's builder checks only the array the
-code is compiled from, where its partition is formed; no status reads the
-claims of an intermediate array.  A claim that fails its check raises
-ClaimFailed.
+way.  `ensure_checked` is the one place a claim is compared with a computed
+strength or distance: it checks every claim an array carries whose check
+fits a verification budget, and leaves the rest "constructed, unverified"
+for reports to surface.  `certify` claims and checks whatever it costs
+(arrays from outside input and full factorials), and `measure_md` records
+the exact distance of an array that claims none when its check fits the
+budget; both hand every claim to `ensure_checked`, so a false claim fails
+with the same ClaimFailed message whichever call finds it.  `claim_blocks`
+checks a partition's blocks, all together or not at all.  A code's builder
+checks only the array the code is compiled from, where its partition is
+formed; no status reads the claims of an intermediate array.
 
 Strength is checked by vectorized counts over one contiguous column-major
 copy of the matrix.  The t-column subsets are taken as the one-column
@@ -453,19 +454,8 @@ def claim(A: MixedLevelArray, *, strength: Optional[int] = None,
 
 
 def certify(A: MixedLevelArray, t: int, md: Optional[int] = None) -> MixedLevelArray:
-    """Unconditionally verify strength t (and md, if given) and record it."""
-    ok, witness = is_orthogonal_array(A, t)
-    if not ok:
-        raise ClaimFailed(f"strength {t} verification failed: {witness}")
-    A._strength = t
-    A._strength_checked = True
-    if md is not None:
-        actual = minimal_distance(A)
-        if actual != md:
-            raise ClaimFailed(f"md {md} verification failed: actual {actual}")
-        A._md = md
-        A._md_checked = True
-    return A
+    """Claim strength t (and md, if given) on A; check all its claims at any cost."""
+    return ensure_checked(claim(A, strength=t, md=md), math.inf)
 
 
 def from_certified(matrix: np.ndarray, alphabets: Sequence[int], t: int,
@@ -480,22 +470,14 @@ def from_certified(matrix: np.ndarray, alphabets: Sequence[int], t: int,
 
 
 def measure_md(A: MixedLevelArray, budget: Optional[int] = None) -> Optional[int]:
-    """Exact minimal distance of A when its check fits `budget`, else None.
-
-    The check is priced as a pair scan, r(r-1)/2 checks, and runs as
-    minimal_distance.  A checked distance claim is returned as it is.  A
-    measured distance is recorded on A as a checked claim; ClaimFailed is
-    raised when it contradicts an unchecked claim A already carries.
-    """
-    if A._md is not None and A._md_checked:
-        return A._md
-    if distance_check_cost(A) > _budget(budget):
-        return None
-    md = minimal_distance(A)
-    if A._md is not None and A._md != md:
-        raise ClaimFailed(f"claimed distance {A._md} contradicts the computed {md}")
-    A._md, A._md_checked = md, True
-    return md
+    """Minimal distance of A once checked within `budget`, else None.  A claimed
+    distance is checked by ensure_checked (with A's other claims); any other is
+    measured when its check, priced as a pair scan, fits, and recorded checked."""
+    if A._md is not None:
+        ensure_checked(A, budget)
+    elif distance_check_cost(A) <= _budget(budget):
+        A._md, A._md_checked = minimal_distance(A), True
+    return A._md if A._md_checked else None
 
 
 def claim_blocks(parent: MixedLevelArray, K: int, t: int,

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import tables
 from .arrays import from_text, is_orthogonal_array, minimal_distance
-from .constructions import asset_get, asset_list, asset_records
+from .constructions import MANIFEST_NAME, asset_get, asset_list, asset_records
 from .errors import (
     AssetCorrupt,
     ClaimFailed,
@@ -156,10 +156,6 @@ def _cmd_tables(args) -> int:
     return EXIT_VERIFICATION if tables.has_mismatch(results) else EXIT_OK
 
 
-def _manifest_path(dirpath: Path) -> Path:
-    return dirpath / "manifest.json"
-
-
 def _cmd_assets(args) -> int:
     if args.action == "list":
         for record in asset_list():
@@ -201,7 +197,7 @@ def _assets_add(args) -> int:
     payload = text if text.endswith("\n") else text + "\n"
     (target / f"{name}.txt").write_text(payload)
     digest = hashlib.sha256(payload.encode()).hexdigest()
-    manifest_file = _manifest_path(target)
+    manifest_file = target / MANIFEST_NAME
     manifest = json.loads(manifest_file.read_text()) if manifest_file.is_file() else {}
     manifest[name] = {"r": array.r, "n": array.n,
                       "alphabets": list(array.alphabets), "t": declared_t,

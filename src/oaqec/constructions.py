@@ -15,7 +15,8 @@ once per (s, t) and kept read-only; each call wraps it in a fresh array, so
 one caller's claims never reach another's.  An asset payload is read and
 hashed on every load but certified once: a reload of the same bytes, for
 the same record parameters, gets a fresh array with the claims its first
-load checked.
+load checked.  A manifest is read on every lookup and parsed once per its
+bytes, so an edit is seen at once.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ from .errors import (
 from .schemes import d_2s, oa_from_scheme
 
 ASSET_DIR_ENV = "OAQEC_ASSET_DIR"
+#: file name of a registry directory's manifest
+MANIFEST_NAME = "manifest.json"
 
 
 def bush(s: int, t: int) -> MixedLevelArray:
@@ -250,35 +253,46 @@ def _bundled_dir() -> Path:
     return Path(__file__).resolve().parent / "assets"
 
 
-def _records_from_manifest(dirpath: Path, source: str) -> dict[str, AssetRecord]:
-    manifest = dirpath / "manifest.json"
-    if not manifest.is_file():
-        return {}
+#: the JSON type of each field a manifest entry must carry
+_ENTRY_FIELDS = {"r": int, "n": int, "alphabets": list, "t": int, "md": int, "file": str}
+
+
+@functools.lru_cache(maxsize=None)
+def _parse_manifest(payload: bytes, manifest: Path, source: str) -> tuple[AssetRecord, ...]:
+    """The records of one manifest's bytes; AssetCorrupt unless they are a
+    JSON object of entries that carry every field with its type."""
     try:
-        entries = json.loads(manifest.read_text())
-    except json.JSONDecodeError as exc:
+        entries = json.loads(payload)
+    except ValueError as exc:
         raise AssetCorrupt(f"unreadable manifest {manifest}: {exc}") from exc
-    out = {}
+    if not isinstance(entries, dict):
+        raise AssetCorrupt(f"manifest {manifest} is not a JSON object")
+    records = []
     for name, meta in entries.items():
-        out[name] = AssetRecord(
-            name=name, r=int(meta["r"]), n=int(meta["n"]),
-            alphabets=tuple(int(a) for a in meta["alphabets"]),
-            strength=int(meta["t"]), md=int(meta["md"]),
-            file=str(dirpath / meta["file"]), sha256=meta.get("sha256"),
-            source=source)
-    return out
+        meta = meta if isinstance(meta, dict) else {}
+        # type(), not isinstance(): a JSON boolean is no count
+        bad = [key for key, kind in _ENTRY_FIELDS.items() if type(meta.get(key)) is not kind
+               or kind is list and any(type(a) is not int for a in meta[key])]
+        if bad:
+            raise AssetCorrupt(f"manifest {manifest}: entry {name!r} lacks or "
+                               f"mistypes {', '.join(bad)}")
+        records.append(AssetRecord(
+            name=name, r=meta["r"], n=meta["n"], alphabets=tuple(meta["alphabets"]),
+            strength=meta["t"], md=meta["md"], file=str(manifest.parent / meta["file"]),
+            sha256=meta.get("sha256"), source=source))
+    return tuple(records)
 
 
 def asset_records(asset_dir: Optional[str] = None) -> dict[str, AssetRecord]:
     """Registry contents: builders, bundled files, then any external
     directory (environment variable or explicit argument wins on clashes)."""
     records = dict(_BUILDER_RECORDS)
-    records.update(_records_from_manifest(_bundled_dir(), "bundled"))
-    env_dir = os.environ.get(ASSET_DIR_ENV)
-    if env_dir:
-        records.update(_records_from_manifest(Path(env_dir), "external"))
-    if asset_dir:
-        records.update(_records_from_manifest(Path(asset_dir), "external"))
+    for dirpath, source in ((_bundled_dir(), "bundled"),
+                            (os.environ.get(ASSET_DIR_ENV), "external"),
+                            (asset_dir, "external")):
+        if dirpath and (manifest := Path(dirpath) / MANIFEST_NAME).is_file():
+            records.update((rec.name, rec) for rec in
+                           _parse_manifest(manifest.read_bytes(), manifest, source))
     return records
 
 

@@ -12,6 +12,7 @@ from .synthesis import QuantumCode, make_code_params
 _KET = re.compile(r"\|([^|>⟩]+)[>⟩]")
 _SEP = re.compile(r"[,\s]+")
 _ASSET = re.compile(r"asset (\w+)")
+_RECORD_PARAMS = ("n", "K", "d_plus_1", "alphabets", "m", "singleton")
 
 
 def state_to_line(state) -> str:
@@ -80,7 +81,10 @@ def code_to_record_text(code: QuantumCode) -> str:
 def code_from_record_text(text: str) -> QuantumCode:
     """Rebuild a code from a structured record, re-deriving its parameters."""
     rec = json.loads(text)
-    p = rec["params"]
+    p = rec.get("params") if isinstance(rec, dict) else None
+    if not isinstance(p, dict) or "basis" not in rec or not p.keys() >= set(_RECORD_PARAMS):
+        raise ShapeMismatch("a code record needs a basis and params with "
+                            + ", ".join(_RECORD_PARAMS))
     params = make_code_params(p["n"], p["d_plus_1"] - 1, p["alphabets"], p["K"])
     if params.m != p["m"] or params.singleton != p["singleton"]:
         raise ShapeMismatch("recorded parameters disagree with the recomputed ones")

@@ -4,7 +4,9 @@ An orthogonal partition is its parent array's row order: block i is a run of
 consecutive rows.  Expansive replacement keeps row order, so a partition of
 an array is one of every array replaced from it, and the builders never
 split or re-sort blocks; a code canonicalises its kets, so row order never
-reaches an output."""
+reaches an output.  A partition is also the one source of a code's distance
+floor h: its parent's minimal distance when that check ran (h exact), else
+the floor the construction guarantees (a lower bound)."""
 from __future__ import annotations
 
 import functools
@@ -102,9 +104,10 @@ class OrthogonalPartition:
     a stated strength.
 
     Forming a partition is where a code's array is checked: the claims the
-    parent carries are checked within `budget` (ensure_checked), then its
-    blocks, all together in one pass over the parent or not at all, within
-    the same budget (claim_blocks)."""
+    parent carries are checked within `budget` (ensure_checked), its
+    minimal distance is measured within the same budget (measure_md), then
+    its blocks are checked, all together in one pass over the parent or not
+    at all, within the same budget (claim_blocks)."""
 
     def __init__(self, parent: MixedLevelArray, K: int, strength: int,
                  budget: Optional[int] = None):
@@ -117,11 +120,16 @@ class OrthogonalPartition:
         self.K = int(K)
         self.strength = int(strength)
         ensure_checked(parent, budget)
+        measure_md(parent, budget)
         self.strength_checked = claim_blocks(parent, self.K, self.strength, budget)
 
     @property
     def block_size(self) -> int:
         return self.parent.r // self.K
+
+    def distance_floor(self, floor: int) -> int:
+        """The parent's minimal distance when its check ran, else `floor`."""
+        return self.parent.md if self.parent.md_checked else floor
 
     def __repr__(self):
         return (f"OrthogonalPartition(K={self.K}, block_size={self.block_size}, "
@@ -158,18 +166,25 @@ def partition_by_prefix(A: MixedLevelArray, l: int) -> tuple[MixedLevelArray, in
 class Provenance:
     """How a code was built: construction route, ingredients and certificates.
 
-    The parent array is the partition's: its rows in block order."""
+    The parent array is the partition's: its rows in block order.  The h a
+    caller gives is a floor: h is the partition's distance_floor(h)."""
     construction: str
     parameters: tuple[tuple[str, str], ...]
     ingredients: tuple[str, ...]
     partition: OrthogonalPartition
     h: int
-    h_exact: bool
     notes: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "h", self.partition.distance_floor(self.h))
 
     @property
     def parent(self) -> MixedLevelArray:
         return self.partition.parent
+
+    @property
+    def h_exact(self) -> bool:
+        return self.parent.md_checked
 
     @property
     def t_prime(self) -> int:
@@ -275,33 +290,25 @@ class QuantumCode:
         return f"QuantumCode({self.params.code_string()}, {self.status()})"
 
 
-def code_from_partitioned_oa(partition: OrthogonalPartition, h: int, *,
+def code_from_partitioned_oa(partition: OrthogonalPartition, floor: int, *,
                              construction: str = "orthogonal-partition compilation",
                              parameters: tuple[tuple[str, str], ...] = (),
                              ingredients: tuple[str, ...] = (),
-                             h_exact: bool = False,
                              notes: tuple[str, ...] = ()) -> QuantumCode:
-    """Compile a strength-t' partition of an array into an ((n,K,min(t'+1,h))) code."""
+    """Compile a strength-t' partition of an array into an ((n,K,min(t'+1,h))) code,
+    h being the partition's distance_floor(floor)."""
     A = partition.parent
-    if h < 1:
-        raise ValueError(f"distance floor h={h} must be positive")
-    d_plus_1 = min(partition.strength + 1, h)
-    params = make_code_params(A.n, d_plus_1 - 1, A.alphabets, partition.K)
     prov = Provenance(construction=construction, parameters=tuple(parameters),
                       ingredients=tuple(ingredients), partition=partition,
-                      h=h, h_exact=h_exact, notes=tuple(notes))
+                      h=floor, notes=tuple(notes))
+    if prov.h < 1:
+        raise ValueError(f"distance floor h={prov.h} must be positive")
+    d_plus_1 = min(partition.strength + 1, prov.h)
+    params = make_code_params(A.n, d_plus_1 - 1, A.alphabets, partition.K)
     return QuantumCode(params, A.matrix.reshape(partition.K, -1, A.n), prov)
 
 
 # --- shared helpers -------------------------------------------------------------
-
-
-def _certified_h(A: MixedLevelArray, fallback: int,
-                 budget: Optional[int]) -> tuple[int, bool]:
-    """Exact minimal distance when its check (priced as a pair scan, r(r-1)/2)
-    fits the budget, else a floor."""
-    md = measure_md(A, budget)
-    return (fallback, False) if md is None else (md, True)
 
 
 def _normalized_factors(factors) -> tuple[int, ...]:
@@ -336,11 +343,10 @@ def _lifted_code(B: MixedLevelArray, s: int, factors: tuple[int, ...],
         F = full_factorial_mixed(factors, 1)
         B = expansive_replacement(B, B.n - 1, F)
         ingredients.append(_factorial_ingredient(F))
-    h, h_exact = _certified_h(B, 3, budget)
     code = code_from_partitioned_oa(
-        OrthogonalPartition(B, 1, 2, budget), h, construction=construction,
+        OrthogonalPartition(B, 1, 2, budget), 3, construction=construction,
         parameters=(("s", str(s)), ("factors", str(factors))),
-        ingredients=tuple(ingredients), h_exact=h_exact)
+        ingredients=tuple(ingredients))
     _claim_equal(code.params.m, s - 1, "defect")
     return code
 
@@ -435,13 +441,11 @@ def theorem_s1(s: int, d: int, s1: int, *,
             f"resolved array has {base.r} rows, need the unit-index {s ** d}")
     F = full_factorial_mixed((s // s1, s1), 1)
     B = expansive_replacement(base, base.n - 1, F)
-    h, h_exact = _certified_h(B, d + 1, budget)
     code = code_from_partitioned_oa(
-        OrthogonalPartition(B, 1, d, budget), h,
+        OrthogonalPartition(B, 1, d, budget), d + 1,
         construction="unit-index symmetric array with one column split in two",
         parameters=(("s", str(s)), ("d", str(d)), ("s1", str(s1))),
-        ingredients=tuple(trace) + (_factorial_ingredient(F),),
-        h_exact=h_exact)
+        ingredients=tuple(trace) + (_factorial_ingredient(F),))
     _claim_equal(code.params.m, s1 - 1, "defect")
     return code
 
@@ -489,8 +493,9 @@ def theorem_tn(s: int, d: int, l: int, s_factors, q_factors=None, *,
         B = expansive_replacement(B, col - 1, F2)
         ingredients.append(_factorial_ingredient(F2))
 
-    h, h_exact = _certified_h(B, d + 1, budget)
-    d_eff = min(d + 1, h) - 1
+    # replacement keeps row order, so B's rows are still in the prefix blocks
+    part = OrthogonalPartition(B, K, d, budget)
+    d_eff = min(d + 1, part.distance_floor(d + 1)) - 1
     m_pred = m_value(B.n, d_eff, B.alphabets, s ** l)
     if q_factors is None or l >= 1:
         _claim_equal(m_pred, (w1 - 1) * s ** l, "defect")
@@ -499,15 +504,13 @@ def theorem_tn(s: int, d: int, l: int, s_factors, q_factors=None, *,
         closed = s * w1 // w - 1
         agree = "matches" if m_pred == closed else "DIFFERS FROM"
         notes.append(f"defect {m_pred} {agree} the closed form {closed}")
-    # replacement keeps row order, so B's rows are still in the prefix blocks
     code = code_from_partitioned_oa(
-        OrthogonalPartition(B, K, d, budget), h,
+        part, d + 1,
         construction="prefix-partitioned symmetric array with split columns",
         parameters=(("s", str(s)), ("d", str(d)), ("l", str(l)),
                     ("s_factors", str(s_factors)),
                     ("q_factors", str(q_factors))),
-        ingredients=tuple(ingredients), h_exact=h_exact,
-        notes=tuple(notes))
+        ingredients=tuple(ingredients), notes=tuple(notes))
     _claim_equal(code.params.K, s ** l, "dimension")
     return code
 
@@ -541,11 +544,9 @@ def theorem_huan(code: QuantumCode, col: Optional[int], q_factors, *,
     F = full_factorial_mixed(q_factors, 1)
     # replacement keeps row order, so B's rows are still in block order
     B = expansive_replacement(parent, col, F)
-    h, h_exact = _certified_h(B, prov.h, budget)
     return code_from_partitioned_oa(
-        OrthogonalPartition(B, prov.partition.K, prov.t_prime, budget), h,
+        OrthogonalPartition(B, prov.partition.K, prov.t_prime, budget), prov.h,
         construction="column split of an array-backed code",
         parameters=(("column", str(col)), ("q_factors", str(q_factors))),
         ingredients=prov.ingredients + (_factorial_ingredient(F),),
-        h_exact=h_exact,
         notes=(f"derived from {code.params.code_string()}",))

@@ -269,17 +269,45 @@ def test_minimal_distance_needs_two_rows():
 
 
 def test_false_distance_claims_fail_with_pinned_messages():
+    # one message for a false md claim, whichever call finds it
     def even_weight():
         return MixedLevelArray(EVEN_WEIGHT, (2, 2, 2))  # md 2
     with pytest.raises(ClaimFailed, match=r"^md claim 3 != actual 2$"):
         ensure_checked(claim(even_weight(), md=3))
-    with pytest.raises(ClaimFailed, match=r"^md 1 verification failed: actual 2$"):
+    with pytest.raises(ClaimFailed, match=r"^md claim 1 != actual 2$"):
         certify(even_weight(), 2, md=1)
     A = claim(even_weight(), md=3)  # recorded, not checked
     assert not A.md_checked
-    with pytest.raises(ClaimFailed, match=r"^claimed distance 3 contradicts the computed 2$"):
+    with pytest.raises(ClaimFailed, match=r"^md claim 3 != actual 2$"):
         measure_md(A)
     assert measure_md(claim(even_weight(), md=2)) == 2
+
+
+def test_false_strength_claims_fail_with_one_pinned_message():
+    def even_weight():
+        return MixedLevelArray(EVEN_WEIGHT, (2, 2, 2))  # strength 2
+    message = (r"^strength 3 claim failed: columns \(0, 1, 2\), levels \(0, 0, 0\): "
+               r"observed 1, expected 0\.5 \(index r/prod\(s_j\) is not an integer\)$")
+    with pytest.raises(ClaimFailed, match=message):
+        ensure_checked(claim(even_weight(), strength=3))
+    with pytest.raises(ClaimFailed, match=message):
+        certify(even_weight(), 3)
+
+
+def test_measure_md_checks_a_claimed_distance_within_its_budget():
+    A = claim(MixedLevelArray(EVEN_WEIGHT, (2, 2, 2)), strength=2, md=3)
+    # over budget a claim stays unchecked and nothing is measured
+    assert measure_md(A, budget=0) is None
+    assert (A.md, A.md_checked) == (3, False)
+    B = MixedLevelArray(EVEN_WEIGHT, (2, 2, 2))
+    assert measure_md(B, budget=0) is None and B.md is None
+    # an unclaimed distance is measured and recorded as checked
+    assert measure_md(B) == 2 and (B.md, B.md_checked) == (2, True)
+    # a claimed one goes through ensure_checked with the array's other claims
+    C = claim(MixedLevelArray(EVEN_WEIGHT, (2, 2, 2)), strength=2, md=2)
+    with mock.patch.object(arrays, "ensure_checked", wraps=arrays.ensure_checked) as check:
+        assert measure_md(C) == 2
+    assert check.call_count == 1 and C.verified
 
 
 def test_is_oa_matches_naive_oracle():

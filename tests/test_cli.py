@@ -233,6 +233,21 @@ def test_verify_modes(tmp_path, capsys):
     assert rc == 4 and "strict-uniform" in out
 
 
+@pytest.mark.parametrize("record", [
+    {"foo": 1},
+    {"params": [], "basis": []},
+    {"params": {"n": 4, "K": 1, "d_plus_1": 2, "alphabets": [2, 2, 2, 2], "m": 1,
+                "singleton": 4, "m_range": [0, 2]}},
+    {"params": {"n": 4, "K": 1, "alphabets": [2, 2, 2, 2]}, "basis": []},
+], ids=["no-params", "params-not-object", "no-basis", "params-field-missing"])
+def test_verify_refuses_a_malformed_record_with_exit_2(tmp_path, capsys, record):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(record))
+    rc, out, err = run(capsys, "verify", "--code", str(path), "--d", "1")
+    assert rc == 2 and out == ""
+    assert err.startswith("invalid request: ") and "Error" not in err
+
+
 def test_verify_missing_file_exits_2(capsys):
     rc, _, err = run(capsys, "verify", "--code", "/nonexistent.ket", "--d", "1")
     assert rc == 2 and "invalid request" in err
@@ -371,6 +386,25 @@ def test_assets_verify_reports_an_unparsable_payload_as_corrupt(tmp_path, capsys
     assert err == "asset corrupt: short: unreadable payload: expected 4 rows, found 2\n"
 
 
+@pytest.mark.parametrize("manifest, detail", [
+    ({"x": {"n": 3}}, "entry 'x' lacks or mistypes r, alphabets, t, md, file"),
+    ([1], "is not a JSON object"),
+    ({"x": {"r": 4, "n": True, "alphabets": [2, 2, 2], "t": 2, "md": 2,
+            "file": "x.txt"}}, "entry 'x' lacks or mistypes n"),
+    ({"x": {"r": 4, "n": 3, "alphabets": [2, "2", 2], "t": 2, "md": 2,
+            "file": "x.txt"}}, "entry 'x' lacks or mistypes alphabets"),
+    ({"x": 7}, "entry 'x' lacks or mistypes r, n, alphabets, t, md, file"),
+], ids=["missing-fields", "not-an-object", "bool-count", "string-alphabet",
+        "entry-not-object"])
+def test_assets_list_reports_a_malformed_manifest_as_corrupt(tmp_path, capsys, monkeypatch,
+                                                             manifest, detail):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    monkeypatch.setenv("OAQEC_ASSET_DIR", str(tmp_path))
+    rc, out, err = run(capsys, "assets", "list")
+    assert rc == 4 and out == ""
+    assert err.startswith("asset corrupt: manifest ") and err.endswith(f"{detail}\n")
+
+
 # --- claim checks under python -O --------------------------------------------------
 
 
@@ -411,4 +445,4 @@ def test_false_asset_claim_is_corrupt_under_optimize(tmp_path):
     env = dict(os.environ, OAQEC_ASSET_DIR=str(tmp_path))
     proc = run_optimized(["-m", "oaqec.cli", "assets", "verify"], env)
     assert proc.returncode == 4, proc.stdout
-    assert proc.stderr.startswith("asset corrupt: bad: strength 3 verification failed")
+    assert proc.stderr.startswith("asset corrupt: bad: strength 3 claim failed")

@@ -282,6 +282,19 @@ def test_asset_external_dir_extends_registry(tmp_path):
     assert B.rows == A.rows
 
 
+def test_a_rewritten_manifest_is_seen_and_each_manifest_is_parsed_once(tmp_path):
+    A = full_factorial_mixed((3, 3))
+    token = f"manifest {tmp_path}"
+    _register(tmp_path, "ff_9", A, strength=2, md=1, token=token)
+    assert asset_records(str(tmp_path))["ff_9"].strength == 2
+    with mock.patch.object(constructions.json, "loads", wraps=json.loads) as parse:
+        assert asset_records(str(tmp_path))["ff_9"].strength == 2
+        assert parse.call_count == 0
+        _register(tmp_path, "ff_9", A, strength=1, md=1, token=token)
+        assert asset_records(str(tmp_path))["ff_9"].strength == 1
+        assert parse.call_count == 1
+
+
 def test_asset_record_describe():
     rec = AssetRecord("x", 4, 3, (2, 2, 2), 2, 2)
     assert "OA(4,3,2x2x2,2)" in rec.describe()
@@ -357,5 +370,5 @@ def test_rewritten_external_payload_is_certified_again(tmp_path):
             (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 0)]
     _register(tmp_path, "ff_8", MixedLevelArray(rows, (2, 2, 2)), strength=3, md=1,
               token=f"rewrite {tmp_path}")
-    with pytest.raises(AssetCorrupt, match="strength 3 verification failed"):
+    with pytest.raises(AssetCorrupt, match="strength 3 claim failed"):
         asset_get("ff_8", asset_dir=str(tmp_path))

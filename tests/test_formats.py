@@ -142,7 +142,7 @@ def test_provenance_block_injects_digest_when_missing():
     prov = base.provenance
     bare = Provenance(construction=prov.construction, parameters=prov.parameters,
                       ingredients=("asset oa_144_5_12_2",),
-                      partition=prov.partition, h=prov.h, h_exact=prov.h_exact)
+                      partition=prov.partition, h=prov.h)
     code = QuantumCode(base.params, base.basis, bare)
     block = provenance_block(code)
     digest = asset_records()["oa_144_5_12_2"].sha256[:16]

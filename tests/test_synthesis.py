@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oaqec.arrays import MixedLevelArray, distance_profile, is_orthogonal_array
+from oaqec.arrays import MixedLevelArray, claim, distance_profile, is_orthogonal_array
 from oaqec.constructions import bush, resolve_symmetric_oa
 from oaqec.errors import (
     BadFactorization,
@@ -26,11 +26,12 @@ from oaqec.errors import (
     NotPartitionable,
     SBoundViolated,
 )
-from oaqec.formats import load_fixture
+from oaqec.formats import load_fixture, provenance_block
 from oaqec.synthesis import (
     OrthogonalPartition,
     QuantumCode,
     admissible_m_range,
+    code_from_partitioned_oa,
     corollary_5lie,
     m_value,
     make_code_params,
@@ -327,9 +328,9 @@ def test_resplit_reproduces_bundled_code_from_merged_columns():
                                    (4, 4, 4, 4, 2, 2, 2)), strength=2)
     assert distance_profile(parent).md == 3
     part = OrthogonalPartition(parent, len(blocks), 2)
-    merged = code_from_partitioned_oa(part, 3, h_exact=True,
-                                      construction="merged-bit reference input")
+    merged = code_from_partitioned_oa(part, 3, construction="merged-bit reference input")
     assert merged.params.code_string() == "((7,8,3))_{4^4 2^3}"
+    assert merged.provenance.h_exact  # the partition measured md 3
     assert verify_code(merged).passed
 
     code = theorem_huan(merged, 3, [2, 2])
@@ -511,6 +512,36 @@ def test_code_refuses_kets_that_do_not_cover_the_parent():
     partition = OrthogonalPartition(parent, 1, prov.t_prime, budget=0)
     with pytest.raises(ClaimFailed, match="basis states do not cover the parent array"):
         QuantumCode(code.params, code.basis, replace(prov, partition=partition))
+
+
+def test_no_caller_can_mark_the_distance_floor_exact():
+    # the parent of ((5,1,3))_{9^1 3^4}: strength 2, minimal distance 3
+    prov = theorem_5s2(3, [3]).provenance
+
+    def parent():
+        return claim(MixedLevelArray(prov.parent.matrix, prov.parent.alphabets), strength=2)
+
+    for h in (1, 2, 3, 4, 9):
+        code = code_from_partitioned_oa(OrthogonalPartition(parent(), 1, 2, budget=0), h)
+        assert (code.provenance.h, code.provenance.h_exact) == (h, False)
+        assert f"distance floor h={h} (lower bound)" in provenance_block(code)
+        assert code.status() == "constructed, unverified"
+    # the partition's distance check sets h, whatever floor is passed
+    code = code_from_partitioned_oa(OrthogonalPartition(parent(), 1, 2), 9)
+    assert (code.provenance.h, code.provenance.h_exact) == (3, True)
+    assert "distance floor h=3 (exact)" in provenance_block(code)
+    assert code.status() == "verified"
+    # a provenance takes h only as a floor over the partition's check
+    exact = code.provenance
+    assert replace(exact, h=99).h == 3
+    assert replace(exact, partition=OrthogonalPartition(parent(), 1, 2, budget=0)).h == 3
+    assert replace(exact, partition=OrthogonalPartition(parent(), 1, 2, budget=0), h=99).h == 99
+    # exactness is not a parameter of the compiler or of the provenance
+    with pytest.raises(TypeError):
+        code_from_partitioned_oa(OrthogonalPartition(parent(), 1, 2, budget=0), 3,
+                                 h_exact=True)
+    with pytest.raises(TypeError):
+        replace(prov, h_exact=True)
 
 
 @pytest.mark.parametrize("build", [

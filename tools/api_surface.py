@@ -1,0 +1,63 @@
+"""Print the size of the package's source and of its settable surface.
+
+Two numbers:
+
+  * lines: the line count of every `src/oaqec/*.py` module;
+  * keyword parameters: the defaulted parameters (positional or
+    keyword-only) of public module-level functions and of the methods of
+    public classes, found by walking each module's AST.  A name is public
+    when it does not start with an underscore; every method of a public
+    class counts, `__init__` included.
+
+Run from the repository root:  python3 tools/api_surface.py [SRC_DIR]
+SRC_DIR defaults to this checkout's `src/oaqec`, so the same script measures
+another checkout when given its package directory.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+DEFAULT_SRC = Path(__file__).resolve().parents[1] / "src" / "oaqec"
+
+
+def _defaulted(fn: ast.FunctionDef) -> list[str]:
+    """Names of the parameters of `fn` that have a default value."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+    names += [a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults)
+              if default is not None]
+    return names
+
+
+def keyword_parameters(source: str) -> list[str]:
+    """`function.parameter` for every counted parameter of one module."""
+    out = []
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.parse(source).body:
+        if isinstance(node, functions) and not node.name.startswith("_"):
+            out += [f"{node.name}.{p}" for p in _defaulted(node)]
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            out += [f"{node.name}.{item.name}.{p}" for item in node.body
+                    if isinstance(item, functions) for p in _defaulted(item)]
+    return out
+
+
+def main(argv: list[str]) -> int:
+    src = Path(argv[1]) if len(argv) > 1 else DEFAULT_SRC
+    modules = sorted(src.glob("*.py"))
+    lines = sum(len(path.read_text().splitlines()) for path in modules)
+    params = [f"{path.stem}.{name}" for path in modules
+              for name in keyword_parameters(path.read_text())]
+    print(f"lines: {lines}")
+    print(f"keyword parameters: {len(params)}")
+    for name in params:
+        print(f"  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
