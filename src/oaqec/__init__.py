@@ -26,6 +26,7 @@ from .arrays import (
 )
 from .constructions import (
     AssetRecord,
+    asset_add,
     asset_get,
     asset_list,
     asset_records,

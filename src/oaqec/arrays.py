@@ -484,7 +484,11 @@ def claim_blocks(parent: MixedLevelArray, K: int, t: int,
                  budget: Optional[int] = None) -> bool:
     """Check the K blocks of consecutive rows of `parent` at strength t in
     one pass when the blocks' summed cost, strength_check_cost(parent, t),
-    fits the budget.  Returns whether the check ran; ClaimFailed if it failed."""
+    fits the budget.  Returns whether the check ran; ClaimFailed if it failed.
+    One block is the parent itself: a checked strength claim of t or more
+    on the parent is that check, and is not run again."""
+    if K == 1 and parent._strength_checked and parent._strength >= t:
+        return True
     if strength_check_cost(parent, t) > _budget(budget):
         return False
     ok, witness = is_orthogonal_array(parent, t, K)

@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
 from pathlib import Path
 
 from . import tables
-from .arrays import from_text, is_orthogonal_array, minimal_distance
-from .constructions import MANIFEST_NAME, asset_get, asset_list, asset_records
+from .constructions import asset_add, asset_get, asset_list, asset_records
 from .errors import (
     AssetCorrupt,
     ClaimFailed,
@@ -176,36 +173,15 @@ def _cmd_assets(args) -> int:
 
 def _assets_add(args) -> int:
     _require(args.file is not None, "assets add needs --file")
-    target = Path(args.dir) if args.dir else None
-    _require(target is not None,
-             "assets add needs --dir (a writable registry directory)")
+    _require(bool(args.dir), "assets add needs --dir (a writable registry directory)")
     try:
         text = Path(args.file).read_text()
     except OSError as exc:
         raise _UsageError(f"cannot read {args.file}: {exc}")
-    array = from_text(text)
-    declared_t = args.strength if args.strength is not None else array.strength
-    ok, witness = is_orthogonal_array(array, declared_t)
-    if not ok:
-        raise AssetCorrupt(f"{args.file}: strength {declared_t} fails: {witness}")
-    measured_md = minimal_distance(array)
-    if args.md is not None and args.md != measured_md:
-        raise AssetCorrupt(f"{args.file}: declared MD {args.md}, measured {measured_md}")
-
-    name = args.name or Path(args.file).stem
-    target.mkdir(parents=True, exist_ok=True)
-    payload = text if text.endswith("\n") else text + "\n"
-    (target / f"{name}.txt").write_text(payload)
-    digest = hashlib.sha256(payload.encode()).hexdigest()
-    manifest_file = target / MANIFEST_NAME
-    manifest = json.loads(manifest_file.read_text()) if manifest_file.is_file() else {}
-    manifest[name] = {"r": array.r, "n": array.n,
-                      "alphabets": list(array.alphabets), "t": declared_t,
-                      "md": measured_md, "file": f"{name}.txt",
-                      "sha256": digest}
-    manifest_file.write_text(json.dumps(manifest, indent=2) + "\n")
-    print(f"added {name}: OA({array.r},{array.n}) strength {declared_t} "
-          f"MD {measured_md} sha256={digest[:16]}")
+    rec = asset_add(text, args.name or Path(args.file).stem, args.dir,
+                    args.strength, args.md)
+    print(f"added {rec.name}: OA({rec.r},{rec.n}) strength {rec.strength} "
+          f"MD {rec.md} sha256={rec.sha256[:16]}")
     return EXIT_OK
 
 

@@ -2,13 +2,21 @@
 
 Polynomial (Bush) arrays and their hyperoval extension cover prime-power
 alphabets; composite alphabets are reached by columnwise products over the
-prime-power factorization; everything else comes from bundled data files.
+prime-power factorization; everything else comes from the asset registry.
 
 Constructions record, assets check.  A constructed array carries its
 strength and distance claims unchecked: the builder that compiles a code
 checks the one array the code is built from (see `arrays`).  A full
 factorial, and an asset loaded from a data file (outside input), is
 certified in full whatever the budget.
+
+The asset registry is data files only: each directory holds array text
+files and a `manifest.json` that records each file's parameters and the
+sha256 pinning its bytes.  This module is the only one that reads or writes
+a registry: `asset_add` certifies an array (measuring an md not declared)
+before it writes the file and the manifest entry, and `asset_get` checks
+the pin and certifies the payload before it hands the array out, noting
+the digest in the caller's ingredient trace.
 
 Work is not redone within a process.  The table of `bush(s, t)` is built
 once per (s, t) and kept read-only; each call wraps it in a fresh array, so
@@ -27,20 +35,20 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .algebra import factorize_prime_powers, field_create, is_prime_power
 from .arrays import (
     MixedLevelArray,
-    attach_index_column,
     certify,
     claim,
     delete_columns,
     from_certified,
     from_text,
     lexsorted,
+    minimal_distance,
     multiply_oa,
 )
 from .errors import (
@@ -52,7 +60,6 @@ from .errors import (
     StrengthTooHigh,
     ToolkitError,
 )
-from .schemes import d_2s, oa_from_scheme
 
 ASSET_DIR_ENV = "OAQEC_ASSET_DIR"
 #: file name of a registry directory's manifest
@@ -189,7 +196,7 @@ def resolve_symmetric_oa(s: int, n_cols: int, t: int,
         A = asset_get(rec.name)
         if A.n > n_cols:
             A = delete_columns(A, range(n_cols, A.n))
-        digest = rec.sha256[:16] if rec.sha256 else "builder"
+        digest = rec.sha256[:16] if rec.sha256 else "unhashed"
         _note(f"OA({A.r},{n_cols},{s},{t}) from asset {rec.name} ({digest})")
         return A
     failures.append(f"assets: no registered array with alphabet {s}, "
@@ -223,32 +230,6 @@ class AssetRecord:
                 f"MD={self.md} [{self.source}]")
 
 
-def _build_oa_18_5_6_3333() -> MixedLevelArray:
-    """OA(18,5,6^1 3^4,2) with MD 3: block-index the lift of the width-6
-    scheme over GF(3), then drop two of the ternary columns."""
-    A = attach_index_column(oa_from_scheme(d_2s(3)), 3)
-    return delete_columns(A, (5, 6))
-
-
-def _build_oa_8_5_4_2222() -> MixedLevelArray:
-    """OA(8,5,4^1 2^4,2) with MD 3: block-index the lift of the width-4
-    scheme over GF(2)."""
-    return attach_index_column(oa_from_scheme(d_2s(2)), 2)
-
-
-_BUILDERS: dict[str, Callable[[], MixedLevelArray]] = {
-    "oa_18_5_6_3333": _build_oa_18_5_6_3333,
-    "oa_8_5_4_2222": _build_oa_8_5_4_2222,
-}
-
-_BUILDER_RECORDS = {
-    "oa_18_5_6_3333": AssetRecord("oa_18_5_6_3333", 18, 5, (6, 3, 3, 3, 3),
-                                  2, 3, source="builder"),
-    "oa_8_5_4_2222": AssetRecord("oa_8_5_4_2222", 8, 5, (4, 2, 2, 2, 2),
-                                 2, 3, source="builder"),
-}
-
-
 def _bundled_dir() -> Path:
     return Path(__file__).resolve().parent / "assets"
 
@@ -273,6 +254,9 @@ def _parse_manifest(payload: bytes, manifest: Path, source: str) -> tuple[AssetR
         # type(), not isinstance(): a JSON boolean is no count
         bad = [key for key, kind in _ENTRY_FIELDS.items() if type(meta.get(key)) is not kind
                or kind is list and any(type(a) is not int for a in meta[key])]
+        # an entry may leave its payload unpinned, but a pin is a string
+        if type(meta.get("sha256", "")) is not str:
+            bad.append("sha256")
         if bad:
             raise AssetCorrupt(f"manifest {manifest}: entry {name!r} lacks or "
                                f"mistypes {', '.join(bad)}")
@@ -284,9 +268,9 @@ def _parse_manifest(payload: bytes, manifest: Path, source: str) -> tuple[AssetR
 
 
 def asset_records(asset_dir: Optional[str] = None) -> dict[str, AssetRecord]:
-    """Registry contents: builders, bundled files, then any external
-    directory (environment variable or explicit argument wins on clashes)."""
-    records = dict(_BUILDER_RECORDS)
+    """Registry contents: bundled files, then any external directory
+    (environment variable or explicit argument wins on clashes)."""
+    records = {}
     for dirpath, source in ((_bundled_dir(), "bundled"),
                             (os.environ.get(ASSET_DIR_ENV), "external"),
                             (asset_dir, "external")):
@@ -296,8 +280,16 @@ def asset_records(asset_dir: Optional[str] = None) -> dict[str, AssetRecord]:
     return records
 
 
-def asset_list(asset_dir: Optional[str] = None) -> list[AssetRecord]:
-    return sorted(asset_records(asset_dir).values(), key=lambda rec: rec.name)
+def asset_list() -> list[AssetRecord]:
+    return sorted(asset_records().values(), key=lambda rec: rec.name)
+
+
+def _certify_asset(name: str, A: MixedLevelArray, t: int, md: Optional[int]) -> None:
+    """certify(A, t, md), a false claim reported as AssetCorrupt."""
+    try:
+        certify(A, t, md)
+    except ClaimFailed as exc:
+        raise AssetCorrupt(f"{name}: {exc}") from exc
 
 
 #: matrices of asset payloads that `certify` passed, by (sha256 of the
@@ -305,44 +297,75 @@ def asset_list(asset_dir: Optional[str] = None) -> list[AssetRecord]:
 _CERTIFIED_PAYLOADS: dict[tuple, np.ndarray] = {}
 
 
-def asset_get(name: str, asset_dir: Optional[str] = None) -> MixedLevelArray:
+def asset_get(name: str, asset_dir: Optional[str] = None,
+              trace: Optional[list[str]] = None) -> MixedLevelArray:
     """Load one registered array with its strength and MD certified.
 
     A file's payload is read and hashed on every call and certified on its
     first load with the record's parameters; a reload of the same bytes gets
-    a fresh array with the claims that check passed."""
+    a fresh array with the claims that check passed.  When `trace` is a
+    list, a note naming the asset and its payload's sha256 (`unhashed`
+    when the manifest pins none) is appended."""
     records = asset_records(asset_dir)
     if name not in records:
         known = ", ".join(sorted(records)) or "none"
         raise IngredientUnavailable(f"no asset named {name!r} (registered: {known})")
     rec = records[name]
-    key = None
-    if rec.source == "builder" and rec.file is None:
-        A = _BUILDERS[name]()
-    else:
-        path = Path(rec.file)
-        if not path.is_file():
-            raise IngredientUnavailable(f"asset file missing: {path}")
-        payload = path.read_bytes()
-        digest = hashlib.sha256(payload).hexdigest()
-        if rec.sha256 and digest != rec.sha256:
-            raise AssetCorrupt(f"{name}: sha256 mismatch "
-                               f"(manifest {rec.sha256[:12]}…, file {digest[:12]}…)")
-        key = (digest, rec.r, rec.n, rec.alphabets, rec.strength, rec.md)
-        if key in _CERTIFIED_PAYLOADS:
-            return from_certified(_CERTIFIED_PAYLOADS[key], rec.alphabets,
-                                  rec.strength, rec.md)
+    path = Path(rec.file)
+    if not path.is_file():
+        raise IngredientUnavailable(f"asset file missing: {path}")
+    payload = path.read_bytes()
+    digest = hashlib.sha256(payload).hexdigest()
+    if rec.sha256 and digest != rec.sha256:
+        raise AssetCorrupt(f"{name}: sha256 mismatch "
+                           f"(manifest {rec.sha256[:12]}…, file {digest[:12]}…)")
+    key = (digest, rec.r, rec.n, rec.alphabets, rec.strength, rec.md)
+    if key not in _CERTIFIED_PAYLOADS:
         try:
             A = from_text(payload.decode())
         except (ToolkitError, ValueError) as exc:
             raise AssetCorrupt(f"{name}: unreadable payload: {exc}") from exc
-    if (A.r, A.n, A.alphabets) != (rec.r, rec.n, rec.alphabets):
-        raise AssetCorrupt(f"{name}: payload shape {A.r}x{A.n} alphabets "
-                           f"{A.alphabets} does not match record")
-    try:
-        certify(A, rec.strength, rec.md)
-    except ClaimFailed as exc:
-        raise AssetCorrupt(f"{name}: {exc}") from exc
-    if key is not None:
+        if (A.r, A.n, A.alphabets) != (rec.r, rec.n, rec.alphabets):
+            raise AssetCorrupt(f"{name}: payload shape {A.r}x{A.n} alphabets "
+                               f"{A.alphabets} does not match record")
+        _certify_asset(name, A, rec.strength, rec.md)
         _CERTIFIED_PAYLOADS[key] = A.matrix
-    return A
+    if trace is not None:
+        pin = f"sha256 {digest[:16]}" if rec.sha256 else "unhashed"
+        trace.append(f"asset {name} ({pin})")
+    return from_certified(_CERTIFIED_PAYLOADS[key], rec.alphabets, rec.strength, rec.md)
+
+
+def asset_add(text: str, name: str, asset_dir: str | Path, strength: Optional[int],
+              md: Optional[int]) -> AssetRecord:
+    """Admit the array written in `text` to the registry in `asset_dir`.
+
+    The array is certified at `strength` (None: the strength its header
+    claims) and at `md` when one is given; an md not given is measured.
+    The payload then goes to `<name>.txt` and its entry, pinned by the
+    payload's sha256, to the manifest; the directory and the manifest are
+    created when missing.  Returns the new record."""
+    A = from_text(text)
+    t = A.strength if strength is None else strength
+    if t < 1:
+        raise ValueError(f"strength must be >= 1, got {t}")
+    _certify_asset(name, A, t, md)
+    if md is None:
+        md = minimal_distance(A)
+    directory = Path(asset_dir)
+    manifest = directory / MANIFEST_NAME
+    entries = {}
+    if manifest.is_file():
+        # refuse to extend a manifest the registry could not read
+        old = manifest.read_bytes()
+        _parse_manifest(old, manifest, "external")
+        entries = json.loads(old)
+    payload = text if text.endswith("\n") else text + "\n"
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / f"{name}.txt").write_text(payload)
+    entries[name] = {"r": A.r, "n": A.n, "alphabets": list(A.alphabets), "t": t,
+                     "md": md, "file": f"{name}.txt", "sha256": digest}
+    manifest.write_text(json.dumps(entries, indent=2) + "\n")
+    return AssetRecord(name, A.r, A.n, A.alphabets, t, md,
+                       str(directory / f"{name}.txt"), digest, "external")

@@ -5,13 +5,11 @@ import json
 import re
 from importlib import resources
 
-from .constructions import asset_records
 from .errors import ShapeMismatch
 from .synthesis import QuantumCode, make_code_params
 
 _KET = re.compile(r"\|([^|>⟩]+)[>⟩]")
 _SEP = re.compile(r"[,\s]+")
-_ASSET = re.compile(r"asset (\w+)")
 _RECORD_PARAMS = ("n", "K", "d_plus_1", "alphabets", "m", "singleton")
 
 
@@ -92,7 +90,8 @@ def code_from_record_text(text: str) -> QuantumCode:
 
 
 def provenance_block(code: QuantumCode) -> str:
-    """Human-readable account of how a code was built, with asset digests."""
+    """Human-readable account of how a code was built; an asset ingredient
+    names the digest recorded when it was loaded."""
     prov = code.provenance
     lines = [f"code: {code.params.code_string()}",
              f"defect m: {code.params.m} "
@@ -105,17 +104,8 @@ def provenance_block(code: QuantumCode) -> str:
     if prov.parameters:
         lines.append("parameters: " +
                      ", ".join(f"{k}={v}" for k, v in prov.parameters))
-    records = None
     lines.append("ingredients:")
-    for ing in prov.ingredients:
-        hit = _ASSET.search(ing)
-        if hit:
-            if records is None:
-                records = asset_records()
-            rec = records.get(hit.group(1))
-            if rec is not None and rec.sha256 and rec.sha256[:16] not in ing:
-                ing = f"{ing} (sha256 {rec.sha256[:16]})"
-        lines.append(f"  - {ing}")
+    lines.extend(f"  - {ing}" for ing in prov.ingredients)
     lines.append(f"partition: K={prov.partition.K}, "
                  f"block size {prov.partition.block_size}, "
                  f"strength {prov.t_prime}")

@@ -22,8 +22,7 @@ from .arrays import (MixedLevelArray, attach_index_column, claim, claim_blocks,
                      lexsort_order, measure_md, multiply_oa)
 # re-exported: the benchmark harness wraps and calls it through this module
 from .arrays import is_orthogonal_array  # noqa: F401
-from .constructions import (asset_get, bush, full_factorial_mixed,
-                            resolve_symmetric_oa)
+from .constructions import asset_get, full_factorial_mixed, resolve_symmetric_oa
 from .errors import (BadFactorization, BadGeometry, ClaimFailed,
                      DivisibilityViolated, ExcludedS, IngredientUnavailable,
                      NegativeM, NotFromOA, NotPartitionable, SBoundViolated)
@@ -378,33 +377,16 @@ def _base_52s(s: int, ingredients: list[str]) -> MixedLevelArray:
         A = sat if sat.n == 5 else delete_columns(sat, range(5, sat.n))
         return claim(A, strength=2, md=3)
     pieces = factorize_prime_powers(s)
-    # the pieces are sorted by prime, so 2 comes before 3
-    small = [u for u in pieces if u < 4]
-    if small == [2, 3]:
-        P = asset_get("oa_72_5_12_6666")
-        ingredients.append("asset oa_72_5_12_6666")
-        taken = {2, 3}
-    elif small == [2]:
-        P = asset_get("oa_8_5_4_2222")
-        ingredients.append("asset oa_8_5_4_2222")
-        taken = {2}
-    elif small == [3]:
-        P = asset_get("oa_18_5_6_3333")
-        ingredients.append("asset oa_18_5_6_3333")
-        taken = {3}
+    if 2 in pieces and 3 in pieces:
+        # the bases for 2 and 3 would multiply to a 24-level first column,
+        # not 12: the base for 6 is a bundled asset
+        P, taken = asset_get("oa_72_5_12_6666", trace=ingredients), {2, 3}
     else:
-        u0 = min(pieces)
-        P = _base_52s(u0, ingredients)
-        taken = {u0}
+        P, taken = _base_52s(min(pieces), ingredients), {min(pieces)}
     for u in pieces:
-        if u in taken:
-            continue
-        Q = bush(u, 2)
-        if Q.n > 5:
-            Q = delete_columns(Q, range(5, Q.n))
-        ingredients.append(f"OA({Q.r},5,{u},2) by polynomial construction")
-        # Q has unit index, so its distance is 4 > 3 and the product keeps P's
-        P = claim(multiply_oa(P, Q), md=P.md)
+        if u not in taken:
+            # a unit-index piece has distance 4 > 3, so the product keeps P's
+            P = multiply_oa(P, resolve_symmetric_oa(u, 5, 2, ingredients))
     return P
 
 

@@ -8,11 +8,12 @@ its partition is formed (`ensure_checked`, `claim_blocks`, `measure_md`),
 and `constructions` certifies full factorials and loaded assets (`certify`,
 also open to the asset scripts in `tools/`).  Only `constructions.asset_get`
 may hand out the checked claims of an asset payload it has already
-certified (`from_certified`).  The array route of cross validation
-takes its distance from the `arrays` kernel, which shares no code with the
-rank kernel of the reduction route in `verify`.  Every module but the package
-`__init__` uses each name it imports, unless the import is marked
-`# noqa: F401` as a deliberate re-export.
+certified (`from_certified`), and only `arrays` calls `is_orthogonal_array`:
+the builders and the registry check strength through a claim.  The array
+route of cross validation takes its distance from the `arrays` kernel, which
+shares no code with the rank kernel of the reduction route in `verify`.
+Every module but the package `__init__` uses each name it imports, unless
+the import is marked `# noqa: F401` as a deliberate re-export.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ def test_claim_modules_have_no_assert_statements():
 #: besides arrays.py
 CHECK_CALLERS = {"ensure_checked": {"synthesis.py"}, "claim_blocks": {"synthesis.py"},
                  "measure_md": {"synthesis.py"}, "certify": {"constructions.py", "tools"},
-                 "from_certified": {"constructions.py:asset_get"}}
+                 "from_certified": {"constructions.py:asset_get"},
+                 "is_orthogonal_array": set()}
 
 
 def _called_names(tree: ast.AST) -> set[str]:
@@ -163,6 +165,21 @@ def test_only_asset_get_hands_out_certified_claims():
     for name, source in mutants:
         assert check_policy_faults(dict(sources, **{name: source})) == [
             f"{name} calls from_certified"], source[-80:]
+
+
+def test_only_arrays_runs_the_strength_kernel():
+    sources = _policy_sources()
+    assert "is_orthogonal_array" in _called_names(ast.parse(sources["arrays.py"]))
+    # a re-export is no call
+    assert "is_orthogonal_array" in sources["synthesis.py"]
+    mutants = {
+        "cli.py": "\nok, witness = is_orthogonal_array(array, 2)\n",
+        "constructions.py": "\nok, _ = arrays.is_orthogonal_array(A, 2, 3)\n",
+        "tools/gen_assets.py": "\nis_orthogonal_array(A, 2)\n",
+    }
+    for name, line in mutants.items():
+        mutant = dict(sources, **{name: sources[name] + line})
+        assert check_policy_faults(mutant) == [f"{name} calls is_orthogonal_array"], name
 
 
 def _imported_names(tree: ast.AST) -> set[str]:

@@ -274,9 +274,10 @@ def test_tables_unknown_id_exits_2(capsys):
 def test_assets_list_names_bundled_ingredients(capsys):
     rc, out, err = run(capsys, "assets", "list")
     assert rc == 0
-    for name in ("oa_144_5_12_2", "oa_72_5_12_6666", "oa_100_4_10_2",
-                 "oa_18_5_6_3333", "oa_8_5_4_2222"):
+    for name in ("oa_144_5_12_2", "oa_72_5_12_6666", "oa_100_4_10_2"):
         assert name in out
+    # every registered ingredient is a sha256-pinned file
+    assert len(out.splitlines()) == 3 and out.count(" sha256=") == 3
 
 
 def test_assets_verify_recomputes_digests(capsys):
@@ -318,6 +319,22 @@ def test_external_registry_reaches_the_builders_through_the_environment(
     assert "  - OA(100,4,10,2) from asset a_100 (" in out
 
 
+def test_an_unpinned_external_asset_is_labelled_unhashed(tmp_path, capsys, monkeypatch):
+    bundled = Path(oaqec.__file__).resolve().parent / "assets" / "oa_100_4_10_2.txt"
+    store = tmp_path / "store"
+    store.mkdir()
+    (store / "a_100.txt").write_bytes(bundled.read_bytes())
+    (store / "manifest.json").write_text(json.dumps(
+        {"a_100": {"r": 100, "n": 4, "alphabets": [10] * 4, "t": 2, "md": 3,
+                   "file": "a_100.txt"}}))
+    monkeypatch.setenv("OAQEC_ASSET_DIR", str(store))
+    rc, out, err = run(capsys, "construct", "--theorem", "t3", "--s", "10",
+                       "--d", "2", "--factors", "2", "--unverified-ok")
+    assert rc == 0 and not err
+    assert "  - OA(100,4,10,2) from asset a_100 (unhashed)\n" in out
+    assert "builder" not in out
+
+
 def test_assets_add_rejects_wrong_distance(tmp_path, capsys):
     src = tmp_path / "parity.txt"
     src.write_text(PARITY)
@@ -326,7 +343,8 @@ def test_assets_add_rejects_wrong_distance(tmp_path, capsys):
     rc, _, err = run(capsys, "assets", "add", "--file", str(src),
                      "--md", "3", "--dir", str(store))
     assert rc == 4 and "asset corrupt" in err
-    assert err.rstrip().endswith("declared MD 3, measured 2")
+    assert err == "asset corrupt: parity: md claim 3 != actual 2\n"
+    assert list(store.iterdir()) == []
 
 
 def test_assets_add_measures_a_wide_array_with_a_large_distance(tmp_path, capsys):
@@ -351,6 +369,32 @@ def test_assets_add_rejects_wrong_strength(tmp_path, capsys):
     rc, _, err = run(capsys, "assets", "add", "--file", str(src),
                      "--strength", "3", "--dir", str(store))
     assert rc == 4 and "asset corrupt" in err
+
+
+@pytest.mark.parametrize("header, flags", [("OA 4 3 2", ("--strength", "0")),
+                                           ("OA 4 3 0", ())],
+                         ids=["flag", "header"])
+def test_assets_add_refuses_strength_zero_and_creates_no_store(tmp_path, capsys,
+                                                                header, flags):
+    # strength 0 claims nothing, so certifying it would check nothing
+    src = tmp_path / "parity.txt"
+    src.write_text(PARITY.replace("OA 4 3 2", header))
+    store = tmp_path / "store"
+    rc, _, err = run(capsys, "assets", "add", "--file", str(src), *flags,
+                     "--dir", str(store))
+    assert rc == 2 and err == "invalid request: strength must be >= 1, got 0\n"
+    assert not store.exists()
+
+
+def test_assets_add_refuses_to_extend_a_corrupt_manifest(tmp_path, capsys):
+    src = tmp_path / "parity.txt"
+    src.write_text(PARITY)
+    store = tmp_path / "store"
+    store.mkdir()
+    (store / "manifest.json").write_text('{"x": {"n": 3}}')
+    rc, _, err = run(capsys, "assets", "add", "--file", str(src), "--dir", str(store))
+    assert rc == 4 and err.startswith("asset corrupt: manifest ")
+    assert sorted(path.name for path in store.iterdir()) == ["manifest.json"]
 
 
 def test_assets_add_requires_file_and_dir(capsys):
@@ -394,8 +438,10 @@ def test_assets_verify_reports_an_unparsable_payload_as_corrupt(tmp_path, capsys
     ({"x": {"r": 4, "n": 3, "alphabets": [2, "2", 2], "t": 2, "md": 2,
             "file": "x.txt"}}, "entry 'x' lacks or mistypes alphabets"),
     ({"x": 7}, "entry 'x' lacks or mistypes r, n, alphabets, t, md, file"),
+    ({"x": {"r": 4, "n": 3, "alphabets": [2, 2, 2], "t": 2, "md": 2,
+            "file": "x.txt", "sha256": 12345}}, "entry 'x' lacks or mistypes sha256"),
 ], ids=["missing-fields", "not-an-object", "bool-count", "string-alphabet",
-        "entry-not-object"])
+        "entry-not-object", "number-sha256"])
 def test_assets_list_reports_a_malformed_manifest_as_corrupt(tmp_path, capsys, monkeypatch,
                                                              manifest, detail):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from unittest import mock
@@ -17,7 +18,6 @@ from oaqec.arrays import (
     distance_profile,
     ensure_checked,
     is_orthogonal_array,
-    saturation_check,
     strength,
     to_text,
 )
@@ -196,20 +196,6 @@ def test_resolver_twelve_uses_bundled_asset():
     assert A.strength == 2 and A.md == 4 and A.verified
 
 
-def test_asset_builder_18():
-    A = asset_get("oa_18_5_6_3333")
-    assert A.alphabets == (6, 3, 3, 3, 3)
-    assert (A.r, A.strength, A.md) == (18, 2, 3)
-    assert A.verified
-
-
-def test_asset_builder_8():
-    A = asset_get("oa_8_5_4_2222")
-    assert A.alphabets == (4, 2, 2, 2, 2)
-    assert (A.r, A.strength, A.md) == (8, 2, 3)
-    assert saturation_check(A)
-
-
 def test_asset_bundled_files_verify():
     for name, md in [("oa_144_5_12_2", 4), ("oa_100_4_10_2", 3),
                      ("oa_72_5_12_6666", 3)]:
@@ -231,9 +217,33 @@ def test_asset_missing_name():
 def test_asset_list_contains_all_registered():
     names = [rec.name for rec in asset_list()]
     assert names == sorted(names)
-    for required in ("oa_8_5_4_2222", "oa_18_5_6_3333", "oa_72_5_12_6666",
-                     "oa_100_4_10_2", "oa_144_5_12_2"):
-        assert required in names
+    assert names == ["oa_100_4_10_2", "oa_144_5_12_2", "oa_72_5_12_6666"]
+    assert all(rec.file and rec.sha256 for rec in asset_list())
+
+
+def test_asset_add_writes_a_pinned_file_that_asset_get_loads(tmp_path):
+    store = tmp_path / "store"
+    rec = constructions.asset_add(to_text(full_factorial_mixed((3, 3))), "ff_9",
+                                  store, None, None)
+    # the md is measured when none is declared
+    assert (rec.r, rec.n, rec.strength, rec.md, rec.source) == (9, 2, 2, 1, "external")
+    payload = (store / "ff_9.txt").read_bytes()
+    assert rec.sha256 == hashlib.sha256(payload).hexdigest()
+    assert asset_records(str(store))["ff_9"] == rec
+    trace = []
+    A = asset_get("ff_9", asset_dir=str(store), trace=trace)
+    assert A.verified and (A.strength, A.md) == (2, 1)
+    assert trace == [f"asset ff_9 (sha256 {rec.sha256[:16]})"]
+
+
+def test_asset_add_certifies_before_it_writes(tmp_path):
+    store = tmp_path / "store"
+    with pytest.raises(AssetCorrupt, match="^ff_9: md claim 2 != actual 1$"):
+        constructions.asset_add(to_text(full_factorial_mixed((3, 3))), "ff_9",
+                                store, None, 2)
+    with pytest.raises(AssetCorrupt, match="^parity: strength 3 claim failed: "):
+        constructions.asset_add(to_text(bush(2, 2)), "parity", store, 3, None)
+    assert not store.exists()
 
 
 def test_asset_corrupt_payload_rejected(tmp_path):

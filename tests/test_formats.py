@@ -134,19 +134,21 @@ def test_provenance_block_carries_asset_digest():
     assert asset_records()["oa_144_5_12_2"].sha256[:16] in block
 
 
-def test_provenance_block_injects_digest_when_missing():
+def test_provenance_block_prints_the_digest_recorded_at_load():
     from oaqec.constructions import asset_records
-    from oaqec.synthesis import Provenance, QuantumCode
+    from oaqec.synthesis import Provenance, QuantumCode, theorem_52s
 
-    base = theorem_tn(12, 1, 1, [2])
-    prov = base.provenance
+    code = theorem_52s(6, [6])
+    digest = asset_records()["oa_72_5_12_6666"].sha256[:16]
+    assert code.provenance.ingredients[0] == f"asset oa_72_5_12_6666 (sha256 {digest})"
+    assert f"  - asset oa_72_5_12_6666 (sha256 {digest})\n" in provenance_block(code)
+    # the block prints ingredients as recorded: it reads no registry
+    prov = code.provenance
     bare = Provenance(construction=prov.construction, parameters=prov.parameters,
-                      ingredients=("asset oa_144_5_12_2",),
+                      ingredients=("asset oa_72_5_12_6666",),
                       partition=prov.partition, h=prov.h)
-    code = QuantumCode(base.params, base.basis, bare)
-    block = provenance_block(code)
-    digest = asset_records()["oa_144_5_12_2"].sha256[:16]
-    assert f"(sha256 {digest})" in block
+    block = provenance_block(QuantumCode(code.params, code.basis, bare))
+    assert "  - asset oa_72_5_12_6666\n" in block and digest not in block
 
 
 def test_provenance_block_without_provenance():

@@ -7,12 +7,15 @@ import itertools
 import math
 import random
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oaqec.arrays import MixedLevelArray, claim, distance_profile, is_orthogonal_array
+from oaqec import arrays
+from oaqec.arrays import (MixedLevelArray, claim, distance_profile, ensure_checked,
+                          is_orthogonal_array, saturation_check)
 from oaqec.constructions import bush, resolve_symmetric_oa
 from oaqec.errors import (
     BadFactorization,
@@ -30,6 +33,7 @@ from oaqec.formats import load_fixture, provenance_block
 from oaqec.synthesis import (
     OrthogonalPartition,
     QuantumCode,
+    _base_52s,
     admissible_m_range,
     code_from_partitioned_oa,
     corollary_5lie,
@@ -146,6 +150,23 @@ def test_unbalanced_partition_fails_its_check_or_is_carried_unchecked():
     assert part.strength_checked is False
 
 
+@pytest.mark.parametrize("t", [2, 1])
+def test_a_single_block_partition_checks_strength_once(t):
+    # the one block is the parent: its checked claim of strength >= t covers it
+    A = claim(bush(3, 2), strength=2)
+    with mock.patch.object(arrays, "is_orthogonal_array",
+                           wraps=arrays.is_orthogonal_array) as check:
+        part = OrthogonalPartition(A, 1, t)
+    assert check.call_count == 1 and check.call_args.args[1:] == (2,)
+    assert part.strength_checked and A.strength_checked
+
+
+def test_a_single_block_partition_above_the_parent_claim_is_checked():
+    A = bush(3, 2)
+    with pytest.raises(ClaimFailed, match="^block is not balanced to strength 3: "):
+        OrthogonalPartition(A, 1, 3)
+
+
 # --- first driver family ------------------------------------------------------
 
 
@@ -185,6 +206,46 @@ def test_second_driver_full_split():
     assert (p.n, p.K, p.d_plus_1, p.m) == (7, 1, 3, 7)
     assert sorted_alphabets(code) == (16, 8, 8, 8, 2, 2, 2)
     assert verify_code(code, 2).passed
+
+
+#: rows of the arrays once registered as oa_8_5_4_2222 and oa_18_5_6_3333,
+#: one digit per column
+FORMER_BUILDER_ROWS = {
+    2: "00000 01111 10101 11010 20011 21100 30110 31001",
+    3: "00000 01111 02222 10121 11202 12010 20211 21022 22100 "
+       "30220 31001 32112 40012 41120 42201 50102 51210 52021",
+}
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_base_52s_is_the_former_builder_array(s):
+    ingredients = []
+    A = _base_52s(s, ingredients)
+    assert ingredients == [f"saturated lift of D({2 * s},{2 * s},{s})"]
+    assert A.alphabets == (2 * s,) + (s,) * 4
+    assert ["".join(map(str, row)) for row in A.rows] == FORMER_BUILDER_ROWS[s].split()
+    assert (A.strength, A.md) == (2, 3) and ensure_checked(A).verified
+
+
+def test_base_52s_of_2_is_saturated():
+    # 3 + 4 * 1 = 8 - 1: the 8-row array has no room for another column
+    assert saturation_check(_base_52s(2, []))
+    assert not saturation_check(_base_52s(3, []))
+
+
+@pytest.mark.parametrize("s, first", [
+    (6, "asset oa_72_5_12_6666 (sha256 "),
+    (10, "saturated lift of D(4,4,2)"),
+    (12, "saturated lift of D(6,6,3)"),
+    (20, "saturated lift of D(8,8,4)"),
+])
+def test_base_52s_of_a_composite_takes_its_smallest_piece(s, first):
+    ingredients = []
+    A = _base_52s(s, ingredients)
+    assert ingredients[0].startswith(first)
+    assert all(note.endswith("by polynomial construction") for note in ingredients[1:])
+    assert A.alphabets == (2 * s,) + (s,) * 4 and A.r == 2 * s * s
+    assert (A.strength, A.md) == (2, 3) and ensure_checked(A).verified
 
 
 def test_driver_rejects_factor_product_not_dividing_s():

@@ -1,6 +1,8 @@
 """One-shot generator for the bundled ingredient arrays.
 
-Produces, verifies, and writes the three data assets the package ships:
+Produces the three data assets the package ships and admits each through
+`oaqec.constructions.asset_add`, which certifies it, then writes its file
+and its sha256-pinned manifest entry:
 
   * oa_144_5_12_2   OA(144,5,12,2)  MD 4  -- difference matrix over Z2xZ2xZ3
   * oa_100_4_10_2   OA(100,4,10,2)  MD 3  -- a pair of orthogonal Latin squares
@@ -12,8 +14,6 @@ Deterministic given the seeds below; each search logs its attempts.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 import sys
 import time
@@ -21,13 +21,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from oaqec.arrays import (
-    MixedLevelArray,
-    attach_index_column,
-    certify,
-    minimal_distance,
-    to_text,
-)
+from oaqec.arrays import MixedLevelArray, attach_index_column, claim, to_text
+from oaqec.constructions import MANIFEST_NAME, asset_add
 
 OUT_DIR = Path(__file__).resolve().parents[1] / "src" / "oaqec" / "assets"
 
@@ -119,7 +114,7 @@ def gen_oa_144() -> MixedLevelArray:
     dm = [(0, g, sigma[0][g], sigma[1][g], sigma[2][g]) for g in range(12)]
     rows = [tuple(G_ADD[e][h] for e in row) for row in dm for h in range(12)]
     A = MixedLevelArray(sorted(rows), (12,) * 5)
-    return certify(A, 2, 4)
+    return claim(A, strength=2, md=4)
 
 
 # --- OA(100,4,10,2), MD 3 ------------------------------------------------------
@@ -257,7 +252,7 @@ def gen_oa_100() -> MixedLevelArray:
         rows = sorted((i, j, L1[i][j], L2[i][j])
                       for i in range(n) for j in range(n))
         A = MixedLevelArray(rows, (10,) * 4)
-        return certify(A, 2, 3)
+        return claim(A, strength=2, md=3)
     raise SystemExit("  [100] FAILED: no orthogonal mate found")
 
 
@@ -329,36 +324,25 @@ def gen_oa_72() -> MixedLevelArray:
         raise SystemExit("  [72] FAILED: no width-4 scheme over Z6 found")
     lifted = [tuple((e + h) % 6 for e in row) for row in scheme for h in range(6)]
     A = attach_index_column(MixedLevelArray(lifted, (6,) * 4), 6)
-    return certify(A, 2, 3)
+    return claim(A, strength=2, md=3)
 
 
 # --- driver ----------------------------------------------------------------------
 
 
-def emit(name: str, A: MixedLevelArray, manifest: dict):
-    md = minimal_distance(A)
-    text = to_text(A)
-    path = OUT_DIR / f"{name}.txt"
-    path.write_text(text)
-    manifest[name] = {
-        "r": A.r, "n": A.n, "alphabets": list(A.alphabets),
-        "t": A.strength, "md": md, "file": path.name,
-        "sha256": hashlib.sha256(text.encode()).hexdigest(),
-    }
-    print(f"  wrote {path.name}: OA({A.r},{A.n}) strength {A.strength} MD {md}")
-
-
 def main():
-    OUT_DIR.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {}
+    # asset_add extends an existing manifest; a regeneration starts from none
+    (OUT_DIR / MANIFEST_NAME).unlink(missing_ok=True)
     for name, gen in [("oa_144_5_12_2", gen_oa_144),
                       ("oa_72_5_12_6666", gen_oa_72),
                       ("oa_100_4_10_2", gen_oa_100)]:
         print(f"generating {name} ...")
         t0 = time.time()
-        emit(name, gen(), manifest)
+        A = gen()
+        rec = asset_add(to_text(A), name, OUT_DIR, A.strength, A.md)
+        print(f"  wrote {name}.txt: OA({rec.r},{rec.n}) strength {rec.strength} "
+              f"MD {rec.md}")
         print(f"  done in {time.time() - t0:.1f}s")
-    (OUT_DIR / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     print("manifest written")
 
 
