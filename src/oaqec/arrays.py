@@ -462,7 +462,7 @@ def from_certified(matrix: np.ndarray, alphabets: Sequence[int], t: int,
                    md: int) -> MixedLevelArray:
     """A fresh array over `matrix` whose strength t and md are recorded as
     checked, without a check: only for a matrix that `certify` has already
-    passed with these claims.  `constructions.asset_get` is its one caller."""
+    passed with these claims.  `constructions._load_asset` is its one caller."""
     A = MixedLevelArray(matrix, alphabets)
     A._strength, A._strength_checked = t, True
     A._md, A._md_checked = md, True

@@ -10,13 +10,14 @@ checks the one array the code is built from (see `arrays`).  A full
 factorial, and an asset loaded from a data file (outside input), is
 certified in full whatever the budget.
 
-The asset registry is data files only: each directory holds array text
-files and a `manifest.json` that records each file's parameters and the
-sha256 pinning its bytes.  This module is the only one that reads or writes
-a registry: `asset_add` certifies an array (measuring an md not declared)
-before it writes the file and the manifest entry, and `asset_get` checks
-the pin and certifies the payload before it hands the array out, noting
-the digest in the caller's ingredient trace.
+The asset registry is data files only: the bundled directory, and the one
+`OAQEC_ASSET_DIR` names, hold array text files (each name one plain path
+component) and a `manifest.json` of their parameters and sha256 pins.  This
+module alone reads or writes a registry: `asset_add` certifies an array
+(measuring an md not declared) before it writes the file and its entry.  A
+load is one lookup and one read: `asset_get` finds a record by name and
+`resolve_symmetric_oa` by its parameters, and the one loader checks the pin
+and certifies the payload; the digest goes into the ingredient trace.
 
 Work is not redone within a process.  The table of `bush(s, t)` is built
 once per (s, t) and kept read-only; each call wraps it in a fresh array, so
@@ -64,6 +65,8 @@ from .errors import (
 ASSET_DIR_ENV = "OAQEC_ASSET_DIR"
 #: file name of a registry directory's manifest
 MANIFEST_NAME = "manifest.json"
+#: the registry shipped with the package
+_BUNDLED_DIR = Path(__file__).resolve().parent / "assets"
 
 
 def bush(s: int, t: int) -> MixedLevelArray:
@@ -125,9 +128,8 @@ def full_factorial_mixed(alphabets, lam: int = 1) -> MixedLevelArray:
     if lam < 1:
         raise ValueError(f"index must be >= 1, got {lam}")
     table = np.repeat(np.indices(alphabets).reshape(len(alphabets), -1).T, lam, axis=0)
-    md = None if len(table) == 1 else (1 if lam == 1 else 0)
     A = MixedLevelArray(table, alphabets)
-    return certify(A, len(alphabets), md)
+    return certify(A, len(alphabets), 1 if lam == 1 else 0)
 
 
 def _prime_power_piece(u: int, n_cols: int, t: int) -> MixedLevelArray | str:
@@ -193,7 +195,7 @@ def resolve_symmetric_oa(s: int, n_cols: int, t: int,
                   and rec.n >= n_cols and rec.strength >= t]
     if candidates:
         rec = min(candidates, key=lambda rec: (rec.r, rec.name))
-        A = asset_get(rec.name)
+        A = _load_asset(rec)
         if A.n > n_cols:
             A = delete_columns(A, range(n_cols, A.n))
         digest = rec.sha256[:16] if rec.sha256 else "unhashed"
@@ -230,8 +232,10 @@ class AssetRecord:
                 f"MD={self.md} [{self.source}]")
 
 
-def _bundled_dir() -> Path:
-    return Path(__file__).resolve().parent / "assets"
+def _plain_component(name: str) -> bool:
+    """Whether `name` is a single plain path component (not empty, `.` or
+    `..`), so that joined to a directory it names a file inside it."""
+    return name not in ("", ".", "..") and Path(name).name == name
 
 
 #: the JSON type of each field a manifest entry must carry
@@ -260,6 +264,9 @@ def _parse_manifest(payload: bytes, manifest: Path, source: str) -> tuple[AssetR
         if bad:
             raise AssetCorrupt(f"manifest {manifest}: entry {name!r} lacks or "
                                f"mistypes {', '.join(bad)}")
+        if not _plain_component(meta["file"]):
+            raise AssetCorrupt(f"manifest {manifest}: entry {name!r} file "
+                               f"{meta['file']!r} is not a plain file name")
         records.append(AssetRecord(
             name=name, r=meta["r"], n=meta["n"], alphabets=tuple(meta["alphabets"]),
             strength=meta["t"], md=meta["md"], file=str(manifest.parent / meta["file"]),
@@ -267,13 +274,12 @@ def _parse_manifest(payload: bytes, manifest: Path, source: str) -> tuple[AssetR
     return tuple(records)
 
 
-def asset_records(asset_dir: Optional[str] = None) -> dict[str, AssetRecord]:
-    """Registry contents: bundled files, then any external directory
-    (environment variable or explicit argument wins on clashes)."""
+def asset_records() -> dict[str, AssetRecord]:
+    """Registry contents: the bundled files, then the directory named by
+    OAQEC_ASSET_DIR, whose records win on a name clash."""
     records = {}
-    for dirpath, source in ((_bundled_dir(), "bundled"),
-                            (os.environ.get(ASSET_DIR_ENV), "external"),
-                            (asset_dir, "external")):
+    for dirpath, source in ((_BUNDLED_DIR, "bundled"),
+                            (os.environ.get(ASSET_DIR_ENV), "external")):
         if dirpath and (manifest := Path(dirpath) / MANIFEST_NAME).is_file():
             records.update((rec.name, rec) for rec in
                            _parse_manifest(manifest.read_bytes(), manifest, source))
@@ -297,42 +303,47 @@ def _certify_asset(name: str, A: MixedLevelArray, t: int, md: Optional[int]) -> 
 _CERTIFIED_PAYLOADS: dict[tuple, np.ndarray] = {}
 
 
-def asset_get(name: str, asset_dir: Optional[str] = None,
-              trace: Optional[list[str]] = None) -> MixedLevelArray:
-    """Load one registered array with its strength and MD certified.
-
-    A file's payload is read and hashed on every call and certified on its
-    first load with the record's parameters; a reload of the same bytes gets
-    a fresh array with the claims that check passed.  When `trace` is a
-    list, a note naming the asset and its payload's sha256 (`unhashed`
-    when the manifest pins none) is appended."""
-    records = asset_records(asset_dir)
+def asset_get(name: str, trace: Optional[list[str]] = None) -> MixedLevelArray:
+    """Load one registered array by name, its strength and MD certified.
+    When `trace` is a list, a note naming the asset and its payload's
+    sha256 (`unhashed` when the manifest pins none) is appended."""
+    records = asset_records()
     if name not in records:
         known = ", ".join(sorted(records)) or "none"
         raise IngredientUnavailable(f"no asset named {name!r} (registered: {known})")
     rec = records[name]
+    A = _load_asset(rec)
+    if trace is not None:
+        pin = f"sha256 {rec.sha256[:16]}" if rec.sha256 else "unhashed"
+        trace.append(f"asset {name} ({pin})")
+    return A
+
+
+def _load_asset(rec: AssetRecord) -> MixedLevelArray:
+    """The array of one record, its pin checked and its claims certified.
+
+    The payload is read and hashed on every call and certified on its first
+    load with the record's parameters; a reload of the same bytes gets a
+    fresh array with the claims that check passed."""
     path = Path(rec.file)
     if not path.is_file():
         raise IngredientUnavailable(f"asset file missing: {path}")
     payload = path.read_bytes()
     digest = hashlib.sha256(payload).hexdigest()
     if rec.sha256 and digest != rec.sha256:
-        raise AssetCorrupt(f"{name}: sha256 mismatch "
+        raise AssetCorrupt(f"{rec.name}: sha256 mismatch "
                            f"(manifest {rec.sha256[:12]}…, file {digest[:12]}…)")
     key = (digest, rec.r, rec.n, rec.alphabets, rec.strength, rec.md)
     if key not in _CERTIFIED_PAYLOADS:
         try:
             A = from_text(payload.decode())
         except (ToolkitError, ValueError) as exc:
-            raise AssetCorrupt(f"{name}: unreadable payload: {exc}") from exc
+            raise AssetCorrupt(f"{rec.name}: unreadable payload: {exc}") from exc
         if (A.r, A.n, A.alphabets) != (rec.r, rec.n, rec.alphabets):
-            raise AssetCorrupt(f"{name}: payload shape {A.r}x{A.n} alphabets "
+            raise AssetCorrupt(f"{rec.name}: payload shape {A.r}x{A.n} alphabets "
                                f"{A.alphabets} does not match record")
-        _certify_asset(name, A, rec.strength, rec.md)
+        _certify_asset(rec.name, A, rec.strength, rec.md)
         _CERTIFIED_PAYLOADS[key] = A.matrix
-    if trace is not None:
-        pin = f"sha256 {digest[:16]}" if rec.sha256 else "unhashed"
-        trace.append(f"asset {name} ({pin})")
     return from_certified(_CERTIFIED_PAYLOADS[key], rec.alphabets, rec.strength, rec.md)
 
 
@@ -344,7 +355,10 @@ def asset_add(text: str, name: str, asset_dir: str | Path, strength: Optional[in
     claims) and at `md` when one is given; an md not given is measured.
     The payload then goes to `<name>.txt` and its entry, pinned by the
     payload's sha256, to the manifest; the directory and the manifest are
-    created when missing.  Returns the new record."""
+    created when missing.  Returns the new record; a name that is not a
+    plain file name is refused before anything is read or written."""
+    if not _plain_component(name):
+        raise ValueError(f"asset name {name!r} is not a plain file name")
     A = from_text(text)
     t = A.strength if strength is None else strength
     if t < 1:

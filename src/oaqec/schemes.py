@@ -2,7 +2,8 @@
 
 A scheme of strength t hits every coset of the diagonal subgroup equally
 often on each t-column projection; the constructors here verify that
-property before returning, so no unverified scheme ever escapes.
+property before returning, so no unverified scheme ever escapes.  Rows
+are one read-only int64 matrix, built from the field's tables.
 """
 
 from __future__ import annotations
@@ -18,37 +19,43 @@ from .errors import ClaimFailed, NotPrimePower
 
 
 class DifferenceScheme:
-    """An r x c matrix with entries in 0..s-1 and a declared group law.
+    """An r x c read-only int64 `matrix` with entries in 0..s-1 and a
+    declared group law.
 
     The group is Z_s (cyclic) by default; for prime-power s a field of
     order s may be declared instead, in which case differences are taken in
     the field's additive group and one construction never mixes the two.
     """
 
-    __slots__ = ("rows", "s", "strength", "field")
+    __slots__ = ("matrix", "s", "strength", "field")
 
     def __init__(self, rows, s: int, strength: int = 0,
                  field: Optional[Field] = None):
-        self.rows = tuple(tuple(int(x) for x in row) for row in rows)
         self.s = int(s)
         self.strength = strength
         if field is not None and field.q != s:
             raise ValueError(f"field order {field.q} != group order {s}")
         self.field = field
-        c = len(self.rows[0])
-        for row in self.rows:
-            if len(row) != c:
-                raise ValueError("ragged scheme rows")
-            if any(not 0 <= x < s for x in row):
-                raise ValueError("scheme entry out of range")
+        matrix = np.array(rows, dtype=np.int64)  # ValueError when ragged
+        if matrix.ndim != 2:
+            raise ValueError("ragged scheme rows")
+        if ((matrix < 0) | (matrix >= s)).any():
+            raise ValueError("scheme entry out of range")
+        matrix.setflags(write=False)
+        self.matrix = matrix
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as tuples of Python ints (a copy, built on each call)."""
+        return tuple(map(tuple, self.matrix.tolist()))
 
     @property
     def r(self) -> int:
-        return len(self.rows)
+        return self.matrix.shape[0]
 
     @property
     def c(self) -> int:
-        return len(self.rows[0])
+        return self.matrix.shape[1]
 
     def add_table(self) -> np.ndarray:
         """s x s table of the group law: the field's addition, or Z_s's."""
@@ -77,7 +84,7 @@ def is_difference_scheme(D: DifferenceScheme, t: int):
         return False, BalanceWitness(tuple(range(t)), None, None,
                                      r / s ** (t - 1),
                                      "row count not divisible by s^(t-1)")
-    rows = np.array(D.rows)
+    rows = D.matrix
     add = D.add_table()
     sub = add[:, np.argmax(add == 0, axis=1)]  # sub[a, b] = a - b
     # a difference vector's index in itertools.product order
@@ -106,8 +113,7 @@ def d_sss(s: int) -> DifferenceScheme:
     if not is_prime_power(s):
         raise NotPrimePower(f"{s} is not a prime power")
     f = field_create(s)
-    rows = [[f.mul(a, b) for b in f.elements()] for a in f.elements()]
-    return _verified(rows, s, 2, field=f)
+    return _verified(f.mul_table, s, 2, field=f)
 
 
 def d3_scheme(s: int) -> DifferenceScheme:
@@ -118,16 +124,8 @@ def d3_scheme(s: int) -> DifferenceScheme:
     """
     if s < 2:
         raise ValueError("need s >= 2")
-    rows = [(0, a, b, (a + b) % s) for a in range(s) for b in range(s)]
-    return _verified(rows, s, 3)
-
-
-def _first_nonsquare(f: Field) -> int:
-    half = (f.q - 1) // 2
-    for e in range(2, f.q):
-        if f.pow(e, half) != 1:
-            return e
-    raise AssertionError("no non-square found (field of odd order must have one)")
+    a, b = np.indices((s, s)).reshape(2, -1)
+    return _verified(np.stack([np.zeros_like(a), a, b, (a + b) % s], axis=1), s, 3)
 
 
 def _d_2s_odd(s: int) -> DifferenceScheme:
@@ -141,26 +139,19 @@ def _d_2s_odd(s: int) -> DifferenceScheme:
     square-class cosets partition the nonzero values.
     """
     f = field_create(s)
-    rho = _first_nonsquare(f)
-    four = f.add(f.add(1, 1), f.add(1, 1))
-    inv4 = f.inv(four)
+    add, mul = f.add_table, f.mul_table
+    e = np.arange(s)
+    a, square = e[:, None], mul[e, e]
+    rho = int(np.flatnonzero(~np.isin(e, square))[0])  # the least non-square
+    inv4 = f.inv(f.add(f.add(1, 1), f.add(1, 1)))
     gamma_scale = f.mul(f.sub(1, f.inv(rho)), inv4)   # (1 - 1/rho) / 4
     Gamma_scale = f.mul(f.sub(rho, 1), inv4)          # (rho - 1) / 4
-    rows = []
-    for h in (0, 1):
-        for a in f.elements():
-            row = []
-            for j in f.elements():
-                v = f.mul(j, a)
-                if h:
-                    v = f.add(v, f.mul(f.mul(j, j), gamma_scale))
-                row.append(v)
-            for J in f.elements():
-                v = f.add(f.mul(a, a), f.mul(J, a))
-                if h:
-                    v = f.add(f.mul(rho, v), f.mul(f.mul(J, J), Gamma_scale))
-                row.append(v)
-            rows.append(row)
+    # [a, j] and [a, J] of the h = 0 copy
+    linear = mul[a, e]
+    quadratic = add[mul[a, a], mul[e, a]]
+    rows = np.vstack([np.hstack([linear, quadratic]),
+                      np.hstack([add[linear, mul[square, gamma_scale]],
+                                 add[mul[rho, quadratic], mul[square, Gamma_scale]]])])
     return _verified(rows, s, 2, field=f)
 
 
@@ -168,10 +159,8 @@ def _d_2s_even(s: int) -> DifferenceScheme:
     """Width-2s scheme for s = 2^k: the multiplication table of the field of
     order 2s, with entries pushed through the coefficient-dropping
     epimorphism onto the additive group of GF(s)."""
-    big = field_create(2 * s)
-    rows = [[big.mul(a, b) % s for b in big.elements()] for a in big.elements()]
     f = field_create(s) if s > 2 else None
-    return _verified(rows, s, 2, field=f)
+    return _verified(field_create(2 * s).mul_table % s, s, 2, field=f)
 
 
 def d_2s(s: int) -> DifferenceScheme:
@@ -188,7 +177,7 @@ def oa_from_scheme(D: DifferenceScheme) -> MixedLevelArray:
     its shifts by each constant vector (v, ..., v) of the scheme's own group,
     so consecutive blocks of s rows come from one scheme row.  The scheme's
     strength carries over as the array's claim, recorded unchecked."""
-    shifted = D.add_table()[np.array(D.rows)[:, None, :], np.arange(D.s)[:, None]]
+    shifted = D.add_table()[D.matrix[:, None, :], np.arange(D.s)[:, None]]
     return claim(MixedLevelArray(shifted.reshape(-1, D.c), (D.s,) * D.c),
                  strength=D.strength)
 

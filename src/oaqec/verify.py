@@ -7,11 +7,12 @@ the complement of S.  strict-uniform therefore passes S when no two kets
 collide on the complement and every state counts each level tuple on S
 block/prod(s_j) times.  definition-5 fails S when kets of two states collide
 on the complement, and otherwise compares the states' level counts on S.
-Rows are compared through the ranks of their lexicographically sorted column
-slices, which never overflow.  The exact reduced cross matrices are built only
-to extract the ReductionWitnesses of failing subsets, and to decide a
-definition-5 subset on which kets of one state collide; even then only the
-self reductions and state pairs that the numpy pass flags are built.
+strict-uniform keys S-slices by their level tuples (below prod(s_j)); the
+complement, and definition-5's S-slices, are compared by the ranks of their
+lexicographically sorted column slices, which never overflow.  Exact reduced
+cross matrices are built only for the ReductionWitnesses of failing subsets
+and to decide a definition-5 subset on which kets of one state collide, and
+then only for the self reductions and state pairs that the numpy pass flags.
 """
 from __future__ import annotations
 
@@ -216,10 +217,12 @@ def _decide_subset(code: QuantumCode, S: tuple[int, ...], mode: str,
     if strict and rest:
         flagged[:] = True
     elif strict:
+        # each S-slice keyed by its level tuple, below `levels`
+        keys = np.ravel_multi_index(kets[:, list(S)].T,
+                                    [code.params.alphabets[c] for c in S])
         offsets = np.arange(K, dtype=np.int64)[:, None] * levels
-        counts = np.bincount(
-            (_row_ranks(kets, S)[1].reshape(K, block) + offsets).ravel(),
-            minlength=K * levels).reshape(K, levels)
+        counts = np.bincount((keys.reshape(K, block) + offsets).ravel(),
+                             minlength=K * levels).reshape(K, levels)
         flagged |= np.any(counts != uniform, axis=1)
     else:
         per_state = np.sort(_row_ranks(kets, S)[1].reshape(K, block), axis=1)

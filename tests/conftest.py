@@ -125,3 +125,53 @@ def naive_scheme_witness(rows, s, t, sub):
             if count != lam:
                 return cols, key, count
     return None
+
+
+def naive_first_nonsquare(f) -> int:
+    """The least element e >= 2 of an odd-order field with e^((q-1)/2) != 1."""
+    for e in range(2, f.q):
+        if f.pow(e, (f.q - 1) // 2) != 1:
+            return e
+    raise AssertionError("no non-square found")
+
+
+def naive_d_sss_rows(f):
+    """The multiplication table of the field f, entry by entry."""
+    return [tuple(f.mul(a, b) for b in f.elements()) for a in f.elements()]
+
+
+def naive_d3_rows(s):
+    """The rows (0, a, b, a+b mod s) of the strength-3 scheme over Z_s."""
+    return [(0, a, b, (a + b) % s) for a in range(s) for b in range(s)]
+
+
+def naive_d_2s_odd_rows(f):
+    """Width-2s scheme rows over an odd-order field f, one field operation
+    at a time: rows (h, a), linear columns j*a and quadratic columns
+    a^2 + J*a, the h = 1 copy scaled by the first non-square and shifted."""
+    rho = naive_first_nonsquare(f)
+    inv4 = f.inv(f.add(f.add(1, 1), f.add(1, 1)))
+    gamma_scale = f.mul(f.sub(1, f.inv(rho)), inv4)
+    Gamma_scale = f.mul(f.sub(rho, 1), inv4)
+    rows = []
+    for h in (0, 1):
+        for a in f.elements():
+            row = []
+            for j in f.elements():
+                v = f.mul(j, a)
+                if h:
+                    v = f.add(v, f.mul(f.mul(j, j), gamma_scale))
+                row.append(v)
+            for J in f.elements():
+                v = f.add(f.mul(a, a), f.mul(J, a))
+                if h:
+                    v = f.add(f.mul(rho, v), f.mul(f.mul(J, J), Gamma_scale))
+                row.append(v)
+            rows.append(tuple(row))
+    return rows
+
+
+def naive_d_2s_even_rows(big, s):
+    """The multiplication table of the field `big` of order 2s, each entry
+    reduced mod s."""
+    return [tuple(big.mul(a, b) % s for b in big.elements()) for a in big.elements()]

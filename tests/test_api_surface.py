@@ -1,0 +1,38 @@
+"""The settable surface of the package may not grow unnoticed.
+
+`tools/api_surface.py` counts the defaulted parameters of public functions
+and of the methods of public classes.  A change that adds one must raise
+MAX_KEYWORD_PARAMETERS here and give its reason in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import oaqec
+
+SRC = Path(oaqec.__file__).resolve().parent
+MAX_KEYWORD_PARAMETERS = 29
+
+
+def _api_surface():
+    path = SRC.parents[1] / "tools" / "api_surface.py"
+    spec = importlib.util.spec_from_file_location("api_surface", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_public_keyword_parameters_do_not_grow():
+    count = _api_surface().keyword_parameters
+    params = [name for path in sorted(SRC.glob("*.py"))
+              for name in count(path.read_text())]
+    assert len(params) <= MAX_KEYWORD_PARAMETERS, params
+
+
+def test_the_surface_count_sees_a_new_knob():
+    count = _api_surface().keyword_parameters
+    assert count("def f(a, b=1, *, c=2, d):\n    pass\n") == ["f.b", "f.c"]
+    assert count("def _f(a=1):\n    pass\nclass C:\n    def m(self, x=0):\n"
+                 "        pass\n") == ["C.m.x"]

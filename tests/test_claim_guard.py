@@ -6,9 +6,10 @@ and the modules that build and certify arrays may not guard a claim with
 run in two places: the builders in `synthesis` check a code's array where
 its partition is formed (`ensure_checked`, `claim_blocks`, `measure_md`),
 and `constructions` certifies full factorials and loaded assets (`certify`,
-also open to the asset scripts in `tools/`).  Only `constructions.asset_get`
-may hand out the checked claims of an asset payload it has already
-certified (`from_certified`), and only `arrays` calls `is_orthogonal_array`:
+also open to the asset scripts in `tools/`).  Only the asset loader
+`constructions._load_asset` may hand out the checked claims of an asset
+payload it has already certified (`from_certified`), and only `arrays`
+calls `is_orthogonal_array`:
 the builders and the registry check strength through a claim.  The array
 route of cross validation takes its distance from the `arrays` kernel, which
 shares no code with the rank kernel of the reduction route in `verify`.
@@ -72,7 +73,7 @@ def test_claim_modules_have_no_assert_statements():
 #: besides arrays.py
 CHECK_CALLERS = {"ensure_checked": {"synthesis.py"}, "claim_blocks": {"synthesis.py"},
                  "measure_md": {"synthesis.py"}, "certify": {"constructions.py", "tools"},
-                 "from_certified": {"constructions.py:asset_get"},
+                 "from_certified": {"constructions.py:_load_asset"},
                  "is_orthogonal_array": set()}
 
 
@@ -151,12 +152,17 @@ def test_check_policy_guard_has_teeth():
 def test_only_asset_get_hands_out_certified_claims():
     sources = _policy_sources()
     constructions = sources["constructions.py"]
-    assert ("asset_get", "from_certified") in _calls_by_function(ast.parse(constructions))
+    assert ("_load_asset", "from_certified") in _calls_by_function(ast.parse(constructions))
     call = "from_certified(M, (2,), 1, 1)"
     bush_def = "def bush(s: int, t: int) -> MixedLevelArray:\n"
     assert bush_def in constructions
+    get_def = ("def asset_get(name: str, trace: Optional[list[str]] = None)"
+               " -> MixedLevelArray:\n")
+    assert get_def in constructions
     mutants = [
         ("constructions.py", constructions + f"\nA = {call}\n"),
+        # the lookup by name hands out claims only through the loader
+        ("constructions.py", constructions.replace(get_def, f"{get_def}    {call}\n")),
         ("constructions.py", constructions + f"\ndef bush_again(s, t):\n    return {call}\n"),
         ("constructions.py", constructions.replace(bush_def, f"{bush_def}    {call}\n")),
         ("synthesis.py", sources["synthesis.py"] + f"\nA = arrays.{call}\n"),

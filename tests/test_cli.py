@@ -397,6 +397,18 @@ def test_assets_add_refuses_to_extend_a_corrupt_manifest(tmp_path, capsys):
     assert sorted(path.name for path in store.iterdir()) == ["manifest.json"]
 
 
+@pytest.mark.parametrize("name", ["../escaped", "a/b"])
+def test_assets_add_refuses_a_name_that_leaves_the_store(tmp_path, capsys, name):
+    src = tmp_path / "parity.txt"
+    src.write_text(PARITY)
+    store = tmp_path / "store"
+    rc, out, err = run(capsys, "assets", "add", "--file", str(src), "--name", name,
+                       "--dir", str(store))
+    assert rc == 2 and out == ""
+    assert err == f"invalid request: asset name {name!r} is not a plain file name\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["parity.txt"]
+
+
 def test_assets_add_requires_file_and_dir(capsys):
     rc, _, err = run(capsys, "assets", "add")
     assert rc == 2 and "invalid request" in err
@@ -440,8 +452,15 @@ def test_assets_verify_reports_an_unparsable_payload_as_corrupt(tmp_path, capsys
     ({"x": 7}, "entry 'x' lacks or mistypes r, n, alphabets, t, md, file"),
     ({"x": {"r": 4, "n": 3, "alphabets": [2, 2, 2], "t": 2, "md": 2,
             "file": "x.txt", "sha256": 12345}}, "entry 'x' lacks or mistypes sha256"),
+    ({"x": {"r": 4, "n": 3, "alphabets": [2, 2, 2], "t": 2, "md": 2,
+            "file": "../x.txt"}}, "entry 'x' file '../x.txt' is not a plain file name"),
+    ({"x": {"r": 4, "n": 3, "alphabets": [2, 2, 2], "t": 2, "md": 2,
+            "file": "/etc/hostname"}},
+     "entry 'x' file '/etc/hostname' is not a plain file name"),
+    ({"x": {"r": 4, "n": 3, "alphabets": [2, 2, 2], "t": 2, "md": 2,
+            "file": "sub/x.txt"}}, "entry 'x' file 'sub/x.txt' is not a plain file name"),
 ], ids=["missing-fields", "not-an-object", "bool-count", "string-alphabet",
-        "entry-not-object", "number-sha256"])
+        "entry-not-object", "number-sha256", "parent-file", "absolute-file", "nested-file"])
 def test_assets_list_reports_a_malformed_manifest_as_corrupt(tmp_path, capsys, monkeypatch,
                                                              manifest, detail):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))

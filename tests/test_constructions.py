@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ from oaqec.arrays import (
     to_text,
 )
 from oaqec.constructions import (
+    ASSET_DIR_ENV,
     AssetRecord,
     asset_get,
     asset_list,
@@ -196,6 +198,23 @@ def test_resolver_twelve_uses_bundled_asset():
     assert A.strength == 2 and A.md == 4 and A.verified
 
 
+def test_an_asset_fallback_reads_the_manifest_and_the_payload_once(monkeypatch):
+    monkeypatch.delenv(ASSET_DIR_ENV, raising=False)
+    reads, resolves = [], []
+    read_bytes, resolve = Path.read_bytes, Path.resolve
+    monkeypatch.setattr(Path, "read_bytes",
+                        lambda self: reads.append(self.name) or read_bytes(self))
+    monkeypatch.setattr(Path, "resolve",
+                        lambda self, *a, **k: resolves.append(self) or resolve(self, *a, **k))
+    trace = []
+    A = resolve_symmetric_oa(12, 5, 2, trace)
+    assert reads == ["manifest.json", "oa_144_5_12_2.txt"]
+    assert resolves == []
+    digest = asset_records()["oa_144_5_12_2"].sha256[:16]
+    assert trace == [f"OA(144,5,12,2) from asset oa_144_5_12_2 ({digest})"]
+    assert A.verified
+
+
 def test_asset_bundled_files_verify():
     for name, md in [("oa_144_5_12_2", 4), ("oa_100_4_10_2", 3),
                      ("oa_72_5_12_6666", 3)]:
@@ -221,7 +240,7 @@ def test_asset_list_contains_all_registered():
     assert all(rec.file and rec.sha256 for rec in asset_list())
 
 
-def test_asset_add_writes_a_pinned_file_that_asset_get_loads(tmp_path):
+def test_asset_add_writes_a_pinned_file_that_asset_get_loads(tmp_path, monkeypatch):
     store = tmp_path / "store"
     rec = constructions.asset_add(to_text(full_factorial_mixed((3, 3))), "ff_9",
                                   store, None, None)
@@ -229,9 +248,10 @@ def test_asset_add_writes_a_pinned_file_that_asset_get_loads(tmp_path):
     assert (rec.r, rec.n, rec.strength, rec.md, rec.source) == (9, 2, 2, 1, "external")
     payload = (store / "ff_9.txt").read_bytes()
     assert rec.sha256 == hashlib.sha256(payload).hexdigest()
-    assert asset_records(str(store))["ff_9"] == rec
+    monkeypatch.setenv(ASSET_DIR_ENV, str(store))
+    assert asset_records()["ff_9"] == rec
     trace = []
-    A = asset_get("ff_9", asset_dir=str(store), trace=trace)
+    A = asset_get("ff_9", trace=trace)
     assert A.verified and (A.strength, A.md) == (2, 1)
     assert trace == [f"asset ff_9 (sha256 {rec.sha256[:16]})"]
 
@@ -246,7 +266,7 @@ def test_asset_add_certifies_before_it_writes(tmp_path):
     assert not store.exists()
 
 
-def test_asset_corrupt_payload_rejected(tmp_path):
+def test_asset_corrupt_payload_rejected(tmp_path, monkeypatch):
     # flip one symbol of a valid asset and re-register it externally
     good = asset_get("oa_100_4_10_2")
     rows = [list(row) for row in good.rows]
@@ -261,11 +281,12 @@ def test_asset_corrupt_payload_rejected(tmp_path):
         "file": "bad.txt",
         "sha256": hashlib.sha256(payload.encode()).hexdigest()}}
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    monkeypatch.setenv(ASSET_DIR_ENV, str(tmp_path))
     with pytest.raises(AssetCorrupt):
-        asset_get("bad_asset", asset_dir=str(tmp_path))
+        asset_get("bad_asset")
 
 
-def test_asset_sha_mismatch_rejected(tmp_path):
+def test_asset_sha_mismatch_rejected(tmp_path, monkeypatch):
     good = asset_get("oa_100_4_10_2")
     payload = to_text(good)
     (tmp_path / "tampered.txt").write_text(payload)
@@ -273,11 +294,12 @@ def test_asset_sha_mismatch_rejected(tmp_path):
         "r": 100, "n": 4, "alphabets": [10, 10, 10, 10], "t": 2, "md": 3,
         "file": "tampered.txt", "sha256": "0" * 64}}
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    monkeypatch.setenv(ASSET_DIR_ENV, str(tmp_path))
     with pytest.raises(AssetCorrupt, match="sha256"):
-        asset_get("tampered", asset_dir=str(tmp_path))
+        asset_get("tampered")
 
 
-def test_asset_external_dir_extends_registry(tmp_path):
+def test_asset_external_dir_extends_registry(tmp_path, monkeypatch):
     A = full_factorial_mixed((3, 3))
     payload = to_text(A)
     (tmp_path / "ff.txt").write_text(payload)
@@ -286,22 +308,25 @@ def test_asset_external_dir_extends_registry(tmp_path):
         "r": 9, "n": 2, "alphabets": [3, 3], "t": 2, "md": 1, "file": "ff.txt",
         "sha256": hashlib.sha256(payload.encode()).hexdigest()}}
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    records = asset_records(asset_dir=str(tmp_path))
+    monkeypatch.setenv(ASSET_DIR_ENV, str(tmp_path))
+    records = asset_records()
     assert "ff_9_2" in records and records["ff_9_2"].source == "external"
-    B = asset_get("ff_9_2", asset_dir=str(tmp_path))
+    B = asset_get("ff_9_2")
     assert B.rows == A.rows
 
 
-def test_a_rewritten_manifest_is_seen_and_each_manifest_is_parsed_once(tmp_path):
+def test_a_rewritten_manifest_is_seen_and_each_manifest_is_parsed_once(tmp_path,
+                                                                     monkeypatch):
     A = full_factorial_mixed((3, 3))
     token = f"manifest {tmp_path}"
     _register(tmp_path, "ff_9", A, strength=2, md=1, token=token)
-    assert asset_records(str(tmp_path))["ff_9"].strength == 2
+    monkeypatch.setenv(ASSET_DIR_ENV, str(tmp_path))
+    assert asset_records()["ff_9"].strength == 2
     with mock.patch.object(constructions.json, "loads", wraps=json.loads) as parse:
-        assert asset_records(str(tmp_path))["ff_9"].strength == 2
+        assert asset_records()["ff_9"].strength == 2
         assert parse.call_count == 0
         _register(tmp_path, "ff_9", A, strength=1, md=1, token=token)
-        assert asset_records(str(tmp_path))["ff_9"].strength == 1
+        assert asset_records()["ff_9"].strength == 1
         assert parse.call_count == 1
 
 
@@ -354,31 +379,42 @@ def _register(directory, name, A, *, strength, md, token):
     (directory / "manifest.json").write_text(json.dumps(manifest))
 
 
-def test_asset_reload_of_the_same_payload_is_not_recertified(tmp_path):
+def test_asset_reload_of_the_same_payload_is_not_recertified(tmp_path, monkeypatch):
     _register(tmp_path, "ff_8", full_factorial_mixed((2, 2, 2)), strength=3, md=1,
               token=f"reload {tmp_path}")
+    monkeypatch.setenv(ASSET_DIR_ENV, str(tmp_path))
     with mock.patch.object(arrays, "is_orthogonal_array",
                            wraps=arrays.is_orthogonal_array) as check:
-        first = asset_get("ff_8", asset_dir=str(tmp_path))
+        first = asset_get("ff_8")
         assert check.call_count == 1
-        second = asset_get("ff_8", asset_dir=str(tmp_path))
+        second = asset_get("ff_8")
         assert check.call_count == 1
     assert first is not second
     assert np.array_equal(first.matrix, second.matrix)
     assert (second.strength, second.md, second.verified) == (3, 1, True)
     claim(second, strength=2)
     assert first.strength == 3 and first.verified
-    assert asset_get("ff_8", asset_dir=str(tmp_path)).verified
+    assert asset_get("ff_8").verified
 
 
-def test_rewritten_external_payload_is_certified_again(tmp_path):
+def test_rewritten_external_payload_is_certified_again(tmp_path, monkeypatch):
     _register(tmp_path, "ff_8", full_factorial_mixed((2, 2, 2)), strength=3, md=1,
               token=f"rewrite {tmp_path}")
-    assert asset_get("ff_8", asset_dir=str(tmp_path)).verified
+    monkeypatch.setenv(ASSET_DIR_ENV, str(tmp_path))
+    assert asset_get("ff_8").verified
     # different bytes, same record, and a false strength claim
     rows = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
             (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 0)]
     _register(tmp_path, "ff_8", MixedLevelArray(rows, (2, 2, 2)), strength=3, md=1,
               token=f"rewrite {tmp_path}")
     with pytest.raises(AssetCorrupt, match="strength 3 claim failed"):
-        asset_get("ff_8", asset_dir=str(tmp_path))
+        asset_get("ff_8")
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../x", "a/b", "/abs"])
+def test_asset_add_refuses_a_name_that_is_not_a_plain_file_name(tmp_path, name):
+    store = tmp_path / "store"
+    with pytest.raises(ValueError, match="is not a plain file name$"):
+        constructions.asset_add(to_text(full_factorial_mixed((3, 3))), name,
+                                store, None, None)
+    assert list(tmp_path.iterdir()) == []

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from oaqec.algebra import is_prime_power
+from oaqec.algebra import field_create, is_prime_power
 from oaqec.arrays import distance_profile, ensure_checked, is_orthogonal_array, strength
 from oaqec.errors import NotPrimePower
 from oaqec.schemes import (
@@ -18,7 +19,14 @@ from oaqec.schemes import (
     oa_from_scheme,
 )
 
-from conftest import naive_is_difference_scheme, naive_scheme_witness
+from conftest import (
+    naive_d3_rows,
+    naive_d_2s_even_rows,
+    naive_d_2s_odd_rows,
+    naive_d_sss_rows,
+    naive_is_difference_scheme,
+    naive_scheme_witness,
+)
 
 
 def group_sub(D):
@@ -181,3 +189,24 @@ def test_oa_from_scheme_shifts_by_the_scheme_group(D):
     add = D.field.add if D.field is not None else (lambda x, y: (x + y) % D.s)
     want = tuple(tuple(add(a, v) for a in row) for row in D.rows for v in range(D.s))
     assert oa_from_scheme(D).rows == want
+
+
+PRIME_POWERS_TO_37 = [s for s in range(2, 38) if is_prime_power(s)]
+
+
+@pytest.mark.parametrize("build, s", [(d3_scheme, s) for s in range(2, 30)]
+                         + [(d_sss, s) for s in PRIME_POWERS_TO_37]
+                         + [(d_2s, s) for s in PRIME_POWERS_TO_37],
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_table_built_schemes_match_the_scalar_loops(build, s):
+    D = build(s)
+    if build is d3_scheme:
+        want = naive_d3_rows(s)
+    elif build is d_sss:
+        want = naive_d_sss_rows(field_create(s))
+    elif s % 2:
+        want = naive_d_2s_odd_rows(field_create(s))
+    else:
+        want = naive_d_2s_even_rows(field_create(2 * s), s)
+    assert D.rows == tuple(want)
+    assert D.matrix.dtype == np.int64 and not D.matrix.flags.writeable
