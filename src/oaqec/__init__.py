@@ -1,7 +1,7 @@
 """Mixed-level orthogonal arrays compiled into quantum codes, with dual
 combinatorial and exact quantum-side verification."""
 
-from .algebra import Field, factorize_prime_powers, field_create, is_prime_power, poly_eval
+from .algebra import Field, factorize_prime_powers, field_create, is_prime_power
 from .arrays import (
     DEFAULT_VERIFICATION_BUDGET,
     BalanceWitness,
@@ -21,7 +21,6 @@ from .arrays import (
     multiply_oa,
     saturated_hd_formula,
     saturation_check,
-    strength,
     to_text,
 )
 from .constructions import (

@@ -276,12 +276,3 @@ def field_create(q: int) -> Field:
     (p, k), = prime_power_decomposition(q)
     return Field(p, k)
 
-
-def poly_eval(f: Field, coeffs, point: int) -> int:
-    """Evaluate a polynomial (coefficients low-degree-first) at a field point."""
-    if not coeffs:
-        raise ValueError("coeffs must be nonempty")
-    acc = 0
-    for c in reversed(coeffs):
-        acc = f.add(f.mul(acc, point), c)
-    return acc

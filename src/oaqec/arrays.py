@@ -2,8 +2,10 @@
 
 Each array is one read-only int64 ndarray; `rows` is a computed tuple view.
 The ndarray is validated once when the array is built, and the operations
-here are ndarray operations that return new arrays.  Arrays carry claimed
-strength / minimal-distance certificates, and only this module stores them.
+here are ndarray operations that return new arrays.  An array's claimed
+strength and minimal distance are each None or a frozen `Certificate` (the
+value, and whether a check confirmed it), fixed when the array is made; only
+this module makes certificates.
 
 Operations record, partitions and assets check.  `claim` only records a
 claim, unchecked, and every operation here (and every construction built
@@ -15,10 +17,13 @@ for reports to surface.  `certify` claims and checks whatever it costs
 (arrays from outside input and full factorials), and `measure_md` records
 the exact distance of an array that claims none when its check fits the
 budget; both hand every claim to `ensure_checked`, so a false claim fails
-with the same ClaimFailed message whichever call finds it.  `claim_blocks`
-checks a partition's blocks, all together or not at all.  A code's builder
-checks only the array the code is compiled from, where its partition is
-formed; no status reads the claims of an intermediate array.
+with the same ClaimFailed message whichever call finds it.  None of these
+changes its argument: each returns an array over the same matrix with the
+new certificates, or its argument itself when nothing changed, so an array
+can be shared freely.  `claim_blocks` checks a partition's blocks, all
+together or not at all.  A code's builder checks only the array the code is
+compiled from, where its partition is formed; no status reads the claims of
+an intermediate array.
 
 Strength is checked by vectorized counts over one contiguous column-major
 copy of the matrix.  The t-column subsets are taken as the one-column
@@ -82,6 +87,14 @@ class BalanceWitness:
 
 
 @dataclass(frozen=True)
+class Certificate:
+    """One claim about an array: its value, and whether a check confirmed it."""
+
+    value: int
+    checked: bool
+
+
+@dataclass(frozen=True)
 class DistanceProfile:
     """Minimal distance and the full set of pairwise Hamming distances."""
 
@@ -92,8 +105,7 @@ class DistanceProfile:
 class MixedLevelArray:
     """An r x n read-only int64 `matrix` with per-column alphabet sizes."""
 
-    __slots__ = ("matrix", "alphabets", "_strength", "_strength_checked",
-                 "_md", "_md_checked")
+    __slots__ = ("matrix", "alphabets", "_strength", "_md")
 
     def __init__(self, rows: np.ndarray | Iterable[Sequence[int]],
                  alphabets: Sequence[int]):
@@ -120,10 +132,8 @@ class MixedLevelArray:
                                    f"{self.alphabets[j]}")
         matrix.setflags(write=False)
         self.matrix = matrix
-        self._strength = 0
-        self._strength_checked = False
-        self._md = None
-        self._md_checked = False
+        self._strength: Optional[Certificate] = None
+        self._md: Optional[Certificate] = None
 
     # -- basic shape --------------------------------------------------------
 
@@ -143,25 +153,25 @@ class MixedLevelArray:
     @property
     def strength(self) -> int:
         """Claimed strength (0 = no claim)."""
-        return self._strength
+        return 0 if self._strength is None else self._strength.value
 
     @property
     def strength_checked(self) -> bool:
-        return self._strength_checked
+        return self._strength is not None and self._strength.checked
 
     @property
     def md(self) -> Optional[int]:
         """Claimed minimal distance (None = no claim)."""
-        return self._md
+        return None if self._md is None else self._md.value
 
     @property
     def md_checked(self) -> bool:
-        return self._md_checked
+        return self._md is not None and self._md.checked
 
     @property
     def verified(self) -> bool:
         """True when every claim this array carries has been re-checked."""
-        return self._strength_checked and (self._md is None or self._md_checked)
+        return self.strength_checked and (self._md is None or self._md.checked)
 
     def status(self) -> str:
         return "verified" if self.verified else "constructed, unverified"
@@ -170,13 +180,25 @@ class MixedLevelArray:
         """Same array with rows in lexicographic order, its claims recorded
         unchecked."""
         return claim(MixedLevelArray(lexsorted(self.matrix), self.alphabets),
-                     strength=self._strength, md=self._md)
+                     strength=self.strength, md=self.md)
 
     def __repr__(self):
         alpha = "x".join(str(s) for s in self.alphabets) if self.n <= 8 else \
             f"{self.alphabets[0]}..{self.alphabets[-1]}"
         return (f"MixedLevelArray(r={self.r}, n={self.n}, alphabets={alpha}, "
-                f"strength={self._strength}, md={self._md}, {self.status()})")
+                f"strength={self.strength}, md={self.md}, {self.status()})")
+
+
+def _with_certificates(A: MixedLevelArray, strength: Optional[Certificate],
+                       md: Optional[Certificate]) -> MixedLevelArray:
+    """An array over A's matrix and alphabets with these certificates, built
+    without validating the matrix again; A itself when they are A's."""
+    if strength is A._strength and md is A._md:
+        return A
+    out = object.__new__(MixedLevelArray)
+    out.matrix, out.alphabets = A.matrix, A.alphabets
+    out._strength, out._md = strength, md
+    return out
 
 
 def lexsort_order(matrix: np.ndarray) -> np.ndarray:
@@ -306,16 +328,6 @@ def is_orthogonal_array(A: MixedLevelArray, t: int, blocks: int = 1):
     return False, _subset_witness(A, cols)
 
 
-def strength(A: MixedLevelArray) -> int:
-    """Largest t at which A is an orthogonal array; 0 if even t=1 fails."""
-    best = 0
-    for t in range(1, A.n + 1):
-        if _first_unbalanced_subset(A, t, 1) is not None:
-            break
-        best = t
-    return best
-
-
 def distance_profile(A: MixedLevelArray) -> DistanceProfile:
     """Exact minimal distance and distance set over all row pairs."""
     if A.r < 2:
@@ -415,69 +427,62 @@ def _budget(budget: Optional[int]) -> int:
 
 
 def ensure_checked(A: MixedLevelArray, budget: Optional[int] = None) -> MixedLevelArray:
-    """Check the claims A carries, spending at most `budget` elementary checks.
+    """A with the claims it carries checked, spending at most `budget`
+    elementary checks.
 
     Claims that fit the budget are verified (ClaimFailed means the
     construction is buggy); claims that do not remain marked unverified.
     A distance claim is priced as a pair scan, r(r-1)/2 checks, and
-    checked with minimal_distance.
+    checked with minimal_distance.  A itself is left as it is.
     """
     budget = _budget(budget)
-    if A._strength > 0 and not A._strength_checked:
-        if strength_check_cost(A, A._strength) <= budget:
-            ok, witness = is_orthogonal_array(A, A._strength)
-            if not ok:
-                raise ClaimFailed(f"strength {A._strength} claim failed: {witness}")
-            A._strength_checked = True
-    if A._md is not None and not A._md_checked:
-        if distance_check_cost(A) <= budget:
-            md = minimal_distance(A)
-            if md != A._md:
-                raise ClaimFailed(f"md claim {A._md} != actual {md}")
-            A._md_checked = True
-    return A
+    t, md = A._strength, A._md
+    if t is not None and not t.checked and strength_check_cost(A, t.value) <= budget:
+        ok, witness = is_orthogonal_array(A, t.value)
+        if not ok:
+            raise ClaimFailed(f"strength {t.value} claim failed: {witness}")
+        t = Certificate(t.value, True)
+    if md is not None and not md.checked and distance_check_cost(A) <= budget:
+        actual = minimal_distance(A)
+        if actual != md.value:
+            raise ClaimFailed(f"md claim {md.value} != actual {actual}")
+        md = Certificate(md.value, True)
+    return _with_certificates(A, t, md)
 
 
 def claim(A: MixedLevelArray, *, strength: Optional[int] = None,
           md: Optional[int] = None) -> MixedLevelArray:
-    """Record a strength and/or minimal-distance claim on A; nothing is
+    """A with a strength and/or minimal-distance claim recorded; nothing is
     checked (see ensure_checked).
 
-    A claim equal to the one A already carries keeps its checked state; a
-    different one replaces it unchecked.  Returns A.
+    A claim equal to the one A already carries keeps its certificate; a
+    different one replaces it unchecked (strength 0 is no claim).  A itself
+    is left as it is.
     """
-    if strength is not None and strength != A._strength:
-        A._strength, A._strength_checked = strength, False
-    if md is not None and md != A._md:
-        A._md, A._md_checked = md, False
-    return A
+    t, dist = A._strength, A._md
+    if strength is not None and strength != A.strength:
+        t = Certificate(strength, False) if strength > 0 else None
+    if md is not None and md != A.md:
+        dist = Certificate(md, False)
+    return _with_certificates(A, t, dist)
 
 
 def certify(A: MixedLevelArray, t: int, md: Optional[int] = None) -> MixedLevelArray:
-    """Claim strength t (and md, if given) on A; check all its claims at any cost."""
+    """A with strength t (and md, if given) claimed and all its claims
+    checked at any cost."""
     return ensure_checked(claim(A, strength=t, md=md), math.inf)
 
 
-def from_certified(matrix: np.ndarray, alphabets: Sequence[int], t: int,
-                   md: int) -> MixedLevelArray:
-    """A fresh array over `matrix` whose strength t and md are recorded as
-    checked, without a check: only for a matrix that `certify` has already
-    passed with these claims.  `constructions._load_asset` is its one caller."""
-    A = MixedLevelArray(matrix, alphabets)
-    A._strength, A._strength_checked = t, True
-    A._md, A._md_checked = md, True
-    return A
-
-
-def measure_md(A: MixedLevelArray, budget: Optional[int] = None) -> Optional[int]:
-    """Minimal distance of A once checked within `budget`, else None.  A claimed
-    distance is checked by ensure_checked (with A's other claims); any other is
-    measured when its check, priced as a pair scan, fits, and recorded checked."""
+def measure_md(A: MixedLevelArray, budget: Optional[int] = None) -> MixedLevelArray:
+    """A with its minimal distance checked within `budget` when that fits.  A
+    claimed distance is checked by ensure_checked (with A's other claims); any
+    other is measured when its check, priced as a pair scan, fits, and
+    recorded checked.  The result's md_checked says whether a check ran."""
     if A._md is not None:
-        ensure_checked(A, budget)
-    elif distance_check_cost(A) <= _budget(budget):
-        A._md, A._md_checked = minimal_distance(A), True
-    return A._md if A._md_checked else None
+        return ensure_checked(A, budget)
+    if distance_check_cost(A) > _budget(budget):
+        return A
+    return _with_certificates(A, A._strength, Certificate(minimal_distance(A), True))
 
 
 def claim_blocks(parent: MixedLevelArray, K: int, t: int,
@@ -487,7 +492,7 @@ def claim_blocks(parent: MixedLevelArray, K: int, t: int,
     fits the budget.  Returns whether the check ran; ClaimFailed if it failed.
     One block is the parent itself: a checked strength claim of t or more
     on the parent is that check, and is not run again."""
-    if K == 1 and parent._strength_checked and parent._strength >= t:
+    if K == 1 and parent.strength_checked and parent.strength >= t:
         return True
     if strength_check_cost(parent, t) > _budget(budget):
         return False
@@ -627,7 +632,7 @@ def from_text(text: str) -> MixedLevelArray:
     alphabets = tuple(int(x) for x in lines[1].split())
     if len(alphabets) != n:
         raise ValueError(f"alphabet line has {len(alphabets)} entries, expected {n}")
-    rows = [tuple(int(x) for x in ln.split()) for ln in lines[2:2 + r]]
+    rows = [tuple(int(x) for x in ln.split()) for ln in lines[2:]]
     if len(rows) != r:
         raise ValueError(f"expected {r} rows, found {len(rows)}")
     return claim(MixedLevelArray(rows, alphabets), strength=t)

@@ -20,12 +20,12 @@ load is one lookup and one read: `asset_get` finds a record by name and
 and certifies the payload; the digest goes into the ingredient trace.
 
 Work is not redone within a process.  The table of `bush(s, t)` is built
-once per (s, t) and kept read-only; each call wraps it in a fresh array, so
-one caller's claims never reach another's.  An asset payload is read and
-hashed on every load but certified once: a reload of the same bytes, for
-the same record parameters, gets a fresh array with the claims its first
-load checked.  A manifest is read on every lookup and parsed once per its
-bytes, so an edit is seen at once.
+once per (s, t), read-only in the field's narrow dtype, and each call wraps
+it in an int64 array.  An asset payload is read and hashed on every load
+but certified once: a reload of the same bytes, for the same record
+parameters, returns the array its first load certified (arrays never change
+their claims, so one can be shared).  A manifest is read on every lookup
+and parsed once per its bytes, so an edit is seen at once.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .arrays import (
     certify,
     claim,
     delete_columns,
-    from_certified,
     from_text,
     lexsorted,
     minimal_distance,
@@ -74,7 +73,7 @@ def bush(s: int, t: int) -> MixedLevelArray:
 
     Rows are the polynomials of degree < t over GF(s); the first s columns
     evaluate each polynomial at a field element and the last column reads
-    off the degree-(t-1) coefficient.  Each call returns a fresh array, its
+    off the degree-(t-1) coefficient.  Each call returns an array, its
     claims recorded unchecked, over a table built once per (s, t).
     """
     if not is_prime_power(s):
@@ -290,17 +289,18 @@ def asset_list() -> list[AssetRecord]:
     return sorted(asset_records().values(), key=lambda rec: rec.name)
 
 
-def _certify_asset(name: str, A: MixedLevelArray, t: int, md: Optional[int]) -> None:
+def _certify_asset(name: str, A: MixedLevelArray, t: int,
+                   md: Optional[int]) -> MixedLevelArray:
     """certify(A, t, md), a false claim reported as AssetCorrupt."""
     try:
-        certify(A, t, md)
+        return certify(A, t, md)
     except ClaimFailed as exc:
         raise AssetCorrupt(f"{name}: {exc}") from exc
 
 
-#: matrices of asset payloads that `certify` passed, by (sha256 of the
-#: payload, r, n, alphabets, strength, md)
-_CERTIFIED_PAYLOADS: dict[tuple, np.ndarray] = {}
+#: asset payloads that `certify` passed, by (sha256 of the payload, r, n,
+#: alphabets, strength, md)
+_CERTIFIED_PAYLOADS: dict[tuple, MixedLevelArray] = {}
 
 
 def asset_get(name: str, trace: Optional[list[str]] = None) -> MixedLevelArray:
@@ -323,8 +323,8 @@ def _load_asset(rec: AssetRecord) -> MixedLevelArray:
     """The array of one record, its pin checked and its claims certified.
 
     The payload is read and hashed on every call and certified on its first
-    load with the record's parameters; a reload of the same bytes gets a
-    fresh array with the claims that check passed."""
+    load with the record's parameters; a reload of the same bytes returns
+    the array that check passed."""
     path = Path(rec.file)
     if not path.is_file():
         raise IngredientUnavailable(f"asset file missing: {path}")
@@ -342,9 +342,8 @@ def _load_asset(rec: AssetRecord) -> MixedLevelArray:
         if (A.r, A.n, A.alphabets) != (rec.r, rec.n, rec.alphabets):
             raise AssetCorrupt(f"{rec.name}: payload shape {A.r}x{A.n} alphabets "
                                f"{A.alphabets} does not match record")
-        _certify_asset(rec.name, A, rec.strength, rec.md)
-        _CERTIFIED_PAYLOADS[key] = A.matrix
-    return from_certified(_CERTIFIED_PAYLOADS[key], rec.alphabets, rec.strength, rec.md)
+        _CERTIFIED_PAYLOADS[key] = _certify_asset(rec.name, A, rec.strength, rec.md)
+    return _CERTIFIED_PAYLOADS[key]
 
 
 def asset_add(text: str, name: str, asset_dir: str | Path, strength: Optional[int],

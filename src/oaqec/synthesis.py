@@ -6,7 +6,9 @@ an array is one of every array replaced from it, and the builders never
 split or re-sort blocks; a code canonicalises its kets, so row order never
 reaches an output.  A partition is also the one source of a code's distance
 floor h: its parent's minimal distance when that check ran (h exact), else
-the floor the construction guarantees (a lower bound)."""
+the floor the construction guarantees (a lower bound).  A check returns a
+new array instead of marking its argument, so a partition keeps the checked
+parent the checks return."""
 from __future__ import annotations
 
 import functools
@@ -106,7 +108,8 @@ class OrthogonalPartition:
     parent carries are checked within `budget` (ensure_checked), its
     minimal distance is measured within the same budget (measure_md), then
     its blocks are checked, all together in one pass over the parent or not
-    at all, within the same budget (claim_blocks)."""
+    at all, within the same budget (claim_blocks).  `parent` is the array
+    those checks return, with their certificates."""
 
     def __init__(self, parent: MixedLevelArray, K: int, strength: int,
                  budget: Optional[int] = None):
@@ -115,12 +118,10 @@ class OrthogonalPartition:
         if not 1 <= K <= parent.r or parent.r % K:
             raise NotPartitionable(f"{parent.r} rows do not split into {K} "
                                    f"equal nonempty blocks")
-        self.parent = parent
+        self.parent = measure_md(ensure_checked(parent, budget), budget)
         self.K = int(K)
         self.strength = int(strength)
-        ensure_checked(parent, budget)
-        measure_md(parent, budget)
-        self.strength_checked = claim_blocks(parent, self.K, self.strength, budget)
+        self.strength_checked = claim_blocks(self.parent, self.K, self.strength, budget)
 
     @property
     def block_size(self) -> int:
@@ -202,8 +203,6 @@ def _state_matrix(state, n: int) -> np.ndarray:
         bad = next((len(ket) for ket in state if len(ket) != n), None)
         raise BadGeometry(f"ket length {bad} != {n}" if bad is not None
                           else f"kets must be sequences of {n} integers") from None
-    if matrix.size == 0:
-        return matrix.reshape(0, n)
     if matrix.ndim != 2:
         raise BadGeometry(f"a state must list kets of length {n}")
     if matrix.shape[1] != n:
@@ -222,14 +221,16 @@ class QuantumCode:
     tuple of states, each a tuple of int tuples, built when first read.
 
     The geometry is checked on the whole matrix with numpy when the code is
-    built: K states of equal size, kets of length n, every entry inside its
-    alphabet, no ket repeated within or across states, and, for a code with
-    provenance, as many kets as parent rows.  A violation raises BadGeometry
-    (ClaimFailed for the parent count)."""
+    built: K >= 1 states of one nonzero size, kets of length n, every entry
+    inside its alphabet, no ket repeated within or across states, and, for a
+    code with provenance, as many kets as parent rows.  A violation raises
+    BadGeometry (ClaimFailed for the parent count)."""
 
     def __init__(self, params: CodeParams, basis, provenance: Optional[Provenance] = None):
         self.params = params
         self.provenance = provenance
+        if params.K < 1:
+            raise BadGeometry(f"a code needs at least one basis state, not K={params.K}")
         states = [state if isinstance(state, np.ndarray) else list(state)
                   for state in basis]
         if len(states) != params.K:
@@ -237,6 +238,9 @@ class QuantumCode:
         sizes = {len(state) for state in states}
         if len(sizes) != 1:
             raise BadGeometry(f"states have unequal ket counts {sorted(sizes)}")
+        block = sizes.pop()
+        if not block:
+            raise BadGeometry("basis states hold no kets")
         kets = np.concatenate([_state_matrix(state, params.n) for state in states])
         bad = (kets < 0) | (kets >= params.alphabets)
         if bad.any():
@@ -244,17 +248,16 @@ class QuantumCode:
             raise BadGeometry(f"ket entry {kets[i, j]} out of range for "
                               f"alphabet {params.alphabets[j]}")
         kets = kets.astype(np.min_scalar_type(max(params.alphabets) - 1))
-        if block := sizes.pop():
-            order = lexsort_order(kets)
-            repeated = np.flatnonzero(np.all(kets[order[1:]] == kets[order[:-1]], axis=1))
-            if repeated.size:
-                ket = tuple(kets[order[repeated[0]]].tolist())
-                raise BadGeometry(f"ket {ket} appears in more than one state")
-            # a stable sort of the sorted kets by state sorts every state;
-            # the states are disjoint, so their first kets alone order them
-            states = kets[order[np.argsort(order // block, kind="stable")]]
-            states = states.reshape(params.K, block, params.n)
-            kets = states[lexsort_order(states[:, 0])].reshape(-1, params.n)
+        order = lexsort_order(kets)
+        repeated = np.flatnonzero(np.all(kets[order[1:]] == kets[order[:-1]], axis=1))
+        if repeated.size:
+            ket = tuple(kets[order[repeated[0]]].tolist())
+            raise BadGeometry(f"ket {ket} appears in more than one state")
+        # a stable sort of the sorted kets by state sorts every state;
+        # the states are disjoint, so their first kets alone order them
+        states = kets[order[np.argsort(order // block, kind="stable")]]
+        states = states.reshape(params.K, block, params.n)
+        kets = states[lexsort_order(states[:, 0])].reshape(-1, params.n)
         kets.setflags(write=False)
         self.kets = kets
         if provenance is not None and len(kets) != provenance.parent.r:

@@ -175,3 +175,15 @@ def naive_d_2s_even_rows(big, s):
     """The multiplication table of the field `big` of order 2s, each entry
     reduced mod s."""
     return [tuple(big.mul(a, b) % s for b in big.elements()) for a in big.elements()]
+
+
+def poly_eval(f, coeffs, point: int) -> int:
+    """Evaluate a polynomial (coefficients low degree first) at a point of
+    the field f by Horner's rule, one field operation at a time: the Bush
+    oracle."""
+    if not coeffs:
+        raise ValueError("coeffs must be nonempty")
+    acc = 0
+    for c in reversed(coeffs):
+        acc = f.add(f.mul(acc, point), c)
+    return acc

@@ -12,12 +12,11 @@ from oaqec.algebra import (
     factorize_prime_powers,
     field_create,
     is_prime_power,
-    poly_eval,
     prime_power_decomposition,
 )
 from oaqec.errors import ClaimFailed, NotPrimePower
 
-from conftest import naive_field_axiom_failure
+from conftest import naive_field_axiom_failure, poly_eval
 
 
 def test_prime_field_is_mod_arithmetic():

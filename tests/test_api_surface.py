@@ -1,8 +1,9 @@
 """The settable surface of the package may not grow unnoticed.
 
 `tools/api_surface.py` counts the defaulted parameters of public functions
-and of the methods of public classes.  A change that adds one must raise
-MAX_KEYWORD_PARAMETERS here and give its reason in CHANGES.md.
+and of the methods of public classes, and the names the package exports.  A
+change that adds one must raise MAX_KEYWORD_PARAMETERS or MAX_EXPORTED_NAMES
+here and give its reason in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import oaqec
 
 SRC = Path(oaqec.__file__).resolve().parent
 MAX_KEYWORD_PARAMETERS = 29
+MAX_EXPORTED_NAMES = 76
 
 
 def _api_surface():
@@ -36,3 +38,13 @@ def test_the_surface_count_sees_a_new_knob():
     assert count("def f(a, b=1, *, c=2, d):\n    pass\n") == ["f.b", "f.c"]
     assert count("def _f(a=1):\n    pass\nclass C:\n    def m(self, x=0):\n"
                  "        pass\n") == ["C.m.x"]
+
+
+def test_package_exports_do_not_grow():
+    count = _api_surface().exported_names
+    names = count((SRC / "__init__.py").read_text())
+    assert len(names) <= MAX_EXPORTED_NAMES, names
+    # the count is what `import oaqec` offers from its modules, and only that
+    assert all(hasattr(oaqec, name) for name in names)
+    assert count("from .arrays import (a,\n    b as c)\nfrom os import path\n"
+                 "import json\n__version__ = '1'\n") == ["a", "c"]

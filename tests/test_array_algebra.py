@@ -5,7 +5,8 @@ written here, on random small arrays (n <= 5, alphabets 2-4).  Row order and
 the claims each result carries must both be identical.  Input arrays carry
 their true strength and distance (from the naive oracles), recorded
 unchecked; an operation records its result's claims unchecked, and
-ensure_checked then checks them within the budget.
+ensure_checked then checks them within the budget.  No claim, check or
+operation changes the claims of the array it is given.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from oaqec.arrays import (
     DEFAULT_VERIFICATION_BUDGET,
     MixedLevelArray,
     attach_index_column,
+    certify,
     claim,
     delete_columns,
     derive_subarray,
     ensure_checked,
     expansive_replacement,
+    measure_md,
     multiply_oa,
 )
 from oaqec.constructions import full_factorial_mixed
@@ -35,6 +38,7 @@ from oaqec.errors import (
     NotDivisible,
     NotPartitionable,
     ShapeMismatch,
+    ToolkitError,
 )
 from oaqec.synthesis import OrthogonalPartition, partition_by_prefix
 
@@ -122,8 +126,7 @@ def arrays_st(draw, alphabets=None, r=None):
     A = MixedLevelArray(rows, alphabets)
     t = naive_strength(rows, alphabets)
     md = min(naive_distance_set(rows)) if len(rows) > 1 else None
-    claim(A, strength=t or None, md=md)
-    return A
+    return claim(A, strength=t or None, md=md)
 
 
 def raises_same(fn, ref):
@@ -251,6 +254,45 @@ def test_operations_record_their_claims_unchecked(data):
                     derive_subarray(A, col, int(A.matrix[0, col]))]
     for out in results:
         assert not out.strength_checked and not out.md_checked
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), budget=st.sampled_from(BUDGETS))
+def test_claims_checks_and_operations_leave_their_argument_unchanged(data, budget):
+    A = data.draw(arrays_st())
+    if data.draw(st.booleans()):
+        A = ensure_checked(A, budget)
+    B = data.draw(arrays_st(alphabets=A.alphabets))
+    before = flags(A), flags(B)
+    t = data.draw(st.integers(0, A.n))
+    md = data.draw(st.none() | st.integers(0, A.n))
+    # a claim or a check returns an array over the same matrix, or A itself
+    # when it changes nothing
+    results = [claim(A, strength=t, md=md), claim(A), ensure_checked(A, budget),
+               certify(A, A.strength, A.md)]
+    if A.r > 1:
+        results.append(measure_md(A, budget))
+    for out in results:
+        assert out.matrix is A.matrix and out.alphabets == A.alphabets
+    assert results[1] is A
+    assert ensure_checked(results[2], budget) is results[2]
+    col = data.draw(st.integers(0, A.n - 1))
+    F = full_factorial_mixed((A.alphabets[col],), 1)
+    operations = [
+        lambda: multiply_oa(A, B), A.sorted_rows,
+        lambda: expansive_replacement(A, col, F),
+        lambda: delete_columns(A, [col]),
+        lambda: derive_subarray(A, col, int(A.matrix[0, col])),
+        lambda: attach_index_column(A, 1),
+        lambda: partition_by_prefix(A, 0),
+        lambda: OrthogonalPartition(A, 1, 1, budget),
+    ]
+    for operation in operations:
+        try:
+            operation()
+        except (ToolkitError, ValueError):
+            pass  # a refused operation must leave its argument alone too
+    assert (flags(A), flags(B)) == before
 
 
 def split_rows(A, K):

@@ -27,7 +27,6 @@ from oaqec.arrays import (
     multiply_oa,
     saturated_hd_formula,
     saturation_check,
-    strength,
     to_text,
 )
 from oaqec.constructions import bush
@@ -134,9 +133,13 @@ def test_is_oa_non_integer_index():
 
 
 def test_strength_values():
-    assert strength(MixedLevelArray(EVEN_WEIGHT, (2, 2, 2))) == 2
-    assert strength(MixedLevelArray([(0, 0)], (2, 2))) == 0
-    assert strength(full_factorial((3, 2))) == 2
+    # strength t: balanced at t (when t > 0) and, below n columns, not at t + 1
+    for A, t in ((MixedLevelArray(EVEN_WEIGHT, (2, 2, 2)), 2),
+                 (MixedLevelArray([(0, 0)], (2, 2)), 0),
+                 (full_factorial((3, 2)), 2)):
+        assert t == 0 or is_orthogonal_array(A, t)[0]
+        assert t == A.n or not is_orthogonal_array(A, t + 1)[0]
+        assert naive_strength(A.rows, A.alphabets) == t
 
 
 def test_distance_profile_cases():
@@ -257,7 +260,7 @@ def test_minimal_distance_hands_a_wide_array_to_the_pair_scan():
         assert ensure_checked(claim(wide(), strength=1, md=20)).verified
     assert pair_scan.call_count == 1
     with bounded_projection_sorts(2):
-        assert measure_md(wide()) == 20
+        assert measure_md(wide()).md == 20
     with bounded_projection_sorts(2), \
             pytest.raises(ClaimFailed, match=r"^md claim 19 != actual 20$"):
         ensure_checked(claim(wide(), md=19))
@@ -280,7 +283,7 @@ def test_false_distance_claims_fail_with_pinned_messages():
     assert not A.md_checked
     with pytest.raises(ClaimFailed, match=r"^md claim 3 != actual 2$"):
         measure_md(A)
-    assert measure_md(claim(even_weight(), md=2)) == 2
+    assert measure_md(claim(even_weight(), md=2)).md_checked
 
 
 def test_false_strength_claims_fail_with_one_pinned_message():
@@ -297,17 +300,21 @@ def test_false_strength_claims_fail_with_one_pinned_message():
 def test_measure_md_checks_a_claimed_distance_within_its_budget():
     A = claim(MixedLevelArray(EVEN_WEIGHT, (2, 2, 2)), strength=2, md=3)
     # over budget a claim stays unchecked and nothing is measured
-    assert measure_md(A, budget=0) is None
+    assert measure_md(A, budget=0) is A
     assert (A.md, A.md_checked) == (3, False)
     B = MixedLevelArray(EVEN_WEIGHT, (2, 2, 2))
-    assert measure_md(B, budget=0) is None and B.md is None
-    # an unclaimed distance is measured and recorded as checked
-    assert measure_md(B) == 2 and (B.md, B.md_checked) == (2, True)
+    assert measure_md(B, budget=0) is B and B.md is None
+    # an unclaimed distance is measured and recorded as checked, on a new
+    # array over the same matrix
+    out = measure_md(B)
+    assert (out.md, out.md_checked) == (2, True) and out.matrix is B.matrix
+    assert B.md is None
     # a claimed one goes through ensure_checked with the array's other claims
     C = claim(MixedLevelArray(EVEN_WEIGHT, (2, 2, 2)), strength=2, md=2)
     with mock.patch.object(arrays, "ensure_checked", wraps=arrays.ensure_checked) as check:
-        assert measure_md(C) == 2
-    assert check.call_count == 1 and C.verified
+        out = measure_md(C)
+    assert check.call_count == 1 and out.verified and out.md == 2
+    assert not C.verified
 
 
 def test_is_oa_matches_naive_oracle():
@@ -668,12 +675,12 @@ def test_text_roundtrip():
 
 
 def test_ensure_checked_budget_and_failure():
-    A = MixedLevelArray(EVEN_WEIGHT, (2, 2, 2))
+    A = claim(MixedLevelArray(EVEN_WEIGHT, (2, 2, 2)), strength=3)  # false claim
     with pytest.raises(AssertionError):
-        ensure_checked(claim(A, strength=3), 10**6)  # false claim
+        ensure_checked(A, 10**6)
     with pytest.raises(ClaimFailed, match="strength 3 claim failed"):
         ensure_checked(A, budget=10**6)
-    B = MixedLevelArray(EVEN_WEIGHT, (2, 2, 2))
-    ensure_checked(claim(B, strength=3), 1)  # too small to check anything
+    B = ensure_checked(claim(MixedLevelArray(EVEN_WEIGHT, (2, 2, 2)), strength=3),
+                       1)  # too small to check anything
     assert not B.strength_checked
     assert B.status() == "constructed, unverified"

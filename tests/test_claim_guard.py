@@ -1,20 +1,22 @@
 """Source rules that keep every claim honest.
 
-Only `oaqec.arrays` may store the private claim fields of MixedLevelArray,
-and the modules that build and certify arrays may not guard a claim with
-`assert`, which `python -O` strips.  Operations record claims, and checks
-run in two places: the builders in `synthesis` check a code's array where
-its partition is formed (`ensure_checked`, `claim_blocks`, `measure_md`),
-and `constructions` certifies full factorials and loaded assets (`certify`,
-also open to the asset scripts in `tools/`).  Only the asset loader
-`constructions._load_asset` may hand out the checked claims of an asset
-payload it has already certified (`from_certified`), and only `arrays`
-calls `is_orthogonal_array`:
-the builders and the registry check strength through a claim.  The array
-route of cross validation takes its distance from the `arrays` kernel, which
-shares no code with the rank kernel of the reduction route in `verify`.
-Every module but the package `__init__` uses each name it imports, unless
-the import is marked `# noqa: F401` as a deliberate re-export.
+Only `oaqec.arrays` may store the claim slots of MixedLevelArray, make a
+`Certificate` or call its private constructor `_with_certificates`, and it
+stores the slots only where an array is made: in `MixedLevelArray.__init__`
+and in that constructor, which gives an array over the same matrix new
+certificates.  So no claim of an array changes after it is made.  The
+modules that build and certify arrays may not guard a claim with `assert`,
+which `python -O` strips.  Operations record claims, and checks run in two
+places: the builders in `synthesis` check a code's array where its
+partition is formed (`ensure_checked`, `claim_blocks`, `measure_md`), and
+`constructions` certifies full factorials and loaded assets (`certify`,
+also open to the asset scripts in `tools/`).  Only `arrays` calls
+`is_orthogonal_array`: the builders and the registry check strength
+through a claim.  The array route of cross validation takes its distance
+from the `arrays` kernel, which shares no code with the rank kernel of the
+reduction route in `verify`.  Every module but the package `__init__` uses
+each name it imports, unless the import is marked `# noqa: F401` as a
+deliberate re-export.
 """
 
 from __future__ import annotations
@@ -27,23 +29,38 @@ import oaqec
 
 SRC = Path(oaqec.__file__).resolve().parent
 TOOLS = SRC.parents[1] / "tools"
-CLAIM_FIELDS = {"_strength", "_strength_checked", "_md", "_md_checked"}
+CLAIM_FIELDS = {"_strength", "_md"}
+#: the functions of arrays.py that may store a claim slot: where arrays are made
+CLAIM_MAKERS = {"MixedLevelArray.__init__", "_with_certificates"}
 NO_ASSERT = ("algebra.py", "arrays.py", "constructions.py", "schemes.py",
              "synthesis.py", "tables.py", "verify.py")
 
 
-def _claim_stores(tree: ast.AST) -> list[int]:
-    lines = []
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
-                and node.attr in CLAIM_FIELDS):
-            lines.append(node.lineno)
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and node.func.id == "setattr" and len(node.args) >= 2
-              and isinstance(node.args[1], ast.Constant)
-              and node.args[1].value in CLAIM_FIELDS):
-            lines.append(node.lineno)
-    return lines
+def _stores_claim(node: ast.AST) -> bool:
+    """Whether the node assigns a claim slot: `x._md = ...`, or
+    `setattr(x, "_md", ...)` and `object.__setattr__(x, "_md", ...)`."""
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.ctx, ast.Store) and node.attr in CLAIM_FIELDS
+    if not isinstance(node, ast.Call) or len(node.args) < 2:
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return (name in ("setattr", "__setattr__") and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value in CLAIM_FIELDS)
+
+
+def _claim_stores(tree: ast.AST, scope: str = "") -> list[tuple[str, int]]:
+    """(scope, line) of every claim slot store: the scope is the dotted name
+    of the class and function definitions around it, "" at module level."""
+    stores = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stores += _claim_stores(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        if _stores_claim(node):
+            stores.append((scope, node.lineno))
+        stores += _claim_stores(node, scope)
+    return stores
 
 
 def test_only_arrays_module_stores_claim_fields():
@@ -51,12 +68,43 @@ def test_only_arrays_module_stores_claim_fields():
     for path in sorted(SRC.glob("*.py")):
         if path.name == "arrays.py":
             continue
-        lines = _claim_stores(ast.parse(path.read_text(), str(path)))
-        if lines:
-            offenders[path.name] = lines
+        stores = _claim_stores(ast.parse(path.read_text(), str(path)))
+        if stores:
+            offenders[path.name] = stores
     assert offenders == {}
     # the rule has teeth: arrays.py itself does store the fields
     assert _claim_stores(ast.parse((SRC / "arrays.py").read_text()))
+
+
+def claim_store_faults(arrays_source: str) -> list[str]:
+    """Stores of a claim slot in arrays.py outside the functions that make an
+    array, as `scope line N`."""
+    return [f"{scope or 'module'} line {line}"
+            for scope, line in _claim_stores(ast.parse(arrays_source))
+            if scope not in CLAIM_MAKERS]
+
+
+def test_claim_slots_are_stored_only_where_an_array_is_made():
+    source = (SRC / "arrays.py").read_text()
+    assert claim_store_faults(source) == []
+    assert {scope for scope, _ in _claim_stores(ast.parse(source))} == CLAIM_MAKERS
+    check_return = "    return _with_certificates(A, t, md)\n"
+    class_head = "class MixedLevelArray:\n"
+    assert source.count(check_return) == 1 and source.count(class_head) == 1
+    mutants = {
+        # a check that marks its argument checked in place
+        "ensure_checked": source.replace(
+            check_return, "    A._strength = t\n" + check_return),
+        # a method that flips a claim after the array is made
+        "MixedLevelArray.mark": source.replace(class_head, class_head + (
+            "    def mark(self):\n"
+            "        object.__setattr__(self, '_md', Certificate(1, True))\n\n")),
+        # a back door at module level
+        "module": source + "\nsetattr(A, '_md', None)\n",
+    }
+    for scope, mutant in mutants.items():
+        faults = claim_store_faults(mutant)
+        assert len(faults) == 1 and faults[0].startswith(f"{scope} line "), scope
 
 
 def test_claim_modules_have_no_assert_statements():
@@ -73,8 +121,8 @@ def test_claim_modules_have_no_assert_statements():
 #: besides arrays.py
 CHECK_CALLERS = {"ensure_checked": {"synthesis.py"}, "claim_blocks": {"synthesis.py"},
                  "measure_md": {"synthesis.py"}, "certify": {"constructions.py", "tools"},
-                 "from_certified": {"constructions.py:_load_asset"},
-                 "is_orthogonal_array": set()}
+                 "is_orthogonal_array": set(), "Certificate": set(),
+                 "_with_certificates": set()}
 
 
 def _called_names(tree: ast.AST) -> set[str]:
@@ -149,28 +197,21 @@ def test_check_policy_guard_has_teeth():
         assert check_policy_faults(mutant) == [fault], fault
 
 
-def test_only_asset_get_hands_out_certified_claims():
+def test_only_arrays_makes_certificates():
     sources = _policy_sources()
-    constructions = sources["constructions.py"]
-    assert ("_load_asset", "from_certified") in _calls_by_function(ast.parse(constructions))
-    call = "from_certified(M, (2,), 1, 1)"
-    bush_def = "def bush(s: int, t: int) -> MixedLevelArray:\n"
-    assert bush_def in constructions
-    get_def = ("def asset_get(name: str, trace: Optional[list[str]] = None)"
-               " -> MixedLevelArray:\n")
-    assert get_def in constructions
-    mutants = [
-        ("constructions.py", constructions + f"\nA = {call}\n"),
-        # the lookup by name hands out claims only through the loader
-        ("constructions.py", constructions.replace(get_def, f"{get_def}    {call}\n")),
-        ("constructions.py", constructions + f"\ndef bush_again(s, t):\n    return {call}\n"),
-        ("constructions.py", constructions.replace(bush_def, f"{bush_def}    {call}\n")),
-        ("synthesis.py", sources["synthesis.py"] + f"\nA = arrays.{call}\n"),
-        ("tools/gen_assets.py", sources["tools/gen_assets.py"] + f"\nA = {call}\n"),
-    ]
-    for name, source in mutants:
-        assert check_policy_faults(dict(sources, **{name: source})) == [
-            f"{name} calls from_certified"], source[-80:]
+    assert "Certificate" in _called_names(ast.parse(sources["arrays.py"]))
+    mutants = {
+        # an asset loader that marks a payload checked without a check
+        "constructions.py": "\nA = _with_certificates(A, Certificate(2, True), None)\n",
+        "synthesis.py": "\ncert = arrays.Certificate(3, True)\n",
+        "tools/gen_assets.py": "\nCertificate(2, checked=True)\n",
+    }
+    for name, line in mutants.items():
+        mutant = dict(sources, **{name: sources[name] + line})
+        faults = [f"{name} calls Certificate"]
+        if "_with_certificates" in line:
+            faults.append(f"{name} calls _with_certificates")
+        assert check_policy_faults(mutant) == faults, name
 
 
 def test_only_arrays_runs_the_strength_kernel():

@@ -239,7 +239,12 @@ def test_verify_modes(tmp_path, capsys):
     {"params": {"n": 4, "K": 1, "d_plus_1": 2, "alphabets": [2, 2, 2, 2], "m": 1,
                 "singleton": 4, "m_range": [0, 2]}},
     {"params": {"n": 4, "K": 1, "alphabets": [2, 2, 2, 2]}, "basis": []},
-], ids=["no-params", "params-not-object", "no-basis", "params-field-missing"])
+    {"params": {"n": 3, "K": 1, "d_plus_1": 2, "alphabets": [2, 2, 2], "m": 1,
+                "singleton": 2, "m_range": [0, 1]}, "basis": [[]]},
+    {"params": {"n": 3, "K": 0, "d_plus_1": 2, "alphabets": [2, 2, 2], "m": 2,
+                "singleton": 2, "m_range": [0, 1]}, "basis": []},
+], ids=["no-params", "params-not-object", "no-basis", "params-field-missing",
+        "state-without-kets", "no-states"])
 def test_verify_refuses_a_malformed_record_with_exit_2(tmp_path, capsys, record):
     path = tmp_path / "r.json"
     path.write_text(json.dumps(record))
@@ -419,7 +424,9 @@ def test_assets_add_requires_file_and_dir(capsys):
     "OA 0 3 2\n2 2 2\n",
     "OA 4 3 2\n",
     "",
-], ids=["entry-outside-alphabet", "zero-rows", "no-alphabet-line", "empty"])
+    # the header promises 4 rows, the file holds 6: none of them is dropped
+    "OA 4 2 1\n2 2\n0 0\n0 1\n1 0\n1 1\n0 0\n1 1\n",
+], ids=["entry-outside-alphabet", "zero-rows", "no-alphabet-line", "empty", "extra-rows"])
 def test_assets_add_rejects_malformed_array_as_usage_error(tmp_path, capsys, text):
     src = tmp_path / "bad.txt"
     src.write_text(text)
@@ -427,6 +434,18 @@ def test_assets_add_rejects_malformed_array_as_usage_error(tmp_path, capsys, tex
     rc, _, err = run(capsys, "assets", "add", "--file", str(src), "--dir", str(store))
     assert rc == 2 and err.startswith("invalid request: ")
     assert not store.exists()
+
+
+def test_assets_verify_reports_rows_beyond_the_header_count_as_corrupt(tmp_path, capsys,
+                                                                       monkeypatch):
+    (tmp_path / "long.txt").write_text("OA 4 2 1\n2 2\n0 0\n0 1\n1 0\n1 1\n0 0\n1 1\n")
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"long": {"r": 4, "n": 2, "alphabets": [2, 2], "t": 1, "md": 1,
+                  "file": "long.txt"}}))
+    monkeypatch.setenv("OAQEC_ASSET_DIR", str(tmp_path))
+    rc, _, err = run(capsys, "assets", "verify")
+    assert rc == 4
+    assert err == "asset corrupt: long: unreadable payload: expected 4 rows, found 6\n"
 
 
 def test_assets_verify_reports_an_unparsable_payload_as_corrupt(tmp_path, capsys,

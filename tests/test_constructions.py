@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 
 from oaqec import arrays, constructions
-from oaqec.algebra import field_create, is_prime_power, poly_eval
+from oaqec.algebra import field_create, is_prime_power
 from oaqec.arrays import (
     MixedLevelArray,
     claim,
     distance_profile,
     ensure_checked,
     is_orthogonal_array,
-    strength,
     to_text,
 )
 from oaqec.constructions import (
@@ -41,7 +40,7 @@ from oaqec.errors import (
     StrengthTooHigh,
 )
 
-from conftest import naive_distance_set, naive_is_oa
+from conftest import naive_distance_set, naive_is_oa, poly_eval
 
 
 def test_bush_2_2_rows_up_to_labeling():
@@ -342,9 +341,8 @@ def test_bush_calls_return_distinct_arrays_over_one_table():
     A, B = bush(5, 3), bush(5, 3)
     assert A is not B and A.matrix is not B.matrix
     assert np.array_equal(A.matrix, B.matrix)
-    ensure_checked(A)
-    claim(A, strength=2)
-    assert (A.strength, A.strength_checked, A.md_checked) == (2, False, True)
+    weaker = claim(ensure_checked(A), strength=2)
+    assert (weaker.strength, weaker.strength_checked, weaker.md_checked) == (2, False, True)
     assert (B.strength, B.strength_checked, B.md, B.md_checked) == (3, False, 4, False)
     assert ensure_checked(B).verified and not A.verified
 
@@ -389,12 +387,12 @@ def test_asset_reload_of_the_same_payload_is_not_recertified(tmp_path, monkeypat
         assert check.call_count == 1
         second = asset_get("ff_8")
         assert check.call_count == 1
-    assert first is not second
-    assert np.array_equal(first.matrix, second.matrix)
+    # the certified array is shared: no caller can change its claims
+    assert first is second
     assert (second.strength, second.md, second.verified) == (3, 1, True)
-    claim(second, strength=2)
+    assert not claim(second, strength=2).verified
     assert first.strength == 3 and first.verified
-    assert asset_get("ff_8").verified
+    assert asset_get("ff_8") is first
 
 
 def test_rewritten_external_payload_is_certified_again(tmp_path, monkeypatch):

@@ -158,7 +158,8 @@ def test_a_single_block_partition_checks_strength_once(t):
                            wraps=arrays.is_orthogonal_array) as check:
         part = OrthogonalPartition(A, 1, t)
     assert check.call_count == 1 and check.call_args.args[1:] == (2,)
-    assert part.strength_checked and A.strength_checked
+    assert part.strength_checked and part.parent.strength_checked
+    assert not A.strength_checked
 
 
 def test_a_single_block_partition_above_the_parent_claim_is_checked():
@@ -552,10 +553,13 @@ def _params(n=2, alphabets=(3, 3), K=2):
     ([[(0, 0)], [np.array([2 ** 64 - 1, 0], dtype=np.uint64)]], "out of range"),
     ([[(0, 0), (0, 0)], [(1, 1), (2, 2)]], r"ket \(0, 0\) appears"),
     ([[(0, 0), (1, 2)], [(1, 1), (1, 2)]], r"ket \(1, 2\) appears"),
+    ([[], []], "^basis states hold no kets$"),
+    ([], "^a code needs at least one basis state, not K=0$"),
 ])
 def test_code_geometry_refusals(basis, message):
+    # an empty basis is tried at dimension 0, every other one at dimension 2
     with pytest.raises(BadGeometry, match=message):
-        QuantumCode(_params(), basis)
+        QuantumCode(_params(K=2 if basis else 0), basis)
 
 
 def test_code_geometry_checks_entries_against_their_own_alphabet():

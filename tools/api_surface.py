@@ -1,8 +1,10 @@
-"""Print the size of the package's source and of its settable surface.
+"""Print the size of the package's source and of its public surface.
 
-Two numbers:
+Three numbers:
 
   * lines: the line count of every `src/oaqec/*.py` module;
+  * exported names: the names the package `__init__.py` imports from its
+    modules (`from .module import name`), i.e. what `import oaqec` offers;
   * keyword parameters: the defaulted parameters (positional or
     keyword-only) of public module-level functions and of the methods of
     public classes, found by walking each module's AST.  A name is public
@@ -33,6 +35,13 @@ def _defaulted(fn: ast.FunctionDef) -> list[str]:
     return names
 
 
+def exported_names(init_source: str) -> list[str]:
+    """The names a package `__init__` source imports from its own modules."""
+    return [alias.asname or alias.name for node in ast.parse(init_source).body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
 def keyword_parameters(source: str) -> list[str]:
     """`function.parameter` for every counted parameter of one module."""
     out = []
@@ -53,6 +62,7 @@ def main(argv: list[str]) -> int:
     params = [f"{path.stem}.{name}" for path in modules
               for name in keyword_parameters(path.read_text())]
     print(f"lines: {lines}")
+    print(f"exported names: {len(exported_names((src / '__init__.py').read_text()))}")
     print(f"keyword parameters: {len(params)}")
     for name in params:
         print(f"  {name}")
