@@ -49,7 +49,6 @@ from .schemes import (
     DifferenceScheme,
     d3_scheme,
     d_2s,
-    d_sss,
     is_difference_scheme,
     oa_from_scheme,
 )

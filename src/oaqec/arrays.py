@@ -353,13 +353,17 @@ def _projection_collides(columns: np.ndarray, alphabets: Sequence[int],
     keys = np.zeros(columns.shape[1], dtype=np.int64)
     radix = 1
     for c in cols:
-        s = alphabets[c]
+        s, digits = alphabets[c], columns[c]
         if radix > _KEY_MAX // s:
-            # the next digit would overflow: replace the keys by their ranks
+            # the next digit would overflow: replace the keys by their ranks,
+            # and when even the ranks would, the column's values by theirs
             uniq, keys = np.unique(keys, return_inverse=True)
             radix = len(uniq)
+            if radix > _KEY_MAX // s:
+                uniq, digits = np.unique(digits, return_inverse=True)
+                s = len(uniq)
         keys *= s
-        keys += columns[c]
+        keys += digits
         radix *= s
     keys.sort()
     return bool(np.any(keys[1:] == keys[:-1]))

@@ -266,6 +266,10 @@ def _parse_manifest(payload: bytes, manifest: Path, source: str) -> tuple[AssetR
         if not _plain_component(meta["file"]):
             raise AssetCorrupt(f"manifest {manifest}: entry {name!r} file "
                                f"{meta['file']!r} is not a plain file name")
+        # as asset_add refuses: a strength below 1 would certify nothing
+        if meta["t"] < 1:
+            raise AssetCorrupt(f"manifest {manifest}: entry {name!r} has strength "
+                               f"{meta['t']}, not >= 1")
         records.append(AssetRecord(
             name=name, r=meta["r"], n=meta["n"], alphabets=tuple(meta["alphabets"]),
             strength=meta["t"], md=meta["md"], file=str(manifest.parent / meta["file"]),

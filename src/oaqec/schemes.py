@@ -108,14 +108,6 @@ def _verified(rows, s, t, field=None) -> DifferenceScheme:
     return D
 
 
-def d_sss(s: int) -> DifferenceScheme:
-    """Square scheme of side s: the multiplication table of GF(s)."""
-    if not is_prime_power(s):
-        raise NotPrimePower(f"{s} is not a prime power")
-    f = field_create(s)
-    return _verified(f.mul_table, s, 2, field=f)
-
-
 def d3_scheme(s: int) -> DifferenceScheme:
     """Strength-3 scheme with s^2 rows and 4 columns over Z_s, any s >= 2.
 

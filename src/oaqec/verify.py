@@ -7,18 +7,17 @@ the complement of S.  strict-uniform therefore passes S when no two kets
 collide on the complement and every state counts each level tuple on S
 block/prod(s_j) times.  definition-5 fails S when kets of two states collide
 on the complement, and otherwise compares the states' level counts on S.
-strict-uniform keys S-slices by their level tuples (below prod(s_j)); the
-complement, and definition-5's S-slices, are compared by the ranks of their
-lexicographically sorted column slices, which never overflow.  Exact reduced
-cross matrices are built only for the ReductionWitnesses of failing subsets
-and to decide a definition-5 subset on which kets of one state collide, and
-then only for the self reductions and state pairs that the numpy pass flags.
+Column slices, the complement and S alike, are keyed one way: by the exact
+int64 mixed-radix keys of `_slice_keys`.  Exact reduced cross matrices are
+built only for the ReductionWitnesses of failing subsets and to decide a
+definition-5 subset on which kets of one state collide, and then only for
+the self reductions and state pairs that the numpy pass flags.
 """
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import prod
 from typing import Optional
 
@@ -159,18 +158,31 @@ def _check_subset(code: QuantumCode, S: tuple[int, ...], mode: str,
     return out
 
 
-def _row_ranks(kets: np.ndarray, cols) -> tuple[np.ndarray, np.ndarray]:
-    """(order, ranks): order sorts the kets lexicographically on cols, and
-    ranks[k] counts the distinct cols-slices below ket k's, so two kets share
-    a rank exactly when they agree on cols.  Ranks lie in [0, prod(s_j))."""
-    if not cols:
-        return np.arange(len(kets)), np.zeros(len(kets), dtype=np.int64)
-    part = kets[:, list(cols)]
-    order = np.lexsort(part.T)
-    step = np.any(part[order[1:]] != part[order[:-1]], axis=1)
-    ranks = np.empty(len(kets), dtype=np.int64)
-    ranks[order] = np.concatenate(([0], np.cumsum(step)))
-    return order, ranks
+#: largest mixed-radix key _slice_keys builds before re-ranking
+_KEY_MAX = np.iinfo(np.int64).max
+
+
+def _slice_keys(kets: np.ndarray, alphabets, cols) -> np.ndarray:
+    """One int64 key per ket, equal for two kets exactly when they agree on
+    cols: the slice's mixed-radix number (its level tuple's index below
+    prod(s_j) until a re-rank).  Before a key would pass _KEY_MAX the keys
+    are re-ranked, and when even their ranks would, the column's values too
+    (ranks stay below the ket count).  Digits are cast to int64 first, as
+    uint64 kets plus int64 keys give float64."""
+    keys = np.zeros(len(kets), dtype=np.int64)
+    radix = 1
+    for c in cols:
+        s, digits = alphabets[c], kets[:, c].astype(np.int64)
+        if radix > _KEY_MAX // s:
+            uniq, keys = np.unique(keys, return_inverse=True)
+            radix = len(uniq)
+            if radix > _KEY_MAX // s:
+                uniq, digits = np.unique(digits, return_inverse=True)
+                s = len(uniq)
+        keys *= s
+        keys += digits
+        radix *= s
+    return keys
 
 
 def _cross_pairs(states: np.ndarray, collide: np.ndarray) -> list[tuple[int, int]]:
@@ -194,19 +206,24 @@ def _decide_subset(code: QuantumCode, S: tuple[int, ...], mode: str,
     definition-5 subset on which kets of one state collide, and to explain
     a failing subset when `explain` is set."""
     kets, K, block = code.kets, code.params.K, code.kets_per_state
+    alphabets = code.params.alphabets
     strict = mode == "strict-uniform"
     if strict:
-        levels = prod(code.params.alphabets[c] for c in S)
+        levels = prod(alphabets[c] for c in S)
         uniform, rest = divmod(block, levels)
         if rest and not explain:
             return False, None
     elif K == 1:
         return True, None
     comp = [c for c in range(code.params.n) if c not in S]
-    order, keys = _row_ranks(kets, comp)
-    collide = keys[order[1:]] == keys[order[:-1]]
+    keys = _slice_keys(kets, alphabets, comp)
+    sorted_keys = np.sort(keys)
+    collide = sorted_keys[1:] == sorted_keys[:-1]
+    # the complement order matters only where kets collide, and a stable
+    # argsort (several times slower than np.sort) keeps one state's
+    # colliding kets adjacent
+    order = np.argsort(keys, kind="stable") if collide.any() else np.arange(len(keys))
     states = order // block
-    # the sort is stable, so kets of one state that collide are adjacent
     within = collide & (states[1:] == states[:-1])
     cross = collide & ~within
     if not explain and (cross.any() or strict and collide.any()):
@@ -217,15 +234,15 @@ def _decide_subset(code: QuantumCode, S: tuple[int, ...], mode: str,
     if strict and rest:
         flagged[:] = True
     elif strict:
-        # each S-slice keyed by its level tuple, below `levels`
-        keys = np.ravel_multi_index(kets[:, list(S)].T,
-                                    [code.params.alphabets[c] for c in S])
+        # levels divides block, so no S-key is re-ranked: each is its level
+        # tuple's index below `levels`
+        keys = _slice_keys(kets, alphabets, S).reshape(K, block)
         offsets = np.arange(K, dtype=np.int64)[:, None] * levels
-        counts = np.bincount((keys.reshape(K, block) + offsets).ravel(),
+        counts = np.bincount((keys + offsets).ravel(),
                              minlength=K * levels).reshape(K, levels)
         flagged |= np.any(counts != uniform, axis=1)
     else:
-        per_state = np.sort(_row_ranks(kets, S)[1].reshape(K, block), axis=1)
+        per_state = np.sort(_slice_keys(kets, alphabets, S).reshape(K, block), axis=1)
         # a state's self reduction equals state 0's when both have no
         # colliding kets and the same multiset of S-slices; when both have
         # colliding kets, only the exact reductions can tell
@@ -272,9 +289,7 @@ class VerificationReport:
 
 def _assert_hermitian_samples(code: QuantumCode, S: tuple[int, ...]) -> None:
     """Spot-check that swapping the states transposes the reduction counts."""
-    K = code.params.K
-    pairs = [(i, j) for i in range(K) for j in range(i + 1, K)][:3]
-    for i, j in pairs:
+    for i, j in islice(combinations(range(code.params.K), 2), 3):
         M = reduced_cross_matrix(code, i, j, S)
         W = reduced_cross_matrix(code, j, i, S)
         flipped = {(y, x): v for (x, y), v in W.counts.items()}
@@ -367,7 +382,7 @@ def cross_validate(code: QuantumCode) -> CrossValidation:
 
     The array side rebuilds the parent from the union of all kets, computes
     its exact minimal distance from column projections (minimal_distance,
-    which shares no code with the rank kernel of the reduction side), and
+    which shares no code with the key kernel of the reduction side), and
     re-checks every state's balance at strength d in one pass over it
     (each state is a block of its rows); the reduction side runs
     verify_code in strict-uniform mode.  Neither side reuses any claim

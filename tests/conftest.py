@@ -7,6 +7,9 @@ from __future__ import annotations
 
 import itertools
 
+from oaqec.algebra import field_create
+from oaqec.schemes import _verified
+
 
 def naive_is_oa(rows, alphabets, t) -> bool:
     """Equal-frequency check by scanning every level tuple separately."""
@@ -133,6 +136,13 @@ def naive_first_nonsquare(f) -> int:
         if f.pow(e, (f.q - 1) // 2) != 1:
             return e
     raise AssertionError("no non-square found")
+
+
+def d_sss(s: int):
+    """Square scheme of side s: the multiplication table of GF(s), checked at
+    strength 2 (NotPrimePower unless s is a prime power)."""
+    f = field_create(s)
+    return _verified(f.mul_table, s, 2, field=f)
 
 
 def naive_d_sss_rows(f):

@@ -206,6 +206,8 @@ def test_minimal_distance_matches_naive_oracle(case, key_max, max_sorts):
     ([(0,), (1,), (2,)], (3,), 1),  # a single column
     ([(0,), (1,), (0,)], (3,), 0),
     (EVEN_WEIGHT, (2, 2, 2), 2),
+    # a re-ranked key times the alphabet 2^62 would wrap around int64
+    ([(i, i * 2 ** 59 % 2 ** 62, 0) for i in range(8)], (2 ** 62,) * 3, 2),
 ])
 def test_minimal_distance_cases(rows, alphabets, md):
     assert minimal_distance(MixedLevelArray(rows, alphabets)) == md

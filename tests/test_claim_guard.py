@@ -13,7 +13,7 @@ partition is formed (`ensure_checked`, `claim_blocks`, `measure_md`), and
 also open to the asset scripts in `tools/`).  Only `arrays` calls
 `is_orthogonal_array`: the builders and the registry check strength
 through a claim.  The array route of cross validation takes its distance
-from the `arrays` kernel, which shares no code with the rank kernel of the
+from the `arrays` kernel, which shares no code with the key kernel of the
 reduction route in `verify`.  Every module but the package `__init__` uses
 each name it imports, unless the import is marked `# noqa: F401` as a
 deliberate re-export.
@@ -266,8 +266,8 @@ def independence_faults(arrays_source: str, verify_source: str) -> list[str]:
     cross = _function(tree, "cross_validate")
     used = {node.id for node in ast.walk(cross) if isinstance(node, ast.Name)}
     used |= {node.attr for node in ast.walk(cross) if isinstance(node, ast.Attribute)}
-    if "_row_ranks" in used:
-        faults.append("cross_validate references _row_ranks")
+    if "_slice_keys" in used:
+        faults.append("cross_validate references _slice_keys")
     md_values = [node.value for node in ast.walk(cross) if isinstance(node, ast.Assign)
                  and any(isinstance(t, ast.Name) and t.id == "md" for t in node.targets)]
     if not md_values or not all(_calls(value, "minimal_distance") for value in md_values):
@@ -285,13 +285,16 @@ def test_independence_guard_has_teeth():
     verify_source = (SRC / "verify.py").read_text()
     md_line = "md = minimal_distance(rebuilt)"
     assert md_line in verify_source
+    # the kernel the guard keeps cross_validate away from must exist
+    assert "_slice_keys" in {node.name for node in ast.walk(ast.parse(verify_source))
+                             if isinstance(node, ast.FunctionDef)}
     mutants = {
-        "imports": (arrays_source + "\nfrom .verify import _row_ranks\n", verify_source),
+        "imports": (arrays_source + "\nfrom .verify import _slice_keys\n", verify_source),
         "module import": ("from . import verify\n" + arrays_source, verify_source),
         "pair scan": (arrays_source, verify_source.replace(
             md_line, "md = distance_profile(rebuilt).md")),
-        "rank kernel": (arrays_source, verify_source.replace(
-            md_line, "md = minimal_distance(rebuilt) + 0 * len(_row_ranks(kets, [])[0])")),
+        "key kernel": (arrays_source, verify_source.replace(
+            md_line, "md = minimal_distance(rebuilt) + 0 * len(_slice_keys(kets, (), []))")),
     }
     for name, (arrays_mutant, verify_mutant) in mutants.items():
         assert independence_faults(arrays_mutant, verify_mutant), name

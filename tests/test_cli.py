@@ -478,8 +478,12 @@ def test_assets_verify_reports_an_unparsable_payload_as_corrupt(tmp_path, capsys
      "entry 'x' file '/etc/hostname' is not a plain file name"),
     ({"x": {"r": 4, "n": 3, "alphabets": [2, 2, 2], "t": 2, "md": 2,
             "file": "sub/x.txt"}}, "entry 'x' file 'sub/x.txt' is not a plain file name"),
+    # a strength-0 entry would load its payload without a strength check
+    ({"x": {"r": 4, "n": 2, "alphabets": [2, 2], "t": 0, "md": 0,
+            "file": "x.txt"}}, "entry 'x' has strength 0, not >= 1"),
 ], ids=["missing-fields", "not-an-object", "bool-count", "string-alphabet",
-        "entry-not-object", "number-sha256", "parent-file", "absolute-file", "nested-file"])
+        "entry-not-object", "number-sha256", "parent-file", "absolute-file", "nested-file",
+        "zero-strength"])
 def test_assets_list_reports_a_malformed_manifest_as_corrupt(tmp_path, capsys, monkeypatch,
                                                              manifest, detail):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))

@@ -14,12 +14,12 @@ from oaqec.schemes import (
     DifferenceScheme,
     d3_scheme,
     d_2s,
-    d_sss,
     is_difference_scheme,
     oa_from_scheme,
 )
 
 from conftest import (
+    d_sss,
     naive_d3_rows,
     naive_d_2s_even_rows,
     naive_d_2s_odd_rows,

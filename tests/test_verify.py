@@ -7,6 +7,7 @@ import math
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -375,6 +376,30 @@ def test_complement_keys_beyond_int64(basis, passed):
     report = verify_code(code, 1, "definition-5")
     assert report.passed == passed
     assert dict(report.per_subset)[(0,)]  # no collision off column 0
+
+
+@pytest.mark.parametrize("s, basis", [
+    # uint64 kets: as float64 digits, 2^60 and 2^60 + 1 would be one key
+    (2 ** 61, [[(0, 2 ** 60, 0)], [(0, 2 ** 60 + 1, 0)]]),
+    # a re-ranked key times the alphabet 2^62 would wrap around int64
+    (2 ** 62, [[(0, i * 2 ** 59, 0) for i in range(4)],
+               [(0, i * 2 ** 59, 0) for i in range(4, 8)]]),
+], ids=["uint64-digits", "ranks-times-alphabet"])
+def test_slice_keys_stay_exact_on_huge_alphabets(s, basis):
+    code = QuantumCode(make_code_params(3, 1, (s,) * 3, 2), basis)
+    assert code.kets.dtype == np.uint64
+    assert_matches_oracle(code, (1,))
+    # no two kets agree off column 0, and every state reads 0 there
+    assert dict(verify_code(code, 1, "definition-5").per_subset)[(0,)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(code=small_codes(), key_max=st.sampled_from((1, 30)))
+def test_decision_kernel_stays_exact_when_keys_re_rank(code, key_max):
+    # a small key cap makes _slice_keys re-rank its keys, and at 1 the
+    # values of every column, on small codes
+    with mock.patch.object(verify, "_KEY_MAX", key_max):
+        assert_matches_oracle(code)
 
 
 def test_failing_verdict_without_exact_witness_is_an_internal_fault():
