@@ -1,17 +1,19 @@
 """Exact reduction checks certifying distances of compiled quantum codes.
 
-Each coordinate subset S is decided with numpy on the kets of all states,
-stacked.  The kets of a code are distinct, so a reduced cross matrix has an
-entry off its diagonal, or between two states, exactly when two kets agree on
-the complement of S.  strict-uniform therefore passes S when no two kets
-collide on the complement and every state counts each level tuple on S
-block/prod(s_j) times.  definition-5 fails S when kets of two states collide
-on the complement, and otherwise compares the states' level counts on S.
-Column slices, the complement and S alike, are keyed one way: by the exact
-int64 mixed-radix keys of `_slice_keys`.  Exact reduced cross matrices are
-built only for the ReductionWitnesses of failing subsets and to decide a
-definition-5 subset on which kets of one state collide, and then only for
-the self reductions and state pairs that the numpy pass flags.
+All coordinate subsets S of one size are decided together, in chunked numpy
+passes over subsets x the kets of all states, stacked.  The kets of a code
+are distinct, so a reduced cross matrix has an entry off its diagonal, or
+between two states, exactly when two kets agree on the complement of S.
+strict-uniform therefore passes S when no two kets collide on the
+complement and every state counts each level tuple on S block/prod(s_j)
+times.  definition-5 fails S when kets of two states collide on the
+complement, and otherwise compares the states' level counts on S.  Column
+slices are keyed by exact int64 mixed-radix keys: a complement's key is a
+ket's full key minus its S columns' terms when the product of all alphabets
+fits int64, and `_slice_keys` keys each column set otherwise.  Exact reduced
+cross matrices are built only for the ReductionWitnesses of failing subsets
+and to decide a definition-5 subset on which kets of one state collide, and
+then only for the self reductions and state pairs that flag a violation.
 """
 from __future__ import annotations
 
@@ -68,11 +70,12 @@ def reduced_cross_matrix(code: QuantumCode, i: int, j: int,
         return zip(map(tuple, kets[:, comp].tolist()),
                    map(tuple, kets[:, list(S)].tolist()))
 
+    kets_j = list(split(j))
     groups: dict = defaultdict(list)
-    for key, y in split(j):
+    for key, y in kets_j:
         groups[key].append(y)
     counts: Counter = Counter()
-    for key, x in split(i):
+    for key, x in kets_j if i == j else split(i):
         for y in groups.get(key, ()):
             counts[(x, y)] += 1
     return ReducedCrossMatrix(i=i, j=j, subset=S, counts=dict(counts))
@@ -189,76 +192,145 @@ def _cross_pairs(states: np.ndarray, collide: np.ndarray) -> list[tuple[int, int
     """Ascending state pairs (i, j), i < j, with kets that agree on the
     complement.  states[p] is the state of the p-th ket in complement order,
     and collide[p] says the p-th and (p+1)-th kets agree on the complement."""
+    # each run of colliding neighbours [lo, hi) joins kets lo..hi
+    edges = np.flatnonzero(np.diff(collide, prepend=False, append=False))
     pairs: set[tuple[int, int]] = set()
-    for group in np.split(states, np.flatnonzero(~collide) + 1):
-        if len(group) > 1:
-            pairs.update(combinations(np.unique(group).tolist(), 2))
+    for lo, hi in zip(edges[::2].tolist(), edges[1::2].tolist()):
+        pairs.update(combinations(np.unique(states[lo:hi + 1]).tolist(), 2))
     return sorted(pairs)
 
 
-def _decide_subset(code: QuantumCode, S: tuple[int, ...], mode: str,
-                   explain: bool
-                   ) -> tuple[bool, Optional[list[ReductionWitness]]]:
-    """(passes, exact): whether S passes the reduction conditions, decided
-    with numpy, and _check_subset's witnesses when it had to run.
-
-    _check_subset runs on the reductions this pass flags: to decide a
-    definition-5 subset on which kets of one state collide, and to explain
-    a failing subset when `explain` is set."""
+def _flagged_reductions(code: QuantumCode, S: tuple[int, ...], mode: str
+                        ) -> tuple[list[int], list[tuple[int, int]]]:
+    """(states, pairs): the states whose self reduction on S may hold a
+    violation and the state pairs whose cross reduction is nonzero, as
+    _check_subset takes them, for a subset the level pass failed or left
+    undecided."""
     kets, K, block = code.kets, code.params.K, code.kets_per_state
     alphabets = code.params.alphabets
-    strict = mode == "strict-uniform"
-    if strict:
-        levels = prod(alphabets[c] for c in S)
-        uniform, rest = divmod(block, levels)
-        if rest and not explain:
-            return False, None
-    elif K == 1:
-        return True, None
-    comp = [c for c in range(code.params.n) if c not in S]
-    keys = _slice_keys(kets, alphabets, comp)
-    sorted_keys = np.sort(keys)
+    keys = _slice_keys(kets, alphabets, [c for c in range(code.params.n) if c not in S])
+    # a stable sort keeps one state's colliding kets adjacent
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
     collide = sorted_keys[1:] == sorted_keys[:-1]
-    # the complement order matters only where kets collide, and a stable
-    # argsort (several times slower than np.sort) keeps one state's
-    # colliding kets adjacent
-    order = np.argsort(keys, kind="stable") if collide.any() else np.arange(len(keys))
     states = order // block
     within = collide & (states[1:] == states[:-1])
-    cross = collide & ~within
-    if not explain and (cross.any() or strict and collide.any()):
-        return False, None
-    # flagged[i]: the self reduction of state i may hold a violation
     flagged = np.zeros(K, dtype=bool)
     flagged[states[1:][within]] = True
-    if strict and rest:
-        flagged[:] = True
-    elif strict:
-        # levels divides block, so no S-key is re-ranked: each is its level
-        # tuple's index below `levels`
-        keys = _slice_keys(kets, alphabets, S).reshape(K, block)
-        offsets = np.arange(K, dtype=np.int64)[:, None] * levels
-        counts = np.bincount((keys + offsets).ravel(),
-                             minlength=K * levels).reshape(K, levels)
-        flagged |= np.any(counts != uniform, axis=1)
+    if mode == "strict-uniform":
+        levels = prod(alphabets[c] for c in S)
+        uniform, rest = divmod(block, levels)
+        if rest:
+            flagged[:] = True
+        else:
+            # levels divides block, so no S-key is re-ranked: each is its
+            # level tuple's index below `levels`
+            keys = _slice_keys(kets, alphabets, S).reshape(K, block)
+            offsets = np.arange(K, dtype=np.int64)[:, None] * levels
+            counts = np.bincount((keys + offsets).ravel(),
+                                 minlength=K * levels).reshape(K, levels)
+            flagged |= np.any(counts != uniform, axis=1)
     else:
         per_state = np.sort(_slice_keys(kets, alphabets, S).reshape(K, block), axis=1)
         # a state's self reduction equals state 0's when both have no
         # colliding kets and the same multiset of S-slices; when both have
         # colliding kets, only the exact reductions can tell
         flagged |= np.any(per_state != per_state[0], axis=1) | flagged[0]
-    # only a definition-5 subset whose sole collisions lie within states
-    # needs the exact reductions to be decided
-    decided = strict or cross.any() or not collide.any()
-    if decided and not (flagged.any() or cross.any()):
-        return True, None
-    if decided and not explain:
-        return False, None
-    if not strict:
         flagged[0] = True  # the reference the other states are compared with
-    exact = _check_subset(code, S, mode, np.flatnonzero(flagged).tolist(),
-                          _cross_pairs(states, collide) if cross.any() else [])
-    return (False if decided else not exact), exact
+    return np.flatnonzero(flagged).tolist(), _cross_pairs(states, collide)
+
+
+#: cap on subsets x kets keyed in one numpy pass of _decide_level, which
+#: bounds its scratch memory independently of C(n, d)
+_CHUNK_CELLS = 1 << 11
+
+
+def _decide_level(code: QuantumCode, dp: int, mode: str
+                  ) -> list[tuple[tuple[int, ...], Optional[bool]]]:
+    """(S, passes) for every dp-subset S in combinations order, decided in
+    numpy passes over chunks of at most _CHUNK_CELLS subsets x kets.  passes
+    is None for a definition-5 subset on which kets collide only within
+    states: only the exact reductions decide it.
+
+    When the product of all alphabets fits _KEY_MAX, a complement key is
+    the ket's full mixed-radix key minus its S columns' terms, and those
+    terms key S; otherwise _slice_keys keys each column set."""
+    kets, K, block = code.kets, code.params.K, code.kets_per_state
+    alphabets, n = code.params.alphabets, code.params.n
+    subsets = list(combinations(range(n), dp))
+    strict = mode == "strict-uniform"
+    if not strict and K == 1:
+        return [(S, True) for S in subsets]
+    levels = [prod(alphabets[c] for c in S) for S in subsets]
+    passes: list[Optional[bool]] = [False] * len(subsets)
+    # a strict-uniform subset whose level count does not divide the state
+    # size fails without keying
+    todo = [i for i, size in enumerate(levels) if not strict or block % size == 0]
+    columns = np.ascontiguousarray(kets.T)
+    full = None
+    if prod(alphabets) <= _KEY_MAX:
+        full = _slice_keys(kets, alphabets, range(n))
+        weights = np.array([prod(alphabets[c + 1:]) for c in range(n)], dtype=np.int64)
+    per_chunk = max(1, _CHUNK_CELLS // len(kets))
+    for lo in range(0, len(todo), per_chunk):
+        rows = todo[lo:lo + per_chunk]
+        chunk = np.array([subsets[i] for i in rows], dtype=np.intp).reshape(len(rows), dp)
+        if full is None:
+            keys = np.stack([_slice_keys(kets, alphabets,
+                                         [c for c in range(n) if c not in subsets[i]])
+                             for i in rows])
+        else:
+            keys = np.repeat(full[None], len(rows), axis=0)
+            for cols in chunk.T:
+                term = columns[cols].astype(np.int64)
+                term *= weights[cols][:, None]
+                keys -= term
+        if strict:
+            keys.sort(axis=1)
+            hit = np.any(keys[:, 1:] == keys[:, :-1], axis=1)
+            del keys  # free for the counts: only its collisions matter
+            # a ket's cell: its subset's offset, then state * levels + the
+            # index of its level tuple on S (levels divides block, so no
+            # index overflows)
+            size = np.array([levels[i] for i in rows], dtype=np.int64)
+            cells = K * size
+            offsets = np.cumsum(cells) - cells
+            ext = np.repeat((np.arange(len(kets), dtype=np.int64) // block)[None],
+                            len(rows), axis=0)
+            for cols in chunk.T:
+                radix = np.array([alphabets[c] for c in cols.tolist()], dtype=np.int64)
+                ext *= radix[:, None]
+                ext += columns[cols].astype(np.int64)
+            ext += offsets[:, None]
+            counts = np.bincount(ext.ravel(), minlength=int(cells.sum()))
+            bad = counts != np.repeat(block // size, cells)
+            verdicts: list[Optional[bool]] = (
+                ~hit & ~np.logical_or.reduceat(bad, offsets)).tolist()
+        else:
+            if full is None:
+                s_keys = np.stack([_slice_keys(kets, alphabets, subsets[i]) for i in rows])
+            else:
+                s_keys = full - keys  # the S columns' terms key S
+            s_keys = s_keys.reshape(len(rows), K, block)
+            s_keys.sort(axis=2)
+            same = np.all(s_keys == s_keys[:, :1], axis=(1, 2))
+            del s_keys
+            sorted_keys = np.sort(keys, axis=1)
+            collide = sorted_keys[:, 1:] == sorted_keys[:, :-1]
+            hit = np.any(collide, axis=1)
+            verdicts = (~hit & same).tolist()
+            if hit.any():
+                # a collision between two states fails S, and one within
+                # a state leaves S to the exact reductions; a stable sort,
+                # as numpy's default argsort of int64 takes scratch memory
+                # of its own, a peak-RSS cost on small codes
+                states = np.argsort(keys[hit], axis=1, kind="stable") // block
+                cross = np.any(collide[hit] & (states[:, 1:] != states[:, :-1]), axis=1)
+                for k, crossed in zip(np.flatnonzero(hit).tolist(), cross.tolist()):
+                    verdicts[k] = False if crossed else None
+        for i, verdict in zip(rows, verdicts):
+            passes[i] = verdict
+    return list(zip(subsets, passes))
 
 
 @dataclass(frozen=True)
@@ -320,16 +392,19 @@ def verify_code(code: QuantumCode, d: Optional[int] = None,
     witnesses: list[ReductionWitness] = []
     for dp in range(1, d + 1):
         ok = True
-        for S in combinations(range(n), dp):
+        for S, passed in _decide_level(code, dp, mode):
             subsets_checked += 1
             explain = dp == d and len(witnesses) < 8
-            passed, exact = _decide_subset(code, S, mode, explain)
+            if passed is None or (not passed and explain):
+                exact = _check_subset(code, S, mode, *_flagged_reductions(code, S, mode))
+                if passed is None:
+                    passed = not exact
+                elif not exact:
+                    raise ClaimFailed(f"subset {S} failed the {mode} counts "
+                                      "but its exact reductions show no violation")
             if dp == d:
                 per_subset.append((S, passed))
                 if not passed and explain:
-                    if not exact:
-                        raise ClaimFailed(f"subset {S} failed the {mode} counts "
-                                          "but its exact reductions show no violation")
                     witnesses.extend(exact)
             ok = ok and passed
         level_ok.append(ok)
@@ -382,9 +457,9 @@ def cross_validate(code: QuantumCode) -> CrossValidation:
 
     The array side rebuilds the parent from the union of all kets, computes
     its exact minimal distance from column projections (minimal_distance,
-    which shares no code with the key kernel of the reduction side), and
-    re-checks every state's balance at strength d in one pass over it
-    (each state is a block of its rows); the reduction side runs
+    which shares no code with the key and level kernels of the reduction
+    side), and re-checks every state's balance at strength d in one pass
+    over it (each state is a block of its rows); the reduction side runs
     verify_code in strict-uniform mode.  Neither side reuses any claim
     carried by the construction."""
     if code.provenance is None:

@@ -13,10 +13,10 @@ partition is formed (`ensure_checked`, `claim_blocks`, `measure_md`), and
 also open to the asset scripts in `tools/`).  Only `arrays` calls
 `is_orthogonal_array`: the builders and the registry check strength
 through a claim.  The array route of cross validation takes its distance
-from the `arrays` kernel, which shares no code with the key kernel of the
-reduction route in `verify`.  Every module but the package `__init__` uses
-each name it imports, unless the import is marked `# noqa: F401` as a
-deliberate re-export.
+from the `arrays` kernel, which shares no code with the key and level
+kernels of the reduction route in `verify`.  Every module but the package
+`__init__` uses each name it imports, unless the import is marked
+`# noqa: F401` as a deliberate re-export.
 """
 
 from __future__ import annotations
@@ -266,8 +266,9 @@ def independence_faults(arrays_source: str, verify_source: str) -> list[str]:
     cross = _function(tree, "cross_validate")
     used = {node.id for node in ast.walk(cross) if isinstance(node, ast.Name)}
     used |= {node.attr for node in ast.walk(cross) if isinstance(node, ast.Attribute)}
-    if "_slice_keys" in used:
-        faults.append("cross_validate references _slice_keys")
+    for kernel in ("_slice_keys", "_decide_level"):
+        if kernel in used:
+            faults.append(f"cross_validate references {kernel}")
     md_values = [node.value for node in ast.walk(cross) if isinstance(node, ast.Assign)
                  and any(isinstance(t, ast.Name) and t.id == "md" for t in node.targets)]
     if not md_values or not all(_calls(value, "minimal_distance") for value in md_values):
@@ -298,6 +299,19 @@ def test_independence_guard_has_teeth():
     }
     for name, (arrays_mutant, verify_mutant) in mutants.items():
         assert independence_faults(arrays_mutant, verify_mutant), name
+
+
+def test_independence_guard_sees_the_level_kernel():
+    arrays_source = (SRC / "arrays.py").read_text()
+    verify_source = (SRC / "verify.py").read_text()
+    md_line = "md = minimal_distance(rebuilt)"
+    defined = {node.name for node in ast.walk(ast.parse(verify_source))
+               if isinstance(node, ast.FunctionDef)}
+    assert "_decide_level" in defined
+    mutant = verify_source.replace(
+        md_line, "md = minimal_distance(rebuilt) + 0 * len(_decide_level(code, 1, ''))")
+    assert independence_faults(arrays_source, mutant) == [
+        "cross_validate references _decide_level"]
 
 
 def unused_imports(source: str) -> list[str]:

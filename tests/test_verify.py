@@ -402,6 +402,40 @@ def test_decision_kernel_stays_exact_when_keys_re_rank(code, key_max):
         assert_matches_oracle(code)
 
 
+@settings(max_examples=100, deadline=None)
+@given(code=small_codes(), split=st.booleans())
+def test_level_kernel_stays_exact_across_chunk_boundaries(code, split):
+    # one subset per chunk, or the widest level split across two chunks
+    # (in definition-5 mode, which keys every subset when K > 1)
+    widest = math.comb(code.params.n, code.params.n // 2)
+    per_chunk = -(-widest // 2)
+    assert per_chunk < widest or widest == 1
+    cells = per_chunk * len(code.kets) if split else 1
+    with mock.patch.object(verify, "_CHUNK_CELLS", cells):
+        assert_matches_oracle(code)
+
+
+def naive_cross_pairs(states, collide):
+    """State pairs i < j with two kets in one run of colliding neighbours."""
+    groups = [[states[0]]]
+    for state, joined in zip(states[1:], collide):
+        if joined:
+            groups[-1].append(state)
+        else:
+            groups.append([state])
+    return sorted({(a, b) for group in groups for a in group for b in group if a < b})
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cross_pairs_match_a_naive_pairing(data):
+    states = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=30))
+    collide = data.draw(st.lists(st.booleans(), min_size=len(states) - 1,
+                                 max_size=len(states) - 1))
+    got = verify._cross_pairs(np.array(states), np.array(collide, dtype=bool))
+    assert got == naive_cross_pairs(states, collide)
+
+
 def test_failing_verdict_without_exact_witness_is_an_internal_fault():
     code, d = load_fixture("qmds_4_12_2")
     with mock.patch.object(verify, "_check_subset", return_value=[]):
