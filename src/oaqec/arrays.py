@@ -1,11 +1,12 @@
 """Mixed-level array data model and generic array algebra.
 
-Each array is one read-only int64 ndarray; `rows` is a computed tuple view.
-The ndarray is validated once when the array is built, and the operations
-here are ndarray operations that return new arrays.  An array's claimed
-strength and minimal distance are each None or a frozen `Certificate` (the
-value, and whether a check confirmed it), fixed when the array is made; only
-this module makes certificates.
+Each array is one read-only ndarray in `storage_dtype(alphabets)`: uint8,
+uint16 or uint32 when the largest level fits, else int64; `rows` is a
+computed tuple view.  The ndarray is validated once when the array is
+built, and the operations here are ndarray operations that return new
+arrays.  An array's claimed strength and minimal distance are each None or
+a frozen `Certificate` (the value, and whether a check confirmed it), fixed
+when the array is made; only this module makes certificates.
 
 Operations record, partitions and assets check.  `claim` only records a
 claim, unchecked, and every operation here (and every construction built
@@ -26,7 +27,7 @@ compiled from, where its partition is formed; no status reads the claims of
 an intermediate array.
 
 Strength is checked by vectorized counts over one contiguous column-major
-copy of the matrix.  The t-column subsets are taken as the one-column
+int64 copy of the matrix.  The t-column subsets are taken as the one-column
 extensions of each (t-1)-column prefix: the prefix's mixed-radix key is
 built once, from the key of the prefix it shares the most columns with, and
 one np.bincount per chunk of last columns counts all its extensions.  The
@@ -102,8 +103,52 @@ class DistanceProfile:
     hd: frozenset[int]
 
 
+#: largest entry a stored matrix may hold, whatever its alphabet
+_INT64_MAX = np.iinfo(np.int64).max
+#: (largest level, dtype) of the unsigned storage dtypes, narrowest first
+_NARROW = tuple((np.iinfo(d).max, np.dtype(d)) for d in (np.uint8, np.uint16, np.uint32))
+
+
+def storage_dtype(alphabets: Sequence[int]) -> np.dtype:
+    """The dtype a matrix of levels over these alphabets is stored in: the
+    narrowest of uint8, uint16 and uint32 holding the largest level
+    max(alphabets) - 1, else int64 (entries above 2^63 - 1 are refused).  No
+    stored matrix is uint64 or object, so int64 arithmetic on one is exact."""
+    top = max(alphabets) - 1
+    return next((dtype for most, dtype in _NARROW if top <= most), np.dtype(np.int64))
+
+
+def _integer_matrix(rows) -> np.ndarray:
+    """`rows` (an ndarray or a list) as an integer ndarray, an integer ndarray
+    as it is.  OverflowError for an entry outside the int64 range, ValueError
+    when the rows are ragged or not integers."""
+    matrix = rows if isinstance(rows, np.ndarray) else np.array(rows)
+    if matrix.dtype.kind not in "iu":
+        # floats, and Python ints past int64, which numpy reads as float64
+        # or object: an int64 conversion truncates the one, refuses the other
+        matrix = np.array(rows, dtype=np.int64)
+    elif matrix.dtype == np.uint64 and matrix.max(initial=0) > _INT64_MAX:
+        raise OverflowError(f"{matrix.max()} > {_INT64_MAX}")
+    return matrix
+
+
+def _out_of_range_entry(matrix: np.ndarray, alphabets: Sequence[int]
+                        ) -> Optional[tuple[int, int]]:
+    """(entry, alphabet) of the first entry of an integer matrix outside
+    0..s_j - 1, in row-major order, or None; compared in the matrix's dtype."""
+    top = np.iinfo(matrix.dtype).max
+    bad = matrix > np.array([min(s - 1, top) for s in alphabets], dtype=matrix.dtype)
+    if matrix.dtype.kind == "i":
+        bad |= matrix < 0
+    if not bad.any():
+        return None
+    i, j = np.argwhere(bad)[0]
+    return int(matrix[i, j]), alphabets[j]
+
+
 class MixedLevelArray:
-    """An r x n read-only int64 `matrix` with per-column alphabet sizes."""
+    """An r x n read-only `matrix`, in storage_dtype(alphabets), with
+    per-column alphabet sizes."""
 
     __slots__ = ("matrix", "alphabets", "_strength", "_md")
 
@@ -115,8 +160,7 @@ class MixedLevelArray:
         if any(s < 2 for s in self.alphabets):
             raise ValueError("alphabet sizes must be >= 2")
         try:
-            matrix = np.array(rows if isinstance(rows, np.ndarray) else list(rows),
-                              dtype=np.int64)
+            matrix = _integer_matrix(rows if isinstance(rows, np.ndarray) else list(rows))
         except OverflowError as exc:
             raise SymbolOutOfRange(f"entry outside the int64 range: {exc}") from None
         except ValueError as exc:
@@ -125,11 +169,10 @@ class MixedLevelArray:
             raise EmptyResult("array needs at least one row")
         if matrix.ndim != 2 or matrix.shape[1] != self.n:
             raise ShapeMismatch(f"rows do not form a matrix with {self.n} columns")
-        bad = (matrix < 0) | (matrix >= self.alphabets)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise SymbolOutOfRange(f"entry {matrix[i, j]} out of range for alphabet "
-                                   f"{self.alphabets[j]}")
+        bad = _out_of_range_entry(matrix, self.alphabets)
+        if bad is not None:
+            raise SymbolOutOfRange(f"entry {bad[0]} out of range for alphabet {bad[1]}")
+        matrix = matrix.astype(storage_dtype(self.alphabets))
         matrix.setflags(write=False)
         self.matrix = matrix
         self._strength: Optional[Certificate] = None
@@ -271,7 +314,7 @@ def _first_unbalanced_subset(A: MixedLevelArray, t: int, blocks: int
     if not 1 <= blocks <= r or r % blocks:
         raise ValueError(f"{r} rows do not split into {blocks} equal blocks")
     b = r // blocks
-    columns = np.ascontiguousarray(A.matrix.T)
+    columns = np.ascontiguousarray(A.matrix.T, dtype=np.int64)
     per_chunk = max(1, _CHUNK_CELLS // r)
     # keys[d] and prods[d]: key and level product of the prefix's first d columns
     keys, prods, prev = [np.arange(r) // b], [1], ()
@@ -383,7 +426,7 @@ def _projection_md(A: MixedLevelArray, max_sorts: float) -> Optional[int]:
     until one collides.
     """
     r, n, alphabets = A.r, A.n, A.alphabets
-    columns = np.ascontiguousarray(A.matrix.T)
+    columns = np.ascontiguousarray(A.matrix.T, dtype=np.int64)
     if math.prod(alphabets) < r or _projection_collides(columns, alphabets, range(n)):
         return 0
     smallest = sorted(alphabets)
@@ -515,13 +558,21 @@ def multiply_oa(A: MixedLevelArray, B: MixedLevelArray) -> MixedLevelArray:
     Row (u, v) of the result has entries a_uj * q_j + b_vj where q_j is B's
     j-th alphabet size; column j of the result has s_j * q_j levels.  The
     product keeps the smaller of the two strengths and the smaller of the
-    two minimal distances.
+    two minimal distances.  A product entry above 2^63 - 1 is refused, as the
+    constructor refuses it, before the int64 arithmetic could wrap.
     """
     if A.n != B.n:
         raise ShapeMismatch(f"column counts differ: {A.n} != {B.n}")
     q = B.alphabets
-    rows = (A.matrix[:, None, :] * np.array(q) + B.matrix[None, :, :]).reshape(-1, A.n)
+    top = max(int(a) * qj + int(b)
+              for a, qj, b in zip(A.matrix.max(axis=0), q, B.matrix.max(axis=0)))
+    if top > _INT64_MAX:
+        raise SymbolOutOfRange(f"entry outside the int64 range: {top}")
     alphabets = tuple(sj * qj for sj, qj in zip(A.alphabets, q))
+    # computed in the result's storage dtype, which holds every entry; a
+    # q_j past int64 weighs only zeros of A, so clamping it changes nothing
+    weights = np.array([min(qj, _INT64_MAX) for qj in q], dtype=storage_dtype(alphabets))
+    rows = (A.matrix[:, None, :] * weights + B.matrix[None, :, :]).reshape(-1, A.n)
     t = min(A.strength, B.strength)
     md = None
     if A.md is not None and B.md is not None:

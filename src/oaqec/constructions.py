@@ -21,11 +21,11 @@ and certifies the payload; the digest goes into the ingredient trace.
 
 Work is not redone within a process.  The table of `bush(s, t)` is built
 once per (s, t), read-only in the field's narrow dtype, and each call wraps
-it in an int64 array.  An asset payload is read and hashed on every load
-but certified once: a reload of the same bytes, for the same record
-parameters, returns the array its first load certified (arrays never change
-their claims, so one can be shared).  A manifest is read on every lookup
-and parsed once per its bytes, so an edit is seen at once.
+a narrow copy of it in an array.  An asset payload is read and hashed on
+every load but certified once: a reload of the same bytes, for the same
+record parameters, returns the array its first load certified (arrays never
+change their claims, so one can be shared).  A manifest is read on every
+lookup and parsed once per its bytes, so an edit is seen at once.
 """
 
 from __future__ import annotations

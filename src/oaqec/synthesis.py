@@ -19,9 +19,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import factorize_prime_powers, is_prime_power
-from .arrays import (MixedLevelArray, attach_index_column, claim, claim_blocks,
-                     delete_columns, ensure_checked, expansive_replacement,
-                     lexsort_order, measure_md, multiply_oa)
+from .arrays import (MixedLevelArray, _integer_matrix, _out_of_range_entry,
+                     attach_index_column, claim, claim_blocks, delete_columns,
+                     ensure_checked, expansive_replacement, lexsort_order,
+                     measure_md, multiply_oa, storage_dtype)
 # re-exported: the benchmark harness wraps and calls it through this module
 from .arrays import is_orthogonal_array  # noqa: F401
 from .constructions import asset_get, full_factorial_mixed, resolve_symmetric_oa
@@ -152,7 +153,8 @@ def partition_by_prefix(A: MixedLevelArray, l: int) -> tuple[MixedLevelArray, in
         return srt, 1
     parent = delete_columns(srt, range(l))
     # sorted rows with one prefix are consecutive: split where the prefix changes
-    starts = np.flatnonzero(np.diff(srt.matrix[:, :l], axis=0).any(axis=1)) + 1
+    prefix = srt.matrix[:, :l]
+    starts = np.flatnonzero((prefix[1:] != prefix[:-1]).any(axis=1)) + 1
     sizes = set(np.diff(starts, prepend=0, append=srt.r).tolist())
     if len(sizes) != 1:
         raise NotPartitionable(f"prefix groups have unequal sizes {sorted(sizes)}")
@@ -192,10 +194,11 @@ class Provenance:
 
 
 def _state_matrix(state, n: int) -> np.ndarray:
-    """One state's kets as an int64 matrix with n columns, refusing a ket of
-    another length or an entry outside the int64 range."""
+    """One state's kets as an integer matrix with n columns, an integer
+    ndarray in its own dtype, refusing a ket of another length or an entry
+    outside the int64 range."""
     try:
-        matrix = np.array(state, dtype=np.int64)
+        matrix = _integer_matrix(state)
     except OverflowError:
         raise BadGeometry("ket entry outside the int64 range") from None
     except ValueError:
@@ -214,7 +217,7 @@ class QuantumCode:
     """A K-dimensional code whose basis states superpose disjoint row blocks.
 
     `kets` is the basis as one read-only matrix of K * kets_per_state rows
-    and n columns, in the narrowest unsigned dtype holding every level: the
+    and n columns, in storage_dtype(alphabets), as arrays store theirs: the
     rows of state i are kets[i * kets_per_state:(i + 1) * kets_per_state]
     (`state(i)`).  The order is canonical: kets sorted within each state,
     and states ordered by their first ket.  `basis` is the same kets as a
@@ -241,13 +244,15 @@ class QuantumCode:
         block = sizes.pop()
         if not block:
             raise BadGeometry("basis states hold no kets")
-        kets = np.concatenate([_state_matrix(state, params.n) for state in states])
-        bad = (kets < 0) | (kets >= params.alphabets)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise BadGeometry(f"ket entry {kets[i, j]} out of range for "
-                              f"alphabet {params.alphabets[j]}")
-        kets = kets.astype(np.min_scalar_type(max(params.alphabets) - 1))
+        states = [_state_matrix(state, params.n) for state in states]
+        # the states' common dtype, or int64 where it is not an integer one
+        # (uint64 with a signed dtype): no entry is past int64 by now
+        common = np.result_type(*{state.dtype for state in states})
+        kets = np.concatenate(states, dtype=common if common.kind in "iu" else np.int64)
+        bad = _out_of_range_entry(kets, params.alphabets)
+        if bad is not None:
+            raise BadGeometry(f"ket entry {bad[0]} out of range for alphabet {bad[1]}")
+        kets = kets.astype(storage_dtype(params.alphabets), copy=False)
         order = lexsort_order(kets)
         repeated = np.flatnonzero(np.all(kets[order[1:]] == kets[order[:-1]], axis=1))
         if repeated.size:

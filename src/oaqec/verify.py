@@ -170,8 +170,9 @@ def _slice_keys(kets: np.ndarray, alphabets, cols) -> np.ndarray:
     cols: the slice's mixed-radix number (its level tuple's index below
     prod(s_j) until a re-rank).  Before a key would pass _KEY_MAX the keys
     are re-ranked, and when even their ranks would, the column's values too
-    (ranks stay below the ket count).  Digits are cast to int64 first, as
-    uint64 kets plus int64 keys give float64."""
+    (ranks stay below the ket count).  Digits are cast to int64 first: mixed
+    with int64 keys, any stored ket dtype (never uint64) would stay exact,
+    but slower."""
     keys = np.zeros(len(kets), dtype=np.int64)
     radix = 1
     for c in cols:

@@ -1,14 +1,41 @@
 """Shared naive oracles, deliberately written as direct transcriptions of the
 definitions (independent double loops, no hashing, no early exits) so the
-optimized implementations have something dumb and trustworthy to agree with.
+optimized implementations have something dumb and trustworthy to agree with;
+and the hypothesis strategies that give the differential tests' random
+arrays a wide column, so every storage dtype meets the oracles.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from hypothesis import strategies as st
+
 from oaqec.algebra import field_create
 from oaqec.schemes import _verified
+
+#: one alphabet just above the range of uint8, uint16 and uint32: an array
+#: with a column over it is stored as uint16, uint32 or int64
+WIDE_ALPHABETS = (2 ** 8 + 1, 2 ** 16 + 1, 2 ** 32 + 1)
+
+
+def levels_st(s):
+    """One level of a column over s symbols: any level of an alphabet below
+    2^8, and a level near 0 or near the top of a wider one."""
+    if s < 2 ** 8:
+        return st.integers(0, s - 1)
+    return st.integers(0, 2) | st.integers(s - 3, s - 1)
+
+
+@st.composite
+def with_wide_column(draw, alphabets):
+    """The alphabets as a list or, one draw in three, with one alphabet of
+    WIDE_ALPHABETS inserted at a drawn position."""
+    wide = draw(st.sampled_from((None,) * 6 + WIDE_ALPHABETS), label="wide")
+    alphabets = list(alphabets)
+    if wide is not None:
+        alphabets.insert(draw(st.integers(0, len(alphabets)), label="position"), wide)
+    return alphabets
 
 
 def naive_is_oa(rows, alphabets, t) -> bool:

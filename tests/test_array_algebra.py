@@ -1,7 +1,8 @@
 """Differential test of the ndarray array algebra.
 
 Each operation is compared with a pure-tuple transcription of its row map,
-written here, on random small arrays (n <= 5, alphabets 2-4).  Row order and
+written here, on random small arrays (n <= 5, alphabets 2-4, and sometimes
+one wide column more, stored as uint16, uint32 or int64).  Row order and
 the claims each result carries must both be identical.  Input arrays carry
 their true strength and distance (from the naive oracles), recorded
 unchecked; an operation records its result's claims unchecked, and
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import naive_distance_set, naive_is_oa, naive_strength
+from conftest import (WIDE_ALPHABETS, levels_st, naive_distance_set, naive_is_oa,
+                      naive_strength, with_wide_column)
 from oaqec.arrays import (
     DEFAULT_VERIFICATION_BUDGET,
     MixedLevelArray,
@@ -38,6 +40,7 @@ from oaqec.errors import (
     NotDivisible,
     NotPartitionable,
     ShapeMismatch,
+    SymbolOutOfRange,
     ToolkitError,
 )
 from oaqec.synthesis import OrthogonalPartition, partition_by_prefix
@@ -114,19 +117,26 @@ def alphabets_st(n=None):
 @st.composite
 def arrays_st(draw, alphabets=None, r=None):
     """An array with its true strength and distance claimed, checked or not:
-    random rows, or a row-shuffled full factorial with index 1 or 2."""
+    random rows, or a row-shuffled full factorial with index 1 or 2.  Drawn
+    alphabets sometimes gain one wide column (random rows only)."""
     if alphabets is None:
-        alphabets = draw(alphabets_st())
+        alphabets = tuple(draw(with_wide_column(draw(alphabets_st()))))
     if r is None and draw(st.booleans()) and math.prod(alphabets) <= 36:
         rows = ref_factorial(alphabets, draw(st.integers(1, 2)))
         rows = draw(st.permutations(rows))
     else:
-        cells = st.tuples(*(st.integers(0, s - 1) for s in alphabets))
+        cells = st.tuples(*map(levels_st, alphabets))
         rows = draw(st.lists(cells, min_size=r or 1, max_size=r or 12))
     A = MixedLevelArray(rows, alphabets)
     t = naive_strength(rows, alphabets)
     md = min(naive_distance_set(rows)) if len(rows) > 1 else None
     return claim(A, strength=t or None, md=md)
+
+
+def narrow_column(A):
+    """A column of A over at most 4 levels: one a full factorial or a
+    replacement array can have a row for each level of."""
+    return st.sampled_from([j for j, s in enumerate(A.alphabets) if s <= 4])
 
 
 def raises_same(fn, ref):
@@ -157,11 +167,30 @@ def test_multiply_oa_matches_tuple_product(data, budget):
                                        out.r, out.n, budget)
 
 
+@pytest.mark.parametrize("a,q,b,fits", [
+    (2 ** 32, 2 ** 32 + 1, 2 ** 32, False),  # two columns just above 2^32
+    (1, 2 ** 62, 2 ** 62 - 1, True),  # the product entry is 2^63 - 1
+    (1, 2 ** 62, 2 ** 62 - 2, True),
+    (0, 2 ** 63, 2 ** 63 - 1, True),  # a weight past int64 on zeros of A
+    (1, 2 ** 63, 0, False),
+])
+def test_multiply_oa_refuses_entries_past_int64(a, q, b, fits):
+    A = MixedLevelArray([(a, 1)], (a + 1 if a else 2, 2))
+    B = MixedLevelArray([(b, 0), (0, 1)], (q, 2))
+    want = tuple(ref_multiply(A.rows, B.rows, B.alphabets))
+    if fits:
+        assert multiply_oa(A, B).rows == want
+    else:
+        assert max(max(row) for row in want) > 2 ** 63 - 1
+        with pytest.raises(SymbolOutOfRange, match="^entry outside the int64 range"):
+            multiply_oa(A, B)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), budget=st.sampled_from(BUDGETS))
 def test_expansive_replacement_matches_tuple_splice(data, budget):
     A = data.draw(arrays_st())
-    col = data.draw(st.integers(0, A.n - 1))
+    col = data.draw(narrow_column(A))
     B = data.draw(arrays_st(r=A.alphabets[col]))
     out, want = raises_same(lambda: ensure_checked(expansive_replacement(A, col, B), budget),
                             lambda: _checked_splice(A, col, B))
@@ -244,9 +273,10 @@ def test_sorted_rows_matches_tuple_sort(A):
 def test_operations_record_their_claims_unchecked(data):
     # arrays this small fit the default budget, so every input claim is checked
     A = ensure_checked(data.draw(arrays_st()))
-    B = ensure_checked(data.draw(arrays_st(alphabets=A.alphabets)))
+    # narrow alphabets for B, as two wide columns could multiply past int64
+    B = ensure_checked(data.draw(arrays_st(alphabets=data.draw(alphabets_st(n=A.n)))))
     assert A.strength == 0 or A.strength_checked
-    col = data.draw(st.integers(0, A.n - 1))
+    col = data.draw(narrow_column(A))
     F = full_factorial_mixed((A.alphabets[col],), 1)
     results = [multiply_oa(A, B), A.sorted_rows(), expansive_replacement(A, col, F)]
     if A.n > 1:
@@ -276,7 +306,7 @@ def test_claims_checks_and_operations_leave_their_argument_unchanged(data, budge
         assert out.matrix is A.matrix and out.alphabets == A.alphabets
     assert results[1] is A
     assert ensure_checked(results[2], budget) is results[2]
-    col = data.draw(st.integers(0, A.n - 1))
+    col = data.draw(narrow_column(A))
     F = full_factorial_mixed((A.alphabets[col],), 1)
     operations = [
         lambda: multiply_oa(A, B), A.sorted_rows,
@@ -298,6 +328,27 @@ def test_claims_checks_and_operations_leave_their_argument_unchanged(data, budge
 def split_rows(A, K):
     """The K blocks of A's rows, as tuples of int tuples."""
     return [tuple(map(tuple, blk.tolist())) for blk in np.split(A.matrix, K)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_partition_by_prefix_splits_wide_prefixes(data):
+    # a random array balances no wide column, so its true strength is 0; a
+    # strength claim, which partition_by_prefix only requires, lets a wide
+    # first column be the prefix, its levels near 0 and near the top
+    alphabets = ((data.draw(st.sampled_from(WIDE_ALPHABETS)),)
+                 + tuple(data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))))
+    rows = data.draw(st.lists(st.tuples(*map(levels_st, alphabets)), min_size=1,
+                              max_size=12))
+    A = claim(MixedLevelArray(rows, alphabets), strength=2)
+    blocks = ref_prefix_blocks(A.rows, 1)
+    if len({len(blk) for blk in blocks}) != 1:
+        with pytest.raises(NotPartitionable):
+            partition_by_prefix(A, 1)
+        return
+    parent, K = partition_by_prefix(A, 1)
+    assert parent.rows == tuple(row[1:] for row in sorted(A.rows))
+    assert split_rows(parent, K) == blocks
 
 
 @settings(max_examples=150, deadline=None)
@@ -333,7 +384,9 @@ FACTORIALS = {2: [((2,), 1)], 3: [((3,), 1)], 4: [((4,), 1), ((2, 2), 1), ((2,),
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), budget=st.sampled_from(BUDGETS))
 def test_partition_survives_expansive_replacement(data, budget):
-    A = data.draw(arrays_st())
+    # narrow alphabets: a random array balances no wide column, so it has no
+    # prefix partition and could only be filtered out
+    A = data.draw(arrays_st(alphabets=data.draw(alphabets_st())))
     l = data.draw(st.integers(0, A.n - 1))
     try:
         parent, K = partition_by_prefix(A, l)

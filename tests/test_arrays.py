@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import naive_distance_set, naive_is_oa, naive_strength
+from conftest import (levels_st, naive_distance_set, naive_is_oa, naive_strength,
+                      with_wide_column)
 from oaqec import arrays
 from oaqec.arrays import (
     BalanceWitness,
@@ -27,6 +28,7 @@ from oaqec.arrays import (
     multiply_oa,
     saturated_hd_formula,
     saturation_check,
+    storage_dtype,
     to_text,
 )
 from oaqec.constructions import bush
@@ -55,10 +57,23 @@ from oaqec.errors import (
     (np.zeros((0, 2), dtype=np.int64), (2, 2), EmptyResult),
     ([(0, 0)], (), EmptyResult),
     ([(0, 0)], (2, 1), ValueError),
+    ([(2**64 - 1, 0)], (2**64, 2), SymbolOutOfRange),
+    (np.array([[2**64 - 1, 0]], dtype=np.uint64), (2**64, 2), SymbolOutOfRange),
+    (np.array([[2**63, 0]], dtype=np.uint64), (2**64, 2), SymbolOutOfRange),
 ])
 def test_constructor_rejects_malformed_input(rows, alphabets, error):
     with pytest.raises(error):
         MixedLevelArray(rows, alphabets)
+
+
+@pytest.mark.parametrize("entry", [2**63, 2**64 - 1])
+def test_entries_past_int64_are_refused_as_such_in_either_form(entry):
+    # a uint64 entry must not be read as its wrapped int64 value
+    for rows in ([(entry, 0)], np.array([[entry, 0]], dtype=np.uint64)):
+        with pytest.raises(SymbolOutOfRange, match="^entry outside the int64 range"):
+            MixedLevelArray(rows, (2**64, 2))
+    A = MixedLevelArray(np.array([[2**63 - 1, 0]], dtype=np.uint64), (2**64, 2))
+    assert A.matrix.dtype == np.int64 and A.rows == ((2**63 - 1, 0),)
 
 
 def test_constructor_names_the_first_out_of_range_entry():
@@ -71,7 +86,7 @@ def test_matrix_is_a_read_only_copy_of_the_callers_array():
     A = MixedLevelArray(source, (2, 2))
     source[0, 0] = 1
     assert A.rows == ((0, 1), (1, 0))
-    assert A.matrix.dtype == np.int64
+    assert A.matrix.dtype == storage_dtype((2, 2))
     assert not A.matrix.flags.writeable
     with pytest.raises(ValueError):
         A.matrix[0, 0] = 1
@@ -168,16 +183,18 @@ def test_distance_profile_matches_naive_oracle():
 
 @st.composite
 def distance_arrays(draw):
-    """Random arrays (2 <= r <= 40, n <= 7, alphabets 2-5), some with a
-    repeated row and some with two rows that differ in few columns."""
+    """Random arrays (2 <= r <= 40, n <= 7, alphabets 2-5, and sometimes one
+    wide column more), some with a repeated row and some with two rows that
+    differ in few columns."""
     n = draw(st.integers(1, 7), label="n")
-    alphabets = draw(st.lists(st.integers(2, 5), min_size=n, max_size=n))
-    rows = draw(st.lists(st.tuples(*(st.integers(0, s - 1) for s in alphabets)),
-                         min_size=2, max_size=40))
+    alphabets = draw(with_wide_column(draw(st.lists(st.integers(2, 5), min_size=n,
+                                                    max_size=n))))
+    n = len(alphabets)
+    rows = draw(st.lists(st.tuples(*map(levels_st, alphabets)), min_size=2, max_size=40))
     i = draw(st.integers(0, len(rows) - 1), label="row")
     near = list(rows[i])
     for j in draw(st.sets(st.integers(0, n - 1), max_size=n), label="changed"):
-        near[j] = draw(st.integers(0, alphabets[j] - 1))
+        near[j] = draw(levels_st(alphabets[j]))
     if draw(st.booleans()):
         rows = rows[:-1] + [tuple(near)]
     return rows, alphabets
@@ -333,12 +350,14 @@ def test_is_oa_matches_naive_oracle():
 
 @st.composite
 def small_arrays(draw):
-    """Random arrays (r <= 40, n <= 6, alphabets 2-5), or a full factorial
-    with one row dropped, duplicated or changed."""
+    """Random arrays (r <= 40, n <= 6, alphabets 2-5, and sometimes one wide
+    column more), or a full factorial with one row dropped, duplicated or
+    changed."""
     if draw(st.booleans()):
         n = draw(st.integers(1, 6), label="n")
-        alphabets = draw(st.lists(st.integers(2, 5), min_size=n, max_size=n))
-        rows = draw(st.lists(st.tuples(*(st.integers(0, s - 1) for s in alphabets)),
+        alphabets = draw(with_wide_column(draw(st.lists(st.integers(2, 5), min_size=n,
+                                                        max_size=n))))
+        rows = draw(st.lists(st.tuples(*map(levels_st, alphabets)),
                              min_size=1, max_size=40))
         return rows, alphabets
     alphabets = draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
@@ -383,15 +402,17 @@ def test_strength_kernel_matches_naive_oracle_and_exact_witness(case, chunk_cell
 
 @st.composite
 def blocked_arrays(draw):
-    """(rows, alphabets, K): K equal blocks of random rows, or of row-shuffled
-    full factorials (index 1 or 2), each maybe with one entry changed."""
+    """(rows, alphabets, K): K equal blocks of random rows (sometimes with
+    one wide column more), or of row-shuffled full factorials (index 1 or 2),
+    each maybe with one entry changed."""
     alphabets = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
     while math.prod(alphabets) > 16:
         alphabets.pop()
     K = draw(st.integers(1, 4), label="K")
     if draw(st.booleans()):
+        alphabets = draw(with_wide_column(alphabets))
         size = draw(st.integers(1, 10), label="block size")
-        rows = draw(st.lists(st.tuples(*(st.integers(0, s - 1) for s in alphabets)),
+        rows = draw(st.lists(st.tuples(*map(levels_st, alphabets)),
                              min_size=K * size, max_size=K * size))
         return rows, alphabets, K
     lam = draw(st.integers(1, 2), label="lambda")
@@ -666,6 +687,17 @@ def test_saturated_hd_formula():
     assert saturated_hd_formula(8, 1, 4, 4, 2) == {3, 4}
     assert saturated_hd_formula(4, 1, 2, 4, 2) == {1, 2}
     assert saturated_hd_formula(7, 3, 3, 2, 2) == set()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=small_arrays())
+def test_text_roundtrip_keeps_rows_in_every_storage_dtype(case):
+    rows, alphabets = case
+    A = MixedLevelArray(rows, alphabets)
+    assert A.matrix.dtype == storage_dtype(alphabets)
+    out = from_text(to_text(A))
+    assert out.rows == A.rows == tuple(map(tuple, rows))
+    assert out.alphabets == A.alphabets and out.matrix.dtype == A.matrix.dtype
 
 
 def test_text_roundtrip():

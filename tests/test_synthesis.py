@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from oaqec import arrays
 from oaqec.arrays import (MixedLevelArray, claim, distance_profile, ensure_checked,
-                          is_orthogonal_array, saturation_check)
+                          is_orthogonal_array, saturation_check, storage_dtype)
 from oaqec.constructions import bush, resolve_symmetric_oa
 from oaqec.errors import (
     BadFactorization,
@@ -534,6 +534,27 @@ def test_ket_matrix_is_the_canonical_basis(data, form):
         assert code.state(i).tolist() == [list(ket) for ket in state]
 
 
+@pytest.mark.parametrize("alphabet,dtype", [
+    (2 ** 8, np.uint8), (2 ** 8 + 1, np.uint16), (2 ** 32, np.uint32),
+    (2 ** 32 + 1, np.int64), (2 ** 64, np.int64), (2 ** 70, np.int64),
+])
+def test_kets_are_stored_in_the_arrays_storage_dtype(alphabet, dtype):
+    # np.min_scalar_type(2**70 - 1) is object: kets take storage_dtype's int64
+    params = make_code_params(3, 0, (alphabet,) * 3, 2)
+    top = min(alphabet - 1, 2 ** 63 - 1)
+    code = QuantumCode(params, [[(top, 0, 1)], [(0, top, 0)]])
+    assert code.kets.dtype == storage_dtype(params.alphabets) == dtype
+    assert code.kets.tolist() == [[0, top, 0], [top, 0, 1]]
+
+
+def test_states_of_mixed_dtypes_join_exactly():
+    # uint64 and int64 states promote to float64, which would round 2^62 + 1
+    params = make_code_params(2, 0, (2 ** 63,) * 2, 2)
+    code = QuantumCode(params, [np.array([[2 ** 62 + 1, 0]], dtype=np.uint64),
+                                [(0, 2 ** 62 + 1)]])
+    assert code.kets.tolist() == [[0, 2 ** 62 + 1], [2 ** 62 + 1, 0]]
+
+
 def _params(n=2, alphabets=(3, 3), K=2):
     return make_code_params(n, 0, alphabets, K)
 
@@ -550,11 +571,16 @@ def _params(n=2, alphabets=(3, 3), K=2):
     ([[(0, 3)], [(1, 1)]], "ket entry 3 out of range for alphabet 3"),
     ([[(0, 0)], [(-1, 1)]], "ket entry -1 out of range for alphabet 3"),
     ([[(0, 0)], [(1, 2 ** 70)]], "outside the int64 range"),
-    ([[(0, 0)], [np.array([2 ** 64 - 1, 0], dtype=np.uint64)]], "out of range"),
+    ([[(0, 0)], [np.array([2 ** 64 - 1, 0], dtype=np.uint64)]], "outside the int64 range"),
     ([[(0, 0), (0, 0)], [(1, 1), (2, 2)]], r"ket \(0, 0\) appears"),
     ([[(0, 0), (1, 2)], [(1, 1), (1, 2)]], r"ket \(1, 2\) appears"),
     ([[], []], "^basis states hold no kets$"),
     ([], "^a code needs at least one basis state, not K=0$"),
+    ([[(0, 0)], [(1, 2 ** 64 - 1)]], "^ket entry outside the int64 range$"),
+    ([[(0, 0)], np.array([[1, 2 ** 64 - 1]], dtype=np.uint64)],
+     "^ket entry outside the int64 range$"),
+    ([[(0, 0)], np.array([[1, 2 ** 63]], dtype=np.uint64)],
+     "^ket entry outside the int64 range$"),
 ])
 def test_code_geometry_refusals(basis, message):
     # an empty basis is tried at dimension 0, every other one at dimension 2

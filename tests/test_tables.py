@@ -6,6 +6,8 @@ from collections import Counter
 
 import pytest
 
+from oaqec.arrays import storage_dtype
+from oaqec.constructions import bush
 from oaqec.errors import IngredientUnavailable
 from oaqec.tables import (
     EXCLUDED,
@@ -266,7 +268,12 @@ def test_every_catalogue_row_keeps_its_code_status():
             except IngredientUnavailable:
                 continue
             statuses[(table_id, row.label)] = code.status()
+            # one representation: the parent and the kets in one narrow dtype
+            dtype = storage_dtype(code.params.alphabets)
+            assert code.provenance.parent.matrix.dtype == dtype == code.kets.dtype
     assert len(statuses) == 178
+    # the 59,049 x 10 Bush table behind III t3 s=9 d=5 takes one byte per entry
+    assert bush(9, 5).matrix.nbytes == 59049 * 10
     assert Counter(table for table, _ in UNVERIFIED_AT_MAX_S_12) == {
         "I": 3, "II": 1, "III": 2, "VI": 13, "VII": 1}
     assert {key for key, status in statuses.items()

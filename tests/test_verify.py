@@ -387,7 +387,7 @@ def test_complement_keys_beyond_int64(basis, passed):
 ], ids=["uint64-digits", "ranks-times-alphabet"])
 def test_slice_keys_stay_exact_on_huge_alphabets(s, basis):
     code = QuantumCode(make_code_params(3, 1, (s,) * 3, 2), basis)
-    assert code.kets.dtype == np.uint64
+    assert code.kets.dtype == arrays.storage_dtype((s,) * 3)
     assert_matches_oracle(code, (1,))
     # no two kets agree off column 0, and every state reads 0 there
     assert dict(verify_code(code, 1, "definition-5").per_subset)[(0,)]
