@@ -120,12 +120,22 @@ def storage_dtype(alphabets: Sequence[int]) -> np.dtype:
 
 def _integer_matrix(rows) -> np.ndarray:
     """`rows` (an ndarray or a list) as an integer ndarray, an integer ndarray
-    as it is.  OverflowError for an entry outside the int64 range, ValueError
-    when the rows are ragged or not integers."""
+    as it is.  OverflowError for an entry outside the int64 range,
+    SymbolOutOfRange for a float entry that is not an integer, ValueError
+    when the rows are ragged or not numbers."""
     matrix = rows if isinstance(rows, np.ndarray) else np.array(rows)
-    if matrix.dtype.kind not in "iu":
-        # floats, and Python ints past int64, which numpy reads as float64
-        # or object: an int64 conversion truncates the one, refuses the other
+    if matrix.dtype.kind == "f":
+        # an int64 conversion would truncate 0.5 and wrap nan or 1e30
+        whole = np.isfinite(matrix) & (matrix == np.trunc(matrix))
+        if not whole.all():
+            raise SymbolOutOfRange(f"entry {matrix[~whole][0]} is not an integer")
+        outside = (matrix < -2.0 ** 63) | (matrix >= 2.0 ** 63)
+        if outside.any():
+            raise OverflowError(f"{matrix[outside][0]:.0f}")
+        matrix = matrix.astype(np.int64)
+    elif matrix.dtype.kind not in "iu":
+        # Python ints past int64, which numpy reads as object, and bools:
+        # an int64 conversion refuses the one and keeps the other
         matrix = np.array(rows, dtype=np.int64)
     elif matrix.dtype == np.uint64 and matrix.max(initial=0) > _INT64_MAX:
         raise OverflowError(f"{matrix.max()} > {_INT64_MAX}")

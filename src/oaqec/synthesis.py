@@ -28,7 +28,8 @@ from .arrays import is_orthogonal_array  # noqa: F401
 from .constructions import asset_get, full_factorial_mixed, resolve_symmetric_oa
 from .errors import (BadFactorization, BadGeometry, ClaimFailed,
                      DivisibilityViolated, ExcludedS, IngredientUnavailable,
-                     NegativeM, NotFromOA, NotPartitionable, SBoundViolated)
+                     NegativeM, NotFromOA, NotPartitionable, SBoundViolated,
+                     SymbolOutOfRange)
 from .schemes import d3_scheme, d_2s, oa_from_scheme
 
 # --- quantum singleton arithmetic ---------------------------------------------
@@ -195,12 +196,14 @@ class Provenance:
 
 def _state_matrix(state, n: int) -> np.ndarray:
     """One state's kets as an integer matrix with n columns, an integer
-    ndarray in its own dtype, refusing a ket of another length or an entry
-    outside the int64 range."""
+    ndarray in its own dtype, refusing a ket of another length, an entry
+    outside the int64 range or a float entry that is not an integer."""
     try:
         matrix = _integer_matrix(state)
     except OverflowError:
         raise BadGeometry("ket entry outside the int64 range") from None
+    except SymbolOutOfRange as exc:
+        raise BadGeometry(f"ket {exc}") from None
     except ValueError:
         # ragged kets: name the first one of the wrong length
         bad = next((len(ket) for ket in state if len(ket) != n), None)

@@ -10,10 +10,14 @@ times.  definition-5 fails S when kets of two states collide on the
 complement, and otherwise compares the states' level counts on S.  Column
 slices are keyed by exact int64 mixed-radix keys: a complement's key is a
 ket's full key minus its S columns' terms when the product of all alphabets
-fits int64, and `_slice_keys` keys each column set otherwise.  Exact reduced
-cross matrices are built only for the ReductionWitnesses of failing subsets
-and to decide a definition-5 subset on which kets of one state collide, and
-then only for the self reductions and state pairs that flag a violation.
+fits int64, and `_slice_keys` keys each column set otherwise.  The
+ReductionWitnesses of a failing subset, and the verdict on a definition-5
+subset on which kets of one state collide, come from one pass over the
+subset's sorted complement keys (`_check_subset`): it enumerates the ket
+pairs inside each run of colliding kets, for the self reductions and state
+pairs that can still add a witness, and counts their reduction entries.
+`reduced_cross_matrix` builds one exact reduction as a dict; the checks
+only use it to spot-check that swapping the states transposes the counts.
 """
 from __future__ import annotations
 
@@ -100,67 +104,6 @@ class ReductionWitness:
         return f"{where}: {self.reason}{entry}{want}"
 
 
-#: most witnesses _check_subset extracts from one subset
-_SUBSET_WITNESSES = 4
-
-
-def _check_subset(code: QuantumCode, S: tuple[int, ...], mode: str,
-                  states: list[int], pairs: list[tuple[int, int]]
-                  ) -> list[ReductionWitness]:
-    """All violations (up to _SUBSET_WITNESSES) of the reduction conditions
-    on one subset, from the exact self reductions of `states` and cross
-    reductions of `pairs` (both ascending).  The reductions left out must
-    hold no violation, and in definition-5 `states` starts with the
-    reference 0."""
-    block = code.kets_per_state
-    out: list[ReductionWitness] = []
-    reference: Optional[dict] = None
-    for i in states:
-        M = reduced_cross_matrix(code, i, i, S)
-        if M.trace() != block:
-            raise ClaimFailed("self pair count must equal the state size")
-        if mode == "strict-uniform":
-            levels = prod(code.params.alphabets[c] for c in S)
-            if block % levels:
-                out.append(ReductionWitness(S, i, i, None, None, block, levels,
-                                            "state size not divisible by the level count"))
-                continue
-            uniform = block // levels
-            for (x, y), v in sorted(M.off_diagonal().items()):
-                out.append(ReductionWitness(S, i, i, x, y, v, 0,
-                                            "off-diagonal reduction entry"))
-            diag = M.diagonal()
-            if len(diag) != levels:
-                missing = levels - len(diag)
-                out.append(ReductionWitness(S, i, i, None, None, 0, uniform,
-                                            f"{missing} level tuples never occur"))
-            for x, v in sorted(diag.items()):
-                if v != uniform:
-                    out.append(ReductionWitness(S, i, i, x, x, v, uniform,
-                                                "nonuniform diagonal entry"))
-        else:
-            if reference is None:
-                reference = M.counts
-            elif M.counts != reference:
-                keys = set(M.counts) | set(reference)
-                x, y = min(k for k in keys
-                           if M.counts.get(k, 0) != reference.get(k, 0))
-                out.append(ReductionWitness(S, i, i, x, y, M.counts.get((x, y), 0),
-                                            reference.get((x, y), 0),
-                                            "reduction differs from state 0"))
-        if len(out) >= _SUBSET_WITNESSES:
-            return out[:_SUBSET_WITNESSES]
-    for i, j in pairs:
-        M = reduced_cross_matrix(code, i, j, S)
-        if not M.is_zero():
-            (x, y), v = sorted(M.counts.items())[0]
-            out.append(ReductionWitness(S, i, j, x, y, v, 0,
-                                        "cross reduction is nonzero"))
-            if len(out) >= _SUBSET_WITNESSES:
-                return out[:_SUBSET_WITNESSES]
-    return out
-
-
 #: largest mixed-radix key _slice_keys builds before re-ranking
 _KEY_MAX = np.iinfo(np.int64).max
 
@@ -170,9 +113,10 @@ def _slice_keys(kets: np.ndarray, alphabets, cols) -> np.ndarray:
     cols: the slice's mixed-radix number (its level tuple's index below
     prod(s_j) until a re-rank).  Before a key would pass _KEY_MAX the keys
     are re-ranked, and when even their ranks would, the column's values too
-    (ranks stay below the ket count).  Digits are cast to int64 first: mixed
-    with int64 keys, any stored ket dtype (never uint64) would stay exact,
-    but slower."""
+    (ranks stay below the ket count).  Re-ranks keep the order, so keys
+    order the slices as their level tuples.  Digits are cast to int64
+    first: mixed with int64 keys, any stored ket dtype (never uint64) would
+    stay exact, but slower."""
     keys = np.zeros(len(kets), dtype=np.int64)
     radix = 1
     for c in cols:
@@ -189,56 +133,191 @@ def _slice_keys(kets: np.ndarray, alphabets, cols) -> np.ndarray:
     return keys
 
 
-def _cross_pairs(states: np.ndarray, collide: np.ndarray) -> list[tuple[int, int]]:
-    """Ascending state pairs (i, j), i < j, with kets that agree on the
-    complement.  states[p] is the state of the p-th ket in complement order,
-    and collide[p] says the p-th and (p+1)-th kets agree on the complement."""
-    # each run of colliding neighbours [lo, hi) joins kets lo..hi
-    edges = np.flatnonzero(np.diff(collide, prepend=False, append=False))
-    pairs: set[tuple[int, int]] = set()
-    for lo, hi in zip(edges[::2].tolist(), edges[1::2].tolist()):
-        pairs.update(combinations(np.unique(states[lo:hi + 1]).tolist(), 2))
-    return sorted(pairs)
+#: most witnesses _check_subset extracts from one subset
+_SUBSET_WITNESSES = 4
+#: verify_code explains failing subsets until a report holds this many
+#: witnesses, and render shows this many
+_REPORT_WITNESSES = 8
 
 
-def _flagged_reductions(code: QuantumCode, S: tuple[int, ...], mode: str
-                        ) -> tuple[list[int], list[tuple[int, int]]]:
-    """(states, pairs): the states whose self reduction on S may hold a
-    violation and the state pairs whose cross reduction is nonzero, as
-    _check_subset takes them, for a subset the level pass failed or left
-    undecided."""
+def _runs(split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, length) of each run of a sequence of len(split) + 1 items,
+    from the flags that say which neighbours differ."""
+    first = np.zeros(np.count_nonzero(split) + 1, dtype=np.intp)
+    first[1:] = np.flatnonzero(split)
+    first[1:] += 1
+    length = np.empty_like(first)
+    length[:-1] = first[1:] - first[:-1]
+    length[-1] = len(split) + 1 - first[-1]
+    return first, length
+
+
+def _products(lo_a: np.ndarray, len_a: np.ndarray, lo_b: np.ndarray,
+              len_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q) for every p in [lo_a[r], lo_a[r] + len_a[r]) and q in
+    [lo_b[r], lo_b[r] + len_b[r]), row r by row, p-major."""
+    cells = len_a * len_b
+    row = np.repeat(np.arange(len(cells)), cells)
+    t = np.arange(len(row))
+    t -= np.repeat(np.cumsum(cells) - cells, cells)
+    width = len_b[row]
+    q = t % width
+    t //= width
+    del width
+    t += lo_a[row]
+    q += lo_b[row]
+    return t, q
+
+
+def _check_subset(code: QuantumCode, S: tuple[int, ...], mode: str
+                  ) -> list[ReductionWitness]:
+    """All violations (up to _SUBSET_WITNESSES) of the reduction conditions
+    on one subset, read off one pass over the kets sorted by complement key.
+
+    A stable sort of the complement keys lays the kets out in runs that
+    agree off S, each run in state order, and splits a run into parts, its
+    kets of one state.  S-keys order entries (x, y) as their level tuples.
+    Lower bounds on the witnesses of each self reduction, read off the parts
+    and the states' level counts, pick the self reductions that can still
+    add a witness before the cap and how many of the first nonzero cross
+    reductions can.  Only their ket pairs inside each run are enumerated,
+    and one lexsort counts their entries: it keeps the S-keys x and y apart,
+    and a reduction's key i * K + j is below K^2 <= (ket count)^2, exact in
+    int64."""
     kets, K, block = code.kets, code.params.K, code.kets_per_state
     alphabets = code.params.alphabets
+    strict, cap = mode == "strict-uniform", _SUBSET_WITNESSES
+    levels = prod(alphabets[c] for c in S)
+    uniform, rest = divmod(block, levels)
+    out: list[ReductionWitness] = []
+    if strict and rest:
+        # every state fails, without an entry to show
+        out = [ReductionWitness(S, i, i, None, None, block, levels,
+                                "state size not divisible by the level count")
+               for i in range(min(K, cap))]
+        if K >= cap:
+            return out
     keys = _slice_keys(kets, alphabets, [c for c in range(code.params.n) if c not in S])
-    # a stable sort keeps one state's colliding kets adjacent
     order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    collide = sorted_keys[1:] == sorted_keys[:-1]
-    states = order // block
-    within = collide & (states[1:] == states[:-1])
-    flagged = np.zeros(K, dtype=bool)
-    flagged[states[1:][within]] = True
-    if mode == "strict-uniform":
-        levels = prod(alphabets[c] for c in S)
-        uniform, rest = divmod(block, levels)
-        if rest:
-            flagged[:] = True
-        else:
-            # levels divides block, so no S-key is re-ranked: each is its
-            # level tuple's index below `levels`
-            keys = _slice_keys(kets, alphabets, S).reshape(K, block)
-            offsets = np.arange(K, dtype=np.int64)[:, None] * levels
-            counts = np.bincount((keys + offsets).ravel(),
-                                 minlength=K * levels).reshape(K, levels)
-            flagged |= np.any(counts != uniform, axis=1)
+    keys = keys[order]
+    split = keys[1:] != keys[:-1]
+    del keys  # at scale, the arrays over all kets and over ket pairs add up
+    state = order // block
+    start, size = _runs(split | (state[1:] != state[:-1]))
+    part_state, part_run = state[start], np.zeros(len(start), dtype=np.intp)
+    part_run[1:] = np.cumsum(split)[start[1:] - 1]
+    s_keys = _slice_keys(kets, alphabets, S)  # below levels, in level tuple order
+    collided = np.zeros(K, dtype=bool)
+    collided[part_state[size > 1]] = True
+    if strict and rest:
+        selves, need = [], cap - K
     else:
-        per_state = np.sort(_slice_keys(kets, alphabets, S).reshape(K, block), axis=1)
-        # a state's self reduction equals state 0's when both have no
-        # colliding kets and the same multiset of S-slices; when both have
-        # colliding kets, only the exact reductions can tell
-        flagged |= np.any(per_state != per_state[0], axis=1) | flagged[0]
-        flagged[0] = True  # the reference the other states are compared with
-    return np.flatnonzero(flagged).tolist(), _cross_pairs(states, collide)
+        if strict:
+            # levels divides block, so the K x levels counts fit the ket count
+            counts = np.bincount(np.arange(len(kets)) // block * levels + s_keys,
+                                 minlength=K * levels).reshape(K, levels)
+            bound = (collided + ((counts != uniform) & (counts != 0)).sum(axis=1)
+                     + (counts == 0).any(axis=1))
+            flagged = bound > 0
+        else:
+            # a state's self reduction equals state 0's when both have no
+            # colliding kets and the same multiset of S-slices
+            per_state = np.sort(s_keys.reshape(K, block), axis=1)
+            bound = (per_state != per_state[0]).any(axis=1)
+            del per_state
+            flagged = collided | bound | collided[0]
+            flagged[0] = True  # the reference the other states are compared with
+        candidates = np.flatnonzero(flagged)
+        before = np.cumsum(bound[candidates]) - bound[candidates]
+        selves, need = candidates[before < cap].tolist(), cap - int(bound.sum())
+    # rows (a, b) of parts whose ket pairs make the wanted reductions
+    is_self = np.zeros(K, dtype=bool)
+    is_self[selves] = True
+    a = b = np.flatnonzero(is_self[part_state])
+    pairs: list[tuple[int, int]] = []
+    shared = part_run[1:] == part_run[:-1]  # neighbouring parts of one run
+    if need > 0 and shared.any():
+        # the parts of runs that hold two states or more, in pairs a < b
+        # (a run's parts follow state order), keyed i * K + j
+        multi = np.zeros(len(start), dtype=bool)
+        multi[1:] = shared
+        multi[:-1] |= shared
+        cp = np.flatnonzero(multi)
+        lo, width = _runs(part_run[cp[1:]] != part_run[cp[:-1]])
+        ca, cb = _products(lo, width, lo, width)
+        lower = ca < cb
+        ca, cb = cp[ca[lower]], cp[cb[lower]]
+        pair_code = part_state[ca] * K + part_state[cb]
+        # the first nonzero cross reductions are the smallest pair keys
+        chosen = np.unique(pair_code)[:need]
+        pairs = [divmod(c, K) for c in chosen.tolist()]
+        keep = pair_code <= chosen[-1]
+        a, b = np.concatenate((a, ca[keep])), np.concatenate((b, cb[keep]))
+    if not len(a):
+        return out
+    # their ket pairs, keyed and sorted one array at a time
+    p, q = _products(start[a], size[a], start[b], size[b])
+    s_keys = s_keys[order]
+    x, y, pair_code = s_keys[p], s_keys[q], state[p]
+    pair_code *= K
+    pair_code += state[q]
+    del p, q
+    by = np.lexsort((y, x, pair_code))
+    x = x[by]
+    y = y[by]
+    pair_code = pair_code[by]
+    del by
+    first, number = _runs((pair_code[1:] != pair_code[:-1])
+                          | (x[1:] != x[:-1]) | (y[1:] != y[:-1]))
+    # each entry's (x, y, count), and each reduction's rows of entries
+    entries = np.empty((len(first), 3), dtype=np.int64)
+    entries[:, 0], entries[:, 1], entries[:, 2] = x[first], y[first], number
+    pair_code = pair_code[first]
+    lo, width = _runs(pair_code[1:] != pair_code[:-1])
+    rows = dict(zip(pair_code[lo].tolist(), zip(lo.tolist(), (lo + width).tolist())))
+    cols = list(S)
+
+    def level(s_key) -> tuple[int, ...]:
+        """The level tuple on S of the kets with this S-key."""
+        return tuple(kets[order[np.argmax(s_keys == s_key)], cols].tolist())
+
+    reference: Optional[np.ndarray] = None
+    for i in selves:
+        lo, hi = rows[i * K + i]
+        mine = entries[lo:hi]
+        diag = mine[:, 0] == mine[:, 1]
+        if int(mine[diag, 2].sum()) != block:
+            raise ClaimFailed("self pair count must equal the state size")
+        if strict:
+            for x, y, v in mine[~diag][:cap].tolist():
+                out.append(ReductionWitness(S, i, i, level(x), level(y), v, 0,
+                                            "off-diagonal reduction entry"))
+            seen = int(np.count_nonzero(diag))
+            if seen != levels:
+                out.append(ReductionWitness(S, i, i, None, None, 0, uniform,
+                                            f"{levels - seen} level tuples never occur"))
+            for x, _, v in mine[diag & (mine[:, 2] != uniform)][:cap].tolist():
+                out.append(ReductionWitness(S, i, i, level(x), level(x), v, uniform,
+                                            "nonuniform diagonal entry"))
+        elif reference is None:
+            reference = mine
+        elif not np.array_equal(mine, reference):
+            # the entries agree above row k, so the smaller key at row k is
+            # the first to differ: missing from one side, or counted apart
+            m = min(len(mine), len(reference))
+            k = int(np.argmax(np.append(np.any(mine[:m] != reference[:m], axis=1), True)))
+            x, y = min(tuple(e[k, :2].tolist()) for e in (mine, reference) if k < len(e))
+            got, want = (int(e[k, 2]) if k < len(e) and tuple(e[k, :2]) == (x, y) else 0
+                         for e in (mine, reference))
+            out.append(ReductionWitness(S, i, i, level(x), level(y), got, want,
+                                        "reduction differs from state 0"))
+        if len(out) >= cap:
+            return out[:cap]
+    for i, j in pairs:
+        x, y, v = entries[rows[i * K + j][0]].tolist()
+        out.append(ReductionWitness(S, i, j, level(x), level(y), v, 0,
+                                    "cross reduction is nonzero"))
+    return out[:cap]
 
 
 #: cap on subsets x kets keyed in one numpy pass of _decide_level, which
@@ -355,7 +434,7 @@ class VerificationReport:
         failing = [s for s, ok in self.per_subset if not ok]
         if failing:
             lines.append(f"failing subsets at the claimed level: {failing[:8]}")
-        for w in self.witnesses[:8]:
+        for w in self.witnesses[:_REPORT_WITNESSES]:
             lines.append("  " + w.render())
         return "\n".join(lines)
 
@@ -395,9 +474,9 @@ def verify_code(code: QuantumCode, d: Optional[int] = None,
         ok = True
         for S, passed in _decide_level(code, dp, mode):
             subsets_checked += 1
-            explain = dp == d and len(witnesses) < 8
+            explain = dp == d and len(witnesses) < _REPORT_WITNESSES
             if passed is None or (not passed and explain):
-                exact = _check_subset(code, S, mode, *_flagged_reductions(code, S, mode))
+                exact = _check_subset(code, S, mode)
                 if passed is None:
                     passed = not exact
                 elif not exact:

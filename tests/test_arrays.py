@@ -76,6 +76,25 @@ def test_entries_past_int64_are_refused_as_such_in_either_form(entry):
     assert A.matrix.dtype == np.int64 and A.rows == ((2**63 - 1, 0),)
 
 
+@pytest.mark.parametrize("rows,message", [
+    ([[0.5, 1]], "^entry 0.5 is not an integer$"),
+    (np.array([[1, 1], [0, 1.25]]), "^entry 1.25 is not an integer$"),
+    (np.array([[np.nan, 1]]), "^entry nan is not an integer$"),
+    (np.array([[1, np.inf]]), "^entry inf is not an integer$"),
+    (np.array([[1e30, 1]]), "^entry outside the int64 range: 1000000000000000019884624838656$"),
+])
+def test_float_entries_that_are_not_int64_integers_are_refused(rows, message):
+    # an int64 conversion would truncate 0.5 to 0 and wrap nan, inf and 1e30
+    with pytest.raises(SymbolOutOfRange, match=message):
+        MixedLevelArray(rows, (2, 2))
+
+
+def test_integral_float_entries_are_accepted():
+    for rows in ([[1.0, 0.0], [0.0, 1.0]], np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)):
+        A = MixedLevelArray(rows, (2, 2))
+        assert A.rows == ((1, 0), (0, 1)) and A.matrix.dtype == storage_dtype((2, 2))
+
+
 def test_constructor_names_the_first_out_of_range_entry():
     with pytest.raises(SymbolOutOfRange, match="^entry 3 out of range for alphabet 3$"):
         MixedLevelArray([(0, 1), (1, 3), (5, 0)], (2, 3))

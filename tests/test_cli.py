@@ -253,6 +253,22 @@ def test_verify_refuses_a_malformed_record_with_exit_2(tmp_path, capsys, record)
     assert err.startswith("invalid request: ") and "Error" not in err
 
 
+@pytest.mark.parametrize("entry,rc", [(0.5, 2), (1.0, 0)], ids=["fraction", "integral"])
+def test_verify_refuses_a_record_ket_that_is_not_an_integer(tmp_path, capsys, entry, rc):
+    # a truncated 0.5 would make the record the passing single ket |0,1>
+    record = {"params": {"n": 2, "K": 1, "d_plus_1": 1, "alphabets": [2, 2], "m": 3,
+                         "singleton": 4, "m_range": [0, 2]},
+              "basis": [[[entry, 1]]]}
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(record))
+    got, out, err = run(capsys, "verify", "--code", str(path), "--d", "0")
+    assert got == rc
+    if rc:
+        assert out == "" and err == "invalid request: ket entry 0.5 is not an integer\n"
+    else:
+        assert "result: PASS" in out
+
+
 def test_verify_missing_file_exits_2(capsys):
     rc, _, err = run(capsys, "verify", "--code", "/nonexistent.ket", "--d", "1")
     assert rc == 2 and "invalid request" in err

@@ -581,11 +581,20 @@ def _params(n=2, alphabets=(3, 3), K=2):
      "^ket entry outside the int64 range$"),
     ([[(0, 0)], np.array([[1, 2 ** 63]], dtype=np.uint64)],
      "^ket entry outside the int64 range$"),
+    ([[(0, 0)], [(1, 0.5)]], "^ket entry 0.5 is not an integer$"),
+    ([[(0, 0)], np.array([[np.nan, 1]])], "^ket entry nan is not an integer$"),
+    ([[(0, 0)], np.array([[1e30, 1]])], "^ket entry outside the int64 range$"),
 ])
 def test_code_geometry_refusals(basis, message):
     # an empty basis is tried at dimension 0, every other one at dimension 2
     with pytest.raises(BadGeometry, match=message):
         QuantumCode(_params(K=2 if basis else 0), basis)
+
+
+def test_code_accepts_integral_float_kets():
+    code = QuantumCode(_params(), [[(0.0, 1.0)], np.array([[2.0, 2.0]])])
+    assert code.basis == (((0, 1),), ((2, 2),))
+    assert code.kets.dtype == storage_dtype((3, 3))
 
 
 def test_code_geometry_checks_entries_against_their_own_alphabet():

@@ -185,23 +185,23 @@ def unrestricted_check_subset(code, S, mode, cap=4):
         assert M.trace() == block
         if mode == "strict-uniform":
             levels = math.prod(code.params.alphabets[c] for c in S)
-            if block % levels:
+            uniform, rest = divmod(block, levels)
+            if rest:
                 out.append(ReductionWitness(S, i, i, None, None, block, levels,
                                             "state size not divisible by the level count"))
-                continue
-            uniform = block // levels
-            for (x, y), v in sorted(M.off_diagonal().items()):
-                out.append(ReductionWitness(S, i, i, x, y, v, 0,
-                                            "off-diagonal reduction entry"))
-            diag = M.diagonal()
-            if len(diag) != levels:
-                missing = levels - len(diag)
-                out.append(ReductionWitness(S, i, i, None, None, 0, uniform,
-                                            f"{missing} level tuples never occur"))
-            for x, v in sorted(diag.items()):
-                if v != uniform:
-                    out.append(ReductionWitness(S, i, i, x, x, v, uniform,
-                                                "nonuniform diagonal entry"))
+            else:
+                for (x, y), v in sorted(M.off_diagonal().items()):
+                    out.append(ReductionWitness(S, i, i, x, y, v, 0,
+                                                "off-diagonal reduction entry"))
+                diag = M.diagonal()
+                if len(diag) != levels:
+                    missing = levels - len(diag)
+                    out.append(ReductionWitness(S, i, i, None, None, 0, uniform,
+                                                f"{missing} level tuples never occur"))
+                for x, v in sorted(diag.items()):
+                    if v != uniform:
+                        out.append(ReductionWitness(S, i, i, x, x, v, uniform,
+                                                    "nonuniform diagonal entry"))
         else:
             if reference is None:
                 reference = M.counts
@@ -292,8 +292,10 @@ REAL_CODES = (theorem_5s2(2, [2]), theorem_tn(4, 1, 1, [2]),
 
 @st.composite
 def small_codes(draw):
-    """Random codes (K 1-4, n <= 5, alphabets 2-4, disjoint equal-size ket
-    sets), or a small emitted code with one ket moved."""
+    """Random codes (K 1-6, n <= 5, alphabets 2-4, disjoint equal-size ket
+    sets), or a small emitted code with one ket moved.  With K >= 5, a
+    subset whose level count does not divide the state size fails every
+    state, past the cap of _SUBSET_WITNESSES."""
     if draw(st.booleans()):
         code = draw(st.sampled_from(REAL_CODES), label="code")
         si = draw(st.integers(0, code.params.K - 1), label="state")
@@ -304,7 +306,7 @@ def small_codes(draw):
     n = draw(st.integers(1, 5), label="n")
     alphabets = tuple(draw(st.lists(st.integers(2, 4), min_size=n, max_size=n)))
     words = math.prod(alphabets)
-    K = draw(st.integers(1, min(4, words)), label="K")
+    K = draw(st.integers(1, min(6, words)), label="K")
     block = draw(st.integers(1, min(6, words // K)), label="block")
     picks = draw(st.lists(st.integers(0, words - 1), min_size=K * block,
                           max_size=K * block, unique=True))
@@ -415,25 +417,89 @@ def test_level_kernel_stays_exact_across_chunk_boundaries(code, split):
         assert_matches_oracle(code)
 
 
-def naive_cross_pairs(states, collide):
-    """State pairs i < j with two kets in one run of colliding neighbours."""
-    groups = [[states[0]]]
-    for state, joined in zip(states[1:], collide):
-        if joined:
-            groups[-1].append(state)
-        else:
-            groups.append([state])
-    return sorted({(a, b) for group in groups for a in group for b in group if a < b})
+def naive_cross_witnesses(code, S):
+    """(i, j, x, y, count) of the first entry of every nonzero cross
+    reduction on S, pairs ascending, from brute-force pair counts."""
+    out = []
+    for i, j in itertools.combinations(range(code.params.K), 2):
+        counts = naive_cross_counts(code.basis[i], code.basis[j], S, code.params.n)
+        if counts:
+            (x, y), v = min(counts.items())
+            out.append((i, j, x, y, v))
+    return out
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_cross_pairs_match_a_naive_pairing(data):
-    states = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=30))
-    collide = data.draw(st.lists(st.booleans(), min_size=len(states) - 1,
-                                 max_size=len(states) - 1))
-    got = verify._cross_pairs(np.array(states), np.array(collide, dtype=bool))
-    assert got == naive_cross_pairs(states, collide)
+@given(code=small_codes(), data=st.data())
+def test_cross_witnesses_match_naive_pair_counts(code, data):
+    n = code.params.n
+    S = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="S")))
+    mode = data.draw(st.sampled_from(MODES), label="mode")
+    got = verify._check_subset(code, S, mode)
+    cross = [(w.i, w.j, w.x, w.y, w.count) for w in got
+             if w.reason == "cross reduction is nonzero"]
+    want = naive_cross_witnesses(code, S)
+    # the cross witnesses follow the self ones and fill the cap in order
+    assert got[len(got) - len(cross):] == [
+        ReductionWitness(S, i, j, x, y, v, 0, "cross reduction is nonzero")
+        for i, j, x, y, v in cross]
+    assert len(got) <= verify._SUBSET_WITNESSES
+    assert cross == want[:len(cross)]
+    if len(got) < verify._SUBSET_WITNESSES:
+        assert cross == want
+
+
+@pytest.mark.parametrize("alphabets,basis", [
+    # off column 0, every run holds one ket of each of the three states
+    ((4, 2), [[(0, 0), (3, 1)], [(1, 0), (0, 1)], [(2, 0), (1, 1)]]),
+    # one run holds two kets of each of three states, which collide within
+    # their states too; the other run holds kets of two states
+    ((3, 3, 2), [[(0, 0, 0), (0, 1, 0), (2, 2, 1)],
+                 [(1, 0, 0), (1, 1, 0), (0, 2, 1)],
+                 [(2, 0, 0), (2, 1, 0), (0, 0, 1)]]),
+    # five states in one run off columns (0, 1), each with one ket there
+    ((3, 4, 2), [[(a % 3, a // 3, 0), (a % 3, (a + 2) % 4, 1)] for a in range(5)]),
+], ids=["three-states-per-run", "three-states-colliding-within", "five-states"])
+def test_runs_holding_kets_of_three_or_more_states(alphabets, basis):
+    n = len(alphabets)
+    code = QuantumCode(make_code_params(n, 0, alphabets, len(basis)), basis)
+    comp = tuple(range(1, n))
+    states_per_run = {}
+    for i, state in enumerate(code.basis):
+        for ket in state:
+            states_per_run.setdefault(tuple(ket[c] for c in comp), set()).add(i)
+    assert max(map(len, states_per_run.values())) >= 3
+    assert_matches_oracle(code)
+
+
+@pytest.mark.parametrize("code", [mutant(REAL_CODES[1], 1, 2, 0, 0),
+                                  mutant(REAL_CODES[2], 0, 3, 2, 1)],
+                         ids=["tn-4-1-1-2", "tn-4-1-1-2-2"])
+def test_witnesses_stay_exact_when_s_keys_re_rank(code):
+    # below _KEY_MAX = 5 every key of two or more columns of 4 levels is
+    # re-ranked, so the witnesses' level tuples come from re-ranked S-keys;
+    # on all columns, 16 kets leave gaps that re-ranking closes
+    S = tuple(range(code.params.n))
+    plain = verify._slice_keys(code.kets, code.params.alphabets, S)
+    with mock.patch.object(verify, "_KEY_MAX", 5):
+        ranked = verify._slice_keys(code.kets, code.params.alphabets, S)
+        assert not np.array_equal(ranked, plain)
+        assert_matches_oracle(code)
+        assert any(len(w.subset) > 1 and w.x is not None
+                   for d in range(2, code.params.n + 1) for mode in MODES
+                   for w in verify_code(code, d, mode).witnesses)
+
+
+def test_cap_holds_when_no_level_count_divides_the_state_size():
+    # ((5,12,2))_{12^3 6^1 2^1}: K = 12 states of 12 kets, and no pair of
+    # the 12-level columns has a level count dividing 12
+    code = theorem_tn(12, 1, 1, [6, 2])
+    assert code.params.K == 12 and code.kets_per_state == 12
+    exact = verify._check_subset(code, (0, 1), "strict-uniform")
+    assert [w.i for w in exact] == [0, 1, 2, 3]
+    report = verify_code(code, 2, "strict-uniform")
+    assert [w.subset for w in report.witnesses] == [(0, 1)] * 4 + [(0, 2)] * 4
+    assert report.render().count("not divisible") == verify._REPORT_WITNESSES
 
 
 def test_failing_verdict_without_exact_witness_is_an_internal_fault():
