@@ -38,12 +38,16 @@ block number is the most significant digit of each key.
 Minimal distance is computed from column projections (`minimal_distance`):
 with distinct rows, md >= h exactly when every projection onto n - h + 1
 columns is injective.  A projection is tested by sorting its mixed-radix
-keys, and a level with fewer level tuples than rows needs no sort.  When the
-search would sort more than (r-1)/2 projections (a wide array with a large
-distance), `minimal_distance` runs the pair scan of `distance_profile`
-instead, which also keeps the full distance set.  The budget prices a
-distance check as the r(r-1)/2 row pairs of a pair scan
-(`distance_check_cost`).
+keys, and a level with fewer level tuples than rows needs no sort.  A
+checked strength claim t settles more: a projection whose t largest
+alphabets multiply to r holds each of their level tuples once, so it is
+injective without a sort (an index-unity array's t-column projections and
+every projection above them).  A carried claim settles nothing.  When the
+search would visit more than (r-1)/2 projections, sorted or settled (a wide
+array with a large distance), `minimal_distance` runs the pair scan of
+`distance_profile` instead, which also keeps the full distance set.  The
+budget prices a distance check as the r(r-1)/2 row pairs of a pair scan
+(`distance_check_cost`), whatever the claim spares.
 """
 from __future__ import annotations
 
@@ -118,13 +122,25 @@ def storage_dtype(alphabets: Sequence[int]) -> np.dtype:
     return next((dtype for most, dtype in _NARROW if top <= most), np.dtype(np.int64))
 
 
+def _whole(x) -> bool:
+    """Whether x is an integer, a bool or a float with an integer value."""
+    if isinstance(x, (int, np.integer, np.bool_)):
+        return True
+    return isinstance(x, (float, np.floating)) and float(x).is_integer()
+
+
 def _integer_matrix(rows) -> np.ndarray:
     """`rows` (an ndarray or a list) as an integer ndarray, an integer ndarray
-    as it is.  OverflowError for an entry outside the int64 range,
-    SymbolOutOfRange for a float entry that is not an integer, ValueError
-    when the rows are ragged or not numbers."""
+    as it is.  Only integer, bool and integral float entries pass:
+    SymbolOutOfRange for a float entry that is not an integer, TypeError for
+    any other entry (or a float one beside a Python int past int64),
+    OverflowError for an entry outside the int64 range, ValueError when the
+    rows are ragged."""
     matrix = rows if isinstance(rows, np.ndarray) else np.array(rows)
-    if matrix.dtype.kind == "f":
+    kind = matrix.dtype.kind
+    if kind == "b":
+        return matrix.astype(np.uint8)
+    if kind == "f":
         # an int64 conversion would truncate 0.5 and wrap nan or 1e30
         whole = np.isfinite(matrix) & (matrix == np.trunc(matrix))
         if not whole.all():
@@ -132,12 +148,17 @@ def _integer_matrix(rows) -> np.ndarray:
         outside = (matrix < -2.0 ** 63) | (matrix >= 2.0 ** 63)
         if outside.any():
             raise OverflowError(f"{matrix[outside][0]:.0f}")
-        matrix = matrix.astype(np.int64)
-    elif matrix.dtype.kind not in "iu":
-        # Python ints past int64, which numpy reads as object, and bools:
-        # an int64 conversion refuses the one and keeps the other
-        matrix = np.array(rows, dtype=np.int64)
-    elif matrix.dtype == np.uint64 and matrix.max(initial=0) > _INT64_MAX:
+        return matrix.astype(np.int64)
+    if kind not in "iu":
+        # Python ints past int64 and entries that are no numbers (None,
+        # strings, fractions), looked at as they were given: an int64
+        # conversion would read '1' as 1 and Fraction(1, 2) as 0
+        cells = np.array(rows, dtype=object).ravel().tolist()
+        bad = [x for x in cells if not _whole(x)]
+        if bad:
+            raise TypeError(f"entry {bad[0]!r} is not an integer")
+        return np.array([int(x) for x in cells], dtype=np.int64).reshape(matrix.shape)
+    if matrix.dtype == np.uint64 and matrix.max(initial=0) > _INT64_MAX:
         raise OverflowError(f"{matrix.max()} > {_INT64_MAX}")
     return matrix
 
@@ -173,6 +194,8 @@ class MixedLevelArray:
             matrix = _integer_matrix(rows if isinstance(rows, np.ndarray) else list(rows))
         except OverflowError as exc:
             raise SymbolOutOfRange(f"entry outside the int64 range: {exc}") from None
+        except TypeError as exc:
+            raise SymbolOutOfRange(str(exc)) from None
         except ValueError as exc:
             raise ShapeMismatch(f"rows do not form an integer matrix: {exc}") from None
         if len(matrix) == 0:
@@ -389,7 +412,7 @@ def distance_profile(A: MixedLevelArray) -> DistanceProfile:
     seen = np.zeros(A.n + 1, dtype=bool)
     for i in range(A.r - 1):
         d = np.count_nonzero(m[i + 1:] != m[i], axis=1)
-        seen[np.unique(d)] = True
+        seen[d] = True
     hd = frozenset(int(v) for v in np.nonzero(seen)[0])
     return DistanceProfile(md=min(hd), hd=hd)
 
@@ -424,7 +447,7 @@ def _projection_collides(columns: np.ndarray, alphabets: Sequence[int],
 
 def _projection_md(A: MixedLevelArray, max_sorts: float) -> Optional[int]:
     """Minimal distance of A from its column projections, or None once
-    deciding it would sort more than `max_sorts` projections.
+    deciding it would visit more than `max_sorts` projections.
 
     Two rows at distance d agree on n - d columns, so with distinct rows the
     minimal distance is n - k + 1 for the smallest k at which every k-column
@@ -432,23 +455,37 @@ def _projection_md(A: MixedLevelArray, max_sorts: float) -> Optional[int]:
     k = 1, 2, ... are searched for a colliding projection; 0 means repeated
     rows.  At a level whose k smallest alphabets have fewer level tuples
     than there are rows, some projection collides by pigeonhole, so the
-    level needs no sort; at any other level every projection is sorted
+    level needs no sort; at any other level every projection is visited
     until one collides.
+
+    A visited projection is sorted unless A carries a checked strength
+    claim t and the t largest alphabets of its columns multiply to r: those
+    t columns then hold every level tuple once (chs. 1 and 4), so the
+    projection, like the full-width one, is injective without a sort.  Such
+    a projection still counts as visited, so the hand-over to the pair scan
+    does not depend on the claim.
     """
     r, n, alphabets = A.r, A.n, A.alphabets
     columns = np.ascontiguousarray(A.matrix.T, dtype=np.int64)
-    if math.prod(alphabets) < r or _projection_collides(columns, alphabets, range(n)):
+    t = A.strength if A.strength_checked else 0
+
+    def collides(cols) -> bool:
+        if t and math.prod(sorted(alphabets[c] for c in cols)[-t:]) == r:
+            return False
+        return _projection_collides(columns, alphabets, cols)
+
+    if math.prod(alphabets) < r or collides(range(n)):
         return 0
     smallest = sorted(alphabets)
-    sorts = 0
+    visited = 0
     for k in range(1, n):
         if math.prod(smallest[:k]) < r:
             continue
         for cols in itertools.combinations(range(n), k):
-            sorts += 1
-            if sorts > max_sorts:
+            visited += 1
+            if visited > max_sorts:
                 return None
-            if _projection_collides(columns, alphabets, cols):
+            if collides(cols):
                 break
         else:
             return n - k + 1
@@ -461,9 +498,11 @@ def minimal_distance(A: MixedLevelArray) -> int:
     The projection search (`_projection_md`) keys r rows per projection it
     sorts, and the pair scan of distance_profile compares r(r-1)/2 row
     pairs.  The search runs first and hands over to the pair scan once it
-    would sort more than (r-1)/2 projections, so a wide array with a large
+    would visit more than (r-1)/2 projections, so a wide array with a large
     distance, whose last level has C(n, n-md+1) projections, costs at most
-    about twice the pair scan.
+    about twice the pair scan.  A checked strength claim on A spares the
+    sorts of the projections it shows injective, and only a checked one: it
+    changes neither the result nor where the search hands over.
     """
     if A.r < 2:
         raise TooFewRows("distance needs at least two rows")
@@ -490,7 +529,9 @@ def ensure_checked(A: MixedLevelArray, budget: Optional[int] = None) -> MixedLev
     Claims that fit the budget are verified (ClaimFailed means the
     construction is buggy); claims that do not remain marked unverified.
     A distance claim is priced as a pair scan, r(r-1)/2 checks, and
-    checked with minimal_distance.  A itself is left as it is.
+    checked with minimal_distance on A with the strength certificate it has
+    by then: a strength checked here or before spares projection sorts, one
+    left over budget does not.  A itself is left as it is.
     """
     budget = _budget(budget)
     t, md = A._strength, A._md
@@ -500,7 +541,7 @@ def ensure_checked(A: MixedLevelArray, budget: Optional[int] = None) -> MixedLev
             raise ClaimFailed(f"strength {t.value} claim failed: {witness}")
         t = Certificate(t.value, True)
     if md is not None and not md.checked and distance_check_cost(A) <= budget:
-        actual = minimal_distance(A)
+        actual = minimal_distance(_with_certificates(A, t, md))
         if actual != md.value:
             raise ClaimFailed(f"md claim {md.value} != actual {actual}")
         md = Certificate(md.value, True)

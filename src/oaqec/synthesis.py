@@ -197,16 +197,20 @@ class Provenance:
 def _state_matrix(state, n: int) -> np.ndarray:
     """One state's kets as an integer matrix with n columns, an integer
     ndarray in its own dtype, refusing a ket of another length, an entry
-    outside the int64 range or a float entry that is not an integer."""
+    outside the int64 range or an entry that is not an integer, a bool or a
+    float with an integer value."""
     try:
         matrix = _integer_matrix(state)
     except OverflowError:
         raise BadGeometry("ket entry outside the int64 range") from None
     except SymbolOutOfRange as exc:
         raise BadGeometry(f"ket {exc}") from None
+    except TypeError as exc:
+        raise BadGeometry(f"kets must be sequences of {n} integers: {exc}") from None
     except ValueError:
         # ragged kets: name the first one of the wrong length
-        bad = next((len(ket) for ket in state if len(ket) != n), None)
+        bad = next((len(ket) for ket in state
+                    if hasattr(ket, "__len__") and len(ket) != n), None)
         raise BadGeometry(f"ket length {bad} != {n}" if bad is not None
                           else f"kets must be sequences of {n} integers") from None
     if matrix.ndim != 2:
@@ -237,8 +241,11 @@ class QuantumCode:
         self.provenance = provenance
         if params.K < 1:
             raise BadGeometry(f"a code needs at least one basis state, not K={params.K}")
-        states = [state if isinstance(state, np.ndarray) else list(state)
-                  for state in basis]
+        try:
+            states = [state if isinstance(state, np.ndarray) else list(state)
+                      for state in basis]
+        except TypeError:
+            raise BadGeometry("a basis must list states, each a list of kets") from None
         if len(states) != params.K:
             raise BadGeometry(f"{len(states)} states for dimension {params.K}")
         sizes = {len(state) for state in states}

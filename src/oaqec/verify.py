@@ -135,8 +135,8 @@ def _slice_keys(kets: np.ndarray, alphabets, cols) -> np.ndarray:
 
 #: most witnesses _check_subset extracts from one subset
 _SUBSET_WITNESSES = 4
-#: verify_code explains failing subsets until a report holds this many
-#: witnesses, and render shows this many
+#: most witnesses a report holds: verify_code explains failing subsets
+#: until it holds this many, and keeps the first this many
 _REPORT_WITNESSES = 8
 
 
@@ -249,7 +249,9 @@ def _check_subset(code: QuantumCode, S: tuple[int, ...], mode: str
         ca, cb = cp[ca[lower]], cp[cb[lower]]
         pair_code = part_state[ca] * K + part_state[cb]
         # the first nonzero cross reductions are the smallest pair keys
-        chosen = np.unique(pair_code)[:need]
+        # (np.unique would import numpy.ma)
+        chosen = np.sort(pair_code)
+        chosen = chosen[np.append(True, chosen[1:] != chosen[:-1])][:need]
         pairs = [divmod(c, K) for c in chosen.tolist()]
         keep = pair_code <= chosen[-1]
         a, b = np.concatenate((a, ca[keep])), np.concatenate((b, cb[keep]))
@@ -434,7 +436,7 @@ class VerificationReport:
         failing = [s for s, ok in self.per_subset if not ok]
         if failing:
             lines.append(f"failing subsets at the claimed level: {failing[:8]}")
-        for w in self.witnesses[:_REPORT_WITNESSES]:
+        for w in self.witnesses:
             lines.append("  " + w.render())
         return "\n".join(lines)
 
@@ -502,7 +504,7 @@ def verify_code(code: QuantumCode, d: Optional[int] = None,
                               passed=certified == d,
                               subsets_checked=subsets_checked,
                               per_subset=tuple(per_subset),
-                              witnesses=tuple(witnesses))
+                              witnesses=tuple(witnesses[:_REPORT_WITNESSES]))
 
 
 @dataclass(frozen=True)

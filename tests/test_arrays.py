@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -93,6 +94,30 @@ def test_integral_float_entries_are_accepted():
     for rows in ([[1.0, 0.0], [0.0, 1.0]], np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)):
         A = MixedLevelArray(rows, (2, 2))
         assert A.rows == ((1, 0), (0, 1)) and A.matrix.dtype == storage_dtype((2, 2))
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([["1", "0"]], "^entry '1' is not an integer$"),
+    ([[1, "0"]], "^entry '0' is not an integer$"),
+    (np.array([[b"1", b"0"]]), "^entry b'1' is not an integer$"),
+    ([[Fraction(1, 2), 1]], r"^entry Fraction\(1, 2\) is not an integer$"),
+    ([[Fraction(1, 1), 1]], r"^entry Fraction\(1, 1\) is not an integer$"),
+    ([[0, None]], "^entry None is not an integer$"),
+    ([[1 + 0j, 0]], r"^entry \(1\+0j\) is not an integer$"),
+    # beside an int past int64 numpy keeps every entry as an object
+    ([[0.5, 2 ** 70]], "^entry 0.5 is not an integer$"),
+])
+def test_entries_that_are_not_integers_are_refused(rows, message):
+    # an int64 conversion would read '1' as 1 and Fraction(1, 2) as 0
+    with pytest.raises(SymbolOutOfRange, match=message):
+        MixedLevelArray(rows, (2, 2))
+
+
+def test_bool_and_integer_object_entries_are_accepted():
+    A = MixedLevelArray([[True, False], [False, True]], (2, 2))
+    assert A.rows == ((1, 0), (0, 1)) and A.matrix.dtype == storage_dtype((2, 2))
+    B = MixedLevelArray(np.array([[1, 0.0], [np.int64(0), np.True_]], dtype=object), (2, 2))
+    assert B.rows == ((1, 0), (0, 1)) and B.matrix.dtype == storage_dtype((2, 2))
 
 
 def test_constructor_names_the_first_out_of_range_entry():
@@ -307,6 +332,151 @@ def test_minimal_distance_hands_a_wide_array_to_the_pair_scan():
 def test_minimal_distance_needs_two_rows():
     with pytest.raises(TooFewRows):
         minimal_distance(MixedLevelArray([(0, 0)], (2, 2)))
+
+
+# --- distance under a checked strength claim -------------------------------------
+
+
+@st.composite
+def checked_strength_arrays(draw):
+    """(rows, alphabets, t) of an array of strength t >= 1: Bush arrays and
+    their column subsets (index unity, r = s gives md = n), column splits
+    into mixed alphabets, two stacked copies (index 2, repeated rows
+    possible), projections of mixed full factorials, and two binary rows
+    that differ everywhere (r = 2, md = n); rows shuffled and levels
+    relabelled column by column."""
+    kind = draw(st.sampled_from(("bush", "split", "doubled", "factorial", "pair")),
+                label="kind")
+    if kind == "factorial":
+        alphabets = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+        keep = sorted(draw(st.sets(st.integers(0, len(alphabets) - 1), min_size=1)))
+        rows = [tuple(row[j] for j in keep)
+                for row in itertools.product(*(range(s) for s in alphabets))]
+        alphabets, t = [alphabets[j] for j in keep], len(keep)
+    elif kind == "pair":
+        n = draw(st.integers(1, 6), label="n")
+        rows, alphabets, t = [(0,) * n, (1,) * n], [2] * n, 1
+    else:
+        s, t = draw(st.sampled_from(((2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (5, 2),
+                                     (8, 2), (3, 3), (4, 3))), label="(s, t)")
+        A = bush(s, t)
+        if kind == "split" and s in (4, 8):
+            # a column of s levels becomes the columns of a full factorial
+            B = claim(full_factorial((2, s // 2)), strength=2)
+            for col in sorted(draw(st.sets(st.integers(0, A.n - 1), min_size=1,
+                                           max_size=3)), reverse=True):
+                A = expansive_replacement(A, col, B)
+        drop = draw(st.sets(st.integers(0, A.n - 1), max_size=A.n - 1), label="drop")
+        A = delete_columns(A, drop)
+        rows, alphabets, t = list(A.rows), list(A.alphabets), A.strength
+        if kind == "doubled":
+            rows += [tuple((x + 1) % s for x, s in zip(row, alphabets)) for row in rows]
+    perms = [draw(st.permutations(range(s)), label="levels") for s in alphabets]
+    rows = [tuple(p[x] for p, x in zip(perms, row)) for row in draw(st.permutations(rows))]
+    return rows, alphabets, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=checked_strength_arrays())
+def test_minimal_distance_under_a_checked_strength_matches_naive_oracle(case):
+    rows, alphabets, t = case
+    A = certify(MixedLevelArray(rows, alphabets), t)
+    assert A.strength_checked and A.strength == t
+    md = min(naive_distance_set(rows))
+    assert minimal_distance(A) == md
+    assert arrays._projection_md(A, math.inf) == md
+    # ensure_checked measures with the strength certificate it has just earned
+    assert ensure_checked(claim(MixedLevelArray(rows, alphabets), strength=t, md=md)).verified
+
+
+def projection_sorts(A):
+    """(minimal_distance(A), the column tuples of the projections it sorted)."""
+    with mock.patch.object(arrays, "_projection_collides",
+                           wraps=arrays._projection_collides) as sort:
+        md = minimal_distance(A)
+    return md, [tuple(call.args[2]) for call in sort.call_args_list]
+
+
+@pytest.mark.parametrize("s,t", [(3, 3), (4, 3), (5, 2), (4, 2)])
+def test_only_a_checked_strength_claim_spares_projection_sorts(s, t):
+    plain = MixedLevelArray(bush(s, t).matrix, bush(s, t).alphabets)
+    md, sorts = projection_sorts(plain)
+    assert md == s + 1 - t + 1 == min(naive_distance_set(plain.rows))
+    # a carried claim, true or false, sorts what a claim-free array sorts
+    for claimed in (t, t + 1):
+        assert projection_sorts(claim(plain, strength=claimed)) == (md, sorts)
+    # a checked one makes every t-column projection injective without a sort
+    assert projection_sorts(certify(plain, t)) == (md, [])
+    # and ensure_checked measures with the strength certificate it has just earned
+    with mock.patch.object(arrays, "_projection_collides",
+                           wraps=arrays._projection_collides) as sort:
+        assert ensure_checked(claim(plain, strength=t, md=md)).verified
+    assert not sort.called
+
+
+def test_claim_free_projection_sorts_are_pinned():
+    # the full-width check, then every 3-column projection of OA(27, 4, 3, 3)
+    plain = MixedLevelArray(bush(3, 3).matrix, (3,) * 4)
+    assert projection_sorts(plain) == (2, [(0, 1, 2, 3), (0, 1, 2), (0, 1, 3), (0, 2, 3),
+                                           (1, 2, 3)])
+
+
+def corrupted_bush(s, t):
+    """Bush(s, t) with the first entry of its first row moved to the next level:
+    no longer of strength t, and at a smaller distance."""
+    rows = [list(row) for row in bush(s, t).rows]
+    rows[0][0] = (rows[0][0] + 1) % s
+    return MixedLevelArray(rows, (s,) * (s + 1))
+
+
+def test_a_corrupted_index_unity_array_fails_its_strength_and_is_measured_in_full():
+    M = corrupted_bush(4, 3)  # the parent has md 3
+    md = min(naive_distance_set(M.rows))
+    assert md == 2
+    message = r"^strength 3 claim failed: columns \(0, 1, 2\)"
+    with pytest.raises(ClaimFailed, match=message):
+        certify(M, 3)
+    with pytest.raises(ClaimFailed, match=message):
+        ensure_checked(claim(M, strength=3, md=3))
+    # carried only, the claim would put md at 3 if the search believed it:
+    # the full-width check, the first (colliding) 3-column projection, then
+    # every 4-column one, all sorted
+    plain_sorts = (md, [(0, 1, 2, 3, 4), (0, 1, 2)] + list(itertools.combinations(range(5), 4)))
+    assert projection_sorts(M) == plain_sorts
+    carried = claim(M, strength=3)
+    assert projection_sorts(carried) == plain_sorts
+    out = measure_md(carried)
+    assert (out.md, out.md_checked, out.strength_checked) == (md, True, False)
+
+
+def test_with_its_strength_over_budget_a_distance_check_finds_the_true_md():
+    M = corrupted_bush(4, 2)  # OA(16, 5, 4, 2) has md 4; the mutant 3
+    assert min(naive_distance_set(M.rows)) == 3
+    budget = 150
+    assert arrays.distance_check_cost(M) <= budget < arrays.strength_check_cost(M, 2)
+    with pytest.raises(ClaimFailed, match=r"^md claim 4 != actual 3$"):
+        ensure_checked(claim(M, strength=2, md=4), budget)
+    out = ensure_checked(claim(M, strength=2, md=3), budget)
+    assert (out.md_checked, out.strength_checked) == (True, False)
+
+
+def test_a_wide_index_unity_array_still_hands_over_to_the_pair_scan():
+    # OA(1024, 33, 32, 2): its C(33, 2) = 528 two-column projections pass the
+    # (r-1)/2 = 511 visits after which the search hands over, sorted or not
+    A = certify(bush(32, 2), 2)
+    with bounded_projection_sorts(0), \
+            mock.patch.object(arrays, "distance_profile",
+                              wraps=arrays.distance_profile) as pair_scan:
+        assert minimal_distance(A) == 32
+    assert pair_scan.call_count == 1
+    # OA(4096, 17, 16, 3): 680 three-column projections, all injective, so
+    # the distance 15 takes no sort and no pair scan
+    A = certify(bush(16, 3), 3)
+    with bounded_projection_sorts(0), \
+            mock.patch.object(arrays, "distance_profile",
+                              wraps=arrays.distance_profile) as pair_scan:
+        assert minimal_distance(A) == 15
+    assert pair_scan.call_count == 0
 
 
 def test_false_distance_claims_fail_with_pinned_messages():

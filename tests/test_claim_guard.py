@@ -14,7 +14,8 @@ also open to the asset scripts in `tools/`).  Only `arrays` calls
 `is_orthogonal_array`: the builders and the registry check strength
 through a claim.  The array route of cross validation takes its distance
 from the `arrays` kernel, which shares no code with the key and level
-kernels of the reduction route in `verify`.  Every module but the package
+kernels of the reduction route in `verify`, and hands it only the array it
+rebuilds from the kets, which carries no claim to spare a check with.  Every module but the package
 `__init__` uses each name it imports, unless the import is marked
 `# noqa: F401` as a deliberate re-export.
 """
@@ -251,6 +252,34 @@ def _calls(tree: ast.AST, name: str) -> bool:
                and node.func.id == name for node in ast.walk(tree))
 
 
+def _is_kets_array(value: Optional[ast.AST]) -> bool:
+    """Whether the expression is `MixedLevelArray(code.kets, ...)`: an array
+    built from the kets, which carries no claim."""
+    return (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id == "MixedLevelArray" and bool(value.args)
+            and ast.unparse(value.args[0]) == "code.kets")
+
+
+def _kets_arrays(function: ast.FunctionDef) -> set[str]:
+    """The names the function binds only to arrays built from the kets."""
+    values: dict[str, list[Optional[ast.AST]]] = {}
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
+            targets, value = [node.target], node.value
+        elif isinstance(node, (ast.For, ast.comprehension, ast.withitem)):
+            targets, value = [getattr(node, "target", None)
+                              or getattr(node, "optional_vars", None)], None
+        else:
+            continue
+        for target in filter(None, targets):
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    values.setdefault(name.id, []).append(value)
+    return {name for name, bound in values.items() if all(map(_is_kets_array, bound))}
+
+
 def independence_faults(arrays_source: str, verify_source: str) -> list[str]:
     """Ways the two sources break the independence of the two routes."""
     faults = []
@@ -273,6 +302,14 @@ def independence_faults(arrays_source: str, verify_source: str) -> list[str]:
                  and any(isinstance(t, ast.Name) and t.id == "md" for t in node.targets)]
     if not md_values or not all(_calls(value, "minimal_distance") for value in md_values):
         faults.append("cross_validate does not take md from minimal_distance")
+    # a claim the array carried would let minimal_distance skip projections
+    rebuilt = _kets_arrays(cross)
+    if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+           and node.func.id == "minimal_distance"
+           and not (len(node.args) == 1 and not node.keywords
+                    and isinstance(node.args[0], ast.Name) and node.args[0].id in rebuilt)
+           for node in ast.walk(cross)):
+        faults.append("cross_validate passes minimal_distance an array not built from the kets")
     return faults
 
 
@@ -299,6 +336,26 @@ def test_independence_guard_has_teeth():
     }
     for name, (arrays_mutant, verify_mutant) in mutants.items():
         assert independence_faults(arrays_mutant, verify_mutant), name
+
+
+def test_independence_guard_sees_an_array_that_carries_claims():
+    arrays_source = (SRC / "arrays.py").read_text()
+    verify_source = (SRC / "verify.py").read_text()
+    md_line = "md = minimal_distance(rebuilt)"
+    build_line = "rebuilt = MixedLevelArray(code.kets, code.params.alphabets)"
+    assert md_line in verify_source and build_line in verify_source
+    fault = "cross_validate passes minimal_distance an array not built from the kets"
+    mutants = {
+        # the construction's parent, whose checked strength spares sorts
+        "parent": verify_source.replace(md_line, "md = minimal_distance(code.provenance.parent)"),
+        "claim": verify_source.replace(
+            md_line, "md = minimal_distance(certify(rebuilt, d))"),
+        "rebound": verify_source.replace(
+            build_line, build_line + "\n    rebuilt = certify(rebuilt, d)"),
+        "keyword": verify_source.replace(md_line, "md = minimal_distance(A=rebuilt)"),
+    }
+    for name, mutant in mutants.items():
+        assert independence_faults(arrays_source, mutant) == [fault], name
 
 
 def test_independence_guard_sees_the_level_kernel():

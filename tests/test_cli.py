@@ -269,6 +269,23 @@ def test_verify_refuses_a_record_ket_that_is_not_an_integer(tmp_path, capsys, en
         assert "result: PASS" in out
 
 
+@pytest.mark.parametrize("basis,message", [
+    ([[[None, 1]]], "kets must be sequences of 2 integers: entry None is not an integer"),
+    ([[["1", 1]]], "kets must be sequences of 2 integers: entry '1' is not an integer"),
+    ([[[0, 1], None]], "kets must be sequences of 2 integers"),
+    ([None], "a basis must list states, each a list of kets"),
+], ids=["null entry", "string entry", "null ket", "null state"])
+def test_verify_refuses_a_record_ket_that_is_no_number(tmp_path, capsys, basis, message):
+    # int() would read "1" as 1, and None raised a TypeError traceback
+    record = {"params": {"n": 2, "K": 1, "d_plus_1": 1, "alphabets": [2, 2], "m": 3,
+                         "singleton": 4, "m_range": [0, 2]},
+              "basis": basis}
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(record))
+    rc, out, err = run(capsys, "verify", "--code", str(path), "--d", "0")
+    assert (rc, out, err) == (2, "", f"invalid request: {message}\n")
+
+
 def test_verify_missing_file_exits_2(capsys):
     rc, _, err = run(capsys, "verify", "--code", "/nonexistent.ket", "--d", "1")
     assert rc == 2 and "invalid request" in err

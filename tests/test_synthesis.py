@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -589,6 +590,27 @@ def test_code_geometry_refusals(basis, message):
     # an empty basis is tried at dimension 0, every other one at dimension 2
     with pytest.raises(BadGeometry, match=message):
         QuantumCode(_params(K=2 if basis else 0), basis)
+
+
+@pytest.mark.parametrize("basis,message", [
+    ([[(0, "1")], [(1, 1)]], "^kets must be sequences of 2 integers: entry '1' is not an integer$"),
+    ([[(0, None)], [(1, 1)]], "^kets must be sequences of 2 integers: entry None is not an integer$"),
+    ([[(0, Fraction(1, 2))], [(1, 1)]],
+     r"^kets must be sequences of 2 integers: entry Fraction\(1, 2\) is not an integer$"),
+    ([[(0, 0), None], [(1, 1), (2, 2)]], "^kets must be sequences of 2 integers$"),
+    ([[(0.5, 2 ** 70)], [(1, 1)]],
+     "^kets must be sequences of 2 integers: entry 0.5 is not an integer$"),
+    ([None, [(1, 1)]], "^a basis must list states, each a list of kets$"),
+    (None, "^a basis must list states, each a list of kets$"),
+])
+def test_code_refuses_ket_entries_that_are_not_integers(basis, message):
+    with pytest.raises(BadGeometry, match=message):
+        QuantumCode(_params(), basis)
+
+
+def test_code_accepts_bool_kets():
+    code = QuantumCode(_params(), [[(True, False)], [(0, 1)]])
+    assert code.basis == (((0, 1),), ((1, 0),))
 
 
 def test_code_accepts_integral_float_kets():

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oaqec
 from oaqec import arrays, verify
 from oaqec.errors import ClaimFailed, ProvenanceMissing
 from oaqec.formats import code_from_ket_text, load_fixture
@@ -126,6 +131,31 @@ def test_toy_code_fails_at_one_error_with_cross_witness():
     assert str(w.subset) in w.render()
 
 
+def test_pair_scans_and_cross_witnesses_leave_numpy_ma_unimported():
+    # a plain np.unique imports numpy.ma (numpy 2.4), a cost of every process
+    script = """
+import sys
+from oaqec import arrays
+from oaqec.constructions import bush
+from oaqec.synthesis import QuantumCode, make_code_params
+from oaqec.verify import verify_code
+
+A = arrays.certify(bush(4, 2), 2)
+calls = []
+real = arrays.distance_profile
+arrays.distance_profile = lambda A: calls.append(A) or real(A)
+assert arrays.minimal_distance(A) == 4 and len(calls) == 1  # a pair scan
+code = QuantumCode(make_code_params(2, 0, (2, 2), 2), [[(0, 0), (1, 1)], [(0, 1), (1, 0)]])
+report = verify_code(code, 1)
+assert any(w.reason == "cross reduction is nonzero" for w in report.witnesses)
+print("numpy.ma" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(oaqec.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 def test_single_ket_state_splits_the_two_modes():
     text = "QKET 4 1\n2 2 2 2\n|0,0,0,0>\n"
     code = code_from_ket_text(text, 1)
@@ -227,13 +257,13 @@ def unrestricted_check_subset(code, S, mode, cap=4):
 
 
 def unrestricted_witnesses(code, per_subset, mode):
-    """The witnesses of the unrestricted path on the first failing subsets
+    """The first 8 witnesses of the unrestricted path on the failing subsets
     of the level-d verdicts, as verify_code must report them."""
     witnesses = []
     for S, ok in per_subset:
         if not ok and len(witnesses) < 8:
             witnesses.extend(unrestricted_check_subset(code, S, mode))
-    return tuple(witnesses)
+    return tuple(witnesses[:8])
 
 
 def naive_report(code, d, mode):
