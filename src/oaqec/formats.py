@@ -10,6 +10,7 @@ from .synthesis import QuantumCode, make_code_params
 
 _KET = re.compile(r"\|([^|>⟩]+)[>⟩]")
 _SEP = re.compile(r"[,\s]+")
+_GAP = re.compile(r"[+\s]*")
 _RECORD_PARAMS = ("n", "K", "d_plus_1", "alphabets", "m", "singleton")
 
 
@@ -19,11 +20,14 @@ def state_to_line(state) -> str:
 
 
 def parse_state_line(line: str) -> list[tuple[int, ...]]:
-    """Parse a superposition line; ket entries split on commas or whitespace."""
-    kets = [tuple(map(int, _SEP.split(body.strip()))) for body in _KET.findall(line)]
-    if not kets:
+    """Parse a superposition line; ket entries split on commas or whitespace,
+    and only plus signs and whitespace may stand between the kets."""
+    parts = _KET.split(line)
+    if len(parts) == 1:
         raise ShapeMismatch(f"no kets found in line: {line[:60]!r}")
-    return kets
+    if not _GAP.fullmatch("".join(parts[::2])):
+        raise ShapeMismatch(f"text outside the kets in line: {line[:60]!r}")
+    return [tuple(map(int, _SEP.split(body.strip()))) for body in parts[1::2]]
 
 
 def code_to_ket_text(code: QuantumCode) -> str:
@@ -45,6 +49,8 @@ def parse_ket_text(text: str) -> tuple[tuple[int, ...], list[list[tuple[int, ...
         n, K = int(n_str), int(k_str)
     except ValueError as exc:
         raise ShapeMismatch(f"bad QKET header: {lines[0]!r}") from exc
+    if len(lines) < 2:
+        raise ShapeMismatch("ket text needs an alphabet line after its QKET header")
     alphabets = tuple(int(tok) for tok in lines[1].split())
     if len(alphabets) != n:
         raise ShapeMismatch(f"{len(alphabets)} alphabet sizes for {n} parties")
@@ -83,6 +89,11 @@ def code_from_record_text(text: str) -> QuantumCode:
     if not isinstance(p, dict) or "basis" not in rec or not p.keys() >= set(_RECORD_PARAMS):
         raise ShapeMismatch("a code record needs a basis and params with "
                             + ", ".join(_RECORD_PARAMS))
+    integers = [p[key] for key in _RECORD_PARAMS if key != "alphabets"]
+    if not isinstance(p["alphabets"], list) or not all(
+            type(v) is int for v in integers + p["alphabets"]):
+        raise ShapeMismatch("code record params must be integers, with "
+                            "alphabets a list of integers")
     params = make_code_params(p["n"], p["d_plus_1"] - 1, p["alphabets"], p["K"])
     if params.m != p["m"] or params.singleton != p["singleton"]:
         raise ShapeMismatch("recorded parameters disagree with the recomputed ones")

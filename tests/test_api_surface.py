@@ -15,7 +15,7 @@ import oaqec
 
 SRC = Path(oaqec.__file__).resolve().parent
 MAX_KEYWORD_PARAMETERS = 29
-MAX_EXPORTED_NAMES = 75
+MAX_EXPORTED_NAMES = 10
 
 
 def _api_surface():

@@ -243,8 +243,13 @@ def test_verify_modes(tmp_path, capsys):
                 "singleton": 2, "m_range": [0, 1]}, "basis": [[]]},
     {"params": {"n": 3, "K": 0, "d_plus_1": 2, "alphabets": [2, 2, 2], "m": 2,
                 "singleton": 2, "m_range": [0, 1]}, "basis": []},
+    # a params field of the wrong JSON type ended in a TypeError traceback
+    {"params": {"n": "2", "K": 1, "d_plus_1": 1, "alphabets": [2, 2], "m": 3,
+                "singleton": 4, "m_range": [0, 2]}, "basis": [[[0, 1]]]},
+    {"params": {"n": 2, "K": 1, "d_plus_1": 1, "alphabets": 7, "m": 3,
+                "singleton": 4, "m_range": [0, 2]}, "basis": [[[0, 1]]]},
 ], ids=["no-params", "params-not-object", "no-basis", "params-field-missing",
-        "state-without-kets", "no-states"])
+        "state-without-kets", "no-states", "string-n", "number-alphabets"])
 def test_verify_refuses_a_malformed_record_with_exit_2(tmp_path, capsys, record):
     path = tmp_path / "r.json"
     path.write_text(json.dumps(record))
@@ -282,6 +287,21 @@ def test_verify_refuses_a_record_ket_that_is_no_number(tmp_path, capsys, basis, 
               "basis": basis}
     path = tmp_path / "r.json"
     path.write_text(json.dumps(record))
+    rc, out, err = run(capsys, "verify", "--code", str(path), "--d", "0")
+    assert (rc, out, err) == (2, "", f"invalid request: {message}\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("QKET 2 1\n", "ket text needs an alphabet line after its QKET header"),
+    ("QKET 2 1\n2 2\n|0,1> junk |1,0>\n",
+     "text outside the kets in line: '|0,1> junk |1,0>'"),
+    ("QKET 2 1\n2 2\n|0,1> + |1,0\n", "text outside the kets in line: '|0,1> + |1,0'"),
+], ids=["no alphabet line", "text between kets", "unterminated ket"])
+def test_verify_refuses_malformed_ket_text_with_exit_2(tmp_path, capsys, text, message):
+    # the first raised an IndexError (exit 1); the other two parsed as the
+    # one-ket code |0,1> and passed at --d 0
+    path = tmp_path / "a.ket"
+    path.write_text(text)
     rc, out, err = run(capsys, "verify", "--code", str(path), "--d", "0")
     assert (rc, out, err) == (2, "", f"invalid request: {message}\n")
 

@@ -36,11 +36,21 @@ def test_state_line_round_trip():
 
 def test_parse_state_line_accepts_unicode_bracket_and_spaces():
     assert parse_state_line("|0 1 2⟩ + |1,0,0⟩") == [(0, 1, 2), (1, 0, 0)]
+    assert parse_state_line("\t|0,1>|1,0> +\t+ |1,1> ") == [(0, 1), (1, 0), (1, 1)]
 
 
 def test_parse_state_line_needs_at_least_one_ket():
     with pytest.raises(ShapeMismatch):
         parse_state_line("nothing here")
+
+
+@pytest.mark.parametrize("line", ["|0,1> junk |1,0>", "|0,1> + |1,0", "x |0,1>",
+                                  "|0,1> + |1,0> ,"],
+                         ids=["between", "unterminated", "before", "after"])
+def test_parse_state_line_refuses_text_outside_the_kets(line):
+    # findall alone kept only |0,1> of each line and dropped the rest
+    with pytest.raises(ShapeMismatch, match="text outside the kets"):
+        parse_state_line(line)
 
 
 def test_ket_text_round_trip_on_driver_output():
@@ -72,6 +82,7 @@ def test_parse_ket_text_ignores_comments_and_blank_lines():
     "QKET two 1\n2 2\n|0,0>\n",          # malformed header
     "QKET 3 1\n2 2\n|0,0>\n",            # alphabet count disagrees with n
     "QKET 2 2\n2 2\n|0,0> + |1,1>\n",    # state count disagrees with K
+    "QKET 2 1\n",                        # no alphabet line
 ])
 def test_parse_ket_text_rejects_malformed_input(text):
     with pytest.raises(ShapeMismatch):
@@ -102,6 +113,15 @@ def test_record_text_is_json():
     rec = json.loads(code_to_record_text(code))
     assert rec["params"]["m"] == code.params.m
     assert len(rec["basis"]) == code.params.K
+
+
+@pytest.mark.parametrize("key,value", [("n", "2"), ("alphabets", 7), ("K", True),
+                                       ("m", 3.0), ("alphabets", [2, "2"])])
+def test_record_params_of_the_wrong_json_type_are_rejected(key, value):
+    rec = code_record(theorem_tn(8, 1, 1, [2]))
+    rec["params"][key] = value
+    with pytest.raises(ShapeMismatch, match="params must be integers"):
+        code_from_record_text(json.dumps(rec))
 
 
 def test_tampered_record_is_rejected():

@@ -95,6 +95,33 @@ def test_cross_counts_transpose_under_state_swap():
         assert M.counts == {(y, x): v for (x, y), v in W.counts.items()}
 
 
+def test_cross_counts_that_do_not_transpose_are_refused():
+    code, d = load_fixture("qmds_4_12_2")
+
+    def skewed(code, i, j, S):
+        return verify.ReducedCrossMatrix(i=i, j=j, subset=tuple(S),
+                                         counts={((0,), (1,)): 1})
+
+    with mock.patch.object(verify, "reduced_cross_matrix", side_effect=skewed):
+        with pytest.raises(ClaimFailed, match="pair counts must transpose under state swap"):
+            verify_code(code, d)
+
+
+def test_the_transpose_check_compares_nonempty_cross_counts():
+    # the bundled and benchmark codes give it empty counts at S=(0,)
+    real, seen = verify.reduced_cross_matrix, []
+
+    def spy(*args):
+        M = real(*args)
+        seen.append(M.counts)
+        return M
+
+    with mock.patch.object(verify, "reduced_cross_matrix", side_effect=spy):
+        report = verify_code(toy_code(), 1)
+    assert not report.passed
+    assert seen == [{((0,), (1,)): 1, ((1,), (0,)): 1}] * 2
+
+
 # --- verification reports ---------------------------------------------------------
 
 

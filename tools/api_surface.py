@@ -1,6 +1,6 @@
 """Print the size of the package's source and of its public surface.
 
-Three numbers:
+Three numbers, the last two followed by the names they count, one a line:
 
   * lines: the line count of every `src/oaqec/*.py` module;
   * exported names: the names the package `__init__.py` imports from its
@@ -62,7 +62,10 @@ def main(argv: list[str]) -> int:
     params = [f"{path.stem}.{name}" for path in modules
               for name in keyword_parameters(path.read_text())]
     print(f"lines: {lines}")
-    print(f"exported names: {len(exported_names((src / '__init__.py').read_text()))}")
+    exported = exported_names((src / "__init__.py").read_text())
+    print(f"exported names: {len(exported)}")
+    for name in exported:
+        print(f"  {name}")
     print(f"keyword parameters: {len(params)}")
     for name in params:
         print(f"  {name}")
