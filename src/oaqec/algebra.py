@@ -8,8 +8,8 @@ creation, so two invocations always produce identical tables.
 
 Addition is also kept as a q x q numpy table (`add_table`: a ^ b in
 characteristic 2, else the digits added mod p in the table's own narrow
-dtype), and multiplication only as one (`mul_table`): `mul`, `inv` and
-`pow` read it.
+dtype), and multiplication only as one (`mul_table`): `mul` and `inv`
+read it.
 The multiplication table is built with numpy, one block of rows at a time:
 the carry-less product of the digit vectors, reduced modulo the polynomial.
 Every field of order q <= 64 is checked when it is created: the tables must
@@ -69,17 +69,6 @@ def _poly_trim(c: list[int]) -> tuple[int, ...]:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def _poly_mul(a, b, p):
-    """Product of two polynomials over Z_p: the scalar reference that
-    Field.mul_table is tested against."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
 
 
 def _poly_mod(a, m, p):
@@ -163,15 +152,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return int(np.argmax(self.mul_table[a] == 1))
-
-    def pow(self, a: int, n: int) -> int:
-        out = 1
-        for _ in range(n):
-            out = self.mul_table.item(out, a)
-        return out
-
-    def elements(self) -> range:
-        return range(self.q)
 
     @functools.cached_property
     def add_table(self) -> np.ndarray:

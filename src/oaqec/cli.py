@@ -22,15 +22,7 @@ from .formats import (
     code_to_record_text,
     provenance_block,
 )
-from .synthesis import (
-    QuantumCode,
-    corollary_5lie,
-    theorem_52s,
-    theorem_5s2,
-    theorem_huan,
-    theorem_s1,
-    theorem_tn,
-)
+from .synthesis import QuantumCode, build
 from .verify import cross_validate, verify_code
 
 EXIT_OK = 0
@@ -70,28 +62,21 @@ def _dispatch(args) -> QuantumCode:
                  f"{args.theorem} does not take --{flag.replace('_', '-')}")
     factors = _parse_factors(args.factors, "--factors") if args.factors else None
     q_factors = _parse_factors(args.q_factors, "--q-factors") if args.q_factors else None
-    theorem, s = args.theorem, args.s
-    if theorem in ("t1", "t2"):
-        chosen = factors if factors is not None else [s]
-        builder = theorem_5s2 if theorem == "t1" else theorem_52s
-        return builder(s, chosen)
+    theorem = args.theorem
     if theorem in ("t3", "c1"):
         _require(args.d is not None, f"{theorem} needs --d")
         _require(factors is not None and len(factors) == 1,
                  f"{theorem} needs --factors with exactly one entry")
-        return theorem_s1(s, args.d, factors[0])
-    if theorem in ("t4", "c2"):
+    elif theorem in ("t4", "c2"):
         _require(args.d is not None, f"{theorem} needs --d")
         _require(factors is not None, f"{theorem} needs --factors")
-        return theorem_tn(s, args.d, args.l or 0, factors, q_factors)
-    if theorem == "c3":
+    elif theorem == "c3":
         _require(factors is not None, "c3 needs --factors")
-        return corollary_5lie(s, factors)
-    _require(factors is not None, "t5 needs --factors for the base construction")
-    _require(q_factors is not None, "t5 needs --q-factors for the column split")
-    _require(args.d is not None, "t5 needs --d")
-    base = theorem_tn(s, args.d, args.l or 0, factors, None)
-    return theorem_huan(base, None, q_factors)
+    elif theorem == "t5":
+        _require(factors is not None, "t5 needs --factors for the base construction")
+        _require(q_factors is not None, "t5 needs --q-factors for the column split")
+        _require(args.d is not None, "t5 needs --d")
+    return build(theorem, args.s, args.d, args.l or 0, factors, q_factors)
 
 
 def _write_outputs(code: QuantumCode, args) -> None:

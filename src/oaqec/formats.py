@@ -51,7 +51,10 @@ def parse_ket_text(text: str) -> tuple[tuple[int, ...], list[list[tuple[int, ...
         raise ShapeMismatch(f"bad QKET header: {lines[0]!r}") from exc
     if len(lines) < 2:
         raise ShapeMismatch("ket text needs an alphabet line after its QKET header")
-    alphabets = tuple(int(tok) for tok in lines[1].split())
+    try:
+        alphabets = tuple(int(tok) for tok in lines[1].split())
+    except ValueError as exc:
+        raise ShapeMismatch(f"bad alphabet line: {lines[1]!r}") from exc
     if len(alphabets) != n:
         raise ShapeMismatch(f"{len(alphabets)} alphabet sizes for {n} parties")
     states = [parse_state_line(ln) for ln in lines[2:]]

@@ -40,6 +40,8 @@ def singleton_bound(n: int, d: int, alphabets: Sequence[int]) -> int:
     alphabets = tuple(int(s) for s in alphabets)
     if len(alphabets) != n:
         raise BadGeometry(f"{len(alphabets)} alphabet sizes for {n} parties")
+    if any(s < 2 for s in alphabets):
+        raise BadGeometry(f"alphabet sizes must each be at least 2, got {list(alphabets)}")
     if d < 0 or n < 2 * d:
         raise BadGeometry(f"need n >= 2d, got n={n}, d={d}")
     return math.prod(sorted(alphabets)[:n - 2 * d])
@@ -328,11 +330,18 @@ def code_from_partitioned_oa(partition: OrthogonalPartition, floor: int, *,
 # --- shared helpers -------------------------------------------------------------
 
 
-def _normalized_factors(factors) -> tuple[int, ...]:
-    """A factor list sorted descending, refused unless nonempty and each >= 2."""
+def _factors(factors, whole: int, exact: bool = True) -> tuple[int, ...]:
+    """A factor list sorted descending, refused unless nonempty, each >= 2
+    (BadFactorization), and multiplying to `whole` when `exact`
+    (BadFactorization), else to a divisor of it (DivisibilityViolated)."""
     out = tuple(sorted((int(f) for f in factors), reverse=True))
     if not out or any(f < 2 for f in out):
         raise BadFactorization(f"factors must each be at least 2, got {factors}")
+    product = math.prod(out)
+    if exact and product != whole:
+        raise BadFactorization(f"factors {factors} do not multiply to {whole}")
+    if whole % product:
+        raise DivisibilityViolated(f"factor product {product} must divide {whole}")
     return out
 
 
@@ -342,9 +351,26 @@ def _claim_equal(value: int, expected: int, what: str) -> None:
         raise ClaimFailed(f"{what} {value} != closed form {expected}")
 
 
-def _factorial_ingredient(F: MixedLevelArray) -> str:
-    lam = F.r // math.prod(F.alphabets)
-    return f"full factorial on {F.alphabets} with index {lam}"
+def _split(B: MixedLevelArray, col: int, factors, ingredients: list[str],
+           lam: int = 1) -> MixedLevelArray:
+    """B with column `col` replaced by the full factorial on the factors,
+    each level tuple repeated lam times; the factorial is noted in
+    `ingredients`."""
+    F = full_factorial_mixed(factors, lam)
+    B = expansive_replacement(B, col, F)
+    ingredients.append(f"full factorial on {F.alphabets} with index {lam}")
+    return B
+
+
+def _unit_index_oa(s: int, n_cols: int, t: int,
+                   ingredients: list[str]) -> MixedLevelArray:
+    """A symmetric OA(s^t, n_cols, s, t), its route noted in `ingredients`;
+    an array of index above 1 is refused."""
+    A = resolve_symmetric_oa(s, n_cols, t, ingredients)
+    if A.r != s ** t:
+        raise IngredientUnavailable(
+            f"resolved array has {A.r} rows, need the unit-index {s ** t}")
+    return A
 
 
 # --- ((4+k, 1, 3)) codes from a width-4 difference-scheme lift ------------------
@@ -357,9 +383,7 @@ def _lifted_code(B: MixedLevelArray, s: int, factors: tuple[int, ...],
     last column of B into the factors (when there are several), compile B
     as one block and check the defect m = s - 1."""
     if len(factors) > 1:
-        F = full_factorial_mixed(factors, 1)
-        B = expansive_replacement(B, B.n - 1, F)
-        ingredients.append(_factorial_ingredient(F))
+        B = _split(B, B.n - 1, factors, ingredients)
     code = code_from_partitioned_oa(
         OrthogonalPartition(B, 1, 2, budget), 3, construction=construction,
         parameters=(("s", str(s)), ("factors", str(factors))),
@@ -370,9 +394,7 @@ def _lifted_code(B: MixedLevelArray, s: int, factors: tuple[int, ...],
 
 def theorem_5s2(s: int, factors, *, budget: Optional[int] = None) -> QuantumCode:
     """Distance-3 code on alphabets (s^2)^1 s^(4-k) f_1..f_k with defect m = s-1."""
-    factors, given = _normalized_factors(factors), factors
-    if math.prod(factors) != s:
-        raise BadFactorization(f"factors {given} do not multiply to {s}")
+    factors = _factors(factors, s)
     D = d3_scheme(s)
     # pairs sharing a scheme row at the same shift differ in 3 places
     B = claim(attach_index_column(oa_from_scheme(D), s), strength=2, md=3)
@@ -410,9 +432,7 @@ def _base_52s(s: int, ingredients: list[str]) -> MixedLevelArray:
 
 def theorem_52s(s: int, factors, *, budget: Optional[int] = None) -> QuantumCode:
     """Distance-3 code on alphabets (2s)^1 s^(4-k) f_1..f_k with defect m = s-1."""
-    factors, given = _normalized_factors(factors), factors
-    if math.prod(factors) != s:
-        raise BadFactorization(f"factors {given} do not multiply to {s}")
+    factors = _factors(factors, s)
     ingredients: list[str] = []
     B = _base_52s(s, ingredients)
     return _lifted_code(B, s, factors, budget, ingredients,
@@ -434,18 +454,14 @@ def theorem_s1(s: int, d: int, s1: int, *,
         raise DivisibilityViolated(f"{s1} does not divide {s}")
     if s < s1 * s1:
         raise SBoundViolated(f"need s >= s1^2 = {s1 * s1}, got s={s}")
-    trace: list[str] = []
-    base = resolve_symmetric_oa(s, 2 * d, d, trace)
-    if base.r != s ** d:
-        raise IngredientUnavailable(
-            f"resolved array has {base.r} rows, need the unit-index {s ** d}")
-    F = full_factorial_mixed((s // s1, s1), 1)
-    B = expansive_replacement(base, base.n - 1, F)
+    ingredients: list[str] = []
+    base = _unit_index_oa(s, 2 * d, d, ingredients)
+    B = _split(base, base.n - 1, (s // s1, s1), ingredients)
     code = code_from_partitioned_oa(
         OrthogonalPartition(B, 1, d, budget), d + 1,
         construction="unit-index symmetric array with one column split in two",
         parameters=(("s", str(s)), ("d", str(d)), ("s1", str(s1))),
-        ingredients=tuple(trace) + (_factorial_ingredient(F),))
+        ingredients=tuple(ingredients))
     _claim_equal(code.params.m, s1 - 1, "defect")
     return code
 
@@ -464,34 +480,21 @@ def theorem_tn(s: int, d: int, l: int, s_factors, q_factors=None, *,
         raise ValueError(f"d must be at least 1, got {d}")
     if l < 0:
         raise ValueError(f"l must be nonnegative, got {l}")
-    s_factors = _normalized_factors(s_factors)
+    s_factors = _factors(s_factors, s, exact=False)
     w1 = math.prod(s_factors)
-    if s % w1:
-        raise DivisibilityViolated(f"factor product {w1} must divide {s}")
     if q_factors is not None:
-        q_factors = _normalized_factors(q_factors)
-        if math.prod(q_factors) != s:
-            raise DivisibilityViolated(
-                f"second factor product {math.prod(q_factors)} must equal {s}")
+        q_factors = _factors(q_factors, s)
 
-    trace: list[str] = []
-    base = resolve_symmetric_oa(s, 2 * d + 2 * l + 1, d + l, trace)
-    if base.r != s ** (d + l):
-        raise IngredientUnavailable(
-            f"resolved array has {base.r} rows, need the unit-index {s ** (d + l)}")
+    ingredients: list[str] = []
+    base = _unit_index_oa(s, 2 * d + 2 * l + 1, d + l, ingredients)
     stripped, K = partition_by_prefix(base, l)
 
     # stripped keeps 2d + l + 1 >= 3 columns, so col - 1 is an s-column
     col = stripped.n - 1
-    F1 = full_factorial_mixed(s_factors, s // w1)
-    B = expansive_replacement(stripped, col, F1)
-    ingredients = list(trace) + [_factorial_ingredient(F1)]
-    notes: list[str] = []
-
+    B = _split(stripped, col, s_factors, ingredients, s // w1)
     if q_factors is not None:
-        F2 = full_factorial_mixed(q_factors, 1)
-        B = expansive_replacement(B, col - 1, F2)
-        ingredients.append(_factorial_ingredient(F2))
+        B = _split(B, col - 1, q_factors, ingredients)
+    notes: list[str] = []
 
     # replacement keeps row order, so B's rows are still in the prefix blocks
     part = OrthogonalPartition(B, K, d, budget)
@@ -537,16 +540,35 @@ def theorem_huan(code: QuantumCode, col: Optional[int], q_factors, *,
         smax = max(parent.alphabets)
         col = max(i for i, s in enumerate(parent.alphabets) if s == smax)
     s1 = parent.alphabets[col]
-    q_factors = _normalized_factors(q_factors)
-    if math.prod(q_factors) != s1:
-        raise BadFactorization(
-            f"factor product {math.prod(q_factors)} must equal the column alphabet {s1}")
-    F = full_factorial_mixed(q_factors, 1)
+    q_factors = _factors(q_factors, s1)
+    ingredients = list(prov.ingredients)
     # replacement keeps row order, so B's rows are still in block order
-    B = expansive_replacement(parent, col, F)
+    B = _split(parent, col, q_factors, ingredients)
     return code_from_partitioned_oa(
         OrthogonalPartition(B, prov.partition.K, prov.t_prime, budget), prov.h,
         construction="column split of an array-backed code",
         parameters=(("column", str(col)), ("q_factors", str(q_factors))),
-        ingredients=prov.ingredients + (_factorial_ingredient(F),),
+        ingredients=tuple(ingredients),
         notes=(f"derived from {code.params.code_string()}",))
+
+
+# --- recipes ----------------------------------------------------------------------
+
+
+def build(theorem: str, s: int, d: int, l: int, factors, q_factors) -> QuantumCode:
+    """The code of one recipe: a theorem label (t1, t2, t3/c1, t4/c2, c3 or
+    t5) with its s, d, l and factor lists, each read only by the builders
+    that take it.  t1 and t2 split no column when factors is None; t5 splits
+    the last widest column of the t4 code into q_factors."""
+    if theorem in ("t1", "t2"):
+        builder = theorem_5s2 if theorem == "t1" else theorem_52s
+        return builder(s, [s] if factors is None else factors)
+    if theorem in ("t3", "c1"):
+        return theorem_s1(s, d, factors[0])
+    if theorem in ("t4", "c2"):
+        return theorem_tn(s, d, l, factors, q_factors)
+    if theorem == "c3":
+        return corollary_5lie(s, factors)
+    if theorem == "t5":
+        return theorem_huan(theorem_tn(s, d, l, factors, None), None, q_factors)
+    raise ValueError(f"unknown theorem {theorem!r}")

@@ -8,15 +8,7 @@ from math import prod
 from typing import Optional
 
 from .errors import ClaimFailed, IngredientUnavailable
-from .synthesis import (
-    CodeParams,
-    QuantumCode,
-    corollary_5lie,
-    theorem_52s,
-    theorem_5s2,
-    theorem_s1,
-    theorem_tn,
-)
+from .synthesis import CodeParams, QuantumCode, build
 
 TABLE_IDS = ("I", "II", "III", "IV", "V", "VI", "VII")
 
@@ -332,19 +324,7 @@ def expectations(table_id: str) -> tuple[TableRowExpectation, ...]:
 
 def build_row(row: TableRowExpectation) -> QuantumCode:
     """Run the construction a table row points at and return the code."""
-    factors = list(row.factors)
-    q = list(row.q_factors) if row.q_factors else None
-    if row.builder == "t1":
-        return theorem_5s2(row.s, factors)
-    if row.builder == "t2":
-        return theorem_52s(row.s, factors)
-    if row.builder == "t3":
-        return theorem_s1(row.s, row.d, factors[0])
-    if row.builder == "c3":
-        return corollary_5lie(row.s, factors)
-    if row.builder == "t4":
-        return theorem_tn(row.s, row.d, row.l, factors, q)
-    raise ValueError(f"unknown builder {row.builder!r}")
+    return build(row.builder, row.s, row.d, row.l, row.factors, row.q_factors)
 
 
 def compare_row(row: TableRowExpectation, params: CodeParams) -> tuple[bool, str]:

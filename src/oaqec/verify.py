@@ -49,18 +49,6 @@ class ReducedCrossMatrix:
     subset: tuple[int, ...]
     counts: dict
 
-    def is_zero(self) -> bool:
-        return not self.counts
-
-    def trace(self) -> int:
-        return sum(v for (x, y), v in self.counts.items() if x == y)
-
-    def diagonal(self) -> dict:
-        return {x: v for (x, y), v in self.counts.items() if x == y}
-
-    def off_diagonal(self) -> dict:
-        return {k: v for k, v in self.counts.items() if k[0] != k[1]}
-
 
 def reduced_cross_matrix(code: QuantumCode, i: int, j: int,
                          subset) -> ReducedCrossMatrix:

@@ -157,10 +157,18 @@ def naive_scheme_witness(rows, s, t, sub):
     return None
 
 
+def naive_pow(f, a: int, n: int) -> int:
+    """a^n in the field f, one multiplication at a time."""
+    out = 1
+    for _ in range(n):
+        out = f.mul(out, a)
+    return out
+
+
 def naive_first_nonsquare(f) -> int:
     """The least element e >= 2 of an odd-order field with e^((q-1)/2) != 1."""
     for e in range(2, f.q):
-        if f.pow(e, (f.q - 1) // 2) != 1:
+        if naive_pow(f, e, (f.q - 1) // 2) != 1:
             return e
     raise AssertionError("no non-square found")
 
@@ -174,7 +182,7 @@ def d_sss(s: int):
 
 def naive_d_sss_rows(f):
     """The multiplication table of the field f, entry by entry."""
-    return [tuple(f.mul(a, b) for b in f.elements()) for a in f.elements()]
+    return [tuple(f.mul(a, b) for b in range(f.q)) for a in range(f.q)]
 
 
 def naive_d3_rows(s):
@@ -192,14 +200,14 @@ def naive_d_2s_odd_rows(f):
     Gamma_scale = f.mul(f.sub(rho, 1), inv4)
     rows = []
     for h in (0, 1):
-        for a in f.elements():
+        for a in range(f.q):
             row = []
-            for j in f.elements():
+            for j in range(f.q):
                 v = f.mul(j, a)
                 if h:
                     v = f.add(v, f.mul(f.mul(j, j), gamma_scale))
                 row.append(v)
-            for J in f.elements():
+            for J in range(f.q):
                 v = f.add(f.mul(a, a), f.mul(J, a))
                 if h:
                     v = f.add(f.mul(rho, v), f.mul(f.mul(J, J), Gamma_scale))
@@ -211,7 +219,20 @@ def naive_d_2s_odd_rows(f):
 def naive_d_2s_even_rows(big, s):
     """The multiplication table of the field `big` of order 2s, each entry
     reduced mod s."""
-    return [tuple(big.mul(a, b) % s for b in big.elements()) for a in big.elements()]
+    return [tuple(big.mul(a, b) % s for b in range(big.q)) for a in range(big.q)]
+
+
+def poly_mul(a, b, p) -> tuple[int, ...]:
+    """Product of two polynomials over Z_p (coefficients low degree first,
+    trailing zeros dropped), by the schoolbook double loop: the scalar
+    reference that Field.mul_table is tested against."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def poly_eval(f, coeffs, point: int) -> int:

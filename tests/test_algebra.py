@@ -8,7 +8,6 @@ import pytest
 from oaqec.algebra import (
     Field,
     _poly_mod,
-    _poly_mul,
     factorize_prime_powers,
     field_create,
     is_prime_power,
@@ -16,7 +15,7 @@ from oaqec.algebra import (
 )
 from oaqec.errors import ClaimFailed, NotPrimePower
 
-from conftest import naive_field_axiom_failure, poly_eval
+from conftest import naive_field_axiom_failure, naive_pow, poly_eval, poly_mul
 
 
 def test_prime_field_is_mod_arithmetic():
@@ -66,7 +65,7 @@ def test_division_by_zero():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64])
 def test_field_axioms_exhaustive(q):
     f = field_create(q)
-    els = list(f.elements())
+    els = list(range(f.q))
     for a in els:
         assert f.add(a, 0) == a
         assert f.mul(a, 1) == a
@@ -93,12 +92,12 @@ def test_field_create_deterministic():
 def _scalar_products(f):
     """Every product a * b by the scalar polynomial helpers, as nested lists."""
     p, k = f.p, f.k
-    digits = [tuple((e // p**i) % p for i in range(k)) for e in f.elements()]
+    digits = [tuple((e // p**i) % p for i in range(k)) for e in range(f.q)]
 
     def index(coeffs):
         return sum(c * p**i for i, c in enumerate(coeffs))
 
-    return [[index(_poly_mod(_poly_mul(a, b, p), f.poly, p)) for b in digits]
+    return [[index(_poly_mod(poly_mul(a, b, p), f.poly, p)) for b in digits]
             for a in digits]
 
 
@@ -112,7 +111,7 @@ def test_inv_and_pow_read_the_multiplication_table(q):
     f = field_create(q)
     for a in range(1, q):
         assert f.mul_table[a, f.inv(a)] == 1
-        assert f.pow(a, q - 1) == 1 and f.pow(a, 1) == a
+        assert naive_pow(f, a, q - 1) == 1 and naive_pow(f, a, 1) == a
         assert type(f.mul(a, a)) is int and type(f.inv(a)) is int
 
 
@@ -146,7 +145,7 @@ def test_add_table_digit_sums_that_wrap_the_dtype(q):
 @pytest.mark.parametrize("q", [2, 4, 7, 8, 9, 16, 25, 27, 32, 49, 64])
 def test_numpy_tables_match_scalar_arithmetic(q):
     f = field_create(q)
-    for a, b in itertools.product(f.elements(), repeat=2):
+    for a, b in itertools.product(range(f.q), repeat=2):
         assert f.add_table[a, b] == f.add(a, b)
         assert f.mul_table[a, b] == f.mul(a, b)
 

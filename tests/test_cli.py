@@ -18,6 +18,7 @@ from oaqec.cli import main
 from oaqec.formats import code_from_ket_text, code_from_record_text, code_to_ket_text
 
 from test_arrays import bounded_projection_sorts
+from test_synthesis import FACTOR_FAULTS, FAULT_IDS
 
 
 def fixture_path(filename):
@@ -141,6 +142,21 @@ def test_construct_refuses_bad_factor_lists_with_exit_2(capsys, theorem, factors
     rc, _, err = run(capsys, "construct", "--theorem", theorem,
                      *RECIPE_BASES[theorem], *factors)
     assert rc == 2 and "invalid request" in err
+
+
+@pytest.mark.parametrize("theorem,s,d,l,factors,q_factors,error,message",
+                         FACTOR_FAULTS, ids=FAULT_IDS)
+def test_construct_names_each_factor_fault_with_exit_2(capsys, theorem, s, d, l,
+                                                       factors, q_factors, error,
+                                                       message):
+    argv = ["construct", "--theorem", theorem, "--s", str(s)]
+    for flag, value in (("--d", d), ("--l", l or None), ("--factors", factors),
+                        ("--q-factors", q_factors)):
+        if value is not None:
+            argv += [flag, ",".join(map(str, value)) if isinstance(value, list)
+                     else str(value)]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"invalid request: {message}\n")
 
 
 # flags each theorem leaves unread, with a recipe the theorem would build
@@ -304,6 +320,24 @@ def test_verify_refuses_malformed_ket_text_with_exit_2(tmp_path, capsys, text, m
     path.write_text(text)
     rc, out, err = run(capsys, "verify", "--code", str(path), "--d", "0")
     assert (rc, out, err) == (2, "", f"invalid request: {message}\n")
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("a.ket", "QKET 2 1\n1 1\n|0,0>\n", "[1, 1]"),
+    ("a.ket", "QKET 2 1\n-2 2\n|0,0>\n", "[-2, 2]"),
+    ("r.json", json.dumps({"params": {"n": 2, "K": 1, "d_plus_1": 1,
+                                      "alphabets": [1, 1], "m": 0, "singleton": 1,
+                                      "m_range": [0, 0]},
+                           "basis": [[[0, 0]]]}), "[1, 1]"),
+], ids=["ket-1", "ket-negative", "record-1"])
+def test_verify_refuses_an_alphabet_below_two_with_exit_2(tmp_path, capsys, name, text,
+                                                          message):
+    # the alphabet-1 codes passed at --d 0; -2 was refused by its bound's sign
+    path = tmp_path / name
+    path.write_text(text)
+    rc, out, err = run(capsys, "verify", "--code", str(path), "--d", "0")
+    assert (rc, out) == (2, "")
+    assert err == f"invalid request: alphabet sizes must each be at least 2, got {message}\n"
 
 
 def test_verify_missing_file_exits_2(capsys):

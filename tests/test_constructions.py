@@ -74,7 +74,7 @@ def test_bush_strength_and_md_family(s, t):
 def bush_by_poly_eval(s, t):
     """Reference Bush array: each polynomial evaluated point by point."""
     f = field_create(s)
-    rows = sorted(tuple(poly_eval(f, coeffs, e) for e in f.elements()) + (coeffs[-1],)
+    rows = sorted(tuple(poly_eval(f, coeffs, e) for e in range(f.q)) + (coeffs[-1],)
                   for coeffs in itertools.product(range(s), repeat=t))
     return claim(MixedLevelArray(rows, (s,) * (s + 1)), strength=t, md=s + 2 - t)
 

@@ -83,6 +83,8 @@ def test_parse_ket_text_ignores_comments_and_blank_lines():
     "QKET 3 1\n2 2\n|0,0>\n",            # alphabet count disagrees with n
     "QKET 2 2\n2 2\n|0,0> + |1,1>\n",    # state count disagrees with K
     "QKET 2 1\n",                        # no alphabet line
+    "QKET 2 2\nx 2\n|0,0>\n|1,1>\n",       # alphabet token not an integer
+    "QKET 1 1\n|0>\n",                   # a state line read as the alphabet line
 ])
 def test_parse_ket_text_rejects_malformed_input(text):
     with pytest.raises(ShapeMismatch):

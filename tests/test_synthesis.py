@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oaqec import arrays
+from oaqec import arrays, cli, synthesis
 from oaqec.arrays import (MixedLevelArray, claim, distance_profile, ensure_checked,
                           is_orthogonal_array, saturation_check, storage_dtype)
 from oaqec.constructions import bush, resolve_symmetric_oa
@@ -36,6 +36,7 @@ from oaqec.synthesis import (
     QuantumCode,
     _base_52s,
     admissible_m_range,
+    build,
     code_from_partitioned_oa,
     corollary_5lie,
     m_value,
@@ -48,6 +49,7 @@ from oaqec.synthesis import (
     theorem_s1,
     theorem_tn,
 )
+from oaqec.tables import TABLE_IDS, expectations
 from oaqec.verify import cross_validate, verify_code
 
 from conftest import naive_canonical_basis, naive_is_oa
@@ -95,6 +97,16 @@ def test_make_code_params_and_rendering():
     assert (p.n, p.K, p.d_plus_1, p.m) == (5, 1, 3, 1)
     assert p.in_admissible_range
     assert p.code_string() == "((5,1,3))_{4^1 2^4}"
+
+
+@pytest.mark.parametrize("alphabets", [(1, 1), (2, 1), (-2, 2), (0, 3)])
+def test_make_code_params_refuses_an_alphabet_below_two(alphabets):
+    # (1, 1) had singleton bound 1 and passed as a code; (-2, 2) was refused
+    # only by the sign of its bound
+    with pytest.raises(BadGeometry, match="alphabet sizes must each be at least 2"):
+        make_code_params(2, 0, alphabets, 1)
+    with pytest.raises(BadGeometry):
+        singleton_bound(2, 0, alphabets)
 
 
 def test_code_string_groups_repeated_sizes_descending():
@@ -331,7 +343,7 @@ def test_split_driver_dimension_eight():
 
 def test_split_driver_rejects_second_split_without_room():
     # the second split replaces a full-alphabet column exactly
-    with pytest.raises(DivisibilityViolated):
+    with pytest.raises(BadFactorization):
         theorem_tn(12, 1, 1, [2], [5, 2])
 
 
@@ -399,6 +411,74 @@ def test_resplit_reproduces_bundled_code_from_merged_columns():
     code = theorem_huan(merged, 3, [2, 2])
     assert code.params.code_string() == fixture.params.code_string()
     assert code.basis == fixture.basis
+
+
+# --- recipes: one dispatch and one factor-list check ------------------------------
+
+#: the builders `build` reaches for each theorem label, in call order
+BUILDERS = {"t1": ["theorem_5s2"], "t2": ["theorem_52s"], "t3": ["theorem_s1"],
+            "c1": ["theorem_s1"], "t4": ["theorem_tn"], "c2": ["theorem_tn"],
+            "c3": ["corollary_5lie"], "t5": ["theorem_tn", "theorem_huan"]}
+
+
+@pytest.mark.parametrize("theorem", cli.THEOREMS)
+def test_build_reaches_a_builder_for_every_cli_label(monkeypatch, theorem):
+    calls = []
+    for name in {name for names in BUILDERS.values() for name in names}:
+        monkeypatch.setattr(synthesis, name,
+                            lambda *args, name=name: calls.append((name, args)))
+    build(theorem, 12, 1, 1, [2], [6, 2])
+    assert [name for name, _ in calls] == BUILDERS[theorem]
+    assert calls[0][1][0] == 12
+
+
+def test_build_defaults_t1_and_t2_to_an_unsplit_column():
+    for theorem, builder in (("t1", theorem_5s2), ("t2", theorem_52s)):
+        assert build(theorem, 3, None, 0, None, None).basis == builder(3, [3]).basis
+
+
+def test_build_refuses_an_unknown_label():
+    with pytest.raises(ValueError, match="unknown theorem 't9'"):
+        build("t9", 4, 1, 0, [2], None)
+
+
+def test_every_catalogue_row_names_a_cli_label():
+    assert set(BUILDERS) == set(cli.THEOREMS)
+    labels = {row.builder for tid in TABLE_IDS for row in expectations(tid)}
+    assert labels <= set(cli.THEOREMS)
+
+
+#: (theorem, s, d, l, factors, q_factors, error, message) of factor lists
+#: every builder refuses through the one check
+FACTOR_FAULTS = [
+    ("t1", 6, None, 0, [2, 2], None, BadFactorization,
+     "factors [2, 2] do not multiply to 6"),
+    ("t2", 6, None, 0, [5], None, BadFactorization, "factors [5] do not multiply to 6"),
+    ("t4", 12, 2, 0, [2], [5, 2], BadFactorization,
+     "factors [5, 2] do not multiply to 12"),
+    ("t5", 12, 1, 1, [2], [5, 2], BadFactorization,
+     "factors [5, 2] do not multiply to 12"),
+    ("t4", 12, 2, 0, [5], None, DivisibilityViolated, "factor product 5 must divide 12"),
+    ("c3", 9, None, 0, [2], None, DivisibilityViolated, "factor product 2 must divide 9"),
+    ("t1", 4, None, 0, [1, 4], None, BadFactorization,
+     "factors must each be at least 2, got [1, 4]"),
+    ("t4", 12, 2, 0, [1], None, BadFactorization,
+     "factors must each be at least 2, got [1]"),
+    ("t4", 12, 2, 0, [2], [1, 12], BadFactorization,
+     "factors must each be at least 2, got [1, 12]"),
+    ("t5", 12, 1, 1, [2], [1, 12], BadFactorization,
+     "factors must each be at least 2, got [1, 12]"),
+]
+FAULT_IDS = [f"{fault[0]}-{fault[6].__name__}-{i}" for i, fault in enumerate(FACTOR_FAULTS)]
+
+
+@pytest.mark.parametrize("theorem,s,d,l,factors,q_factors,error,message",
+                         FACTOR_FAULTS, ids=FAULT_IDS)
+def test_build_refuses_factor_faults(theorem, s, d, l, factors, q_factors, error,
+                                     message):
+    with pytest.raises(error) as exc:
+        build(theorem, s, d, l, factors, q_factors)
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 # --- shared driver behaviour -----------------------------------------------------

@@ -1,8 +1,9 @@
 """Print the size of the package's source and of its public surface.
 
-Three numbers, the last two followed by the names they count, one a line:
+Three numbers, each followed by what it counts, one a line:
 
-  * lines: the line count of every `src/oaqec/*.py` module;
+  * lines: the line count of every `src/oaqec/*.py` module, then each
+    module's own count;
   * exported names: the names the package `__init__.py` imports from its
     modules (`from .module import name`), i.e. what `import oaqec` offers;
   * keyword parameters: the defaulted parameters (positional or
@@ -58,10 +59,12 @@ def keyword_parameters(source: str) -> list[str]:
 def main(argv: list[str]) -> int:
     src = Path(argv[1]) if len(argv) > 1 else DEFAULT_SRC
     modules = sorted(src.glob("*.py"))
-    lines = sum(len(path.read_text().splitlines()) for path in modules)
+    lines = {path.name: len(path.read_text().splitlines()) for path in modules}
     params = [f"{path.stem}.{name}" for path in modules
               for name in keyword_parameters(path.read_text())]
-    print(f"lines: {lines}")
+    print(f"lines: {sum(lines.values())}")
+    for name, count in lines.items():
+        print(f"  {name} {count}")
     exported = exported_names((src / "__init__.py").read_text())
     print(f"exported names: {len(exported)}")
     for name in exported:
