@@ -62,21 +62,7 @@ def _dispatch(args) -> QuantumCode:
                  f"{args.theorem} does not take --{flag.replace('_', '-')}")
     factors = _parse_factors(args.factors, "--factors") if args.factors else None
     q_factors = _parse_factors(args.q_factors, "--q-factors") if args.q_factors else None
-    theorem = args.theorem
-    if theorem in ("t3", "c1"):
-        _require(args.d is not None, f"{theorem} needs --d")
-        _require(factors is not None and len(factors) == 1,
-                 f"{theorem} needs --factors with exactly one entry")
-    elif theorem in ("t4", "c2"):
-        _require(args.d is not None, f"{theorem} needs --d")
-        _require(factors is not None, f"{theorem} needs --factors")
-    elif theorem == "c3":
-        _require(factors is not None, "c3 needs --factors")
-    elif theorem == "t5":
-        _require(factors is not None, "t5 needs --factors for the base construction")
-        _require(q_factors is not None, "t5 needs --q-factors for the column split")
-        _require(args.d is not None, "t5 needs --d")
-    return build(theorem, args.s, args.d, args.l or 0, factors, q_factors)
+    return build(args.theorem, args.s, args.d, args.l or 0, factors, q_factors)
 
 
 def _write_outputs(code: QuantumCode, args) -> None:

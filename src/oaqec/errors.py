@@ -80,6 +80,10 @@ class NegativeM(ToolkitError):
     """Claimed dimension exceeds the Singleton bound."""
 
 
+class BadRecipe(ToolkitError):
+    """A recipe lacks a parameter its theorem reads."""
+
+
 class BadFactorization(ToolkitError):
     """A factor list does not multiply to the required value."""
 

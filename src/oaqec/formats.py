@@ -5,41 +5,71 @@ import json
 import re
 from importlib import resources
 
-from .errors import ShapeMismatch
+import numpy as np
+
+from .errors import BadGeometry, ShapeMismatch
 from .synthesis import QuantumCode, make_code_params
 
 _KET = re.compile(r"\|([^|>⟩]+)[>⟩]")
-_SEP = re.compile(r"[,\s]+")
 _GAP = re.compile(r"[+\s]*")
+# a ket's entries: optional-sign decimal integers split by runs of commas
+# and whitespace
+_ENTRIES = re.compile(r"\s*[+-]?[0-9]+(?:[,\s]+[+-]?[0-9]+)*\s*")
+# a state line: kets of entry characters with runs of plus signs and
+# whitespace around them (_STATE_SHAPE), and no opener whose entries break
+# _ENTRIES (_BAD_KET).  Two passes: _ENTRIES nested in the repeat of kets
+# would keep regex state for every ket of the line.
+_STATE_SHAPE = re.compile(r"[+\s]*(?:\|[\s,0-9+-]+[>⟩][+\s]*)+")
+_BAD_KET = re.compile(rf"\|(?!{_ENTRIES.pattern}[>⟩])")
+# in checked state lines a closer ends a ket's row, and a + is a gap or the
+# sign of the entry after it, which reads the same without it
+_KET_ROWS = str.maketrans({"|": " ", ",": " ", "+": " ", ">": "\n", "⟩": "\n"})
 _RECORD_PARAMS = ("n", "K", "d_plus_1", "alphabets", "m", "singleton")
 
 
-def state_to_line(state) -> str:
-    """One basis state as |a,b,...> kets joined by plus signs."""
-    return " + ".join("|" + ",".join(map(str, ket)) + ">" for ket in state)
+def _well_formed(line: str) -> bool:
+    return bool(_STATE_SHAPE.fullmatch(line)) and not _BAD_KET.search(line)
 
 
-def parse_state_line(line: str) -> list[tuple[int, ...]]:
-    """Parse a superposition line; ket entries split on commas or whitespace,
-    and only plus signs and whitespace may stand between the kets."""
+def _state_line_error(line: str) -> ShapeMismatch:
+    """What is wrong with a state line that is not _well_formed."""
     parts = _KET.split(line)
     if len(parts) == 1:
-        raise ShapeMismatch(f"no kets found in line: {line[:60]!r}")
+        return ShapeMismatch(f"no kets found in line: {line[:60]!r}")
     if not _GAP.fullmatch("".join(parts[::2])):
-        raise ShapeMismatch(f"text outside the kets in line: {line[:60]!r}")
-    return [tuple(map(int, _SEP.split(body.strip()))) for body in parts[1::2]]
+        return ShapeMismatch(f"text outside the kets in line: {line[:60]!r}")
+    bad = next(body for body in parts[1::2] if not _ENTRIES.fullmatch(body))
+    return ShapeMismatch("ket entries must be integers separated by commas or "
+                         f"whitespace, not {bad[:60]!r}")
+
+
+def _ket_rows_error(rows: list[str], n: int) -> BadGeometry:
+    """Why loadtxt refused the rows of checked kets: the first ket whose
+    length is not n when the lengths differ, else an entry outside the int64
+    range, the one entry of the grammar it cannot read."""
+    lengths = [len(row.split()) for row in rows if row.strip()]
+    if len(set(lengths)) > 1:
+        return BadGeometry(f"ket length {next(k for k in lengths if k != n)} != {n}")
+    return BadGeometry("ket entry outside the int64 range")
 
 
 def code_to_ket_text(code: QuantumCode) -> str:
-    """Serialize a code as a QKET header, an alphabet line and one state per line."""
+    """Serialize a code as a QKET header, an alphabet line and one state per
+    line, each state's kets |a,b,...> joined by plus signs."""
     p = code.params
-    lines = [f"QKET {p.n} {p.K}", " ".join(str(s) for s in p.alphabets)]
-    lines.extend(state_to_line(code.state(i).tolist()) for i in range(p.K))
+    ket = "|" + ",".join(["{}"] * p.n) + ">"
+    state = " + ".join([ket] * code.kets_per_state)
+    lines = [f"QKET {p.n} {p.K}", " ".join(map(str, p.alphabets))]
+    lines += [state.format(*row) for row in code.kets.reshape(p.K, -1).tolist()]
     return "\n".join(lines) + "\n"
 
 
-def parse_ket_text(text: str) -> tuple[tuple[int, ...], list[list[tuple[int, ...]]]]:
-    """Parse QKET text back into (alphabets, basis states)."""
+def parse_ket_text(text: str) -> tuple[tuple[int, ...], list[np.ndarray]]:
+    """Parse QKET text back into (alphabets, basis states), each state an
+    int64 matrix with one row per ket.  Every state line is checked against
+    the ket grammar first (ShapeMismatch); then all kets of the text are read
+    in one numpy table pass, which refuses ragged kets and entries outside
+    the int64 range (BadGeometry)."""
     lines = [ln.strip() for ln in text.splitlines()
              if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines or not lines[0].startswith("QKET"):
@@ -57,10 +87,20 @@ def parse_ket_text(text: str) -> tuple[tuple[int, ...], list[list[tuple[int, ...
         raise ShapeMismatch(f"bad alphabet line: {lines[1]!r}") from exc
     if len(alphabets) != n:
         raise ShapeMismatch(f"{len(alphabets)} alphabet sizes for {n} parties")
-    states = [parse_state_line(ln) for ln in lines[2:]]
+    states = lines[2:]
+    if not all(map(_well_formed, states)):
+        raise _state_line_error(next(ln for ln in states if not _well_formed(ln)))
     if len(states) != K:
         raise ShapeMismatch(f"{len(states)} states for declared dimension {K}")
-    return alphabets, states
+    if not states:
+        return alphabets, []
+    rows = "".join(states).translate(_KET_ROWS).splitlines()
+    try:
+        kets = np.loadtxt(rows, dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:
+        raise _ket_rows_error(rows, n) from None
+    ends = np.cumsum([line.count("|") for line in states])
+    return alphabets, np.split(kets, ends[:-1])
 
 
 def code_from_ket_text(text: str, d: int) -> QuantumCode:

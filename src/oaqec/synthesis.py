@@ -26,7 +26,7 @@ from .arrays import (MixedLevelArray, _integer_matrix, _out_of_range_entry,
 # re-exported: the benchmark harness wraps and calls it through this module
 from .arrays import is_orthogonal_array  # noqa: F401
 from .constructions import asset_get, full_factorial_mixed, resolve_symmetric_oa
-from .errors import (BadFactorization, BadGeometry, ClaimFailed,
+from .errors import (BadFactorization, BadGeometry, BadRecipe, ClaimFailed,
                      DivisibilityViolated, ExcludedS, IngredientUnavailable,
                      NegativeM, NotFromOA, NotPartitionable, SBoundViolated,
                      SymbolOutOfRange)
@@ -531,7 +531,9 @@ def corollary_5lie(s: int, factors, *, budget: Optional[int] = None) -> QuantumC
 
 def theorem_huan(code: QuantumCode, col: Optional[int], q_factors, *,
                  budget: Optional[int] = None) -> QuantumCode:
-    """Split one full-alphabet column of an array-backed code into a factorial."""
+    """Split one full-alphabet column of an array-backed code into a factorial;
+    a `col` outside 0..n-1 is refused (SymbolOutOfRange), None picks the
+    last widest column."""
     prov = code.provenance
     if prov is None:
         raise NotFromOA("code carries no orthogonal-array provenance")
@@ -539,6 +541,8 @@ def theorem_huan(code: QuantumCode, col: Optional[int], q_factors, *,
     if col is None:
         smax = max(parent.alphabets)
         col = max(i for i, s in enumerate(parent.alphabets) if s == smax)
+    elif not 0 <= col < parent.n:
+        raise SymbolOutOfRange(f"column {col} out of range for {parent.n} columns")
     s1 = parent.alphabets[col]
     q_factors = _factors(q_factors, s1)
     ingredients = list(prov.ingredients)
@@ -555,20 +559,36 @@ def theorem_huan(code: QuantumCode, col: Optional[int], q_factors, *,
 # --- recipes ----------------------------------------------------------------------
 
 
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise BadRecipe(message)
+
+
 def build(theorem: str, s: int, d: int, l: int, factors, q_factors) -> QuantumCode:
     """The code of one recipe: a theorem label (t1, t2, t3/c1, t4/c2, c3 or
     t5) with its s, d, l and factor lists, each read only by the builders
-    that take it.  t1 and t2 split no column when factors is None; t5 splits
-    the last widest column of the t4 code into q_factors."""
+    that take it.  t1 and t2 split no column when factors is None; t3/c1
+    take exactly one factor, s1; t5 splits the last widest column of the t4
+    code into q_factors.  A recipe without a field its theorem reads raises
+    BadRecipe naming the `oaqec construct` flag that sets it."""
     if theorem in ("t1", "t2"):
         builder = theorem_5s2 if theorem == "t1" else theorem_52s
         return builder(s, [s] if factors is None else factors)
     if theorem in ("t3", "c1"):
+        _require(d is not None, f"{theorem} needs --d")
+        _require(factors is not None and len(factors) == 1,
+                 f"{theorem} needs --factors with exactly one entry")
         return theorem_s1(s, d, factors[0])
     if theorem in ("t4", "c2"):
+        _require(d is not None, f"{theorem} needs --d")
+        _require(factors is not None, f"{theorem} needs --factors")
         return theorem_tn(s, d, l, factors, q_factors)
     if theorem == "c3":
+        _require(factors is not None, "c3 needs --factors")
         return corollary_5lie(s, factors)
     if theorem == "t5":
+        _require(factors is not None, "t5 needs --factors for the base construction")
+        _require(q_factors is not None, "t5 needs --q-factors for the column split")
+        _require(d is not None, "t5 needs --d")
         return theorem_huan(theorem_tn(s, d, l, factors, None), None, q_factors)
     raise ValueError(f"unknown theorem {theorem!r}")

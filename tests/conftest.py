@@ -8,6 +8,7 @@ arrays a wide column, so every storage dtype meets the oracles.
 from __future__ import annotations
 
 import itertools
+import re
 
 from hypothesis import strategies as st
 
@@ -245,3 +246,36 @@ def poly_eval(f, coeffs, point: int) -> int:
     for c in reversed(coeffs):
         acc = f.add(f.mul(acc, point), c)
     return acc
+
+
+# --- ket text: the per-ket reader and writer ---------------------------------
+
+_ORACLE_KET = re.compile(r"\|([^|>⟩]+)[>⟩]")
+_ORACLE_SEP = re.compile(r"[,\s]+")
+_ORACLE_GAP = re.compile(r"[+\s]*")
+
+
+def state_to_line(state) -> str:
+    """One basis state as |a,b,...> kets joined by plus signs, one string
+    join per ket."""
+    return " + ".join("|" + ",".join(map(str, ket)) + ">" for ket in state)
+
+
+def naive_ket_text(code) -> str:
+    """A code's ket text written one state, and one ket, at a time."""
+    p = code.params
+    lines = [f"QKET {p.n} {p.K}", " ".join(str(s) for s in p.alphabets)]
+    lines.extend(state_to_line(code.state(i).tolist()) for i in range(p.K))
+    return "\n".join(lines) + "\n"
+
+
+def parse_state_line(line: str) -> list[tuple[int, ...]]:
+    """One superposition line read ket by ket: entries split on commas or
+    whitespace and read by int(), only plus signs and whitespace between
+    the kets.  Raises ValueError for an entry int() refuses."""
+    parts = _ORACLE_KET.split(line)
+    if len(parts) == 1:
+        raise ValueError(f"no kets found in line: {line[:60]!r}")
+    if not _ORACLE_GAP.fullmatch("".join(parts[::2])):
+        raise ValueError(f"text outside the kets in line: {line[:60]!r}")
+    return [tuple(map(int, _ORACLE_SEP.split(body.strip()))) for body in parts[1::2]]

@@ -119,6 +119,20 @@ def test_construct_usage_errors_exit_2(capsys):
     assert rc == 2 and "invalid request" in err
 
 
+@pytest.mark.parametrize("args,message", [
+    (("t3", "--s", "9", "--factors", "3"), "t3 needs --d"),
+    (("t3", "--s", "9", "--d", "2", "--factors", "3,3"),
+     "t3 needs --factors with exactly one entry"),
+    (("c2", "--s", "9", "--d", "1"), "c2 needs --factors"),
+    (("t5", "--s", "12", "--d", "1", "--l", "1", "--factors", "2"),
+     "t5 needs --q-factors for the column split"),
+])
+def test_construct_names_the_missing_recipe_flag(capsys, args, message):
+    # `build` refuses the recipe; the CLI reports it as before the check moved
+    rc, out, err = run(capsys, "construct", "--theorem", *args)
+    assert (rc, out, err) == (2, "", f"invalid request: {message}\n")
+
+
 RECIPE_BASES = {
     "t1": ("--s", "4"),
     "t2": ("--s", "4"),
@@ -312,10 +326,18 @@ def test_verify_refuses_a_record_ket_that_is_no_number(tmp_path, capsys, basis, 
     ("QKET 2 1\n2 2\n|0,1> junk |1,0>\n",
      "text outside the kets in line: '|0,1> junk |1,0>'"),
     ("QKET 2 1\n2 2\n|0,1> + |1,0\n", "text outside the kets in line: '|0,1> + |1,0'"),
-], ids=["no alphabet line", "text between kets", "unterminated ket"])
+    ("QKET 2 1\n2 2\n|0,x>\n",
+     "ket entries must be integers separated by commas or whitespace, not '0,x'"),
+    ("QKET 2 1\n2 2\n|,0,1>\n",
+     "ket entries must be integers separated by commas or whitespace, not ',0,1'"),
+    ("QKET 2 1\n2 2\n| >\n",
+     "ket entries must be integers separated by commas or whitespace, not ' '"),
+], ids=["no alphabet line", "text between kets", "unterminated ket", "letter entry",
+        "leading comma", "blank ket"])
 def test_verify_refuses_malformed_ket_text_with_exit_2(tmp_path, capsys, text, message):
-    # the first raised an IndexError (exit 1); the other two parsed as the
-    # one-ket code |0,1> and passed at --d 0
+    # the first raised an IndexError (exit 1); the next two parsed as the
+    # one-ket code |0,1> and passed at --d 0; the last three quoted int()'s
+    # own ValueError
     path = tmp_path / "a.ket"
     path.write_text(text)
     rc, out, err = run(capsys, "verify", "--code", str(path), "--d", "0")

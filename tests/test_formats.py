@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oaqec.errors import ShapeMismatch
+from conftest import naive_ket_text, parse_state_line
+from oaqec.errors import BadGeometry, ShapeMismatch
 from oaqec.formats import (
     code_from_ket_text,
     code_from_record_text,
@@ -16,32 +20,39 @@ from oaqec.formats import (
     fixture_names,
     load_fixture,
     parse_ket_text,
-    parse_state_line,
     provenance_block,
-    state_to_line,
 )
-from oaqec.synthesis import theorem_s1, theorem_tn
+from oaqec.synthesis import QuantumCode, build, make_code_params, theorem_s1, theorem_tn
 from oaqec.verify import verify_code
 
 
 # --- ket text ---------------------------------------------------------------
 
 
+def one_state(line: str, n: int) -> list[list[int]]:
+    """The kets of a one-state ket text over n binary parties whose state
+    line is `line`."""
+    _, states = parse_ket_text(f"QKET {n} 1\n{' '.join(['2'] * n)}\n{line}\n")
+    assert len(states) == 1 and states[0].dtype == np.int64
+    return states[0].tolist()
+
+
 def test_state_line_round_trip():
     state = [(0, 1, 2), (3, 0, 1)]
-    line = state_to_line(state)
+    code = QuantumCode(make_code_params(3, 0, (4, 4, 4), 1), [state])
+    line = code_to_ket_text(code).splitlines()[-1]
     assert line == "|0,1,2> + |3,0,1>"
-    assert parse_state_line(line) == state
+    assert one_state(line, 3) == [[0, 1, 2], [3, 0, 1]]
 
 
 def test_parse_state_line_accepts_unicode_bracket_and_spaces():
-    assert parse_state_line("|0 1 2⟩ + |1,0,0⟩") == [(0, 1, 2), (1, 0, 0)]
-    assert parse_state_line("\t|0,1>|1,0> +\t+ |1,1> ") == [(0, 1), (1, 0), (1, 1)]
+    assert one_state("|0 1 2⟩ + |1,0,0⟩", 3) == [[0, 1, 2], [1, 0, 0]]
+    assert one_state("\t|0,1>|1,0> +\t+ |1,1> ", 2) == [[0, 1], [1, 0], [1, 1]]
 
 
 def test_parse_state_line_needs_at_least_one_ket():
-    with pytest.raises(ShapeMismatch):
-        parse_state_line("nothing here")
+    with pytest.raises(ShapeMismatch, match="no kets found"):
+        one_state("nothing here", 2)
 
 
 @pytest.mark.parametrize("line", ["|0,1> junk |1,0>", "|0,1> + |1,0", "x |0,1>",
@@ -50,7 +61,43 @@ def test_parse_state_line_needs_at_least_one_ket():
 def test_parse_state_line_refuses_text_outside_the_kets(line):
     # findall alone kept only |0,1> of each line and dropped the rest
     with pytest.raises(ShapeMismatch, match="text outside the kets"):
-        parse_state_line(line)
+        one_state(line, 2)
+
+
+@pytest.mark.parametrize("line,body", [
+    ("|0,x>", "0,x"), ("|,0,1>", ",0,1"), ("|0,1,>", "0,1,"), ("| >", " "),
+    ("|0,1> + |+-0,1>", "+-0,1"), ("|0+1>", "0+1"), ("|0,+>", "0,+"),
+    ("|1.0,1>", "1.0,1"), ("|1_0,1>", "1_0,1"), ("|١,1>", "١,1"),
+], ids=["letter", "leading-comma", "trailing-comma", "blank", "double-sign",
+        "inner-sign", "bare-sign", "decimal-point", "underscore", "arabic-indic-digit"])
+def test_ket_entries_must_be_signed_decimal_integers(line, body):
+    # int() raised a bare ValueError for the first eight and read the last
+    # two as 10 and 1; loadtxt would skip the blank ket and read ,0,1 as 0 1
+    with pytest.raises(ShapeMismatch) as exc:
+        one_state(line, 2)
+    assert str(exc.value) == ("ket entries must be integers separated by commas "
+                              f"or whitespace, not {body!r}")
+
+
+def test_a_text_without_states_reads_as_no_states():
+    text = "QKET 2 0\n2 2\n"
+    assert parse_ket_text(text) == ((2, 2), [])
+    with pytest.raises(BadGeometry, match="^a code needs at least one basis state, not K=0$"):
+        code_from_ket_text(text, 0)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("|0,1>|0>", "ket length 1 != 2"),
+    ("|0,1,1>|0,1>", "ket length 3 != 2"),
+    ("|0,9223372036854775808>", "ket entry outside the int64 range"),
+    ("|-9223372036854775809,0>", "ket entry outside the int64 range"),
+])
+def test_ragged_kets_and_entries_past_int64_are_bad_geometry(line, message):
+    text = f"QKET 2 1\n2 2\n{line}\n"
+    for read in (parse_ket_text, lambda text: code_from_ket_text(text, 0)):
+        with pytest.raises(BadGeometry) as exc:
+            read(text)
+        assert str(exc.value) == message
 
 
 def test_ket_text_round_trip_on_driver_output():
@@ -74,7 +121,7 @@ def test_parse_ket_text_ignores_comments_and_blank_lines():
     text = "# comment\nQKET 2 1\n\n2 2\n# another\n|0,0> + |1,1>\n"
     alphabets, states = parse_ket_text(text)
     assert alphabets == (2, 2)
-    assert states == [[(0, 0), (1, 1)]]
+    assert [state.tolist() for state in states] == [[[0, 0], [1, 1]]]
 
 
 @pytest.mark.parametrize("text", [
@@ -92,10 +139,81 @@ def test_parse_ket_text_rejects_malformed_input(text):
 
 
 def test_ket_text_rejects_out_of_range_symbols():
-    from oaqec.errors import BadGeometry
-
     with pytest.raises(BadGeometry):
         code_from_ket_text("QKET 2 1\n2 2\n|0,5>\n", 0)
+
+
+@st.composite
+def small_codes(draw):
+    """A code of n <= 6 parties over alphabets of up to 300 symbols (so
+    uint16 storage and multi-digit entries occur), with K <= 4 states of
+    up to 3 distinct kets each."""
+    n = draw(st.integers(1, 6), label="n")
+    alphabets = draw(st.lists(st.integers(2, 300), min_size=n, max_size=n),
+                     label="alphabets")
+    words = math.prod(alphabets)
+    K = draw(st.integers(1, min(4, words)), label="K")
+    block = draw(st.integers(1, min(3, words // K)), label="block")
+    kets = draw(st.lists(st.tuples(*(st.integers(0, s - 1) for s in alphabets)),
+                         min_size=K * block, max_size=K * block, unique=True),
+                label="kets")
+    states = [kets[i * block:(i + 1) * block] for i in range(K)]
+    return QuantumCode(make_code_params(n, 0, alphabets, K), states)
+
+
+#: what may stand between two entries, between or around kets, and after a ket
+SEPARATORS = (",", " ", "\t", ", ", " ,\t", ",,")
+GAPS = ("", " ", " + ", "+", "\t+\t", " ++ ", "+ +")
+CLOSERS = (">", "⟩")
+
+
+def render_state(draw, state) -> str:
+    """A state line in a drawn mix of the grammar's spellings: signs and
+    leading zeros on entries, comma and whitespace separators, padded
+    bodies, both closers and runs of plus signs between the kets."""
+    pick = lambda options: draw(st.sampled_from(options))  # noqa: E731
+    kets = []
+    for ket in state:
+        entries = [pick(("", "+", "0")) + str(v) for v in ket]
+        body = entries[0] + "".join(pick(SEPARATORS) + entry for entry in entries[1:])
+        kets.append("|" + pick(("", " ", "\t")) + body + pick(("", " ")) + pick(CLOSERS))
+    return pick(GAPS) + "".join(ket + pick(GAPS) for ket in kets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ket_text_agrees_with_the_per_ket_oracles(data):
+    code = data.draw(small_codes(), label="code")
+    p = code.params
+    assert code_to_ket_text(code) == naive_ket_text(code)
+    lines = [render_state(data.draw, code.state(i).tolist()) for i in range(p.K)]
+    text = "\n".join([f"QKET {p.n} {p.K}", "# a comment", " ".join(map(str, p.alphabets)),
+                      "", *lines]) + "\n"
+    alphabets, states = parse_ket_text(text)
+    assert alphabets == p.alphabets
+    assert all(state.dtype == np.int64 for state in states)
+    assert [state.tolist() for state in states] == [
+        [list(ket) for ket in parse_state_line(line)] for line in lines]
+    back = code_from_ket_text(text, 0)
+    assert back.params == p and back.kets.dtype == code.kets.dtype
+    assert np.array_equal(back.kets, code.kets)
+
+
+#: `build` arguments of the five `oaqec construct` recipes the benchmark times
+CONSTRUCT_RECIPES = [("t4", 8, 3, 1, [2], None), ("t3", 49, 2, 0, [7], None),
+                     ("t4", 9, 2, 1, [3], None), ("t4", 7, 1, 2, [7], None),
+                     ("t5", 12, 1, 1, [2], [6, 2])]
+
+
+@pytest.mark.parametrize("source", [*CONSTRUCT_RECIPES, *sorted(
+    ["qmds_4_12_2", "qmds_5_1_3_12", "qmds_5_1_3_9", "qmds_8_8_3"])], ids=str)
+def test_ket_text_is_byte_identical_to_the_per_ket_writer(source):
+    code = load_fixture(source)[0] if isinstance(source, str) else build(*source)
+    text = code_to_ket_text(code)
+    assert text == naive_ket_text(code)
+    back = code_from_ket_text(text, code.params.d_plus_1 - 1)
+    assert back.params == code.params and back.kets.dtype == code.kets.dtype
+    assert np.array_equal(back.kets, code.kets)
 
 
 # --- structured records --------------------------------------------------------

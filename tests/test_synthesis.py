@@ -21,6 +21,7 @@ from oaqec.constructions import bush, resolve_symmetric_oa
 from oaqec.errors import (
     BadFactorization,
     BadGeometry,
+    BadRecipe,
     ClaimFailed,
     DivisibilityViolated,
     ExcludedS,
@@ -29,6 +30,7 @@ from oaqec.errors import (
     NotFromOA,
     NotPartitionable,
     SBoundViolated,
+    SymbolOutOfRange,
 )
 from oaqec.formats import load_fixture, provenance_block
 from oaqec.synthesis import (
@@ -376,6 +378,14 @@ def test_resplit_factor_product_must_match_column():
         theorem_huan(base, 0, [5, 2])
 
 
+@pytest.mark.parametrize("col", [4, 99, -1])
+def test_resplit_refuses_a_column_outside_the_array(col):
+    # 99 raised a bare IndexError, and -1 indexed the last column
+    base = theorem_tn(12, 1, 1, [2])
+    with pytest.raises(SymbolOutOfRange, match=f"^column {col} out of range for 4 columns$"):
+        theorem_huan(base, col, [6, 2])
+
+
 def test_resplit_produces_the_published_shape():
     base = theorem_tn(12, 1, 1, [2])
     code = theorem_huan(base, None, [6, 2])
@@ -440,6 +450,26 @@ def test_build_defaults_t1_and_t2_to_an_unsplit_column():
 def test_build_refuses_an_unknown_label():
     with pytest.raises(ValueError, match="unknown theorem 't9'"):
         build("t9", 4, 1, 0, [2], None)
+
+
+@pytest.mark.parametrize("theorem,d,l,factors,q_factors,message", [
+    ("t3", 2, 0, [3, 3], None, "t3 needs --factors with exactly one entry"),
+    ("c1", 2, 0, None, None, "c1 needs --factors with exactly one entry"),
+    ("t3", None, 0, [3], None, "t3 needs --d"),
+    ("t4", None, 1, [3], None, "t4 needs --d"),
+    ("c2", 1, 1, None, None, "c2 needs --factors"),
+    ("c3", None, 0, None, None, "c3 needs --factors"),
+    ("t5", 1, 1, None, [3, 3], "t5 needs --factors for the base construction"),
+    ("t5", 1, 1, [3], None, "t5 needs --q-factors for the column split"),
+    ("t5", None, 1, [3], [3, 3], "t5 needs --d"),
+])
+def test_build_refuses_a_recipe_without_a_field_its_theorem_reads(theorem, d, l, factors,
+                                                                  q_factors, message):
+    # t3 with [3, 3] built the s1=3 code, and a missing d or factor list
+    # ended in a TypeError inside the builder
+    with pytest.raises(BadRecipe) as exc:
+        build(theorem, 9, d, l, factors, q_factors)
+    assert str(exc.value) == message
 
 
 def test_every_catalogue_row_names_a_cli_label():
