@@ -94,9 +94,9 @@ class CodeParams:
 def make_code_params(n: int, d: int, alphabets: Sequence[int], K: int) -> CodeParams:
     """Assemble CodeParams, refusing dimensions above the singleton bound."""
     alphabets = tuple(int(s) for s in alphabets)
-    m = m_value(n, d, alphabets, K)
+    m = m_value(n, d, alphabets, K)  # the singleton bound minus K
     return CodeParams(n=n, K=int(K), d_plus_1=d + 1, alphabets=alphabets,
-                      singleton=singleton_bound(n, d, alphabets), m=m,
+                      singleton=m + K, m=m,
                       m_range=admissible_m_range(n, d, alphabets))
 
 

@@ -15,7 +15,10 @@ also open to the asset scripts in `tools/`).  Only `arrays` calls
 through a claim.  The array route of cross validation takes its distance
 from the `arrays` kernel, which shares no code with the key and level
 kernels of the reduction route in `verify`, and hands it only the array it
-rebuilds from the kets, which carries no claim to spare a check with.  Every module but the package
+rebuilds from the kets, which carries no claim to spare a check with.  No
+verdict reads the dict reduction `reduced_cross_matrix`: neither
+`verify_code` nor `cross_validate`, nor any function of `verify.py` they
+reach, names it.  Every module but the package
 `__init__` uses each name it imports, unless the import is marked
 `# noqa: F401` as a deliberate re-export.
 """
@@ -136,6 +139,12 @@ def _called_names(tree: ast.AST) -> set[str]:
             elif isinstance(node.func, ast.Attribute):
                 names.add(node.func.attr)
     return names
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name the tree references, as `f` or as the attribute of `x.f`."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
 
 
 def _calls_by_function(tree: ast.Module) -> set[tuple[Optional[str], str]]:
@@ -293,8 +302,7 @@ def independence_faults(arrays_source: str, verify_source: str) -> list[str]:
                for node in tree.body):
         faults.append("verify.py does not import minimal_distance from arrays")
     cross = _function(tree, "cross_validate")
-    used = {node.id for node in ast.walk(cross) if isinstance(node, ast.Name)}
-    used |= {node.attr for node in ast.walk(cross) if isinstance(node, ast.Attribute)}
+    used = _names_read(cross)
     for kernel in ("_slice_keys", "_decide_level"):
         if kernel in used:
             faults.append(f"cross_validate references {kernel}")
@@ -409,3 +417,57 @@ def test_unused_import_guard_has_teeth():
     synthesis_source = (SRC / "synthesis.py").read_text()
     assert unused_imports(synthesis_source.replace("  # noqa: F401", "")) == [
         "is_orthogonal_array"]
+
+
+#: the verify.py functions whose results are verdicts
+VERDICT_ROOTS = ("verify_code", "cross_validate")
+
+
+def dict_path_faults(verify_source: str) -> list[str]:
+    """The functions and classes of verify.py on the verdict path (the
+    roots, and every module-level def they reference, directly or through
+    each other) that name the dict reduction `reduced_cross_matrix`."""
+    defs = {node.name: node for node in ast.parse(verify_source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    reached, todo = set(), list(VERDICT_ROOTS)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [ref for ref in _names_read(defs[name]) if ref in defs]
+    return sorted(f"{name} names reduced_cross_matrix" for name in reached
+                  if "reduced_cross_matrix" in _names_read(defs[name]))
+
+
+def test_no_verdict_reads_the_dict_reduction():
+    source = (SRC / "verify.py").read_text()
+    assert "def reduced_cross_matrix(" in source
+    assert dict_path_faults(source) == []
+
+
+def test_dict_path_guard_has_teeth():
+    source = (SRC / "verify.py").read_text()
+    call = "    reduced_cross_matrix(code, 0, 1, (0,))\n"
+    heads = {name: f"def {name}(" for name in ("verify_code", "_check_subset", "_runs")}
+    md_line = "    md = minimal_distance(rebuilt)"
+    assert all(source.count(head) == 1 for head in heads.values())
+    assert source.count(md_line) == 1
+
+    def prepend(name: str, line: str) -> str:
+        """The source with the line first in the body of the function."""
+        head = source.index(heads[name])
+        body = source.index('"""', source.index('"""', head) + 3) + 4
+        return source[:body] + line + source[body:]
+
+    mutants = {
+        # the spot check the verdicts once ran
+        "verify_code": prepend("verify_code", call),
+        # inside a kernel verify_code calls
+        "_check_subset": prepend("_check_subset", call),
+        # two calls deep, through _check_subset
+        "_runs": prepend("_runs", "    spot = reduced_cross_matrix\n"),
+        "cross_validate": source.replace(
+            md_line, md_line + " + len(reduced_cross_matrix(code, 0, 0, (0,)).counts)"),
+    }
+    for name, mutant in mutants.items():
+        assert dict_path_faults(mutant) == [f"{name} names reduced_cross_matrix"], name

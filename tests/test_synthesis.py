@@ -101,6 +101,19 @@ def test_make_code_params_and_rendering():
     assert p.code_string() == "((5,1,3))_{4^1 2^4}"
 
 
+def test_make_code_params_computes_the_singleton_bound_once():
+    with mock.patch.object(synthesis, "singleton_bound",
+                           wraps=synthesis.singleton_bound) as bound:
+        p = make_code_params(4, 1, (12, 12, 12, 2), 12)
+        assert bound.call_count == 1
+        assert (p.singleton, p.m) == (24, 12)
+        with pytest.raises(NegativeM, match="dimension 25 exceeds the singleton bound 24"):
+            make_code_params(4, 1, (12, 12, 12, 2), 25)
+        with pytest.raises(BadGeometry, match="need n >= 2d\\+1, got n=4, d=2"):
+            make_code_params(4, 2, (12, 12, 12, 2), 1)
+    assert bound.call_count == 2
+
+
 @pytest.mark.parametrize("alphabets", [(1, 1), (2, 1), (-2, 2), (0, 3)])
 def test_make_code_params_refuses_an_alphabet_below_two(alphabets):
     # (1, 1) had singleton bound 1 and passed as a code; (-2, 2) was refused

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oaqec
 from oaqec import arrays, verify
@@ -105,41 +105,23 @@ def test_cross_counts_transpose_under_state_swap():
         assert M.counts == {(y, x): v for (x, y), v in W.counts.items()}
 
 
-def test_cross_counts_that_do_not_transpose_are_refused():
-    code, d = load_fixture("qmds_4_12_2")
-
-    def skewed(code, i, j, S):
-        return verify.ReducedCrossMatrix(i=i, j=j, subset=tuple(S),
-                                         counts={((0,), (1,)): 1})
-
-    with mock.patch.object(verify, "reduced_cross_matrix", side_effect=skewed):
-        with pytest.raises(ClaimFailed, match="pair counts must transpose under state swap"):
-            verify_code(code, d)
-
-
-def test_the_transpose_check_compares_nonempty_cross_counts():
-    # the bundled and benchmark codes give it empty counts at S=(0,)
-    real, seen = verify.reduced_cross_matrix, []
-
-    def spy(*args):
-        M = real(*args)
-        seen.append(M.counts)
-        return M
-
-    with mock.patch.object(verify, "reduced_cross_matrix", side_effect=spy):
-        report = verify_code(toy_code(), 1)
-    assert not report.passed
-    assert seen == [{((0,), (1,)): 1, ((1,), (0,)): 1}] * 2
-
-
 # --- verification reports ---------------------------------------------------------
+
+
+def decided_levels(code, d, mode="strict-uniform"):
+    """(report, the levels verify_code decided, in order)."""
+    with mock.patch.object(verify, "_decide_level", wraps=verify._decide_level) as decide:
+        report = verify_code(code, d, mode)
+    return report, [call.args[1] for call in decide.call_args_list]
 
 
 def test_bundled_codes_pass_at_their_stated_level():
     for name in ("qmds_4_12_2", "qmds_5_1_3_12", "qmds_5_1_3_9", "qmds_8_8_3"):
         code, d = load_fixture(name)
-        report = verify_code(code, d)
+        report, levels = decided_levels(code, d)
         assert report.passed and report.certified_distance == d + 1
+        # a passing claimed level settles the levels below it
+        assert levels == [d]
         assert report.subsets_checked == sum(
             math.comb(code.params.n, k) for k in range(1, d + 1))
         assert len(report.per_subset) == math.comb(code.params.n, d)
@@ -516,6 +498,36 @@ def test_cross_witnesses_match_naive_pair_counts(code, data):
         assert cross == want
 
 
+@st.composite
+def codes_and_subsets(draw):
+    """A code of small_codes() and a nonempty coordinate subset of it."""
+    code = draw(small_codes(), label="code")
+    S = draw(st.sets(st.integers(0, code.params.n - 1), min_size=1), label="S")
+    return code, tuple(sorted(S))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=codes_and_subsets(), mode=st.sampled_from(MODES))
+@example(case=(toy_code(), (0,)), mode="strict-uniform")
+@example(case=(toy_code(), (0,)), mode="definition-5")
+def test_cross_counts_transpose_and_cross_witnesses_read_them(case, mode):
+    # swapping the states transposes the brute-force counts, and each cross
+    # witness of _check_subset reads an entry of them, from either side
+    code, S = case
+    n = code.params.n
+    counts = {(i, j): naive_cross_counts(code.basis[i], code.basis[j], S, n)
+              for i in range(code.params.K) for j in range(code.params.K) if i != j}
+    for (i, j), M in counts.items():
+        assert M == {(y, x): v for (x, y), v in counts[j, i].items()}
+    cross = [w for w in verify._check_subset(code, S, mode)
+             if w.reason == "cross reduction is nonzero"]
+    for w in cross:
+        assert w.i < w.j and w.count > 0
+        assert counts[w.i, w.j][w.x, w.y] == counts[w.j, w.i][w.y, w.x] == w.count
+    if code.basis == toy_code().basis and S == (0,):
+        assert cross and counts[0, 1] == {((0,), (1,)): 1, ((1,), (0,)): 1}
+
+
 @pytest.mark.parametrize("alphabets,basis", [
     # off column 0, every run holds one ket of each of the three states
     ((4, 2), [[(0, 0), (3, 1)], [(1, 0), (0, 1)], [(2, 0), (1, 1)]]),
@@ -574,6 +586,32 @@ def test_failing_verdict_without_exact_witness_is_an_internal_fault():
     with mock.patch.object(verify, "_check_subset", return_value=[]):
         with pytest.raises(ClaimFailed):
             verify_code(code, d + 1)
+
+
+def test_a_failing_claimed_level_decides_the_levels_below_bottom_up():
+    code, _ = load_fixture("qmds_8_8_3")
+    for mode in MODES:
+        report, levels = decided_levels(code, 3, mode)
+        assert not report.passed and report.certified_distance == 3
+        assert levels == [3, 1, 2]
+        assert report.subsets_checked == 8 + 28 + 56
+        assert len(report.per_subset) == 56 and report.witnesses
+
+
+def test_a_level_passing_above_a_failing_one_is_still_refused():
+    code, _ = load_fixture("qmds_8_8_3")
+    real = verify._decide_level
+
+    def skewed(code, dp, mode):
+        # level 3 as it is (it fails), level 1 failing, level 2 passing
+        if dp == 3:
+            return real(code, dp, mode)
+        return [(S, dp == 2) for S in itertools.combinations(range(code.params.n), dp)]
+
+    with mock.patch.object(verify, "_decide_level", side_effect=skewed) as decide:
+        with pytest.raises(ClaimFailed, match="a level passed above a failing one"):
+            verify_code(code, 3)
+    assert [call.args[1] for call in decide.call_args_list] == [3, 1, 2]
 
 
 def emitted_codes_and_mutants():
