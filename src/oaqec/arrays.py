@@ -2,11 +2,18 @@
 
 Each array is one read-only ndarray in `storage_dtype(alphabets)`: uint8,
 uint16 or uint32 when the largest level fits, else int64; `rows` is a
-computed tuple view.  The ndarray is validated once when the array is
-built, and the operations here are ndarray operations that return new
-arrays.  An array's claimed strength and minimal distance are each None or
-a frozen `Certificate` (the value, and whether a check confirmed it), fixed
-when the array is made; only this module makes certificates.
+computed tuple view.  The ndarray is validated once, where it enters the
+package: `MixedLevelArray` checks every entry of outside input against its
+alphabet and casts it to the storage dtype.  The operations here are
+ndarray operations that return new arrays, and their outputs are in range
+and in the storage dtype by construction (a product's levels are
+a * q + b < s * q, a replacement's are rows of a valid array, a projection
+or a row permutation moves entries, an index column counts blocks), so
+they go through the private constructor `_in_range_array`, which neither
+checks nor casts.  An array's claimed strength and minimal distance are
+each None or a frozen `Certificate` (the value, and whether a check
+confirmed it), fixed when the array is made; only this module makes
+certificates.
 
 Operations record, partitions and assets check.  `claim` only records a
 claim, unchecked, and every operation here (and every construction built
@@ -254,8 +261,8 @@ class MixedLevelArray:
 
     def sorted_rows(self) -> "MixedLevelArray":
         """Same array with rows in lexicographic order, its claims recorded
-        unchecked."""
-        return claim(MixedLevelArray(lexsorted(self.matrix), self.alphabets),
+        unchecked; rows already in order keep their matrix (`lexsorted`)."""
+        return claim(_in_range_array(lexsorted(self.matrix), self.alphabets),
                      strength=self.strength, md=self.md)
 
     def __repr__(self):
@@ -265,16 +272,39 @@ class MixedLevelArray:
                 f"strength={self.strength}, md={self.md}, {self.status()})")
 
 
-def _with_certificates(A: MixedLevelArray, strength: Optional[Certificate],
+def _with_certificates(A: MixedLevelArray | tuple[np.ndarray, tuple[int, ...]],
+                       strength: Optional[Certificate],
                        md: Optional[Certificate]) -> MixedLevelArray:
     """An array over A's matrix and alphabets with these certificates, built
-    without validating the matrix again; A itself when they are A's."""
-    if strength is A._strength and md is A._md:
+    without validating the matrix again; A itself when they are A's.  A may
+    instead be a (matrix, alphabets) pair, the matrix read-only, in the
+    alphabets' storage dtype and with its entries in range: then the array
+    is a new one over that matrix."""
+    if isinstance(A, tuple):
+        matrix, alphabets = A
+    elif strength is A._strength and md is A._md:
         return A
+    else:
+        matrix, alphabets = A.matrix, A.alphabets
     out = object.__new__(MixedLevelArray)
-    out.matrix, out.alphabets = A.matrix, A.alphabets
+    out.matrix, out.alphabets = matrix, alphabets
     out._strength, out._md = strength, md
     return out
+
+
+def _in_range_array(matrix: np.ndarray, alphabets: tuple[int, ...]) -> MixedLevelArray:
+    """An array over `matrix`, which becomes read-only, with no claims.  Only
+    for a matrix whose entries are in range of `alphabets` and whose dtype
+    is storage_dtype(alphabets) by construction: nothing is checked or cast.
+    Outside input goes through MixedLevelArray, which checks every entry."""
+    matrix.setflags(write=False)
+    return _with_certificates((matrix, alphabets), None, None)
+
+
+def _view(A: MixedLevelArray) -> MixedLevelArray:
+    """A new array over a view of A's matrix, with A's certificates: what a
+    construction made once per argument tuple returns on each call."""
+    return _with_certificates((A.matrix.view(), A.alphabets), A._strength, A._md)
 
 
 def lexsort_order(matrix: np.ndarray) -> np.ndarray:
@@ -288,9 +318,27 @@ def lexsort_order(matrix: np.ndarray) -> np.ndarray:
     return np.lexsort(keys)
 
 
+def _in_lexicographic_order(matrix: np.ndarray) -> bool:
+    """Whether the rows of an integer matrix are in lexicographic order, by
+    one neighbour comparison: where two neighbouring rows first differ, the
+    later one is larger.  Columns are compared left to right only while some
+    neighbours still agree on every column so far."""
+    tied = np.ones(max(len(matrix) - 1, 0), dtype=bool)
+    for before, after in zip(matrix[:-1].T, matrix[1:].T):
+        if np.any(tied & (after < before)):
+            return False
+        tied &= after == before
+        if not tied.any():
+            break
+    return True
+
+
 def lexsorted(matrix: np.ndarray) -> np.ndarray:
     """The rows of a non-negative integer `matrix` in lexicographic order,
-    first column most significant."""
+    first column most significant: `matrix` itself when a neighbour
+    comparison finds them in order already, else one sort."""
+    if _in_lexicographic_order(matrix):
+        return matrix
     return matrix[lexsort_order(matrix)]
 
 
@@ -628,7 +676,8 @@ def multiply_oa(A: MixedLevelArray, B: MixedLevelArray) -> MixedLevelArray:
     md = None
     if A.md is not None and B.md is not None:
         md = min(A.md, B.md)
-    return claim(MixedLevelArray(rows, alphabets), strength=t, md=md)
+    # a * q_j + b <= (s_j - 1) * q_j + q_j - 1: every entry is in range
+    return claim(_in_range_array(rows, alphabets), strength=t, md=md)
 
 
 def expansive_replacement(A: MixedLevelArray, col: int,
@@ -651,8 +700,11 @@ def expansive_replacement(A: MixedLevelArray, col: int,
             f"replacement needs strength >= {min(t, B.n)}, has {B.strength}")
     alphabets = A.alphabets[:col] + B.alphabets + A.alphabets[col + 1:]
     M = A.matrix
-    rows = np.hstack([M[:, :col], lexsorted(B.matrix)[M[:, col]], M[:, col + 1:]])
-    return claim(MixedLevelArray(rows, alphabets), strength=t)
+    # every entry is an entry of A or of B, in its column's range, so the
+    # join may narrow A's dtype when the replaced column held its widest level
+    rows = np.hstack([M[:, :col], lexsorted(B.matrix)[M[:, col]], M[:, col + 1:]],
+                     dtype=storage_dtype(alphabets), casting="unsafe")
+    return claim(_in_range_array(rows, alphabets), strength=t)
 
 
 def delete_columns(A: MixedLevelArray, cols: Iterable[int]) -> MixedLevelArray:
@@ -665,8 +717,9 @@ def delete_columns(A: MixedLevelArray, cols: Iterable[int]) -> MixedLevelArray:
     if not keep:
         raise EmptyResult("cannot delete every column")
     alphabets = tuple(A.alphabets[j] for j in keep)
-    return claim(MixedLevelArray(A.matrix[:, keep], alphabets),
-                 strength=min(A.strength, len(keep)))
+    # a dropped column may have held the widest level
+    rows = A.matrix[:, keep].astype(storage_dtype(alphabets), copy=False)
+    return claim(_in_range_array(rows, alphabets), strength=min(A.strength, len(keep)))
 
 
 def derive_subarray(A: MixedLevelArray, col: int, symbol: int) -> MixedLevelArray:
@@ -692,8 +745,10 @@ def attach_index_column(A: MixedLevelArray, block_size: int) -> MixedLevelArray:
     levels = A.r // block_size
     if levels < 2:
         raise NotDivisible("index column needs at least two blocks")
-    index = np.arange(A.r)[:, None] // block_size
-    return MixedLevelArray(np.hstack([index, A.matrix]), (levels,) + A.alphabets)
+    alphabets = (levels,) + A.alphabets
+    dtype = storage_dtype(alphabets)
+    index = np.arange(levels, dtype=dtype).repeat(block_size)[:, None]
+    return _in_range_array(np.hstack([index, A.matrix], dtype=dtype), alphabets)
 
 
 def saturation_check(A: MixedLevelArray) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -156,7 +157,10 @@ def _assets_add(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as
+    it is, so every `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="oaqec",
         description="Construct, verify, and catalogue quantum codes built "

@@ -20,9 +20,11 @@ load is one lookup and one read: `asset_get` finds a record by name and
 and certifies the payload; the digest goes into the ingredient trace.
 
 Work is not redone within a process.  The table of `bush(s, t)` is built
-once per (s, t), read-only in the field's narrow dtype, and each call wraps
-a narrow copy of it in an array.  An asset payload is read and hashed on
-every load but certified once: a reload of the same bytes, for the same
+and validated once per (s, t), read-only in its storage dtype, and a full
+factorial is built and certified once per (alphabets, index); each call
+returns a new array over a view of that one matrix, so no call checks,
+casts or copies it again.  An asset payload is read and hashed on every
+load but certified once: a reload of the same bytes, for the same
 record parameters, returns the array its first load certified (arrays never
 change their claims, so one can be shared).  A manifest is read on every
 lookup and parsed once per its bytes, so an edit is seen at once.
@@ -43,6 +45,8 @@ import numpy as np
 from .algebra import factorize_prime_powers, field_create, is_prime_power
 from .arrays import (
     MixedLevelArray,
+    _in_range_array,
+    _view,
     certify,
     claim,
     delete_columns,
@@ -73,8 +77,9 @@ def bush(s: int, t: int) -> MixedLevelArray:
 
     Rows are the polynomials of degree < t over GF(s); the first s columns
     evaluate each polynomial at a field element and the last column reads
-    off the degree-(t-1) coefficient.  Each call returns an array, its
-    claims recorded unchecked, over a table built once per (s, t).
+    off the degree-(t-1) coefficient.  Each call returns a new array, its
+    claims recorded unchecked, over a view of a table built and validated
+    once per (s, t).
     """
     if not is_prime_power(s):
         raise NotPrimePower(f"{s} is not a prime power")
@@ -82,13 +87,14 @@ def bush(s: int, t: int) -> MixedLevelArray:
         raise ValueError(f"strength must be >= 1, got {t}")
     if t - 1 > s:
         raise StrengthTooHigh(f"need s >= t-1 (got s={s}, t={t})")
-    A = MixedLevelArray(_bush_table(s, t), (s,) * (s + 1))
+    A = _in_range_array(_bush_table(s, t).view(), (s,) * (s + 1))
     return claim(A, strength=t, md=(s + 1) - t + 1)
 
 
 @functools.lru_cache(maxsize=None)
 def _bush_table(s: int, t: int) -> np.ndarray:
-    """The rows of bush(s, t), lexsorted and read-only, in the field's dtype."""
+    """The rows of bush(s, t), lexsorted, read-only and checked against the
+    alphabet s by MixedLevelArray, in its storage dtype (the field's)."""
     f = field_create(s)
     # Horner's rule over the field tables evaluates every polynomial
     # (coefficients low degree first) at every point at once
@@ -98,8 +104,7 @@ def _bush_table(s: int, t: int) -> np.ndarray:
     for j in range(t - 1, -1, -1):
         acc = f.add_table[f.mul_table[acc, points], coeffs[:, j:j + 1]]
     table = lexsorted(np.hstack([acc, coeffs[:, -1:]]))
-    table.setflags(write=False)
-    return table
+    return MixedLevelArray(table, (s,) * (s + 1)).matrix
 
 
 def hyperoval_oa(s: int) -> MixedLevelArray:
@@ -120,15 +125,21 @@ def hyperoval_oa(s: int) -> MixedLevelArray:
 
 
 def full_factorial_mixed(alphabets, lam: int = 1) -> MixedLevelArray:
-    """All level tuples in lexicographic order, each repeated `lam` times."""
+    """All level tuples in lexicographic order, each repeated `lam` times,
+    certified; each call returns a new array over a view of a matrix built
+    and certified once per (alphabets, lam)."""
     alphabets = tuple(int(a) for a in alphabets)
     if not alphabets:
         raise ValueError("alphabets must be nonempty")
     if lam < 1:
         raise ValueError(f"index must be >= 1, got {lam}")
+    return _view(_full_factorial(alphabets, lam))
+
+
+@functools.lru_cache(maxsize=None)
+def _full_factorial(alphabets: tuple[int, ...], lam: int) -> MixedLevelArray:
     table = np.repeat(np.indices(alphabets).reshape(len(alphabets), -1).T, lam, axis=0)
-    A = MixedLevelArray(table, alphabets)
-    return certify(A, len(alphabets), 1 if lam == 1 else 0)
+    return certify(MixedLevelArray(table, alphabets), len(alphabets), 1 if lam == 1 else 0)
 
 
 def _prime_power_piece(u: int, n_cols: int, t: int) -> MixedLevelArray | str:

@@ -64,12 +64,13 @@ def code_to_ket_text(code: QuantumCode) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_ket_text(text: str) -> tuple[tuple[int, ...], list[np.ndarray]]:
-    """Parse QKET text back into (alphabets, basis states), each state an
-    int64 matrix with one row per ket.  Every state line is checked against
-    the ket grammar first (ShapeMismatch); then all kets of the text are read
-    in one numpy table pass, which refuses ragged kets and entries outside
-    the int64 range (BadGeometry)."""
+def parse_ket_text(text: str) -> tuple[tuple[int, ...], np.ndarray]:
+    """Parse QKET text back into (alphabets, kets): the kets of all states as
+    one int64 matrix, shaped (K, kets per state, n) so that kets[i] is state
+    i, one row per ket.  Every state line is checked against the ket grammar
+    first (ShapeMismatch); then all kets of the text are read in one numpy
+    table pass, which refuses ragged kets and entries outside the int64
+    range, and states of unequal ket counts are refused (BadGeometry)."""
     lines = [ln.strip() for ln in text.splitlines()
              if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines or not lines[0].startswith("QKET"):
@@ -93,21 +94,23 @@ def parse_ket_text(text: str) -> tuple[tuple[int, ...], list[np.ndarray]]:
     if len(states) != K:
         raise ShapeMismatch(f"{len(states)} states for declared dimension {K}")
     if not states:
-        return alphabets, []
+        return alphabets, np.zeros((0, 0, n), dtype=np.int64)
     rows = "".join(states).translate(_KET_ROWS).splitlines()
     try:
         kets = np.loadtxt(rows, dtype=np.int64, ndmin=2, comments=None)
     except ValueError:
         raise _ket_rows_error(rows, n) from None
-    ends = np.cumsum([line.count("|") for line in states])
-    return alphabets, np.split(kets, ends[:-1])
+    sizes = {line.count("|") for line in states}
+    if len(sizes) != 1:
+        raise BadGeometry(f"states have unequal ket counts {sorted(sizes)}")
+    return alphabets, kets.reshape(K, sizes.pop(), kets.shape[1])
 
 
 def code_from_ket_text(text: str, d: int) -> QuantumCode:
     """Build a code (without provenance) from QKET text and a claimed distance d+1."""
-    alphabets, states = parse_ket_text(text)
-    params = make_code_params(len(alphabets), d, alphabets, len(states))
-    return QuantumCode(params, states)
+    alphabets, kets = parse_ket_text(text)
+    params = make_code_params(len(alphabets), d, alphabets, len(kets))
+    return QuantumCode(params, kets)
 
 
 def code_record(code: QuantumCode) -> dict:

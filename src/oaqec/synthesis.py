@@ -146,7 +146,9 @@ def partition_by_prefix(A: MixedLevelArray, l: int) -> tuple[MixedLevelArray, in
     Returns the stripped array, its rows sorted so that each prefix group
     is one block of consecutive rows, and the number K of groups.  Each
     group inherits strength A.strength - l, so the stripped array with K
-    blocks is a partition of that strength."""
+    blocks is a partition of that strength.  The rows are sorted at most
+    once: not at all when a neighbour comparison finds them in order, as a
+    Bush table's are with its trailing columns deleted (`sorted_rows`)."""
     if not 0 <= l < A.n:
         raise ValueError(f"prefix width {l} out of range for {A.n} columns")
     if A.strength <= l:
@@ -222,6 +224,103 @@ def _state_matrix(state, n: int) -> np.ndarray:
     return matrix
 
 
+def _ket_matrix(basis, n: int, K: int) -> np.ndarray:
+    """The kets of a basis as one integer matrix of K * block rows and n
+    columns, state i being rows i * block ... (i + 1) * block - 1: a
+    (K * block, n) ndarray as it is, a (K, block, n) one reshaped, and any
+    other basis, a list of K states each a list or matrix of kets, joined
+    state by state."""
+    if isinstance(basis, np.ndarray) and basis.ndim in (2, 3):
+        if basis.ndim == 3:
+            if len(basis) != K:
+                raise BadGeometry(f"{len(basis)} states for dimension {K}")
+            basis = basis.reshape(K * basis.shape[1], basis.shape[2])
+        matrix = _state_matrix(basis, n)
+        if len(matrix) % K:
+            raise BadGeometry(f"{len(matrix)} kets do not split into {K} equal states")
+        if not len(matrix):
+            raise BadGeometry("basis states hold no kets")
+        return matrix
+    try:
+        states = [state if isinstance(state, np.ndarray) else list(state)
+                  for state in basis]
+    except TypeError:
+        raise BadGeometry("a basis must list states, each a list of kets") from None
+    if len(states) != K:
+        raise BadGeometry(f"{len(states)} states for dimension {K}")
+    sizes = {len(state) for state in states}
+    if len(sizes) != 1:
+        raise BadGeometry(f"states have unequal ket counts {sorted(sizes)}")
+    if not sizes.pop():
+        raise BadGeometry("basis states hold no kets")
+    states = [_state_matrix(state, n) for state in states]
+    # the states' common dtype, or int64 where it is not an integer one
+    # (uint64 with a signed dtype): no entry is past int64 by now
+    common = np.result_type(*{state.dtype for state in states})
+    return np.concatenate(states, dtype=common if common.kind in "iu" else np.int64)
+
+
+#: largest product of alphabets whose mixed-radix ket numbers fit int64
+_KEY_RADIX_MAX = 2 ** 63
+
+
+def _ket_keys(kets: np.ndarray, alphabets: tuple[int, ...]) -> np.ndarray:
+    """One int64 key per ket, ordered as the kets are lexicographically: its
+    exact mixed-radix number, built column by column into one array, when
+    the product of the alphabets fits int64, else its rank among the kets'
+    distinct values in lexsort_order."""
+    if math.prod(alphabets) <= _KEY_RADIX_MAX:
+        keys = kets[:, 0].astype(np.int64)
+        for j in range(1, kets.shape[1]):
+            keys *= alphabets[j]
+            keys += kets[:, j]
+        return keys
+    order = lexsort_order(kets)
+    ranked = kets[order]
+    new = np.ones(len(kets), dtype=np.int64)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    keys = np.empty(len(kets), dtype=np.int64)
+    keys[order] = np.cumsum(new)
+    return keys
+
+
+def _canonical_rows(kets: np.ndarray, alphabets: tuple[int, ...],
+                    K: int) -> Optional[np.ndarray]:
+    """The row order that puts K equal runs of kets in canonical order (kets
+    sorted within each state, states ordered by their first ket), or None
+    when they are in it already; BadGeometry naming the lexicographically
+    first ket that occurs twice.
+
+    Each ket is keyed by one int64 whose order is the kets' lexicographic
+    order (`_ket_keys`).  One neighbour comparison of the keys shows which
+    states are already sorted with distinct kets, as a partition's blocks
+    are; only the others are sorted.  One sort of all keys finds a ket
+    repeated anywhere, and the states are reordered only when their first
+    keys are out of order."""
+    keys = _ket_keys(kets, alphabets).reshape(K, -1)
+    block = keys.shape[1]
+    rows = None
+    unsorted = np.flatnonzero(np.any(keys[:, 1:] <= keys[:, :-1], axis=1))
+    if unsorted.size:
+        # stable argsorts: numpy's default argsort kernel would add its
+        # own code pages (about 0.25 MB resident) for these small sorts
+        within = np.argsort(keys[unsorted], axis=1, kind="stable")
+        rows = np.arange(keys.size).reshape(K, block)
+        rows[unsorted] = np.take_along_axis(rows[unsorted], within, axis=1)
+        keys[unsorted] = np.take_along_axis(keys[unsorted], within, axis=1)
+    flat = np.sort(keys, axis=None)
+    repeated = np.flatnonzero(flat[1:] == flat[:-1])
+    if repeated.size:
+        at = np.flatnonzero(keys.ravel() == flat[repeated[0]])[0]
+        ket = tuple(kets[at if rows is None else rows.flat[at]].tolist())
+        raise BadGeometry(f"ket {ket} appears in more than one state")
+    # the states are disjoint, so their first kets alone order them
+    if np.any(keys[1:, 0] < keys[:-1, 0]):
+        order = np.argsort(keys[:, 0], kind="stable")
+        rows = order[:, None] * block + np.arange(block) if rows is None else rows[order]
+    return None if rows is None else rows.ravel()
+
+
 class QuantumCode:
     """A K-dimensional code whose basis states superpose disjoint row blocks.
 
@@ -232,49 +331,35 @@ class QuantumCode:
     and states ordered by their first ket.  `basis` is the same kets as a
     tuple of states, each a tuple of int tuples, built when first read.
 
-    The geometry is checked on the whole matrix with numpy when the code is
-    built: K >= 1 states of one nonzero size, kets of length n, every entry
-    inside its alphabet, no ket repeated within or across states, and, for a
-    code with provenance, as many kets as parent rows.  A violation raises
-    BadGeometry (ClaimFailed for the parent count)."""
+    The basis is one (K * block, n) matrix, state i its i-th run of block
+    rows, as `code_from_partitioned_oa` passes its parent's matrix; a
+    (K, block, n) ndarray, or a list of K states (each a list or matrix of
+    kets), is joined into one.  The geometry is checked on the whole matrix
+    with numpy when the code is built: K >= 1 states of one nonzero size,
+    kets of length n, every entry inside its alphabet, no ket repeated
+    within or across states, and, for a code with provenance, as many kets
+    as parent rows.  A violation raises BadGeometry (ClaimFailed for the
+    parent count); a repeated ket named is the lexicographically first.
+    The kets are sorted only where they are out of order
+    (`_canonical_rows`), and a matrix handed in is never kept: it is copied
+    when no sort moved its rows, so later writes to it cannot reach `kets`."""
 
     def __init__(self, params: CodeParams, basis, provenance: Optional[Provenance] = None):
         self.params = params
         self.provenance = provenance
-        if params.K < 1:
-            raise BadGeometry(f"a code needs at least one basis state, not K={params.K}")
-        try:
-            states = [state if isinstance(state, np.ndarray) else list(state)
-                      for state in basis]
-        except TypeError:
-            raise BadGeometry("a basis must list states, each a list of kets") from None
-        if len(states) != params.K:
-            raise BadGeometry(f"{len(states)} states for dimension {params.K}")
-        sizes = {len(state) for state in states}
-        if len(sizes) != 1:
-            raise BadGeometry(f"states have unequal ket counts {sorted(sizes)}")
-        block = sizes.pop()
-        if not block:
-            raise BadGeometry("basis states hold no kets")
-        states = [_state_matrix(state, params.n) for state in states]
-        # the states' common dtype, or int64 where it is not an integer one
-        # (uint64 with a signed dtype): no entry is past int64 by now
-        common = np.result_type(*{state.dtype for state in states})
-        kets = np.concatenate(states, dtype=common if common.kind in "iu" else np.int64)
+        K, n = params.K, params.n
+        if K < 1:
+            raise BadGeometry(f"a code needs at least one basis state, not K={K}")
+        kets = _ket_matrix(basis, n, K)
         bad = _out_of_range_entry(kets, params.alphabets)
         if bad is not None:
             raise BadGeometry(f"ket entry {bad[0]} out of range for alphabet {bad[1]}")
         kets = kets.astype(storage_dtype(params.alphabets), copy=False)
-        order = lexsort_order(kets)
-        repeated = np.flatnonzero(np.all(kets[order[1:]] == kets[order[:-1]], axis=1))
-        if repeated.size:
-            ket = tuple(kets[order[repeated[0]]].tolist())
-            raise BadGeometry(f"ket {ket} appears in more than one state")
-        # a stable sort of the sorted kets by state sorts every state;
-        # the states are disjoint, so their first kets alone order them
-        states = kets[order[np.argsort(order // block, kind="stable")]]
-        states = states.reshape(params.K, block, params.n)
-        kets = states[lexsort_order(states[:, 0])].reshape(-1, params.n)
+        rows = _canonical_rows(kets, params.alphabets, K)
+        if rows is not None:
+            kets = kets[rows]
+        elif isinstance(basis, np.ndarray) and np.may_share_memory(kets, basis):
+            kets = kets.copy()
         kets.setflags(write=False)
         self.kets = kets
         if provenance is not None and len(kets) != provenance.parent.r:
@@ -324,7 +409,7 @@ def code_from_partitioned_oa(partition: OrthogonalPartition, floor: int, *,
         raise ValueError(f"distance floor h={prov.h} must be positive")
     d_plus_1 = min(partition.strength + 1, prov.h)
     params = make_code_params(A.n, d_plus_1 - 1, A.alphabets, partition.K)
-    return QuantumCode(params, A.matrix.reshape(partition.K, -1, A.n), prov)
+    return QuantumCode(params, A.matrix, prov)
 
 
 # --- shared helpers -------------------------------------------------------------

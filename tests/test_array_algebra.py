@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (WIDE_ALPHABETS, levels_st, naive_distance_set, naive_is_oa,
                       naive_strength, with_wide_column)
+from oaqec import arrays
 from oaqec.arrays import (
     DEFAULT_VERIFICATION_BUDGET,
     MixedLevelArray,
@@ -31,8 +33,10 @@ from oaqec.arrays import (
     derive_subarray,
     ensure_checked,
     expansive_replacement,
+    lexsorted,
     measure_md,
     multiply_oa,
+    storage_dtype,
 )
 from oaqec.constructions import full_factorial_mixed
 from oaqec.errors import (
@@ -266,6 +270,68 @@ def test_sorted_rows_matches_tuple_sort(A):
     assert out.rows == tuple(sorted(A.rows))
     assert out.alphabets == A.alphabets
     assert flags(out) == flags(A)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lexsorted_sorts_exactly_when_a_neighbour_is_out_of_order(data):
+    A = data.draw(arrays_st())
+    rows = sorted(A.rows) if data.draw(st.booleans(), label="presorted") else list(A.rows)
+    matrix = MixedLevelArray(rows, A.alphabets).matrix
+    in_order = rows == sorted(rows)
+    with mock.patch.object(arrays, "lexsort_order", wraps=arrays.lexsort_order) as spy:
+        out = lexsorted(matrix)
+    assert out.tolist() == [list(row) for row in sorted(rows)]
+    assert (out is matrix, spy.call_count) == (in_order, 0 if in_order else 1)
+
+
+def assert_as_validated(out):
+    """`out` is what the validating constructor builds from its matrix: the
+    same entries, in storage_dtype(alphabets), read-only."""
+    ref = MixedLevelArray(out.matrix, out.alphabets)
+    assert out.matrix.dtype == ref.matrix.dtype == storage_dtype(out.alphabets)
+    assert np.array_equal(out.matrix, ref.matrix)
+    assert not out.matrix.flags.writeable
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), op=st.sampled_from(("multiply", "replace", "delete", "index", "sort")))
+def test_unvalidated_outputs_are_what_the_validating_constructor_builds(data, op):
+    # these operations skip the entry check and the cast: in range by construction
+    A = data.draw(arrays_st())
+    if op == "multiply":
+        out = multiply_oa(A, data.draw(arrays_st(alphabets=data.draw(alphabets_st(n=A.n)))))
+    elif op == "replace":
+        col = data.draw(narrow_column(A))
+        B = data.draw(arrays_st(r=A.alphabets[col]))
+        out = expansive_replacement(claim(A, strength=0), col, B)
+    elif op == "delete":
+        out = delete_columns(A, data.draw(st.sets(st.integers(0, A.n - 1), max_size=A.n - 1)))
+    elif op == "index":
+        assume(A.r > 1)
+        sizes = [b for b in range(1, A.r) if A.r % b == 0]
+        out = attach_index_column(A, data.draw(st.sampled_from(sizes)))
+    else:
+        out = A.sorted_rows()
+    assert_as_validated(out)
+
+
+def test_unvalidated_outputs_take_the_storage_dtype_of_their_alphabets():
+    wide = MixedLevelArray([(299, 1), (0, 0)], (300, 2))
+    huge = MixedLevelArray([(2 ** 40, 1), (0, 0)], (2 ** 40 + 1, 2))
+    cases = {
+        # the replaced or deleted column held the widest level
+        np.uint8: [expansive_replacement(wide, 0, full_factorial_mixed((20, 15))),
+                   delete_columns(wide, [0]), delete_columns(huge, [0])],
+        np.uint16: [attach_index_column(full_factorial_mixed((2,) * 9), 1),
+                    multiply_oa(wide, MixedLevelArray([(0, 1)], (2, 2)))],
+        np.int64: [multiply_oa(MixedLevelArray([(1, 1)], (2 ** 20, 2)),
+                               MixedLevelArray([(2 ** 20 - 1, 0)], (2 ** 20, 2)))],
+    }
+    for dtype, outs in cases.items():
+        for out in outs:
+            assert out.matrix.dtype == dtype
+            assert_as_validated(out)
 
 
 @settings(max_examples=100, deadline=None)

@@ -31,6 +31,20 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def test_the_parser_is_built_once_and_shared_by_every_call(capsys):
+    cli.build_parser.cache_clear()
+    fixture = fixture_path("qmds_5_1_3_9p4_3p1.ket")
+    first = run(capsys, "verify", "--code", fixture, "--d", "2")
+    with pytest.raises(SystemExit):
+        main(["tables", "--max-s", "2"])
+    refused = capsys.readouterr().err
+    again = run(capsys, "verify", "--code", fixture, "--d", "2")
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert first == again and first[0] == 0
+    assert refused.startswith("usage: oaqec tables ") and "--id" in refused
+
+
 # --- construct --------------------------------------------------------------
 
 

@@ -347,6 +347,29 @@ def test_bush_calls_return_distinct_arrays_over_one_table():
     assert ensure_checked(B).verified and not A.verified
 
 
+def test_bush_and_full_factorials_are_checked_once_per_argument_tuple(monkeypatch):
+    constructions._bush_table.cache_clear()
+    constructions._full_factorial.cache_clear()
+    counts = {"is_orthogonal_array": 0, "_out_of_range_entry": 0}
+    for name in counts:
+        def spy(*args, _real=getattr(arrays, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(arrays, name, spy)
+    bushes = [bush(s, t) for _ in range(3) for s, t in ((5, 3), (4, 2))]
+    assert counts == {"is_orthogonal_array": 0, "_out_of_range_entry": 2}
+    factorials = [full_factorial_mixed(alphabets, lam) for _ in range(3)
+                  for alphabets, lam in (((2, 3), 1), ((2, 3), 2), ((4,), 1))]
+    assert counts == {"is_orthogonal_array": 3, "_out_of_range_entry": 5}
+    for arrays_made, kinds in ((bushes, 2), (factorials, 3)):
+        assert len({id(A) for A in arrays_made}) == len({id(A.matrix) for A in arrays_made}) \
+            == len(arrays_made)
+        for A, B in zip(arrays_made, arrays_made[kinds:]):
+            assert np.shares_memory(A.matrix, B.matrix) and not B.matrix.flags.writeable
+    assert all(F.verified for F in factorials)
+    assert not any(A.strength_checked or A.md_checked for A in bushes)
+
+
 def test_shared_bush_table_is_read_only():
     table = constructions._bush_table(3, 2)
     assert not table.flags.writeable

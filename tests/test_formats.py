@@ -81,7 +81,8 @@ def test_ket_entries_must_be_signed_decimal_integers(line, body):
 
 def test_a_text_without_states_reads_as_no_states():
     text = "QKET 2 0\n2 2\n"
-    assert parse_ket_text(text) == ((2, 2), [])
+    alphabets, kets = parse_ket_text(text)
+    assert alphabets == (2, 2) and kets.shape == (0, 0, 2) and kets.dtype == np.int64
     with pytest.raises(BadGeometry, match="^a code needs at least one basis state, not K=0$"):
         code_from_ket_text(text, 0)
 
@@ -136,6 +137,21 @@ def test_parse_ket_text_ignores_comments_and_blank_lines():
 def test_parse_ket_text_rejects_malformed_input(text):
     with pytest.raises(ShapeMismatch):
         parse_ket_text(text)
+
+
+def test_ket_text_reads_all_states_into_one_matrix():
+    text = "QKET 2 2\n3 3\n|2,2> + |0,1>\n|1,0>|0,0>\n"
+    alphabets, kets = parse_ket_text(text)
+    assert kets.shape == (2, 2, 2) and kets.dtype == np.int64 and kets.base is not None
+    assert kets.tolist() == [[[2, 2], [0, 1]], [[1, 0], [0, 0]]]
+    assert code_from_ket_text(text, 0).kets.tolist() == [[0, 0], [1, 0], [0, 1], [2, 2]]
+
+
+def test_ket_text_refuses_states_of_unequal_ket_counts():
+    text = "QKET 2 2\n3 3\n|2,2> + |0,1>\n|1,0>\n"
+    for read in (parse_ket_text, lambda text: code_from_ket_text(text, 0)):
+        with pytest.raises(BadGeometry, match=r"^states have unequal ket counts \[1, 2\]$"):
+            read(text)
 
 
 def test_ket_text_rejects_out_of_range_symbols():

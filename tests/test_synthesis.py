@@ -12,11 +12,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oaqec import arrays, cli, synthesis
-from oaqec.arrays import (MixedLevelArray, claim, distance_profile, ensure_checked,
-                          is_orthogonal_array, saturation_check, storage_dtype)
+from oaqec.arrays import (MixedLevelArray, claim, delete_columns, distance_profile,
+                          ensure_checked, is_orthogonal_array, saturation_check,
+                          storage_dtype)
 from oaqec.constructions import bush, resolve_symmetric_oa
 from oaqec.errors import (
     BadFactorization,
@@ -148,6 +149,19 @@ def test_partition_by_prefix_zero_keeps_everything_in_one_block():
     parent, K = partition_by_prefix(A, 0)
     assert parent.n == A.n and K == 1
     assert parent.rows == tuple(sorted(A.rows))
+
+
+def test_partition_by_prefix_sorts_rows_only_when_they_are_out_of_order():
+    # a Bush table is lexsorted, and stays so with its trailing columns deleted
+    A = delete_columns(bush(5, 3), [5])
+    shuffled = MixedLevelArray(A.matrix[::-1], A.alphabets)
+    with mock.patch.object(arrays, "lexsort_order", wraps=arrays.lexsort_order) as spy:
+        parent, K = partition_by_prefix(claim(A, strength=3), 1)
+        assert spy.call_count == 0
+        again, _ = partition_by_prefix(claim(shuffled, strength=3), 1)
+        assert spy.call_count == 1
+    assert K == 5 and np.array_equal(parent.matrix, again.matrix)
+    assert np.array_equal(parent.matrix, A.matrix[:, 1:])
 
 
 def test_partition_by_prefix_rejects_width_at_or_above_strength():
@@ -634,12 +648,27 @@ def shuffled_bases(draw):
     return params, [kets[i * block:(i + 1) * block] for i in range(K)]
 
 
+def _one_matrix(states, order=None, dtype=None, writeable=True):
+    """The kets as one (K * block, n) matrix, state i its i-th run of rows,
+    each state's kets sorted by `order` (None keeps them as drawn)."""
+    kets = [ket for state in states
+            for ket in (state if order is None else sorted(state, reverse=order == "reversed"))]
+    matrix = np.array(kets, dtype=dtype)
+    matrix.setflags(write=writeable)
+    return matrix
+
+
 INPUT_FORMS = {
     "lists": lambda states: [list(state) for state in states],
     "generators": lambda states: ((ket for ket in state) for state in states),
     "lists of lists": lambda states: [[list(ket) for ket in state] for state in states],
     "matrices": lambda states: [np.array(state) for state in states],
     "one array": lambda states: np.array(states, dtype=np.uint64),
+    "one matrix": _one_matrix,
+    "one matrix, states sorted": lambda states: _one_matrix(states, "sorted"),
+    "one matrix, states unsorted": lambda states: _one_matrix(states, "reversed"),
+    "one read-only matrix in canonical order": lambda states: _one_matrix(
+        naive_canonical_basis(states), dtype=np.uint8, writeable=False),
 }
 
 
@@ -656,6 +685,80 @@ def test_ket_matrix_is_the_canonical_basis(data, form):
     assert code.kets_per_state == len(states[0])
     for i, state in enumerate(want):
         assert code.state(i).tolist() == [list(ket) for ket in state]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=shuffled_bases(), form=st.sampled_from(sorted(INPUT_FORMS)))
+def test_ket_matrix_past_int64_keys_is_the_canonical_basis(data, form):
+    # alphabets whose product passes 2^63 key the kets by lexsort ranks
+    params, states = data
+    wide = make_code_params(params.n, 0, [2 ** 63 + s for s in params.alphabets], params.K)
+    with mock.patch.object(synthesis, "lexsort_order", wraps=arrays.lexsort_order) as spy:
+        code = QuantumCode(wide, INPUT_FORMS[form](states))
+    assert spy.call_count == 1
+    want = naive_canonical_basis(states)
+    assert code.kets.tolist() == [list(ket) for state in want for ket in state]
+    assert code.kets.dtype == np.int64 and not code.kets.flags.writeable
+
+
+def test_ket_matrix_within_int64_keys_is_not_lexsorted():
+    params, states = make_code_params(2, 0, (3, 3), 2), [[(2, 2), (0, 1)], [(1, 0), (0, 0)]]
+    with mock.patch.object(synthesis, "lexsort_order", wraps=arrays.lexsort_order) as spy:
+        code = QuantumCode(params, states)
+    assert spy.call_count == 0
+    assert code.kets.tolist() == [[0, 0], [1, 0], [0, 1], [2, 2]]
+
+
+def test_code_does_not_share_a_writeable_ket_matrix():
+    params = make_code_params(2, 0, (3, 3), 2)
+    matrix = np.array([[0, 0], [1, 0], [0, 1], [2, 2]], dtype=np.uint8)
+    code = QuantumCode(params, matrix)
+    matrix[0, 0] = 2
+    assert code.kets.tolist() == [[0, 0], [1, 0], [0, 1], [2, 2]]
+    assert not code.kets.flags.writeable and matrix.flags.writeable
+
+
+@pytest.mark.parametrize("basis,message", [
+    (np.zeros((3, 2), dtype=int), "^3 kets do not split into 2 equal states$"),
+    (np.zeros((0, 2), dtype=int), "^basis states hold no kets$"),
+    (np.zeros((3, 1, 2), dtype=int), "^3 states for dimension 2$"),
+    (np.zeros((2, 1, 3), dtype=int), "^ket length 3 != 2$"),
+    (np.array([[0, 0], [1, 3]]), "^ket entry 3 out of range for alphabet 3$"),
+    (np.array([[0, 1], [0, 1]]), r"^ket \(0, 1\) appears in more than one state$"),
+])
+def test_code_geometry_refusals_of_one_matrix(basis, message):
+    with pytest.raises(BadGeometry, match=message):
+        QuantumCode(_params(), basis)
+
+
+@st.composite
+def bases_with_repeats(draw):
+    """(params, states, repeated): a shuffled basis in which some kets were
+    overwritten by copies of others, and the kets that now occur twice."""
+    params, states = draw(shuffled_bases())
+    kets = [ket for state in states for ket in state]
+    assume(len(kets) > 1)
+    for _ in range(draw(st.integers(1, 3), label="copies")):
+        src, dst = draw(st.lists(st.integers(0, len(kets) - 1), min_size=2, max_size=2,
+                                 unique=True), label="copy")
+        kets[dst] = kets[src]
+    counts = {ket: kets.count(ket) for ket in kets}
+    block = len(states[0])
+    states = [kets[i * block:(i + 1) * block] for i in range(params.K)]
+    return params, states, {ket for ket, count in counts.items() if count > 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=bases_with_repeats(), form=st.sampled_from(sorted(INPUT_FORMS)),
+       wide=st.booleans())
+def test_a_repeated_ket_named_is_the_lexicographically_first(data, form, wide):
+    params, states, repeated = data
+    if wide:
+        params = make_code_params(params.n, 0, [2 ** 63 + s for s in params.alphabets],
+                                  params.K)
+    with pytest.raises(BadGeometry) as exc:
+        QuantumCode(params, INPUT_FORMS[form](states))
+    assert str(exc.value) == f"ket {min(repeated)} appears in more than one state"
 
 
 @pytest.mark.parametrize("alphabet,dtype", [
