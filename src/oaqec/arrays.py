@@ -33,6 +33,17 @@ together or not at all.  A code's builder checks only the array the code is
 compiled from, where its partition is formed; no status reads the claims of
 an intermediate array.
 
+Rows are ordered and compared one way, by `row_keys`: a row's key is its
+mixed-radix number, and before the next digit would pass int64 the keys
+are replaced by their ranks (and, when even those would pass it, that
+column's values by theirs), so equal keys mean equal rows and the keys sort
+rows lexicographically.  `lexsorted` sorts a matrix by them, or returns it
+when they never decrease; a distance check sorts a projection's keys and
+looks for a tie; `synthesis` puts a code's kets in canonical order by them.
+`verify` keeps its own copy of the rule (`_slice_keys`), so that the
+reduction route of cross-validation shares no key kernel with the array
+route, whose distance comes from here.
+
 Strength is checked by vectorized counts over one contiguous column-major
 int64 copy of the matrix.  The t-column subsets are taken as the one-column
 extensions of each (t-1)-column prefix: the prefix's mixed-radix key is
@@ -295,51 +306,50 @@ def _with_certificates(A: MixedLevelArray | tuple[np.ndarray, tuple[int, ...]],
 def _in_range_array(matrix: np.ndarray, alphabets: tuple[int, ...]) -> MixedLevelArray:
     """An array over `matrix`, which becomes read-only, with no claims.  Only
     for a matrix whose entries are in range of `alphabets` and whose dtype
-    is storage_dtype(alphabets) by construction: nothing is checked or cast.
-    Outside input goes through MixedLevelArray, which checks every entry."""
+    is storage_dtype(alphabets) by construction, or a code's kets, which
+    the code has checked: nothing is checked or cast.  Outside input goes
+    through MixedLevelArray, which checks every entry."""
     matrix.setflags(write=False)
     return _with_certificates((matrix, alphabets), None, None)
 
 
-def _view(A: MixedLevelArray) -> MixedLevelArray:
-    """A new array over a view of A's matrix, with A's certificates: what a
-    construction made once per argument tuple returns on each call."""
-    return _with_certificates((A.matrix.view(), A.alphabets), A._strength, A._md)
+#: largest mixed-radix key row_keys builds before re-ranking
+_KEY_MAX = np.iinfo(np.int64).max
 
 
-def lexsort_order(matrix: np.ndarray) -> np.ndarray:
-    """The permutation that sorts the rows of a non-negative integer matrix
-    lexicographically, first column most significant.  The sort keys are
-    cast to the narrowest unsigned dtype holding the largest entry, so
-    np.lexsort can radix-sort them."""
-    keys = matrix.T[::-1]
-    if matrix.size:
-        keys = keys.astype(np.min_scalar_type(matrix.max()), copy=False)
-    return np.lexsort(keys)
-
-
-def _in_lexicographic_order(matrix: np.ndarray) -> bool:
-    """Whether the rows of an integer matrix are in lexicographic order, by
-    one neighbour comparison: where two neighbouring rows first differ, the
-    later one is larger.  Columns are compared left to right only while some
-    neighbours still agree on every column so far."""
-    tied = np.ones(max(len(matrix) - 1, 0), dtype=bool)
-    for before, after in zip(matrix[:-1].T, matrix[1:].T):
-        if np.any(tied & (after < before)):
-            return False
-        tied &= after == before
-        if not tied.any():
-            break
-    return True
+def row_keys(columns: Sequence[np.ndarray], radices: Sequence[int]) -> np.ndarray:
+    """One int64 key per row, columns[j] holding column j of the rows and
+    radices[j] bounding its values: equal keys mean equal rows, and the keys
+    order the rows lexicographically, first column most significant.  A
+    key is its row's mixed-radix number until the next digit would pass
+    _KEY_MAX; then the keys are replaced by their ranks, and when even the
+    ranks would pass it, the column's values by theirs."""
+    keys = np.zeros(len(columns[0]), dtype=np.int64)
+    radix = 1
+    for digits, s in zip(columns, radices):
+        if radix > _KEY_MAX // s:
+            uniq, keys = np.unique(keys, return_inverse=True)
+            radix = len(uniq)
+            if radix > _KEY_MAX // s:
+                uniq, digits = np.unique(digits, return_inverse=True)
+                s = len(uniq)
+        keys *= s
+        keys += digits
+        radix *= s
+    return keys
 
 
 def lexsorted(matrix: np.ndarray) -> np.ndarray:
     """The rows of a non-negative integer `matrix` in lexicographic order,
-    first column most significant: `matrix` itself when a neighbour
-    comparison finds them in order already, else one sort."""
-    if _in_lexicographic_order(matrix):
+    first column most significant: `matrix` itself when their keys
+    (`row_keys`, every column's radix the largest entry + 1) never
+    decrease, else one sort of the keys."""
+    keys = row_keys(matrix.T, [int(matrix.max(initial=0)) + 1] * matrix.shape[1])
+    if np.all(keys[1:] >= keys[:-1]):
         return matrix
-    return matrix[lexsort_order(matrix)]
+    # equal keys are equal rows, so the sort need not be stable; numpy's
+    # default argsort is several times faster than the stable one on r keys
+    return matrix[np.argsort(keys)]
 
 
 # --- verification ------------------------------------------------------------
@@ -465,30 +475,13 @@ def distance_profile(A: MixedLevelArray) -> DistanceProfile:
     return DistanceProfile(md=min(hd), hd=hd)
 
 
-#: largest mixed-radix key minimal_distance builds before re-ranking
-_KEY_MAX = np.iinfo(np.int64).max
-
-
 def _projection_collides(columns: np.ndarray, alphabets: Sequence[int],
                          cols: Iterable[int]) -> bool:
     """True when two rows agree on every column in `cols`, decided by sorting
-    their mixed-radix keys.  columns[j] holds column j of the array,
+    their keys (`row_keys`).  columns[j] holds column j of the array,
     contiguous."""
-    keys = np.zeros(columns.shape[1], dtype=np.int64)
-    radix = 1
-    for c in cols:
-        s, digits = alphabets[c], columns[c]
-        if radix > _KEY_MAX // s:
-            # the next digit would overflow: replace the keys by their ranks,
-            # and when even the ranks would, the column's values by theirs
-            uniq, keys = np.unique(keys, return_inverse=True)
-            radix = len(uniq)
-            if radix > _KEY_MAX // s:
-                uniq, digits = np.unique(digits, return_inverse=True)
-                s = len(uniq)
-        keys *= s
-        keys += digits
-        radix *= s
+    cols = list(cols)
+    keys = row_keys([columns[c] for c in cols], [alphabets[c] for c in cols])
     keys.sort()
     return bool(np.any(keys[1:] == keys[:-1]))
 

@@ -19,15 +19,15 @@ load is one lookup and one read: `asset_get` finds a record by name and
 `resolve_symmetric_oa` by its parameters, and the one loader checks the pin
 and certifies the payload; the digest goes into the ingredient trace.
 
-Work is not redone within a process.  The table of `bush(s, t)` is built
-and validated once per (s, t), read-only in its storage dtype, and a full
-factorial is built and certified once per (alphabets, index); each call
-returns a new array over a view of that one matrix, so no call checks,
-casts or copies it again.  An asset payload is read and hashed on every
-load but certified once: a reload of the same bytes, for the same
-record parameters, returns the array its first load certified (arrays never
-change their claims, so one can be shared).  A manifest is read on every
-lookup and parsed once per its bytes, so an edit is seen at once.
+Work is not redone within a process, and arrays never change their claims,
+so one can be shared.  The table of `bush(s, t)` is built and validated
+once per (s, t), read-only in its storage dtype, and every call with those
+arguments returns the one array over it; a full factorial is built and
+certified once per (alphabets, index), and every call returns that array.
+An asset payload is read and hashed on every load but certified once: a
+reload of the same bytes, for the same record parameters, returns the array
+its first load certified.  A manifest is read on every lookup and parsed
+once per its bytes, so an edit is seen at once.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .algebra import factorize_prime_powers, field_create, is_prime_power
 from .arrays import (
     MixedLevelArray,
     _in_range_array,
-    _view,
     certify,
     claim,
     delete_columns,
@@ -72,14 +71,15 @@ MANIFEST_NAME = "manifest.json"
 _BUNDLED_DIR = Path(__file__).resolve().parent / "assets"
 
 
+@functools.lru_cache(maxsize=None)
 def bush(s: int, t: int) -> MixedLevelArray:
     """Polynomial array: OA(s^t, s+1, s, t) of index unity for s >= t-1.
 
     Rows are the polynomials of degree < t over GF(s); the first s columns
     evaluate each polynomial at a field element and the last column reads
-    off the degree-(t-1) coefficient.  Each call returns a new array, its
-    claims recorded unchecked, over a view of a table built and validated
-    once per (s, t).
+    off the degree-(t-1) coefficient.  The array, its claims recorded
+    unchecked, is made once per (s, t) over a table built and validated
+    once, and every call with those arguments returns it.
     """
     if not is_prime_power(s):
         raise NotPrimePower(f"{s} is not a prime power")
@@ -87,7 +87,7 @@ def bush(s: int, t: int) -> MixedLevelArray:
         raise ValueError(f"strength must be >= 1, got {t}")
     if t - 1 > s:
         raise StrengthTooHigh(f"need s >= t-1 (got s={s}, t={t})")
-    A = _in_range_array(_bush_table(s, t).view(), (s,) * (s + 1))
+    A = _in_range_array(_bush_table(s, t), (s,) * (s + 1))
     return claim(A, strength=t, md=(s + 1) - t + 1)
 
 
@@ -126,14 +126,13 @@ def hyperoval_oa(s: int) -> MixedLevelArray:
 
 def full_factorial_mixed(alphabets, lam: int = 1) -> MixedLevelArray:
     """All level tuples in lexicographic order, each repeated `lam` times,
-    certified; each call returns a new array over a view of a matrix built
-    and certified once per (alphabets, lam)."""
+    certified: one array, built and certified once per (alphabets, lam)."""
     alphabets = tuple(int(a) for a in alphabets)
     if not alphabets:
         raise ValueError("alphabets must be nonempty")
     if lam < 1:
         raise ValueError(f"index must be >= 1, got {lam}")
-    return _view(_full_factorial(alphabets, lam))
+    return _full_factorial(alphabets, lam)
 
 
 @functools.lru_cache(maxsize=None)

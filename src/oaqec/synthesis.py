@@ -21,8 +21,8 @@ import numpy as np
 from .algebra import factorize_prime_powers, is_prime_power
 from .arrays import (MixedLevelArray, _integer_matrix, _out_of_range_entry,
                      attach_index_column, claim, claim_blocks, delete_columns,
-                     ensure_checked, expansive_replacement, lexsort_order,
-                     measure_md, multiply_oa, storage_dtype)
+                     ensure_checked, expansive_replacement, measure_md,
+                     multiply_oa, row_keys, storage_dtype)
 # re-exported: the benchmark harness wraps and calls it through this module
 from .arrays import is_orthogonal_array  # noqa: F401
 from .constructions import asset_get, full_factorial_mixed, resolve_symmetric_oa
@@ -147,8 +147,8 @@ def partition_by_prefix(A: MixedLevelArray, l: int) -> tuple[MixedLevelArray, in
     is one block of consecutive rows, and the number K of groups.  Each
     group inherits strength A.strength - l, so the stripped array with K
     blocks is a partition of that strength.  The rows are sorted at most
-    once: not at all when a neighbour comparison finds them in order, as a
-    Bush table's are with its trailing columns deleted (`sorted_rows`)."""
+    once: not at all when their keys (`arrays.row_keys`) never decrease, as
+    a Bush table's do with its trailing columns deleted (`sorted_rows`)."""
     if not 0 <= l < A.n:
         raise ValueError(f"prefix width {l} out of range for {A.n} columns")
     if A.strength <= l:
@@ -260,30 +260,6 @@ def _ket_matrix(basis, n: int, K: int) -> np.ndarray:
     return np.concatenate(states, dtype=common if common.kind in "iu" else np.int64)
 
 
-#: largest product of alphabets whose mixed-radix ket numbers fit int64
-_KEY_RADIX_MAX = 2 ** 63
-
-
-def _ket_keys(kets: np.ndarray, alphabets: tuple[int, ...]) -> np.ndarray:
-    """One int64 key per ket, ordered as the kets are lexicographically: its
-    exact mixed-radix number, built column by column into one array, when
-    the product of the alphabets fits int64, else its rank among the kets'
-    distinct values in lexsort_order."""
-    if math.prod(alphabets) <= _KEY_RADIX_MAX:
-        keys = kets[:, 0].astype(np.int64)
-        for j in range(1, kets.shape[1]):
-            keys *= alphabets[j]
-            keys += kets[:, j]
-        return keys
-    order = lexsort_order(kets)
-    ranked = kets[order]
-    new = np.ones(len(kets), dtype=np.int64)
-    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    keys = np.empty(len(kets), dtype=np.int64)
-    keys[order] = np.cumsum(new)
-    return keys
-
-
 def _canonical_rows(kets: np.ndarray, alphabets: tuple[int, ...],
                     K: int) -> Optional[np.ndarray]:
     """The row order that puts K equal runs of kets in canonical order (kets
@@ -292,12 +268,12 @@ def _canonical_rows(kets: np.ndarray, alphabets: tuple[int, ...],
     first ket that occurs twice.
 
     Each ket is keyed by one int64 whose order is the kets' lexicographic
-    order (`_ket_keys`).  One neighbour comparison of the keys shows which
-    states are already sorted with distinct kets, as a partition's blocks
-    are; only the others are sorted.  One sort of all keys finds a ket
-    repeated anywhere, and the states are reordered only when their first
-    keys are out of order."""
-    keys = _ket_keys(kets, alphabets).reshape(K, -1)
+    order (`row_keys` over the alphabets).  One neighbour comparison of the
+    keys shows which states are already sorted with distinct kets, as a
+    partition's blocks are; only the others are sorted.  One sort of all
+    keys finds a ket repeated anywhere, and the states are reordered only
+    when their first keys are out of order."""
+    keys = row_keys(kets.T, alphabets).reshape(K, -1)
     block = keys.shape[1]
     rows = None
     unsorted = np.flatnonzero(np.any(keys[:, 1:] <= keys[:, :-1], axis=1))

@@ -262,10 +262,11 @@ def _calls(tree: ast.AST, name: str) -> bool:
 
 
 def _is_kets_array(value: Optional[ast.AST]) -> bool:
-    """Whether the expression is `MixedLevelArray(code.kets, ...)`: an array
-    built from the kets, which carries no claim."""
+    """Whether the expression is `_in_range_array(code.kets, ...)`: an array
+    over the kets, which the code has already range-checked, carrying no
+    claim."""
     return (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
-            and value.func.id == "MixedLevelArray" and bool(value.args)
+            and value.func.id == "_in_range_array" and bool(value.args)
             and ast.unparse(value.args[0]) == "code.kets")
 
 
@@ -350,12 +351,15 @@ def test_independence_guard_sees_an_array_that_carries_claims():
     arrays_source = (SRC / "arrays.py").read_text()
     verify_source = (SRC / "verify.py").read_text()
     md_line = "md = minimal_distance(rebuilt)"
-    build_line = "rebuilt = MixedLevelArray(code.kets, code.params.alphabets)"
+    build_line = "rebuilt = _in_range_array(code.kets, code.params.alphabets)"
     assert md_line in verify_source and build_line in verify_source
     fault = "cross_validate passes minimal_distance an array not built from the kets"
     mutants = {
         # the construction's parent, whose checked strength spares sorts
         "parent": verify_source.replace(md_line, "md = minimal_distance(code.provenance.parent)"),
+        # an array rebuilt from the parent's matrix instead of the kets
+        "parent matrix": verify_source.replace(build_line, build_line.replace(
+            "code.kets", "code.provenance.parent.matrix")),
         "claim": verify_source.replace(
             md_line, "md = minimal_distance(certify(rebuilt, d))"),
         "rebound": verify_source.replace(

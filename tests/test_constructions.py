@@ -337,10 +337,9 @@ def test_asset_record_describe():
 # --- reuse: one Bush table per (s, t), one certification per asset payload ----
 
 
-def test_bush_calls_return_distinct_arrays_over_one_table():
+def test_bush_calls_share_one_array_that_checks_leave_unchanged():
     A, B = bush(5, 3), bush(5, 3)
-    assert A is not B and A.matrix is not B.matrix
-    assert np.array_equal(A.matrix, B.matrix)
+    assert A is B
     weaker = claim(ensure_checked(A), strength=2)
     assert (weaker.strength, weaker.strength_checked, weaker.md_checked) == (2, False, True)
     assert (B.strength, B.strength_checked, B.md, B.md_checked) == (3, False, 4, False)
@@ -348,6 +347,7 @@ def test_bush_calls_return_distinct_arrays_over_one_table():
 
 
 def test_bush_and_full_factorials_are_checked_once_per_argument_tuple(monkeypatch):
+    constructions.bush.cache_clear()
     constructions._bush_table.cache_clear()
     constructions._full_factorial.cache_clear()
     counts = {"is_orthogonal_array": 0, "_out_of_range_entry": 0}
@@ -363,9 +363,9 @@ def test_bush_and_full_factorials_are_checked_once_per_argument_tuple(monkeypatc
     assert counts == {"is_orthogonal_array": 3, "_out_of_range_entry": 5}
     for arrays_made, kinds in ((bushes, 2), (factorials, 3)):
         assert len({id(A) for A in arrays_made}) == len({id(A.matrix) for A in arrays_made}) \
-            == len(arrays_made)
+            == kinds
         for A, B in zip(arrays_made, arrays_made[kinds:]):
-            assert np.shares_memory(A.matrix, B.matrix) and not B.matrix.flags.writeable
+            assert A is B and not B.matrix.flags.writeable
     assert all(F.verified for F in factorials)
     assert not any(A.strength_checked or A.md_checked for A in bushes)
 

@@ -155,11 +155,20 @@ def test_partition_by_prefix_sorts_rows_only_when_they_are_out_of_order():
     # a Bush table is lexsorted, and stays so with its trailing columns deleted
     A = delete_columns(bush(5, 3), [5])
     shuffled = MixedLevelArray(A.matrix[::-1], A.alphabets)
-    with mock.patch.object(arrays, "lexsort_order", wraps=arrays.lexsort_order) as spy:
+    sorts, real = [], arrays.lexsorted
+
+    def spy(matrix):
+        out = real(matrix)
+        sorts.append((matrix, out))
+        return out
+
+    with mock.patch.object(arrays, "lexsorted", spy):
         parent, K = partition_by_prefix(claim(A, strength=3), 1)
-        assert spy.call_count == 0
         again, _ = partition_by_prefix(claim(shuffled, strength=3), 1)
-        assert spy.call_count == 1
+    # rows in order come back as the same matrix, rows out of order sorted
+    [(kept, kept_out), (moved, moved_out)] = sorts
+    assert kept is A.matrix and kept_out is kept
+    assert moved is shuffled.matrix and np.array_equal(moved_out, A.matrix)
     assert K == 5 and np.array_equal(parent.matrix, again.matrix)
     assert np.array_equal(parent.matrix, A.matrix[:, 1:])
 
@@ -673,10 +682,14 @@ INPUT_FORMS = {
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=shuffled_bases(), form=st.sampled_from(sorted(INPUT_FORMS)))
-def test_ket_matrix_is_the_canonical_basis(data, form):
+@given(data=shuffled_bases(), form=st.sampled_from(sorted(INPUT_FORMS)),
+       key_max=st.sampled_from((1, 30, arrays._KEY_MAX)))
+def test_ket_matrix_is_the_canonical_basis(data, form, key_max):
     params, states = data
-    code = QuantumCode(params, INPUT_FORMS[form](states))
+    # a small key cap makes row_keys re-rank the ket keys, and at 1 the
+    # ket entries too
+    with mock.patch.object(arrays, "_KEY_MAX", key_max):
+        code = QuantumCode(params, INPUT_FORMS[form](states))
     want = naive_canonical_basis(states)
     assert code.basis == want
     assert code.kets.tolist() == [list(ket) for state in want for ket in state]
@@ -690,23 +703,13 @@ def test_ket_matrix_is_the_canonical_basis(data, form):
 @settings(max_examples=100, deadline=None)
 @given(data=shuffled_bases(), form=st.sampled_from(sorted(INPUT_FORMS)))
 def test_ket_matrix_past_int64_keys_is_the_canonical_basis(data, form):
-    # alphabets whose product passes 2^63 key the kets by lexsort ranks
+    # alphabets past 2^63 make row_keys re-rank the keys and the ket entries
     params, states = data
     wide = make_code_params(params.n, 0, [2 ** 63 + s for s in params.alphabets], params.K)
-    with mock.patch.object(synthesis, "lexsort_order", wraps=arrays.lexsort_order) as spy:
-        code = QuantumCode(wide, INPUT_FORMS[form](states))
-    assert spy.call_count == 1
+    code = QuantumCode(wide, INPUT_FORMS[form](states))
     want = naive_canonical_basis(states)
     assert code.kets.tolist() == [list(ket) for state in want for ket in state]
     assert code.kets.dtype == np.int64 and not code.kets.flags.writeable
-
-
-def test_ket_matrix_within_int64_keys_is_not_lexsorted():
-    params, states = make_code_params(2, 0, (3, 3), 2), [[(2, 2), (0, 1)], [(1, 0), (0, 0)]]
-    with mock.patch.object(synthesis, "lexsort_order", wraps=arrays.lexsort_order) as spy:
-        code = QuantumCode(params, states)
-    assert spy.call_count == 0
-    assert code.kets.tolist() == [[0, 0], [1, 0], [0, 1], [2, 2]]
 
 
 def test_code_does_not_share_a_writeable_ket_matrix():
