@@ -48,7 +48,7 @@ Strength is checked by vectorized counts over one contiguous column-major
 int64 copy of the matrix.  The t-column subsets are taken as the one-column
 extensions of each (t-1)-column prefix: the prefix's mixed-radix key is
 built once, from the key of the prefix it shares the most columns with, and
-one np.bincount per chunk of last columns counts all its extensions.  The
+each extension costs one add and one np.bincount.  The
 exact dict count runs only on the first failing subset, to extract the
 BalanceWitness that reports name.  A partition's blocks share one pass: the
 block number is the most significant digit of each key.
@@ -355,11 +355,6 @@ def lexsorted(matrix: np.ndarray) -> np.ndarray:
 # --- verification ------------------------------------------------------------
 
 
-#: cap on rows x subsets counted by one np.bincount in is_orthogonal_array,
-#: which bounds the kernel's scratch memory independently of C(n, t)
-_CHUNK_CELLS = 1 << 15
-
-
 def _subset_witness(A: MixedLevelArray, cols: tuple[int, ...]) -> Optional[BalanceWitness]:
     """Exact dict count on one column subset: the first violation, or None."""
     r = A.r
@@ -394,10 +389,15 @@ def _first_unbalanced_subset(A: MixedLevelArray, t: int, blocks: int
     The subsets come as the one-column extensions of each (t-1)-column
     prefix.  A prefix's key (block number most significant, then its levels)
     is built once, from the key of the prefix it shares the most columns
-    with.  A subset whose level product does not divide b fails in every
-    block without counting, and so does every subset through a prefix that
-    does not divide b: it fails with its first extension, block 0.  Every
-    other key stays below blocks * prod <= r, so no key overflows int64.
+    with, and scaled once per alphabet among its extensions; each extension
+    then costs one add and one np.bincount over its blocks * size cells,
+    size its level product.  A subset whose level product does not divide b
+    fails in every block without counting, and so does every subset through
+    a prefix that does not divide b: it fails with its first extension,
+    block 0.  Every other key stays below blocks * size <= r, so no key
+    overflows int64.  A block's size cells add up to b, so they all equal
+    b / size exactly when none exceeds it: only a subset whose largest count
+    does is searched for its first bad cell.
     """
     r, n, alphabets = A.r, A.n, A.alphabets
     if not 1 <= t <= n:
@@ -406,7 +406,6 @@ def _first_unbalanced_subset(A: MixedLevelArray, t: int, blocks: int
         raise ValueError(f"{r} rows do not split into {blocks} equal blocks")
     b = r // blocks
     columns = np.ascontiguousarray(A.matrix.T, dtype=np.int64)
-    per_chunk = max(1, _CHUNK_CELLS // r)
     # keys[d] and prods[d]: key and level product of the prefix's first d columns
     keys, prods, prev = [np.arange(r) // b], [1], ()
     for prefix in itertools.combinations(range(n - 1), t - 1):
@@ -422,24 +421,17 @@ def _first_unbalanced_subset(A: MixedLevelArray, t: int, blocks: int
                 # the failing columns
                 return prefix + (prefix[-1] + 1,), 0
             keys.append(keys[-1] * alphabets[c] + columns[c])
-        for lo in range(prefix[-1] + 1 if prefix else 0, n, per_chunk):
-            sizes = [prods[-1] * s for s in alphabets[lo:lo + per_chunk]]
-            stop = next((i for i, p in enumerate(sizes) if b % p), len(sizes))
-            if stop:
-                # extension lo + i counts in cells offsets[i] + block * size + level
-                size = np.array(sizes[:stop], dtype=np.int64)
-                cells = blocks * size
-                offsets = np.cumsum(cells) - cells
-                ext = np.multiply.outer(alphabets[lo:lo + stop], keys[-1])
-                ext += columns[lo:lo + stop]
-                ext += offsets[:, None]
-                counts = np.bincount(ext.ravel(), minlength=int(cells.sum()))
-                bad = np.flatnonzero(counts != np.repeat(b // size, cells))
-                if bad.size:
-                    i = int(np.searchsorted(offsets, bad[0], side="right")) - 1
-                    return prefix + (lo + i,), int((bad[0] - offsets[i]) // size[i])
-            if stop < len(sizes):
-                return prefix + (lo + stop,), 0
+        scaled: dict[int, np.ndarray] = {}
+        for c in range(prefix[-1] + 1 if prefix else 0, n):
+            s = alphabets[c]
+            size = prods[-1] * s
+            if b % size:
+                return prefix + (c,), 0
+            if s not in scaled:
+                scaled[s] = keys[-1] * s
+            counts = np.bincount(scaled[s] + columns[c], minlength=blocks * size)
+            if counts.max() > b // size:
+                return prefix + (c,), int(np.argmax(counts != b // size)) // size
     return None
 
 

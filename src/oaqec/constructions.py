@@ -91,19 +91,24 @@ def bush(s: int, t: int) -> MixedLevelArray:
     return claim(A, strength=t, md=(s + 1) - t + 1)
 
 
-@functools.lru_cache(maxsize=None)
 def _bush_table(s: int, t: int) -> np.ndarray:
     """The rows of bush(s, t), lexsorted, read-only and checked against the
-    alphabet s by MixedLevelArray, in its storage dtype (the field's)."""
+    alphabet s by MixedLevelArray, in its storage dtype (the field's).
+
+    The table grows one coefficient at a time, c_0 first: each row splits
+    into s rows, one per c_j, and each cell adds c_j * x^j (an s x s slice
+    of the multiplication table) with one addition-table lookup.  The rows
+    come in np.indices order of (c_0, ..., c_{t-1}), c_{t-1} fastest."""
     f = field_create(s)
-    # Horner's rule over the field tables evaluates every polynomial
-    # (coefficients low degree first) at every point at once
-    coeffs = np.indices((s,) * t, dtype=f.add_table.dtype).reshape(t, -1).T
+    dtype = f.add_table.dtype
     points = np.arange(s)
-    acc = np.zeros((len(coeffs), s), dtype=f.add_table.dtype)
-    for j in range(t - 1, -1, -1):
-        acc = f.add_table[f.mul_table[acc, points], coeffs[:, j:j + 1]]
-    table = lexsorted(np.hstack([acc, coeffs[:, -1:]]))
+    power = np.ones(s, dtype=dtype)  # x^j at every point x, with x^0 = 1
+    acc = np.zeros((1, s), dtype=dtype)
+    for _ in range(t):
+        acc = f.add_table[acc[:, None, :], f.mul_table[:, power][None, :, :]].reshape(-1, s)
+        power = f.mul_table[power, points]
+    lead = np.tile(np.arange(s, dtype=dtype), s ** (t - 1))
+    table = lexsorted(np.hstack([acc, lead[:, None]]))
     return MixedLevelArray(table, (s,) * (s + 1)).matrix
 
 

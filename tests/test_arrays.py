@@ -577,16 +577,15 @@ def first_failing_subset(rows, alphabets, t):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=small_arrays(), chunk_cells=st.sampled_from((1, 7, 64, 1 << 15)))
-def test_strength_kernel_matches_naive_oracle_and_exact_witness(case, chunk_cells):
+@given(case=small_arrays())
+def test_strength_kernel_matches_naive_oracle_and_exact_witness(case):
     rows, alphabets = case
     A = MixedLevelArray(rows, alphabets)
-    with mock.patch.object(arrays, "_CHUNK_CELLS", chunk_cells):
-        for t in range(1, A.n + 1):
-            ok, witness = is_orthogonal_array(A, t)
-            assert ok == naive_is_oa(rows, alphabets, t)
-            cols = first_failing_subset(rows, alphabets, t)
-            assert witness == (None if cols is None else arrays._subset_witness(A, cols))
+    for t in range(1, A.n + 1):
+        ok, witness = is_orthogonal_array(A, t)
+        assert ok == naive_is_oa(rows, alphabets, t)
+        cols = first_failing_subset(rows, alphabets, t)
+        assert witness == (None if cols is None else arrays._subset_witness(A, cols))
 
 
 @st.composite
@@ -619,25 +618,24 @@ def blocked_arrays(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=blocked_arrays(), chunk_cells=st.sampled_from((1, 7, 64, 1 << 15)))
-def test_block_strength_kernel_matches_naive_oracle_on_each_block(case, chunk_cells):
+@given(case=blocked_arrays())
+def test_block_strength_kernel_matches_naive_oracle_on_each_block(case):
     rows, alphabets, K = case
     A = MixedLevelArray(rows, alphabets)
     b = len(rows) // K
     blocks = [rows[i * b:(i + 1) * b] for i in range(K)]
-    with mock.patch.object(arrays, "_CHUNK_CELLS", chunk_cells):
-        for t in range(1, A.n + 1):
-            ok, witness = is_orthogonal_array(A, t, K)
-            assert ok == all(naive_is_oa(blk, alphabets, t) for blk in blocks)
-            # combinations order is tuple order, so the first failing subset
-            # is the least of the blocks' first failing subsets
-            firsts = [first_failing_subset(blk, alphabets, t) for blk in blocks]
-            cols = min((c for c in firsts if c is not None), default=None)
-            if cols is None:
-                assert witness is None
-            else:
-                block = MixedLevelArray(blocks[firsts.index(cols)], alphabets)
-                assert witness == arrays._subset_witness(block, cols)
+    for t in range(1, A.n + 1):
+        ok, witness = is_orthogonal_array(A, t, K)
+        assert ok == all(naive_is_oa(blk, alphabets, t) for blk in blocks)
+        # combinations order is tuple order, so the first failing subset
+        # is the least of the blocks' first failing subsets
+        firsts = [first_failing_subset(blk, alphabets, t) for blk in blocks]
+        cols = min((c for c in firsts if c is not None), default=None)
+        if cols is None:
+            assert witness is None
+        else:
+            block = MixedLevelArray(blocks[firsts.index(cols)], alphabets)
+            assert witness == arrays._subset_witness(block, cols)
 
 
 def kernel_matches_oracle(rows, alphabets, t, K=1):
@@ -697,6 +695,27 @@ def test_strength_kernel_names_a_later_block():
     # the first failing subset wins over the first failing block
     assert kernel_matches_oracle(factorial + broken_02 + broken_01, alphabets, 2, K=3) \
         == ((0, 1), 2)
+    # mixed alphabets, K = 4: only the last block is unbalanced, on a pair
+    # whose columns are each balanced there, or on column 1 alone
+    factorial = list(itertools.product(range(2), range(3)))
+    pair_broken = [(0, 1), (0, 1), (0, 2), (1, 0), (1, 0), (1, 2)]
+    column_broken = [(0, 0), (0, 0), (0, 2), (1, 0), (1, 1), (1, 2)]
+    assert kernel_matches_oracle(factorial * 3 + pair_broken, (2, 3), 2, K=4) == ((0, 1), 3)
+    assert kernel_matches_oracle(factorial * 3 + pair_broken, (2, 3), 1, K=4) is None
+    assert kernel_matches_oracle(factorial[::-1] * 3 + column_broken, (2, 3), 1, K=4) \
+        == ((1,), 3)
+
+
+def test_strength_kernel_scales_a_prefix_key_once_per_alphabet():
+    # prefix (0,) extends to columns 1 and 2 (alphabet 2), then 3 (alphabet 3)
+    alphabets = (2, 2, 2, 3)
+    rows = list(itertools.product(*(range(s) for s in alphabets)))
+    assert kernel_matches_oracle(rows, alphabets, 2) is None
+    # moving a 0 and a 1 of column 3 between the halves of column 0 leaves
+    # every column, and the pairs (1, 3) and (2, 3), balanced
+    rows[rows.index((0, 0, 0, 0))] = (0, 0, 0, 1)
+    rows[rows.index((1, 0, 0, 1))] = (1, 0, 0, 0)
+    assert kernel_matches_oracle(rows, alphabets, 2) == ((0, 3), 0)
 
 
 def test_strength_kernel_with_prefix_products_beyond_int64():
@@ -717,8 +736,9 @@ def test_strength_kernel_with_prefix_products_beyond_int64():
     ({3: "unbalanced", 4: "levels"}, ((0, 3), 0)),
     ({4: "levels", 5: "unbalanced"}, ((0, 4), 0)),
 ])
-def test_strength_kernel_across_chunks_of_one_prefix(failing, expected):
-    # two extensions per chunk: prefix (0,) counts columns 1-2, 3-4, then 5
+def test_strength_kernel_takes_extensions_of_one_prefix_in_order(failing, expected):
+    # prefix (0,) extends to columns 1-5; the first unbalanced or
+    # non-dividing one fails
     alphabets = [2] * 6
     rows = [[a, b] + [(a + b + j) % 2 for j in range(4)]
             for a, b in itertools.product(range(2), repeat=2)]
@@ -730,8 +750,7 @@ def test_strength_kernel_across_chunks_of_one_prefix(failing, expected):
         else:
             alphabets[col] = 3
     rows = [tuple(row) for row in rows]
-    with mock.patch.object(arrays, "_CHUNK_CELLS", 2 * len(rows)):
-        assert kernel_matches_oracle(rows, alphabets, 2) == expected
+    assert kernel_matches_oracle(rows, alphabets, 2) == expected
 
 
 def test_is_oa_refuses_a_block_count_that_does_not_split_the_rows():

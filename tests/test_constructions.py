@@ -88,6 +88,23 @@ def test_bush_matches_poly_eval_transcription(s, t):
     assert (A.strength, A.md, A.status()) == (ref.strength, ref.md, ref.status())
 
 
+# SHA-256 of the uint8, C-order table, for tables past the 20,000 rows of the
+# transcription test; bush(9, 5) is a catalogue ingredient
+LARGE_BUSH_DIGESTS = {
+    (9, 5): "4eab4b525213409fa41c7be4cc39c3034708d489f906f3d7641fb4009b6d01f3",
+    (16, 4): "9f00ab0d16286a2c1c0284cb34202dbb625f6227001a346870c48e6406a7cca7",
+    (27, 3): "8e1f782f5f333230cb32bb7c98401f8c19a3dd3995ed84719e8d898e190f7496",
+    (13, 4): "18bebb636cf6c85a06f941913693d43959ffd9c27a39af9e8e620af16787aa08",
+}
+
+
+@pytest.mark.parametrize("s,t", LARGE_BUSH_DIGESTS)
+def test_large_bush_tables_keep_their_bytes(s, t):
+    table = constructions._bush_table(s, t)
+    assert (table.dtype, table.flags.c_contiguous) == (np.uint8, True)
+    assert hashlib.sha256(table.tobytes()).hexdigest() == LARGE_BUSH_DIGESTS[s, t]
+
+
 def test_bush_degree_one_is_repeated_diagonal():
     A = bush(3, 1)
     assert A.rows == ((0,) * 4, (1,) * 4, (2,) * 4)
@@ -348,7 +365,6 @@ def test_bush_calls_share_one_array_that_checks_leave_unchanged():
 
 def test_bush_and_full_factorials_are_checked_once_per_argument_tuple(monkeypatch):
     constructions.bush.cache_clear()
-    constructions._bush_table.cache_clear()
     constructions._full_factorial.cache_clear()
     counts = {"is_orthogonal_array": 0, "_out_of_range_entry": 0}
     for name in counts:
@@ -381,10 +397,10 @@ def test_shared_bush_table_is_read_only():
 def test_bush_table_cache_matches_a_fresh_build():
     keys = [(s, t) for s in range(2, 14) if is_prime_power(s) for t in range(1, 5)
             if t - 1 <= s]
-    cached = {key: constructions._bush_table(*key) for key in keys}
-    constructions._bush_table.cache_clear()
+    cached = {key: bush(*key).matrix for key in keys}
+    constructions.bush.cache_clear()
     for key in keys:
-        fresh = constructions._bush_table(*key)
+        fresh = bush(*key).matrix
         assert fresh is not cached[key]
         assert fresh.dtype == cached[key].dtype
         assert np.array_equal(fresh, cached[key]), key
