@@ -1,21 +1,22 @@
 """Difference schemes over Z_s or a field-additive group, and their OA lifts.
 
 A scheme of strength t hits every coset of the diagonal subgroup equally
-often on each t-column projection; the constructors here verify that
-property before returning, so no unverified scheme ever escapes.  Rows
-are one read-only int64 matrix, built from the field's tables.
+often on each t-column projection.  Like every other construction, the
+constructors record that strength as a claim and check nothing: a lift
+is balanced exactly when its scheme is (`oa_from_scheme`), and it is
+checked where a code's partition is formed.  Rows are one read-only int64
+matrix, built from the field's tables.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 import numpy as np
 
 from .algebra import Field, field_create, is_prime_power, prime_power_decomposition
-from .arrays import BalanceWitness, MixedLevelArray, claim
-from .errors import ClaimFailed, NotPrimePower
+from .arrays import MixedLevelArray, claim
+from .errors import NotPrimePower
 
 
 class DifferenceScheme:
@@ -72,42 +73,6 @@ class DifferenceScheme:
                 f"t={self.strength}, group={self.group_tag()})")
 
 
-def is_difference_scheme(D: DifferenceScheme, t: int):
-    """Coset test at strength t: for every t-column subset the difference
-    vectors against the last chosen column must hit each group tuple
-    r / s^(t-1) times.  Returns (True, None) or (False, witness)."""
-    if not 2 <= t <= D.c:
-        raise ValueError(f"strength {t} out of range 2..{D.c}")
-    r, s = D.r, D.s
-    expected, rem = divmod(r, s ** (t - 1))
-    if rem:
-        return False, BalanceWitness(tuple(range(t)), None, None,
-                                     r / s ** (t - 1),
-                                     "row count not divisible by s^(t-1)")
-    rows = D.matrix
-    add = D.add_table()
-    sub = add[:, np.argmax(add == 0, axis=1)]  # sub[a, b] = a - b
-    # a difference vector's index in itertools.product order
-    weights = s ** np.arange(t - 2, -1, -1)
-    for cols in itertools.combinations(range(D.c), t):
-        diffs = sub[rows[:, list(cols[:-1])], rows[:, [cols[-1]]]]
-        counts = np.bincount(diffs @ weights, minlength=s ** (t - 1))
-        bad = np.flatnonzero(counts != expected)
-        if bad.size:
-            key = tuple(int(x) for x in np.unravel_index(bad[0], (s,) * (t - 1)))
-            return False, BalanceWitness(cols, key, int(counts[bad[0]]),
-                                         expected, "coset unbalanced")
-    return True, None
-
-
-def _verified(rows, s, t, field=None) -> DifferenceScheme:
-    D = DifferenceScheme(rows, s, strength=t, field=field)
-    ok, witness = is_difference_scheme(D, t)
-    if not ok:
-        raise ClaimFailed(f"scheme self-check failed at strength {t}: {witness}")
-    return D
-
-
 def d3_scheme(s: int) -> DifferenceScheme:
     """Strength-3 scheme with s^2 rows and 4 columns over Z_s, any s >= 2.
 
@@ -117,7 +82,8 @@ def d3_scheme(s: int) -> DifferenceScheme:
     if s < 2:
         raise ValueError("need s >= 2")
     a, b = np.indices((s, s)).reshape(2, -1)
-    return _verified(np.stack([np.zeros_like(a), a, b, (a + b) % s], axis=1), s, 3)
+    return DifferenceScheme(np.stack([np.zeros_like(a), a, b, (a + b) % s], axis=1),
+                            s, strength=3)
 
 
 def _d_2s_odd(s: int) -> DifferenceScheme:
@@ -144,7 +110,7 @@ def _d_2s_odd(s: int) -> DifferenceScheme:
     rows = np.vstack([np.hstack([linear, quadratic]),
                       np.hstack([add[linear, mul[square, gamma_scale]],
                                  add[mul[rho, quadratic], mul[square, Gamma_scale]]])])
-    return _verified(rows, s, 2, field=f)
+    return DifferenceScheme(rows, s, strength=2, field=f)
 
 
 def _d_2s_even(s: int) -> DifferenceScheme:
@@ -152,12 +118,12 @@ def _d_2s_even(s: int) -> DifferenceScheme:
     order 2s, with entries pushed through the coefficient-dropping
     epimorphism onto the additive group of GF(s)."""
     f = field_create(s) if s > 2 else None
-    return _verified(field_create(2 * s).mul_table % s, s, 2, field=f)
+    return DifferenceScheme(field_create(2 * s).mul_table % s, s, strength=2, field=f)
 
 
 def d_2s(s: int) -> DifferenceScheme:
-    """A verified width-2s, 2s-row scheme over a group of order s, by the
-    algebraic construction for even or odd prime powers."""
+    """A width-2s, 2s-row scheme of claimed strength 2 over a group of order
+    s, by the algebraic construction for even or odd prime powers."""
     if not is_prime_power(s):
         raise NotPrimePower(f"{s} is not a prime power")
     (p, _), = prime_power_decomposition(s)
@@ -168,7 +134,13 @@ def oa_from_scheme(D: DifferenceScheme) -> MixedLevelArray:
     """Lift a scheme to an orthogonal array: every scheme row is followed by
     its shifts by each constant vector (v, ..., v) of the scheme's own group,
     so consecutive blocks of s rows come from one scheme row.  The scheme's
-    strength carries over as the array's claim, recorded unchecked."""
+    strength carries over as the array's claim, recorded unchecked.
+
+    On t columns a lifted row D_i + v is fixed by its last entry, which
+    gives v, and its differences against the last column, which give D_i's:
+    each level tuple appears as often as its difference vector, so the lift
+    is balanced at strength t exactly when the scheme passes the coset test,
+    and checking the lift's claim checks the scheme."""
     shifted = D.add_table()[D.matrix[:, None, :], np.arange(D.s)[:, None]]
     return claim(MixedLevelArray(shifted.reshape(-1, D.c), (D.s,) * D.c),
                  strength=D.strength)

@@ -37,12 +37,14 @@ from .schemes import d3_scheme, d_2s, oa_from_scheme
 
 def singleton_bound(n: int, d: int, alphabets: Sequence[int]) -> int:
     """Largest dimension a distance-(d+1) code on these alphabets can have."""
+    if d < 0:
+        raise BadGeometry(f"need d >= 0, got d={d}")
     alphabets = tuple(int(s) for s in alphabets)
     if len(alphabets) != n:
         raise BadGeometry(f"{len(alphabets)} alphabet sizes for {n} parties")
     if any(s < 2 for s in alphabets):
         raise BadGeometry(f"alphabet sizes must each be at least 2, got {list(alphabets)}")
-    if d < 0 or n < 2 * d:
+    if n < 2 * d:
         raise BadGeometry(f"need n >= 2d, got n={n}, d={d}")
     return math.prod(sorted(alphabets)[:n - 2 * d])
 

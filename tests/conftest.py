@@ -13,7 +13,7 @@ import re
 from hypothesis import strategies as st
 
 from oaqec.algebra import field_create
-from oaqec.schemes import _verified
+from oaqec.schemes import DifferenceScheme
 
 #: one alphabet just above the range of uint8, uint16 and uint32: an array
 #: with a column over it is stored as uint16, uint32 or int64
@@ -178,7 +178,10 @@ def d_sss(s: int):
     """Square scheme of side s: the multiplication table of GF(s), checked at
     strength 2 (NotPrimePower unless s is a prime power)."""
     f = field_create(s)
-    return _verified(f.mul_table, s, 2, field=f)
+    D = DifferenceScheme(f.mul_table, s, strength=2, field=f)
+    if not naive_is_difference_scheme(D.rows, s, 2, sub=f.sub):
+        raise AssertionError(f"the GF({s}) table is not a difference scheme")
+    return D
 
 
 def naive_d_sss_rows(f):

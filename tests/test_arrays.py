@@ -479,6 +479,29 @@ def test_a_wide_index_unity_array_still_hands_over_to_the_pair_scan():
     assert pair_scan.call_count == 0
 
 
+def _wide_arrays():
+    """Claim-free arrays over more than 30 columns on which the projection
+    search finishes within its (r-1)/2 visits, with their level."""
+    rng = random.Random(30)
+    # 65 rows over 32 columns, each a permutation of 0..64: every column is
+    # injective, so the 32 visits of level 1 give md 32
+    columns = [rng.sample(range(65), 65) for _ in range(32)]
+    yield 1, MixedLevelArray(np.array(columns).T, (65,) * 32)
+    # OA(961, 31, 31, 2): level 1 collides by pigeonhole, and the C(31, 2) =
+    # 465 injective pairs of level 2 stay within 480 visits, giving md 30
+    A = delete_columns(bush(31, 2), [31])
+    yield 2, MixedLevelArray(A.matrix, A.alphabets)
+
+
+@pytest.mark.parametrize("level, A", list(_wide_arrays()), ids=["level-1", "level-2"])
+def test_minimal_distance_finishes_the_projection_search_on_wide_arrays(level, A):
+    # no pair scan: the answer n - k + 1 comes from the search itself
+    with mock.patch.object(arrays, "distance_profile",
+                           side_effect=AssertionError("pair scan")):
+        md = minimal_distance(A)
+    assert md == A.n - level + 1 == min(naive_distance_set(A.rows))
+
+
 def test_false_distance_claims_fail_with_pinned_messages():
     # one message for a false md claim, whichever call finds it
     def even_weight():

@@ -10,7 +10,9 @@ which `python -O` strips.  Operations record claims, and checks run in two
 places: the builders in `synthesis` check a code's array where its
 partition is formed (`ensure_checked`, `claim_blocks`, `measure_md`), and
 `constructions` certifies full factorials and loaded assets (`certify`,
-also open to the asset scripts in `tools/`).  Only `arrays` calls
+also open to the asset scripts in `tools/`).  The constructions of
+`schemes` and `constructions` never fail a claim themselves: an asset's
+failed `certify` is reported as `AssetCorrupt`.  Only `arrays` calls
 `is_orthogonal_array`: the builders and the registry check strength
 through a claim.  The array route of cross validation takes its distance
 from the `arrays` kernel, which shares no code with the key and level
@@ -205,6 +207,42 @@ def test_check_policy_guard_has_teeth():
     for fault, (name, line) in mutants.items():
         mutant = dict(sources, **{name: sources[name] + line})
         assert check_policy_faults(mutant) == [fault], fault
+
+
+#: the construction modules, which record claims and never fail one
+NO_CLAIM_FAILURE = ("schemes.py", "constructions.py")
+
+
+def claim_failure_faults(sources: dict[str, str]) -> list[str]:
+    """The construction modules that raise ClaimFailed, as
+    `name raises ClaimFailed at line N`."""
+    faults = []
+    for name in NO_CLAIM_FAILURE:
+        for node in ast.walk(ast.parse(sources[name], name)):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if "ClaimFailed" in (getattr(exc, "id", None), getattr(exc, "attr", None)):
+                faults.append(f"{name} raises ClaimFailed at line {node.lineno}")
+    return faults
+
+
+def test_constructions_never_fail_a_claim_themselves():
+    sources = _policy_sources()
+    assert claim_failure_faults(sources) == []
+    # the asset loader catches a failed certify and reports it as corrupt
+    certify_asset = _function(ast.parse(sources["constructions.py"]), "_certify_asset")
+    assert {"ClaimFailed", "AssetCorrupt"} <= _names_read(certify_asset)
+
+
+def test_claim_failure_guard_has_teeth():
+    sources = _policy_sources()
+    lines = len(sources["schemes.py"].splitlines())
+    for line in ('raise ClaimFailed("x")', 'raise errors.ClaimFailed("x")',
+                 "raise ClaimFailed"):
+        mutant = dict(sources, **{"schemes.py": sources["schemes.py"] + line + "\n"})
+        assert claim_failure_faults(mutant) == [
+            f"schemes.py raises ClaimFailed at line {lines + 1}"], line
 
 
 def test_only_arrays_makes_certificates():

@@ -235,6 +235,12 @@ def test_verify_bundled_file_passes(capsys):
     assert "result: PASS" in out
 
 
+def test_verify_refuses_a_negative_distance(capsys):
+    rc, out, err = run(capsys, "verify", "--code",
+                       fixture_path("qmds_4_12_2_12p3_2p1.ket"), "--d", "-1")
+    assert (rc, out, err) == (2, "", "invalid request: need d >= 0, got d=-1\n")
+
+
 def test_verify_corrupted_file_fails_with_witness(tmp_path, capsys):
     text = (resources.files("oaqec.fixtures") /
             "qmds_4_12_2_12p3_2p1.ket").read_text()

@@ -14,7 +14,6 @@ from oaqec.schemes import (
     DifferenceScheme,
     d3_scheme,
     d_2s,
-    is_difference_scheme,
     oa_from_scheme,
 )
 
@@ -25,7 +24,6 @@ from conftest import (
     naive_d_2s_odd_rows,
     naive_d_sss_rows,
     naive_is_difference_scheme,
-    naive_scheme_witness,
     naive_strength,
 )
 
@@ -49,8 +47,7 @@ def test_d_sss_3_is_the_gf3_table():
 @pytest.mark.parametrize("s", [2, 3, 4, 5, 7, 8, 9])
 def test_d_sss_strength_two(s):
     D = d_sss(s)
-    ok, witness = is_difference_scheme(D, 2)
-    assert ok and witness is None
+    assert is_orthogonal_array(oa_from_scheme(D), 2) == (True, None)
     assert naive_is_difference_scheme(D.rows, s, 2, sub=group_sub(D))
 
 
@@ -64,8 +61,8 @@ def test_gf4_table_is_not_a_cyclic_scheme():
     # additive group; reinterpreting the entries mod 4 must fail.
     D = d_sss(4)
     cyclic = DifferenceScheme(D.rows, 4)
-    ok, witness = is_difference_scheme(cyclic, 2)
-    assert not ok and witness.reason == "coset unbalanced"
+    assert not naive_is_difference_scheme(cyclic.rows, 4, 2)
+    assert not is_orthogonal_array(oa_from_scheme(cyclic), 2)[0]
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 5, 6, 7])
@@ -74,8 +71,8 @@ def test_d3_scheme_strength_three(s):
     assert D.r == s * s and D.c == 4 and D.strength == 3
     assert naive_is_difference_scheme(D.rows, s, 3)
     # strength 3 implies strength 2 on every projection
-    ok, _ = is_difference_scheme(D, 2)
-    assert ok
+    assert naive_is_difference_scheme(D.rows, s, 2)
+    assert is_orthogonal_array(oa_from_scheme(D), 3)[0]
 
 
 def test_d3_scheme_2_rows_pinned():
@@ -93,29 +90,6 @@ def test_d_2s_dimensions_and_strength(s):
 def test_d_2s_rejects_non_prime_power():
     with pytest.raises(NotPrimePower):
         d_2s(6)
-
-
-def test_is_difference_scheme_row_count_witness():
-    D = DifferenceScheme([(0, 0), (0, 1), (0, 0)], 2)
-    ok, witness = is_difference_scheme(D, 2)
-    assert not ok
-    assert witness.reason == "row count not divisible by s^(t-1)"
-
-
-def test_is_difference_scheme_unbalanced_witness():
-    D = DifferenceScheme([(0, 0), (0, 0)], 2)
-    ok, witness = is_difference_scheme(D, 2)
-    assert not ok
-    assert witness.columns == (0, 1)
-    assert witness.levels == (0,) and witness.observed == 2 and witness.expected == 1
-
-
-def test_is_difference_scheme_strength_out_of_range():
-    D = d_sss(3)
-    with pytest.raises(ValueError):
-        is_difference_scheme(D, 1)
-    with pytest.raises(ValueError):
-        is_difference_scheme(D, 4)
 
 
 def test_oa_from_scheme_d3_2_gives_the_even_weight_extension():
@@ -161,7 +135,7 @@ def _schemes():
 
 
 @pytest.mark.parametrize("D", list(_schemes()), ids=repr)
-def test_scheme_check_matches_the_naive_oracle_with_its_witness(D):
+def test_scheme_lift_is_balanced_exactly_when_the_coset_oracle_passes(D):
     # the scheme itself and copies with one entry changed
     rng = random.Random(D.s * 100 + D.c)
     variants = [D]
@@ -172,17 +146,8 @@ def test_scheme_check_matches_the_naive_oracle_with_its_witness(D):
         variants.append(DifferenceScheme(rows, D.s, field=D.field))
     for E in variants:
         for t in range(2, min(D.c, 3 if D.c <= 6 else 2) + 1):
-            ok, witness = is_difference_scheme(E, t)
-            assert ok == naive_is_difference_scheme(E.rows, E.s, t, sub=group_sub(E))
-            if ok:
-                assert witness is None
-            elif E.r % E.s ** (t - 1):
-                assert witness.reason == "row count not divisible by s^(t-1)"
-            else:
-                assert witness.reason == "coset unbalanced"
-                assert witness.expected == E.r // E.s ** (t - 1)
-                assert (witness.columns, witness.levels, witness.observed) == \
-                    naive_scheme_witness(E.rows, E.s, t, group_sub(E))
+            assert is_orthogonal_array(oa_from_scheme(E), t)[0] == \
+                naive_is_difference_scheme(E.rows, E.s, t, sub=group_sub(E))
 
 
 @pytest.mark.parametrize("D", list(_schemes())[:-1], ids=repr)
@@ -211,3 +176,16 @@ def test_table_built_schemes_match_the_scalar_loops(build, s):
         want = naive_d_2s_even_rows(field_create(2 * s), s)
     assert D.rows == tuple(want)
     assert D.matrix.dtype == np.int64 and not D.matrix.flags.writeable
+
+
+#: every scheme a catalogue pass builds at max_s=12
+CATALOGUE_SCHEMES = ([(d3_scheme, s) for s in range(2, 13)]
+                     + [(d_2s, s) for s in (2, 3, 4, 5, 7, 8, 9, 11)])
+
+
+@pytest.mark.parametrize("build, s", CATALOGUE_SCHEMES,
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_every_catalogue_scheme_lifts_to_its_strength(build, s):
+    # no constructor checks its scheme, so this test covers every one in use
+    D = build(s)
+    assert is_orthogonal_array(oa_from_scheme(D), D.strength) == (True, None)

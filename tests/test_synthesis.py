@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oaqec import arrays, cli, synthesis
+from oaqec import arrays, cli, schemes, synthesis
 from oaqec.arrays import (MixedLevelArray, claim, delete_columns, distance_profile,
                           ensure_checked, is_orthogonal_array, saturation_check,
                           storage_dtype)
@@ -77,6 +77,9 @@ def test_singleton_bound_rejects_bad_geometry():
         singleton_bound(3, 2, (2, 2, 2))
     with pytest.raises(BadGeometry):
         singleton_bound(4, 1, (2, 2, 2))
+    # a negative d is refused as such, before n >= 2d is tested
+    with pytest.raises(BadGeometry, match=r"^need d >= 0, got d=-1$"):
+        singleton_bound(4, -1, (2, 2, 2, 2))
 
 
 def test_m_value_matches_bound_minus_dimension():
@@ -600,6 +603,34 @@ def test_tiny_budget_leaves_code_unverified():
     assert code.status() == "constructed, unverified"
     # the claims are still exact: full re-verification passes
     assert verify_code(code, 2).passed
+
+
+def _corrupted(build):
+    """build, with the entry in row 0, column 2 of its scheme changed: a
+    column the code keeps."""
+    def corrupted_build(s):
+        D = build(s)
+        rows = D.matrix.copy()
+        rows[0, 2] = (rows[0, 2] + 1) % s
+        return schemes.DifferenceScheme(rows, s, strength=D.strength, field=D.field)
+    return corrupted_build
+
+
+@pytest.mark.parametrize("s", [3, 4, 5])
+@pytest.mark.parametrize("name, theorem", [("d3_scheme", theorem_5s2),
+                                           ("d_2s", theorem_52s)])
+def test_a_corrupted_scheme_fails_where_its_code_partition_is_formed(
+        monkeypatch, name, theorem, s):
+    # schemes record their strength unchecked: the lift's claim is checked
+    # where the partition is formed, and over budget both routes reject it
+    monkeypatch.setattr(synthesis, name, _corrupted(getattr(schemes, name)))
+    with pytest.raises(ClaimFailed) as failure:
+        theorem(s, [s])
+    assert str(failure.value).startswith("strength 2 claim failed")
+    code = theorem(s, [s], budget=0)
+    assert code.status() == "constructed, unverified"
+    check = cross_validate(code)
+    assert not check.quantum_pass and not check.combinatorial_pass
 
 
 def test_provenance_records_route_and_ingredients():
