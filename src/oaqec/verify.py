@@ -11,14 +11,17 @@ complement, and otherwise compares the states' level counts on S.  Column
 slices are keyed by exact int64 mixed-radix keys: a complement's key is a
 ket's full key minus its S columns' terms when the product of all alphabets
 fits int64, and `_slice_keys` keys each column set otherwise.  The
-ReductionWitnesses of a failing subset, and the verdict on a definition-5
-subset on which kets of one state collide, come from one pass over the
-subset's sorted complement keys (`_check_subset`): it enumerates the ket
-pairs inside each run of colliding kets, for the self reductions and state
-pairs that can still add a witness, and counts their reduction entries.
-`verify_code` decides the claimed level first: a subset passing at level d
-passes on each of its subsets, so the levels below are decided only when
-level d fails.  `reduced_cross_matrix` builds one exact reduction as a
+ReductionWitnesses of a level's failing subsets, and the verdicts on its
+definition-5 subsets on which kets of one state collide, come from one
+chunked pass over those subsets' sorted complement keys (`_explain_level`).
+A self reduction's diagonal is its state's count of each level tuple on S,
+and every other entry comes from two distinct kets that agree off S, so the
+pass enumerates only such pairs inside each run of colliding kets, for the
+self reductions and state pairs that can still add a witness, and counts
+their reduction entries.  `verify_code` decides the claimed level first: a
+subset passing at level d passes on each of its subsets, so the levels
+below are decided only when level d fails, and it makes at most one witness
+pass per level.  `reduced_cross_matrix` builds one exact reduction as a
 dict, a plain reference for tests and the benchmark; no check calls it.
 """
 from __future__ import annotations
@@ -123,23 +126,62 @@ def _slice_keys(kets: np.ndarray, alphabets, cols) -> np.ndarray:
     return keys
 
 
-#: most witnesses _check_subset extracts from one subset
+#: most witnesses _explain_level extracts from one subset
 _SUBSET_WITNESSES = 4
 #: most witnesses a report holds: verify_code explains failing subsets
 #: until it holds this many, and keeps the first this many
 _REPORT_WITNESSES = 8
+#: cap on subsets x kets keyed in one numpy pass of _decide_level or
+#: _explain_level, which bounds their scratch memory independently of C(n, d)
+_CHUNK_CELLS = 1 << 12
+
+
+def _chunks(subsets: list, kets: int) -> list[list]:
+    """The subsets in runs of at most _CHUNK_CELLS subsets x kets (one at least)."""
+    per_chunk = max(1, _CHUNK_CELLS // kets)
+    return [subsets[lo:lo + per_chunk] for lo in range(0, len(subsets), per_chunk)]
+
+
+def _subset_keyer(code: QuantumCode):
+    """(complement keys, S-keys, columns).  The first two are functions from
+    a chunk of equal-size subsets, an intp array of subsets x columns, to an
+    int64 array of subsets x kets; the second also takes the first's keys.
+    Both order a ket's slices as their level tuples.  When the product of
+    all alphabets fits _KEY_MAX, a complement key is the ket's full
+    mixed-radix key minus its S columns' terms, and those terms key S;
+    otherwise _slice_keys keys each column set.  columns holds the kets
+    column by column."""
+    kets, alphabets, n = code.kets, code.params.alphabets, code.params.n
+    columns = np.ascontiguousarray(kets.T)
+    if prod(alphabets) > _KEY_MAX:
+        def sliced(chunk, inside: bool) -> np.ndarray:
+            """_slice_keys of each subset's columns, or of its complement's."""
+            return np.stack([_slice_keys(kets, alphabets,
+                                         [c for c in range(n) if (c in S) == inside])
+                             for S in chunk.tolist()])
+        return (lambda chunk: sliced(chunk, False),
+                lambda chunk, keys: sliced(chunk, True), columns)
+    full = _slice_keys(kets, alphabets, range(n))
+    weights = np.array([prod(alphabets[c + 1:]) for c in range(n)], dtype=np.int64)
+
+    def complement_keys(chunk):
+        keys = np.repeat(full[None], len(chunk), axis=0)
+        for cols in chunk.T:
+            term = columns[cols].astype(np.int64)
+            term *= weights[cols][:, None]
+            keys -= term
+        return keys
+    return complement_keys, lambda chunk, keys: full - keys, columns
 
 
 def _runs(split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, length) of each run of a sequence of len(split) + 1 items,
     from the flags that say which neighbours differ."""
-    first = np.zeros(np.count_nonzero(split) + 1, dtype=np.intp)
-    first[1:] = np.flatnonzero(split)
-    first[1:] += 1
-    length = np.empty_like(first)
-    length[:-1] = first[1:] - first[:-1]
-    length[-1] = len(split) + 1 - first[-1]
-    return first, length
+    edge = np.empty(len(split) + 2, dtype=bool)
+    edge[0] = edge[-1] = True
+    edge[1:-1] = split
+    bounds = edge.nonzero()[0]
+    return bounds[:-1], bounds[1:] - bounds[:-1]
 
 
 def _products(lo_a: np.ndarray, len_a: np.ndarray, lo_b: np.ndarray,
@@ -147,9 +189,9 @@ def _products(lo_a: np.ndarray, len_a: np.ndarray, lo_b: np.ndarray,
     """(p, q) for every p in [lo_a[r], lo_a[r] + len_a[r]) and q in
     [lo_b[r], lo_b[r] + len_b[r]), row r by row, p-major."""
     cells = len_a * len_b
-    row = np.repeat(np.arange(len(cells)), cells)
+    row = np.arange(len(cells)).repeat(cells)
     t = np.arange(len(row))
-    t -= np.repeat(np.cumsum(cells) - cells, cells)
+    t -= (cells.cumsum() - cells).repeat(cells)
     width = len_b[row]
     q = t % width
     t //= width
@@ -159,174 +201,249 @@ def _products(lo_a: np.ndarray, len_a: np.ndarray, lo_b: np.ndarray,
     return t, q
 
 
-def _check_subset(code: QuantumCode, S: tuple[int, ...], mode: str
-                  ) -> list[ReductionWitness]:
-    """All violations (up to _SUBSET_WITNESSES) of the reduction conditions
-    on one subset, read off one pass over the kets sorted by complement key.
+def _sorted_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(at, values, split) for a 2-D array of keys: at holds each row's flat
+    indices in stable key order, values the keys in that order, and split
+    whether each two neighbours differ or lie in different rows."""
+    width = keys.shape[1]
+    at = keys.argsort(axis=1, kind="stable")
+    at += np.arange(0, keys.size, width)[:, None]
+    at = at.ravel()
+    values = keys.ravel()[at]
+    split = values[1:] != values[:-1]
+    split[width - 1::width] = True
+    return at, values, split
 
-    A stable sort of the complement keys lays the kets out in runs that
-    agree off S, each run in state order, and splits a run into parts, its
-    kets of one state.  S-keys order entries (x, y) as their level tuples.
-    Lower bounds on the witnesses of each self reduction, read off the parts
-    and the states' level counts, pick the self reductions that can still
-    add a witness before the cap and how many of the first nonzero cross
-    reductions can.  Only their ket pairs inside each run are enumerated,
-    and one lexsort counts their entries: it keeps the S-keys x and y apart,
-    and a reduction's key i * K + j is below K^2 <= (ket count)^2, exact in
-    int64."""
+
+def _cross_pairs(joined: np.ndarray, part_row: np.ndarray, need: np.ndarray,
+                 K: int) -> tuple[np.ndarray, np.ndarray, list[list[tuple[int, int]]]]:
+    """(a, b, pairs): the parts a < b of one run whose ket pairs make each
+    subset's first need[subset] nonzero cross reductions, and those state
+    pairs (i, j) by subset.  A run's parts follow state order, and a pair
+    of parts is keyed (subset * K + i) * K + j by their rows subset * K + i
+    and subset * K + j."""
+    multi = joined.copy()
+    multi[1:] |= joined[:-1]
+    cp = multi.nonzero()[0]
+    lo, width = _runs(~joined[cp[:-1]])
+    a, b = _products(lo, width, lo, width)
+    lower = a < b
+    a, b = cp[a[lower]], cp[b[lower]]
+    pair_code = part_row[a] * K + part_row[b] % K
+    # a subset's first nonzero cross reductions are its smallest pair keys
+    # (np.unique would import numpy.ma)
+    uniq = np.sort(pair_code)
+    new = np.ones(len(uniq), dtype=bool)
+    new[1:] = uniq[1:] != uniq[:-1]
+    uniq = uniq[new]
+    owner = uniq // (K * K)
+    chosen = np.arange(len(uniq)) - owner.searchsorted(owner) < need[owner]
+    pairs: list[list[tuple[int, int]]] = [[] for _ in need]
+    for t, ij in zip(owner[chosen].tolist(), (uniq[chosen] % (K * K)).tolist()):
+        pairs[t].append(divmod(ij, K))
+    keep = chosen[uniq.searchsorted(pair_code)]
+    return a[keep], b[keep], pairs
+
+
+def _explain_level(code: QuantumCode, subsets: list, mode: str
+                   ) -> list[list[ReductionWitness]]:
+    """For each of a list of equal-size subsets, all violations (up to
+    _SUBSET_WITNESSES) of the reduction conditions on it, read off numpy
+    passes over chunks of at most _CHUNK_CELLS subsets x kets.
+
+    The kets are distinct, so two kets that agree off S differ on S: a self
+    reduction's diagonal is its state's count of each level tuple on S,
+    read off the state's sorted S-keys, and every other entry comes from a
+    pair of distinct kets that agree off S.  A stable sort of each subset's
+    complement keys lays its kets out in runs that agree off S, each run in
+    state order (the subsets' rows lie end to end), and a run splits into
+    parts, its kets of one state.  Lower bounds on the witnesses of each self
+    reduction, read off the parts and the level counts, pick the self
+    reductions that can still add a witness before the cap and how many of
+    the first nonzero cross reductions can.  Only their pairs of distinct
+    kets inside each run are enumerated, and one lexsort counts their
+    entries: S-keys order entries (x, y) as their level tuples, and a
+    reduction's key (subset * K + i) * K + j is below subsets x K^2, exact in
+    int64.  A witness reads its level tuples off the rows of kets that hold
+    them."""
     kets, K, block = code.kets, code.params.K, code.kets_per_state
-    alphabets = code.params.alphabets
+    alphabets, N = code.params.alphabets, len(code.kets)
     strict, cap = mode == "strict-uniform", _SUBSET_WITNESSES
-    levels = prod(alphabets[c] for c in S)
-    uniform, rest = divmod(block, levels)
-    out: list[ReductionWitness] = []
-    if strict and rest:
-        # every state fails, without an entry to show
-        out = [ReductionWitness(S, i, i, None, None, block, levels,
-                                "state size not divisible by the level count")
-               for i in range(min(K, cap))]
-        if K >= cap:
-            return out
-    keys = _slice_keys(kets, alphabets, [c for c in range(code.params.n) if c not in S])
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    split = keys[1:] != keys[:-1]
-    del keys  # at scale, the arrays over all kets and over ket pairs add up
-    state = order // block
-    start, size = _runs(split | (state[1:] != state[:-1]))
-    part_state, part_run = state[start], np.zeros(len(start), dtype=np.intp)
-    part_run[1:] = np.cumsum(split)[start[1:] - 1]
-    s_keys = _slice_keys(kets, alphabets, S)  # below levels, in level tuple order
-    collided = np.zeros(K, dtype=bool)
-    collided[part_state[size > 1]] = True
-    if strict and rest:
-        selves, need = [], cap - K
-    else:
-        if strict:
-            # levels divides block, so the K x levels counts fit the ket count
-            counts = np.bincount(np.arange(len(kets)) // block * levels + s_keys,
-                                 minlength=K * levels).reshape(K, levels)
-            bound = (collided + ((counts != uniform) & (counts != 0)).sum(axis=1)
-                     + (counts == 0).any(axis=1))
-            flagged = bound > 0
-        else:
+
+    def not_divisible(S: tuple[int, ...], size: int) -> list[ReductionWitness]:
+        """strict-uniform fails every state of a subset whose level count
+        does not divide the state size, without an entry to show."""
+        return [ReductionWitness(S, i, i, None, None, block, size,
+                                 "state size not divisible by the level count")
+                for i in range(min(K, cap))]
+
+    # past cap states, such a subset takes no other witness, nor any keys
+    found = {}
+    if strict and K >= cap:
+        for S in subsets:
+            level_count = prod(alphabets[c] for c in S)
+            if block % level_count:
+                found[S] = not_divisible(S, level_count)
+    todo = [S for S in subsets if S not in found]
+    if todo:
+        complement_keys, s_keys_of, _ = _subset_keyer(code)
+    for chunk in _chunks(todo, N):
+        m = len(chunk)
+        levels = [prod(alphabets[c] for c in S) for S in chunk]
+        short = [strict and block % size != 0 for size in levels]
+        uniform = [block // size for size in levels]
+        columns = np.array(chunk, dtype=np.intp)
+        keys = complement_keys(columns)
+        s_keys = s_keys_of(columns, keys)
+        # flat indices subset * N + ket of the kets in runs that agree off S,
+        # whose // block is their row subset * K + state
+        at, keys, split = _sorted_rows(keys)
+        del keys  # at scale, the arrays over all kets and over ket pairs add up
+        row = at // block
+        start, size = _runs(split | (row[1:] != row[:-1]))
+        del row
+        # each part's row, and whether the next part continues its run
+        part_row = at[start] // block
+        joined = np.zeros(len(start), dtype=bool)
+        joined[:-1] = ~split[start[1:] - 1]
+        del split
+        collided = np.zeros((m, K), dtype=bool)
+        collided.ravel()[part_row[size > 1]] = True
+        # each row's S-keys sorted, in runs of one level tuple
+        hist, values, edge = _sorted_rows(s_keys.reshape(m * K, block))
+        if not strict:
             # a state's self reduction equals state 0's when both have no
             # colliding kets and the same multiset of S-slices
-            per_state = np.sort(s_keys.reshape(K, block), axis=1)
-            bound = (per_state != per_state[0]).any(axis=1)
-            del per_state
-            flagged = collided | bound | collided[0]
-            flagged[0] = True  # the reference the other states are compared with
-        candidates = np.flatnonzero(flagged)
-        before = np.cumsum(bound[candidates]) - bound[candidates]
-        selves, need = candidates[before < cap].tolist(), cap - int(bound.sum())
-    # rows (a, b) of parts whose ket pairs make the wanted reductions
-    is_self = np.zeros(K, dtype=bool)
-    is_self[selves] = True
-    a = b = np.flatnonzero(is_self[part_state])
-    pairs: list[tuple[int, int]] = []
-    shared = part_run[1:] == part_run[:-1]  # neighbouring parts of one run
-    if need > 0 and shared.any():
-        # the parts of runs that hold two states or more, in pairs a < b
-        # (a run's parts follow state order), keyed i * K + j
-        multi = np.zeros(len(start), dtype=bool)
-        multi[1:] = shared
-        multi[:-1] |= shared
-        cp = np.flatnonzero(multi)
-        lo, width = _runs(part_run[cp[1:]] != part_run[cp[:-1]])
-        ca, cb = _products(lo, width, lo, width)
-        lower = ca < cb
-        ca, cb = cp[ca[lower]], cp[cb[lower]]
-        pair_code = part_state[ca] * K + part_state[cb]
-        # the first nonzero cross reductions are the smallest pair keys
-        # (np.unique would import numpy.ma)
-        chosen = np.sort(pair_code)
-        chosen = chosen[np.append(True, chosen[1:] != chosen[:-1])][:need]
-        pairs = [divmod(c, K) for c in chosen.tolist()]
-        keep = pair_code <= chosen[-1]
-        a, b = np.concatenate((a, ca[keep])), np.concatenate((b, cb[keep]))
-    if not len(a):
-        return out
-    # their ket pairs, keyed and sorted one array at a time
-    p, q = _products(start[a], size[a], start[b], size[b])
-    s_keys = s_keys[order]
-    x, y, pair_code = s_keys[p], s_keys[q], state[p]
-    pair_code *= K
-    pair_code += state[q]
-    del p, q
-    by = np.lexsort((y, x, pair_code))
-    x = x[by]
-    y = y[by]
-    pair_code = pair_code[by]
-    del by
-    first, number = _runs((pair_code[1:] != pair_code[:-1])
-                          | (x[1:] != x[:-1]) | (y[1:] != y[:-1]))
-    # each entry's (x, y, count), and each reduction's rows of entries
-    entries = np.empty((len(first), 3), dtype=np.int64)
-    entries[:, 0], entries[:, 1], entries[:, 2] = x[first], y[first], number
-    pair_code = pair_code[first]
-    lo, width = _runs(pair_code[1:] != pair_code[:-1])
-    rows = dict(zip(pair_code[lo].tolist(), zip(lo.tolist(), (lo + width).tolist())))
-    cols = list(S)
-
-    def level(s_key) -> tuple[int, ...]:
-        """The level tuple on S of the kets with this S-key."""
-        return tuple(kets[order[np.argmax(s_keys == s_key)], cols].tolist())
-
-    reference: Optional[np.ndarray] = None
-    for i in selves:
-        lo, hi = rows[i * K + i]
-        mine = entries[lo:hi]
-        diag = mine[:, 0] == mine[:, 1]
-        if int(mine[diag, 2].sum()) != block:
-            raise ClaimFailed("self pair count must equal the state size")
+            values = values.reshape(m, K, block)
+            bound = (values != values[:, :1]).any(axis=2)
+        del values
+        h_first, h_count = _runs(edge)
+        del edge
+        # each run's first index subset * N + ket of s_keys, whose // block
+        # is its row; the run's level tuple as an S-key and as a ket holding it
+        hist = hist[h_first]
+        del h_first
+        h_value, h_ket, h_row = s_keys.ravel()[hist], hist % N, hist // block
+        del hist
+        seen = np.bincount(h_row, minlength=m * K)
+        h_start = seen.cumsum() - seen  # each row's first run
         if strict:
-            for x, y, v in mine[~diag][:cap].tolist():
-                out.append(ReductionWitness(S, i, i, level(x), level(y), v, 0,
-                                            "off-diagonal reduction entry"))
-            seen = int(np.count_nonzero(diag))
-            if seen != levels:
-                out.append(ReductionWitness(S, i, i, None, None, 0, uniform,
-                                            f"{levels - seen} level tuples never occur"))
-            for x, _, v in mine[diag & (mine[:, 2] != uniform)][:cap].tolist():
-                out.append(ReductionWitness(S, i, i, level(x), level(x), v, uniform,
-                                            "nonuniform diagonal entry"))
-        elif reference is None:
-            reference = mine
-        elif not np.array_equal(mine, reference):
-            # the entries agree above row k, so the smaller key at row k is
-            # the first to differ: missing from one side, or counted apart
-            m = min(len(mine), len(reference))
-            k = int(np.argmax(np.append(np.any(mine[:m] != reference[:m], axis=1), True)))
-            x, y = min(tuple(e[k, :2].tolist()) for e in (mine, reference) if k < len(e))
-            got, want = (int(e[k, 2]) if k < len(e) and tuple(e[k, :2]) == (x, y) else 0
-                         for e in (mine, reference))
-            out.append(ReductionWitness(S, i, i, level(x), level(y), got, want,
-                                        "reduction differs from state 0"))
-        if len(out) >= cap:
-            return out[:cap]
-    for i, j in pairs:
-        x, y, v = entries[rows[i * K + j][0]].tolist()
-        out.append(ReductionWitness(S, i, j, level(x), level(y), v, 0,
-                                    "cross reduction is nonzero"))
-    return out[:cap]
+            bound = np.bincount(h_row[h_count != np.repeat(uniform, K)[h_row]], minlength=m * K)
+            bound += seen < np.repeat([min(size, block + 1) for size in levels], K)
+            bound = bound.reshape(m, K) + collided
+            flagged = bound > 0
+        else:
+            flagged = collided | bound | collided[:, :1]
+            flagged[:, 0] = True  # the reference the other states are compared with
+        del h_row
+        selves = flagged & (bound.cumsum(axis=1) - bound < cap)
+        need = cap - bound.sum(axis=1)
+        if any(short):
+            selves[short] = False
+            need[short] = cap - K
+        # rows (a, b) of parts whose ket pairs make the wanted reductions:
+        # a self reduction's parts of two kets or more
+        a = b = (selves.ravel()[part_row] & (size > 1)).nonzero()[0]
+        pairs: list[list[tuple[int, int]]] = [[] for _ in chunk]
+        if joined.any() and (need > 0).any():
+            ca, cb, pairs = _cross_pairs(joined, part_row, need, K)
+            a, b = np.concatenate((a, ca)), np.concatenate((b, cb))
+        rows: dict = {}
+        entries = np.empty((0, 5), dtype=np.int64)
+        if len(a):
+            # their pairs of distinct kets, keyed and sorted one array at a time
+            p, q = _products(start[a], size[a], start[b], size[b])
+            distinct = p != q
+            p, q = at[p[distinct]], at[q[distinct]]
+            x, y = s_keys.ravel()[p], s_keys.ravel()[q]
+            pair_code = p // block * K
+            pair_code += q // block % K
+            by = np.lexsort((y, x, pair_code))
+            x = x[by]
+            y = y[by]
+            pair_code = pair_code[by]
+            first, number = _runs((pair_code[1:] != pair_code[:-1])
+                                  | (x[1:] != x[:-1]) | (y[1:] != y[:-1]))
+            # each entry (x, y, count, ket, ket), and each reduction's rows
+            by = by[first]
+            entries = np.stack((x[first], y[first], number, p[by] % N, q[by] % N), axis=1)
+            del p, q, by, x, y
+            pair_code = pair_code[first]
+            lo, width = _runs(pair_code[1:] != pair_code[:-1])
+            rows = dict(zip(pair_code[lo].tolist(), zip(lo.tolist(), (lo + width).tolist())))
+        seen, h_start = seen.tolist(), h_start.tolist()
 
+        def off_diagonal(key: int) -> np.ndarray:
+            """The entries off the diagonal of the reduction keyed
+            (subset * K + i) * K + j, sorted by (x, y)."""
+            lo, hi = rows.get(key, (0, 0))
+            return entries[lo:hi]
 
-#: cap on subsets x kets keyed in one numpy pass of _decide_level, which
-#: bounds its scratch memory independently of C(n, d)
-_CHUNK_CELLS = 1 << 11
+        def self_reduction(r: int) -> np.ndarray:
+            """Every entry of row r's self reduction, sorted by (x, y)."""
+            h = slice(h_start[r], h_start[r] + seen[r])
+            x, ket = h_value[h], h_ket[h]
+            table = np.concatenate((np.stack((x, x, h_count[h], ket, ket), axis=1),
+                                    off_diagonal(r * K + r % K)))
+            return table[np.lexsort((table[:, 1], table[:, 0]))]
+
+        for t, S in enumerate(chunk):
+            cols = columns[t]
+
+            def witness(i: int, j: int, ket_x: int, ket_y: int, count: int, expected: int,
+                        reason: str) -> ReductionWitness:
+                """A witness on S, reading its level tuples off two kets."""
+                return ReductionWitness(S, i, j, tuple(kets[ket_x, cols].tolist()),
+                                        tuple(kets[ket_y, cols].tolist()), count,
+                                        expected, reason)
+
+            out = found[S] = not_divisible(S, levels[t]) if short[t] else []
+            for i in selves[t].nonzero()[0].tolist():
+                r = t * K + i
+                if strict:
+                    h, u, missing = h_start[r], uniform[t], levels[t] - seen[r]
+                    for _, _, v, ket_x, ket_y in off_diagonal(r * K + i)[:cap].tolist():
+                        out.append(witness(i, i, ket_x, ket_y, v, 0,
+                                           "off-diagonal reduction entry"))
+                    if missing:
+                        out.append(ReductionWitness(S, i, i, None, None, 0, u,
+                                                    f"{missing} level tuples never occur"))
+                    bad = (h_count[h:h + seen[r]] != u).nonzero()[0][:cap] + h
+                    for ket, v in zip(h_ket[bad].tolist(), h_count[bad].tolist()):
+                        out.append(witness(i, i, ket, ket, v, u, "nonuniform diagonal entry"))
+                elif i:
+                    off, ref = off_diagonal(r * K + i), off_diagonal(t * K * K)
+                    if bound[t, i] or len(off) != len(ref) or (off[:, :3] != ref[:, :3]).any():
+                        # the reductions differ: on their sorted entries,
+                        # which agree above row k, the smaller key at row k is
+                        # the first to differ, missing from one side or
+                        # counted apart
+                        mine, ref = self_reduction(r), self_reduction(t * K)
+                        n = min(len(mine), len(ref))
+                        k = int(np.append((mine[:n, :3] != ref[:n, :3]).any(axis=1),
+                                          True).argmax())
+                        x, y, _, ket_x, ket_y = min(e[k].tolist() for e in (mine, ref)
+                                                    if k < len(e))
+                        got, want = (int(e[k, 2]) if k < len(e) and e[k, :2].tolist() == [x, y]
+                                     else 0 for e in (mine, ref))
+                        out.append(witness(i, i, ket_x, ket_y, got, want,
+                                           "reduction differs from state 0"))
+                if len(out) >= cap:
+                    break
+            else:
+                for i, j in pairs[t]:
+                    _, _, v, ket_x, ket_y = off_diagonal((t * K + i) * K + j)[0].tolist()
+                    out.append(witness(i, j, ket_x, ket_y, v, 0, "cross reduction is nonzero"))
+            del out[cap:]
+    return [found[S] for S in subsets]
 
 
 def _decide_level(code: QuantumCode, dp: int, mode: str
                   ) -> list[tuple[tuple[int, ...], Optional[bool]]]:
     """(S, passes) for every dp-subset S in combinations order, decided in
-    numpy passes over chunks of at most _CHUNK_CELLS subsets x kets.  passes
-    is None for a definition-5 subset on which kets collide only within
-    states: only the exact reductions decide it.
-
-    When the product of all alphabets fits _KEY_MAX, a complement key is
-    the ket's full mixed-radix key minus its S columns' terms, and those
-    terms key S; otherwise _slice_keys keys each column set."""
+    numpy passes over chunks of at most _CHUNK_CELLS subsets x kets, keyed
+    by _subset_keyer.  passes is None for a definition-5 subset on which
+    kets collide only within states: only the exact reductions decide it."""
     kets, K, block = code.kets, code.params.K, code.kets_per_state
     alphabets, n = code.params.alphabets, code.params.n
     subsets = list(combinations(range(n), dp))
@@ -338,25 +455,10 @@ def _decide_level(code: QuantumCode, dp: int, mode: str
     # a strict-uniform subset whose level count does not divide the state
     # size fails without keying
     todo = [i for i, size in enumerate(levels) if not strict or block % size == 0]
-    columns = np.ascontiguousarray(kets.T)
-    full = None
-    if prod(alphabets) <= _KEY_MAX:
-        full = _slice_keys(kets, alphabets, range(n))
-        weights = np.array([prod(alphabets[c + 1:]) for c in range(n)], dtype=np.int64)
-    per_chunk = max(1, _CHUNK_CELLS // len(kets))
-    for lo in range(0, len(todo), per_chunk):
-        rows = todo[lo:lo + per_chunk]
-        chunk = np.array([subsets[i] for i in rows], dtype=np.intp).reshape(len(rows), dp)
-        if full is None:
-            keys = np.stack([_slice_keys(kets, alphabets,
-                                         [c for c in range(n) if c not in subsets[i]])
-                             for i in rows])
-        else:
-            keys = np.repeat(full[None], len(rows), axis=0)
-            for cols in chunk.T:
-                term = columns[cols].astype(np.int64)
-                term *= weights[cols][:, None]
-                keys -= term
+    complement_keys, s_keys_of, columns = _subset_keyer(code)
+    for rows in _chunks(todo, len(kets)):
+        chunk = np.array([subsets[i] for i in rows], dtype=np.intp)
+        keys = complement_keys(chunk)
         if strict:
             keys.sort(axis=1)
             hit = np.any(keys[:, 1:] == keys[:, :-1], axis=1)
@@ -379,11 +481,7 @@ def _decide_level(code: QuantumCode, dp: int, mode: str
             verdicts: list[Optional[bool]] = (
                 ~hit & ~np.logical_or.reduceat(bad, offsets)).tolist()
         else:
-            if full is None:
-                s_keys = np.stack([_slice_keys(kets, alphabets, subsets[i]) for i in rows])
-            else:
-                s_keys = full - keys  # the S columns' terms key S
-            s_keys = s_keys.reshape(len(rows), K, block)
+            s_keys = s_keys_of(chunk, keys).reshape(len(rows), K, block)
             s_keys.sort(axis=2)
             same = np.all(s_keys == s_keys[:, :1], axis=(1, 2))
             del s_keys
@@ -455,21 +553,26 @@ def verify_code(code: QuantumCode, d: Optional[int] = None,
 
     def decide(dp: int) -> bool:
         """Whether every dp-subset passes; at the claimed level, record each
-        verdict and explain the first failing subsets."""
+        verdict and explain the first failing subsets.  One _explain_level
+        pass reads the exact reductions of every undecided subset and, at
+        the claimed level, of the first _REPORT_WITNESSES failing ones: each
+        explained failing subset adds a witness, so no later one is read."""
+        verdicts = _decide_level(code, dp, mode)
+        failing = [S for S, passed in verdicts if passed is False]
+        first = set(failing[:_REPORT_WITNESSES] if dp == d else ())
+        wanted = [S for S, passed in verdicts if passed is None or S in first]
+        exact = dict(zip(wanted, _explain_level(code, wanted, mode))) if wanted else {}
         ok = True
-        for S, passed in _decide_level(code, dp, mode):
-            explain = dp == d and len(witnesses) < _REPORT_WITNESSES
-            if passed is None or (not passed and explain):
-                exact = _check_subset(code, S, mode)
-                if passed is None:
-                    passed = not exact
-                elif not exact:
-                    raise ClaimFailed(f"subset {S} failed the {mode} counts "
-                                      "but its exact reductions show no violation")
+        for S, passed in verdicts:
+            if passed is None:
+                passed = not exact[S]
+            elif not passed and S in exact and not exact[S]:
+                raise ClaimFailed(f"subset {S} failed the {mode} counts "
+                                  "but its exact reductions show no violation")
             if dp == d:
                 per_subset.append((S, passed))
-                if not passed and explain:
-                    witnesses.extend(exact)
+                if not passed and len(witnesses) < _REPORT_WITNESSES:
+                    witnesses.extend(exact[S])
             ok = ok and passed
         return ok
 

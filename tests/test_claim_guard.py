@@ -490,7 +490,7 @@ def test_no_verdict_reads_the_dict_reduction():
 def test_dict_path_guard_has_teeth():
     source = (SRC / "verify.py").read_text()
     call = "    reduced_cross_matrix(code, 0, 1, (0,))\n"
-    heads = {name: f"def {name}(" for name in ("verify_code", "_check_subset", "_runs")}
+    heads = {name: f"def {name}(" for name in ("verify_code", "_explain_level", "_runs")}
     md_line = "    md = minimal_distance(rebuilt)"
     assert all(source.count(head) == 1 for head in heads.values())
     assert source.count(md_line) == 1
@@ -505,8 +505,8 @@ def test_dict_path_guard_has_teeth():
         # the spot check the verdicts once ran
         "verify_code": prepend("verify_code", call),
         # inside a kernel verify_code calls
-        "_check_subset": prepend("_check_subset", call),
-        # two calls deep, through _check_subset
+        "_explain_level": prepend("_explain_level", call),
+        # two calls deep, through _explain_level
         "_runs": prepend("_runs", "    spot = reduced_cross_matrix\n"),
         "cross_validate": source.replace(
             md_line, md_line + " + len(reduced_cross_matrix(code, 0, 0, (0,)).counts)"),

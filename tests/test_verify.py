@@ -395,12 +395,12 @@ def test_state_size_not_divisible_by_level_count():
 def test_definition_5_with_kets_of_one_state_colliding(basis, verdicts):
     alphabets = (max(k[0] for s in basis for k in s) + 1, 2)
     code = QuantumCode(make_code_params(2, 0, alphabets, 2), basis)
-    with mock.patch.object(verify, "_check_subset", wraps=verify._check_subset) as exact:
+    with mock.patch.object(verify, "_explain_level", wraps=verify._explain_level) as exact:
         report = verify_code(code, 1, "definition-5")
     assert report.per_subset == verdicts
     # the collision on (1,) is decided by the exact path, whose witnesses
     # are reused: no subset goes through it twice
-    checked = [call.args[1] for call in exact.call_args_list]
+    checked = [S for call in exact.call_args_list for S in call.args[1]]
     assert (1,) in checked and len(checked) == len(set(checked))
     assert_matches_oracle(code)
 
@@ -466,6 +466,58 @@ def test_level_kernel_stays_exact_across_chunk_boundaries(code, split):
         assert_matches_oracle(code)
 
 
+#: definition-5 verdicts at level 2, in combinations order: failing,
+#: failing, undecided by the counts, failing, undecided, failing
+MIXED_DEF5 = QuantumCode(make_code_params(4, 0, (3, 2, 3, 3), 2),
+                         [[(0, 0, 1, 2), (0, 1, 0, 2), (2, 0, 1, 1)],
+                          [(1, 0, 0, 1), (1, 0, 0, 2), (2, 0, 2, 1)]])
+#: the largest complement key off (0, 1) equals the smallest off (0, 2), 1 for
+#: both: one pass over the two subsets must still keep their runs apart
+EQUAL_KEYS_ACROSS_SUBSETS = QuantumCode(make_code_params(4, 0, (3, 2, 2, 2), 3),
+                                        [[(0, 1, 0, 0)], [(1, 0, 0, 1)], [(1, 1, 0, 1)]])
+
+
+def test_undecided_and_failing_subsets_share_one_witness_pass():
+    verdicts = [passed for _, passed in verify._decide_level(MIXED_DEF5, 2, "definition-5")]
+    assert verdicts == [False, False, None, False, None, False]
+    with mock.patch.object(verify, "_explain_level", wraps=verify._explain_level) as explain:
+        verify_code(MIXED_DEF5, 2, "definition-5")
+    # the failing level 2 first, then the undecided subset of level 1
+    assert [call.args[1] for call in explain.call_args_list] == [
+        list(itertools.combinations(range(4), 2)), [(3,)]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(code=small_codes(), per_chunk=st.sampled_from((1, 2, None)))
+@example(code=MIXED_DEF5, per_chunk=1)
+@example(code=MIXED_DEF5, per_chunk=2)
+@example(code=MIXED_DEF5, per_chunk=None)
+@example(code=EQUAL_KEYS_ACROSS_SUBSETS, per_chunk=2)
+def test_witness_pass_stays_exact_across_chunk_boundaries(code, per_chunk):
+    # a chunk of one subset, of two, or of every subset of the widest level
+    widest = math.comb(code.params.n, code.params.n // 2)
+    cells = (widest if per_chunk is None else per_chunk) * len(code.kets)
+    with mock.patch.object(verify, "_CHUNK_CELLS", cells):
+        assert_matches_oracle(code)
+
+
+@pytest.mark.parametrize("name", ["qmds_8_8_3", "mixed-def5"])
+def test_a_failing_report_makes_one_witness_pass_per_level_that_needs_one(name):
+    code = MIXED_DEF5 if name == "mixed-def5" else load_fixture(name)[0]
+    for mode in MODES:
+        with mock.patch.object(verify, "_explain_level",
+                               wraps=verify._explain_level) as explain:
+            report = verify_code(code, 3, mode)
+        assert not report.passed and report.witnesses
+        # level 3 fails and is explained; a level below needs a pass only
+        # for the subsets its counts leave undecided
+        needs = [3] + [dp for dp in (1, 2) if any(
+            passed is None for _, passed in verify._decide_level(code, dp, mode))]
+        assert [len(call.args[1][0]) for call in explain.call_args_list] == needs
+        if (name, mode) == ("mixed-def5", "definition-5"):
+            assert needs == [3, 1, 2]
+
+
 def naive_cross_witnesses(code, S):
     """(i, j, x, y, count) of the first entry of every nonzero cross
     reduction on S, pairs ascending, from brute-force pair counts."""
@@ -484,7 +536,7 @@ def test_cross_witnesses_match_naive_pair_counts(code, data):
     n = code.params.n
     S = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="S")))
     mode = data.draw(st.sampled_from(MODES), label="mode")
-    got = verify._check_subset(code, S, mode)
+    got, = verify._explain_level(code, [S], mode)
     cross = [(w.i, w.j, w.x, w.y, w.count) for w in got
              if w.reason == "cross reduction is nonzero"]
     want = naive_cross_witnesses(code, S)
@@ -512,15 +564,15 @@ def codes_and_subsets(draw):
 @example(case=(toy_code(), (0,)), mode="definition-5")
 def test_cross_counts_transpose_and_cross_witnesses_read_them(case, mode):
     # swapping the states transposes the brute-force counts, and each cross
-    # witness of _check_subset reads an entry of them, from either side
+    # witness of _explain_level reads an entry of them, from either side
     code, S = case
     n = code.params.n
     counts = {(i, j): naive_cross_counts(code.basis[i], code.basis[j], S, n)
               for i in range(code.params.K) for j in range(code.params.K) if i != j}
     for (i, j), M in counts.items():
         assert M == {(y, x): v for (x, y), v in counts[j, i].items()}
-    cross = [w for w in verify._check_subset(code, S, mode)
-             if w.reason == "cross reduction is nonzero"]
+    exact, = verify._explain_level(code, [S], mode)
+    cross = [w for w in exact if w.reason == "cross reduction is nonzero"]
     for w in cross:
         assert w.i < w.j and w.count > 0
         assert counts[w.i, w.j][w.x, w.y] == counts[w.j, w.i][w.y, w.x] == w.count
@@ -574,7 +626,7 @@ def test_cap_holds_when_no_level_count_divides_the_state_size():
     # the 12-level columns has a level count dividing 12
     code = theorem_tn(12, 1, 1, [6, 2])
     assert code.params.K == 12 and code.kets_per_state == 12
-    exact = verify._check_subset(code, (0, 1), "strict-uniform")
+    exact, = verify._explain_level(code, [(0, 1)], "strict-uniform")
     assert [w.i for w in exact] == [0, 1, 2, 3]
     report = verify_code(code, 2, "strict-uniform")
     assert [w.subset for w in report.witnesses] == [(0, 1)] * 4 + [(0, 2)] * 4
@@ -583,7 +635,8 @@ def test_cap_holds_when_no_level_count_divides_the_state_size():
 
 def test_failing_verdict_without_exact_witness_is_an_internal_fault():
     code, d = load_fixture("qmds_4_12_2")
-    with mock.patch.object(verify, "_check_subset", return_value=[]):
+    with mock.patch.object(verify, "_explain_level",
+                           side_effect=lambda code, subsets, mode: [[] for _ in subsets]):
         with pytest.raises(ClaimFailed):
             verify_code(code, d + 1)
 
@@ -639,6 +692,30 @@ def test_flagged_witnesses_equal_the_unrestricted_exact_path():
                 checked += 1
                 failing += not report.passed
     assert checked == 4 * 385 and failing > checked // 2
+
+
+def swapped(code):
+    """Copy of the code with the first kets of states 0 and 1 exchanged."""
+    basis = [list(state) for state in code.basis]
+    basis[0][0], basis[1][0] = basis[1][0], basis[0][0]
+    return QuantumCode(code.params, basis, code.provenance)
+
+
+def test_swapped_ket_mutants_fail_the_per_state_checks():
+    # the swap keeps the parent, the union of the states, and so its
+    # distance: only the per-state checks can see it
+    pool = [code for code in emitted_codes() if code.params.K >= 2]
+    assert len(pool) == 21
+    for code in pool:
+        d = code.params.d_plus_1 - 1
+        bad = swapped(code)
+        for mode in MODES:
+            report = verify_code(bad, d, mode)
+            assert not report.passed, (code.params.code_string(), mode)
+            assert report.witnesses == unrestricted_witnesses(bad, report.per_subset, mode)
+        crossed = cross_validate(bad)
+        assert crossed.parent_md >= d + 1 and not crossed.blocks_balanced
+        assert not crossed.quantum_pass and not crossed.combinatorial_pass
 
 
 # --- cross validation --------------------------------------------------------------
