@@ -270,24 +270,9 @@ def _explain_level(code: QuantumCode, subsets: list, mode: str
     alphabets, N = code.params.alphabets, len(code.kets)
     strict, cap = mode == "strict-uniform", _SUBSET_WITNESSES
 
-    def not_divisible(S: tuple[int, ...], size: int) -> list[ReductionWitness]:
-        """strict-uniform fails every state of a subset whose level count
-        does not divide the state size, without an entry to show."""
-        return [ReductionWitness(S, i, i, None, None, block, size,
-                                 "state size not divisible by the level count")
-                for i in range(min(K, cap))]
-
-    # past cap states, such a subset takes no other witness, nor any keys
-    found = {}
-    if strict and K >= cap:
-        for S in subsets:
-            level_count = prod(alphabets[c] for c in S)
-            if block % level_count:
-                found[S] = not_divisible(S, level_count)
-    todo = [S for S in subsets if S not in found]
-    if todo:
-        complement_keys, s_keys_of, _ = _subset_keyer(code)
-    for chunk in _chunks(todo, N):
+    complement_keys, s_keys_of, _ = _subset_keyer(code)
+    explained: list[list[ReductionWitness]] = []
+    for chunk in _chunks(subsets, N):
         m = len(chunk)
         levels = [prod(alphabets[c] for c in S) for S in chunk]
         short = [strict and block % size != 0 for size in levels]
@@ -397,7 +382,12 @@ def _explain_level(code: QuantumCode, subsets: list, mode: str
                                         tuple(kets[ket_y, cols].tolist()), count,
                                         expected, reason)
 
-            out = found[S] = not_divisible(S, levels[t]) if short[t] else []
+            # strict-uniform fails every state of a subset whose level count
+            # does not divide the state size, without an entry to show
+            out = [ReductionWitness(S, i, i, None, None, block, levels[t],
+                                    "state size not divisible by the level count")
+                   for i in range(min(K, cap))] if short[t] else []
+            explained.append(out)
             for i in selves[t].nonzero()[0].tolist():
                 r = t * K + i
                 if strict:
@@ -435,7 +425,7 @@ def _explain_level(code: QuantumCode, subsets: list, mode: str
                     _, _, v, ket_x, ket_y = off_diagonal((t * K + i) * K + j)[0].tolist()
                     out.append(witness(i, j, ket_x, ket_y, v, 0, "cross reduction is nonzero"))
             del out[cap:]
-    return [found[S] for S in subsets]
+    return explained
 
 
 def _decide_level(code: QuantumCode, dp: int, mode: str

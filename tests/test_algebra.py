@@ -1,6 +1,5 @@
 import itertools
 import random
-import re
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from oaqec.algebra import (
     is_prime_power,
     prime_power_decomposition,
 )
-from oaqec.errors import ClaimFailed, NotPrimePower
+from oaqec.errors import NotPrimePower
 
 from conftest import naive_field_axiom_failure, naive_pow, poly_eval, poly_mul
 
@@ -150,70 +149,32 @@ def test_numpy_tables_match_scalar_arithmetic(q):
         assert f.mul_table[a, b] == f.mul(a, b)
 
 
-def _fresh(q):
-    """A new field of order q, so corrupting it leaves field_create's cache alone."""
-    (p, k), = prime_power_decomposition(q)
-    return Field(p, k)
-
-
 def _inverses(q):
-    """Each element's inverse in the uncorrupted field (0 for 0)."""
+    """Each element's inverse (0 for 0)."""
     f = field_create(q)
     return [f.inv(a) if a else 0 for a in range(q)]
 
 
-def _flip(table, a, b, delta):
-    out = table.copy()
-    out[a, b] = (int(out[a, b]) + delta) % len(table)
-    return out
+@pytest.mark.parametrize("q", [q for q in range(2, 65) if is_prime_power(q)])
+def test_every_field_up_to_order_64_satisfies_the_axioms(q):
+    # fields check nothing when they are created; this is the check, on
+    # every element, pair and triple of each field of order q <= 64
+    f = field_create(q)
+    assert f.add_table.tolist() == [[f.add(a, b) for b in range(q)] for a in range(q)]
+    assert naive_field_axiom_failure(f.add_table.tolist(), f.mul_table.tolist(),
+                                     [f.neg(a) for a in range(q)], _inverses(q)) is None
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
-def test_axiom_check_names_the_first_failure_like_the_scalar_loop(q):
-    # every one-entry corruption of the multiplication table is refused,
-    # naming the same element, pair or triple as a scalar scan would
-    f = _fresh(q)
-    neg = [f.neg(a) for a in range(q)]
-    for a, b, delta in itertools.product(range(q), range(q), range(1, q)):
-        f.mul_table = _flip(field_create(q).mul_table, a, b, delta)
-        want = naive_field_axiom_failure(f.add_table.tolist(), f.mul_table.tolist(),
-                                         neg, _inverses(q))
-        assert want is not None
-        with pytest.raises(ClaimFailed) as err:
-            f._check_axioms()
-        assert str(err.value) == f"GF({q}): {want}"
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 7, 16, 27, 32, 49, 64])
-def test_axiom_check_refuses_one_corrupted_entry(q):
-    rng = random.Random(q)
-    for _ in range(8):
-        f = _fresh(q)
-        a, b, delta = rng.randrange(q), rng.randrange(q), rng.randrange(1, q)
-        if rng.random() < 0.5:
-            f.mul_table = _flip(f.mul_table, a, b, delta)
-            match = "fails at"
-        else:
-            f.add_table = _flip(f.add_table, a, b, delta)
-            match = f"add_table disagrees with add at {(a, b)}"
-        with pytest.raises(ClaimFailed, match=re.escape(match)):
-            f._check_axioms()
-
-
-def test_axiom_check_reports_a_failing_triple():
+def test_axiom_oracle_sees_a_failing_triple():
     # in GF(4), x^2 = x + 1 and (x + 1)^2 = x; swapping the two squares keeps
     # the table symmetric with identities and inverses intact, so only a
     # triple law can fail
-    f = _fresh(4)
-    table = field_create(4).mul_table.copy()
+    f = field_create(4)
+    table = f.mul_table.copy()
     table[2, 2], table[3, 3] = table[3, 3], table[2, 2]
-    f.mul_table = table
-    want = naive_field_axiom_failure(f.add_table.tolist(), table.tolist(),
-                                     [f.neg(a) for a in range(4)], _inverses(4))
-    assert want.startswith("distributivity or associativity fails at (")
-    with pytest.raises(ClaimFailed) as err:
-        f._check_axioms()
-    assert str(err.value) == f"GF(4): {want}"
+    assert naive_field_axiom_failure(f.add_table.tolist(), table.tolist(),
+                                     [f.neg(a) for a in range(4)], _inverses(4)) == (
+        "distributivity or associativity fails at (2, 1, 2)")
 
 
 def test_poly_eval():

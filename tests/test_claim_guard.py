@@ -10,9 +10,10 @@ which `python -O` strips.  Operations record claims, and checks run in two
 places: the builders in `synthesis` check a code's array where its
 partition is formed (`ensure_checked`, `claim_blocks`, `measure_md`), and
 `constructions` certifies full factorials and loaded assets (`certify`,
-also open to the asset scripts in `tools/`).  The constructions of
-`schemes` and `constructions` never fail a claim themselves: an asset's
-failed `certify` is reported as `AssetCorrupt`.  Only `arrays` calls
+also open to the asset scripts in `tools/`).  The ingredient builders
+`algebra`, `schemes` and `constructions` never fail a claim themselves:
+field tables are not checked where they are built, and an asset's failed
+`certify` is reported as `AssetCorrupt`.  Only `arrays` calls
 `is_orthogonal_array`: the builders and the registry check strength
 through a claim.  The array route of cross validation takes its distance
 from the `arrays` kernel, which shares no code with the key and level
@@ -209,12 +210,13 @@ def test_check_policy_guard_has_teeth():
         assert check_policy_faults(mutant) == [fault], fault
 
 
-#: the construction modules, which record claims and never fail one
-NO_CLAIM_FAILURE = ("schemes.py", "constructions.py")
+#: the ingredient builders: the construction modules record claims and
+#: never fail one, and the field tables are not checked where they are built
+NO_CLAIM_FAILURE = ("algebra.py", "schemes.py", "constructions.py")
 
 
 def claim_failure_faults(sources: dict[str, str]) -> list[str]:
-    """The construction modules that raise ClaimFailed, as
+    """The ingredient builders that raise ClaimFailed, as
     `name raises ClaimFailed at line N`."""
     faults = []
     for name in NO_CLAIM_FAILURE:
@@ -243,6 +245,9 @@ def test_claim_failure_guard_has_teeth():
         mutant = dict(sources, **{"schemes.py": sources["schemes.py"] + line + "\n"})
         assert claim_failure_faults(mutant) == [
             f"schemes.py raises ClaimFailed at line {lines + 1}"], line
+    lines = len(sources["algebra.py"].splitlines())
+    mutant = dict(sources, **{"algebra.py": sources["algebra.py"] + 'raise ClaimFailed("x")\n'})
+    assert claim_failure_faults(mutant) == [f"algebra.py raises ClaimFailed at line {lines + 1}"]
 
 
 def test_only_arrays_makes_certificates():

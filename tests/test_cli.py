@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -101,6 +102,23 @@ def test_construct_runs_the_reduction_checks_once(capsys):
                            "--d", "1", "--l", "1", "--factors", "2")
     assert rc == 0 and "result: PASS" in out and "; agree" in out
     assert calls == [(1, "strict-uniform")]
+
+
+def test_construct_exits_4_when_the_two_routes_disagree(capsys):
+    real = verify.cross_validate
+
+    def failing(code):
+        return dataclasses.replace(real(code), combinatorial_pass=False,
+                                   blocks_balanced=False)
+
+    with mock.patch.object(cli, "cross_validate", failing):
+        rc, out, err = run(capsys, "construct", "--theorem", "t4", "--s", "7",
+                           "--d", "1", "--l", "2", "--factors", "7")
+    assert (rc, err) == (4, "verification FAILED\n")
+    assert "code ((5,49,2))_{7^5}  mode strict-uniform" in out and "result: PASS" in out
+    assert ("reduction checks: PASS; array checks: FAIL (parent distance 3, "
+            "blocks unbalanced); DISAGREE") in out
+    assert "construction: prefix-partitioned symmetric array" in out and "QKET 5 49" in out
 
 
 def test_construct_nine_state_distance_four_code(capsys):

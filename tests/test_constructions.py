@@ -282,6 +282,42 @@ def test_asset_add_certifies_before_it_writes(tmp_path):
     assert not store.exists()
 
 
+#: a cyclic OA(6,5,6,1): row i is (i, i+1, ..., i+4) mod 6, and any two rows
+#: differ in every column, so its md is 5
+CYCLIC_6 = "OA 6 5 1\n6 6 6 6 6\n" + "".join(
+    " ".join(str((i + c) % 6) for c in range(5)) + "\n" for i in range(6))
+
+
+def test_a_second_asset_add_extends_the_manifest(tmp_path, monkeypatch):
+    store = tmp_path / "store"
+    first = constructions.asset_add(to_text(full_factorial_mixed((2, 2))), "oa_4_2_2_2",
+                                    store, None, None)
+    payload = (store / "oa_4_2_2_2.txt").read_bytes()
+    second = constructions.asset_add(CYCLIC_6, "oa_6_5_6_1", store, None, 5)
+    assert (store / "oa_4_2_2_2.txt").read_bytes() == payload
+    entries = json.loads((store / "manifest.json").read_text())
+    assert sorted(entries) == ["oa_4_2_2_2", "oa_6_5_6_1"]
+    for rec in (first, second):
+        pinned = hashlib.sha256((store / f"{rec.name}.txt").read_bytes()).hexdigest()
+        assert entries[rec.name]["sha256"] == rec.sha256 == pinned
+    monkeypatch.setenv(ASSET_DIR_ENV, str(store))
+    for rec, shape in ((first, (4, 2, 2, 1)), (second, (6, 5, 1, 5))):
+        assert asset_records()[rec.name] == rec
+        A = asset_get(rec.name)
+        assert A.verified and (A.r, A.n, A.strength, A.md) == shape, rec.name
+
+
+def test_the_asset_route_cuts_a_wider_asset_to_the_columns_asked(tmp_path, monkeypatch):
+    cyclic = constructions.asset_add(CYCLIC_6, "oa_6_5_6_1", tmp_path, None, 5)
+    monkeypatch.setenv(ASSET_DIR_ENV, str(tmp_path))
+    trace = []
+    # 6 is no prime power, and GF(2) gives too few columns for the product
+    A = resolve_symmetric_oa(6, 4, 1, trace)
+    assert (A.r, A.n, A.alphabets, A.strength) == (6, 4, (6,) * 4, 1)
+    assert A.rows == tuple(tuple((i + c) % 6 for c in range(4)) for i in range(6))
+    assert trace[-1] == f"OA(6,4,6,1) from asset oa_6_5_6_1 ({cyclic.sha256[:16]})"
+
+
 def test_asset_corrupt_payload_rejected(tmp_path, monkeypatch):
     # flip one symbol of a valid asset and re-register it externally
     good = asset_get("oa_100_4_10_2")
