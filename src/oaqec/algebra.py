@@ -6,19 +6,17 @@ polynomial is the lexicographically smallest monic irreducible (coefficients
 compared low-degree-first), found by exhaustive search, so two invocations
 always produce identical tables.
 
-Addition is also kept as a q x q numpy table (`add_table`: a ^ b in
+A field's arithmetic is two q x q numpy tables: `add_table` (a ^ b in
 characteristic 2, else the digits added mod p in the table's own narrow
-dtype), and multiplication only as one (`mul_table`): `mul` and `inv`
-read it.
-The multiplication table is built with numpy, one block of rows at a time:
-the carry-less product of the digit vectors, reduced modulo the polynomial.
+dtype) and `mul_table`; a negative or an inverse is where 0 or 1 stands in
+an element's row.  The multiplication table is built with numpy, one block
+of rows at a time: the carry-less product of the digit vectors, reduced
+modulo the polynomial.
 A field builds its tables and checks nothing, as a construction builds an
 array: the tables reach an output only through arrays that carry their
 strength and distance as claims (`bush`, `hyperoval_oa` and the difference
 schemes), which are checked where a code's partition is formed, and cross
-validation re-derives every emitted code from its kets.  The scalar `add`,
-`neg` and `sub` remain, digit by digit, because the odd difference schemes
-read them and they are the reference `add_table` is tested against.
+validation re-derives every emitted code from its kets.
 """
 
 from __future__ import annotations
@@ -120,38 +118,6 @@ class Field:
         self.k = k
         self.q = p**k
         self.poly = (0, 1) if k == 1 else _smallest_irreducible(p, k)
-
-    def add(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        pi = 1
-        for _ in range(self.k):
-            out += ((a + b) % p) * pi
-            a //= p
-            b //= p
-            pi *= p
-        return out
-
-    def neg(self, a: int) -> int:
-        p = self.p
-        out = 0
-        pi = 1
-        for _ in range(self.k):
-            out += (-a % p) * pi
-            a //= p
-            pi *= p
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_table.item(a, b)
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return int(np.argmax(self.mul_table[a] == 1))
 
     @functools.cached_property
     def add_table(self) -> np.ndarray:

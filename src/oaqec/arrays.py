@@ -63,9 +63,9 @@ injective without a sort (an index-unity array's t-column projections and
 every projection above them).  A carried claim settles nothing.  When the
 search would visit more than (r-1)/2 projections, sorted or settled (a wide
 array with a large distance), `minimal_distance` runs the pair scan of
-`distance_profile` instead, which also keeps the full distance set.  The
-budget prices a distance check as the r(r-1)/2 row pairs of a pair scan
-(`distance_check_cost`), whatever the claim spares.
+`distance_profile` instead.  The budget prices a distance check as the
+r(r-1)/2 row pairs of a pair scan (`distance_check_cost`), whatever the
+claim spares.
 """
 from __future__ import annotations
 
@@ -115,14 +115,6 @@ class Certificate:
 
     value: int
     checked: bool
-
-
-@dataclass(frozen=True)
-class DistanceProfile:
-    """Minimal distance and the full set of pairwise Hamming distances."""
-
-    md: int
-    hd: frozenset[int]
 
 
 #: largest entry a stored matrix may hold, whatever its alphabet
@@ -283,22 +275,13 @@ class MixedLevelArray:
                 f"strength={self.strength}, md={self.md}, {self.status()})")
 
 
-def _with_certificates(A: MixedLevelArray | tuple[np.ndarray, tuple[int, ...]],
-                       strength: Optional[Certificate],
+def _with_certificates(A: MixedLevelArray, strength: Optional[Certificate],
                        md: Optional[Certificate]) -> MixedLevelArray:
     """An array over A's matrix and alphabets with these certificates, built
-    without validating the matrix again; A itself when they are A's.  A may
-    instead be a (matrix, alphabets) pair, the matrix read-only, in the
-    alphabets' storage dtype and with its entries in range: then the array
-    is a new one over that matrix."""
-    if isinstance(A, tuple):
-        matrix, alphabets = A
-    elif strength is A._strength and md is A._md:
+    without validating the matrix again; A itself when they are A's."""
+    if strength is A._strength and md is A._md:
         return A
-    else:
-        matrix, alphabets = A.matrix, A.alphabets
-    out = object.__new__(MixedLevelArray)
-    out.matrix, out.alphabets = matrix, alphabets
+    out = _in_range_array(A.matrix, A.alphabets)
     out._strength, out._md = strength, md
     return out
 
@@ -310,7 +293,10 @@ def _in_range_array(matrix: np.ndarray, alphabets: tuple[int, ...]) -> MixedLeve
     the code has checked: nothing is checked or cast.  Outside input goes
     through MixedLevelArray, which checks every entry."""
     matrix.setflags(write=False)
-    return _with_certificates((matrix, alphabets), None, None)
+    out = object.__new__(MixedLevelArray)
+    out.matrix, out.alphabets = matrix, alphabets
+    out._strength = out._md = None
+    return out
 
 
 #: largest mixed-radix key row_keys builds before re-ranking
@@ -450,21 +436,19 @@ def is_orthogonal_array(A: MixedLevelArray, t: int, blocks: int = 1):
     cols, block = bad
     if blocks > 1:
         b = A.r // blocks
-        A = MixedLevelArray(A.matrix[block * b:(block + 1) * b], A.alphabets)
+        A = _in_range_array(A.matrix[block * b:(block + 1) * b], A.alphabets)
     return False, _subset_witness(A, cols)
 
 
-def distance_profile(A: MixedLevelArray) -> DistanceProfile:
-    """Exact minimal distance and distance set over all row pairs."""
+def distance_profile(A: MixedLevelArray) -> int:
+    """Exact minimal distance by a scan of all row pairs."""
     if A.r < 2:
         raise TooFewRows("distance needs at least two rows")
     m = A.matrix
     seen = np.zeros(A.n + 1, dtype=bool)
     for i in range(A.r - 1):
-        d = np.count_nonzero(m[i + 1:] != m[i], axis=1)
-        seen[d] = True
-    hd = frozenset(int(v) for v in np.nonzero(seen)[0])
-    return DistanceProfile(md=min(hd), hd=hd)
+        seen[np.count_nonzero(m[i + 1:] != m[i], axis=1)] = True
+    return int(np.argmax(seen))
 
 
 def _projection_collides(columns: np.ndarray, alphabets: Sequence[int],
@@ -540,7 +524,7 @@ def minimal_distance(A: MixedLevelArray) -> int:
     if A.r < 2:
         raise TooFewRows("distance needs at least two rows")
     md = _projection_md(A, (A.r - 1) // 2)
-    return distance_profile(A).md if md is None else md
+    return distance_profile(A) if md is None else md
 
 
 def strength_check_cost(A: MixedLevelArray, t: int) -> int:
@@ -734,24 +718,6 @@ def attach_index_column(A: MixedLevelArray, block_size: int) -> MixedLevelArray:
     dtype = storage_dtype(alphabets)
     index = np.arange(levels, dtype=dtype).repeat(block_size)[:, None]
     return _in_range_array(np.hstack([index, A.matrix], dtype=dtype), alphabets)
-
-
-def saturation_check(A: MixedLevelArray) -> bool:
-    """True iff sum of (s_i - 1) over all columns equals r - 1."""
-    return sum(s - 1 for s in A.alphabets) == A.r - 1
-
-
-def saturated_hd_formula(r: int, m1: int, m2: int, s1: int, s2: int) -> set[int]:
-    """Distance set forced by saturation for a two-alphabet strength-2 array.
-
-    Enumerates {d1 + d2 : s1*d1 + s2*d2 = r, 0 <= d_i <= m_i}.
-    """
-    out = set()
-    for d1 in range(m1 + 1):
-        rem = r - s1 * d1
-        if rem >= 0 and rem % s2 == 0 and rem // s2 <= m2:
-            out.add(d1 + rem // s2)
-    return out
 
 
 # --- plain-text serialization --------------------------------------------------

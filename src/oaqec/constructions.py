@@ -45,7 +45,6 @@ import numpy as np
 from .algebra import factorize_prime_powers, field_create, is_prime_power
 from .arrays import (
     MixedLevelArray,
-    _in_range_array,
     certify,
     claim,
     delete_columns,
@@ -87,13 +86,12 @@ def bush(s: int, t: int) -> MixedLevelArray:
         raise ValueError(f"strength must be >= 1, got {t}")
     if t - 1 > s:
         raise StrengthTooHigh(f"need s >= t-1 (got s={s}, t={t})")
-    A = _in_range_array(_bush_table(s, t), (s,) * (s + 1))
+    A = MixedLevelArray(_bush_table(s, t), (s,) * (s + 1))
     return claim(A, strength=t, md=(s + 1) - t + 1)
 
 
 def _bush_table(s: int, t: int) -> np.ndarray:
-    """The rows of bush(s, t), lexsorted, read-only and checked against the
-    alphabet s by MixedLevelArray, in its storage dtype (the field's).
+    """The rows of bush(s, t), lexsorted, in the field tables' dtype.
 
     The table grows one coefficient at a time, c_0 first: each row splits
     into s rows, one per c_j, and each cell adds c_j * x^j (an s x s slice
@@ -108,8 +106,7 @@ def _bush_table(s: int, t: int) -> np.ndarray:
         acc = f.add_table[acc[:, None, :], f.mul_table[:, power][None, :, :]].reshape(-1, s)
         power = f.mul_table[power, points]
     lead = np.tile(np.arange(s, dtype=dtype), s ** (t - 1))
-    table = lexsorted(np.hstack([acc, lead[:, None]]))
-    return MixedLevelArray(table, (s,) * (s + 1)).matrix
+    return lexsorted(np.hstack([acc, lead[:, None]]))
 
 
 def hyperoval_oa(s: int) -> MixedLevelArray:

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import json
 import re
-from importlib import resources
 
 import numpy as np
 
@@ -175,20 +174,11 @@ def provenance_block(code: QuantumCode) -> str:
 
 # --- bundled reference codes -----------------------------------------------------
 
+#: name -> (ket text file in `oaqec/fixtures`, the error count d it is claimed
+#: to correct)
 FIXTURES = {
     "qmds_4_12_2": ("qmds_4_12_2_12p3_2p1.ket", 1),
     "qmds_5_1_3_12": ("qmds_5_1_3_12p4_2p1.ket", 2),
     "qmds_5_1_3_9": ("qmds_5_1_3_9p4_3p1.ket", 2),
     "qmds_8_8_3": ("qmds_8_8_3_4p3_2p5.ket", 2),
 }
-
-
-def fixture_names() -> list[str]:
-    return sorted(FIXTURES)
-
-
-def load_fixture(name: str) -> tuple[QuantumCode, int]:
-    """A bundled reference code and the error count d it is claimed to correct."""
-    filename, d = FIXTURES[name]
-    text = (resources.files("oaqec.fixtures") / filename).read_text()
-    return code_from_ket_text(text, d), d

@@ -101,9 +101,11 @@ def _d_2s_odd(s: int) -> DifferenceScheme:
     e = np.arange(s)
     a, square = e[:, None], mul[e, e]
     rho = int(np.flatnonzero(~np.isin(e, square))[0])  # the least non-square
-    inv4 = f.inv(f.add(f.add(1, 1), f.add(1, 1)))
-    gamma_scale = f.mul(f.sub(1, f.inv(rho)), inv4)   # (1 - 1/rho) / 4
-    Gamma_scale = f.mul(f.sub(rho, 1), inv4)          # (rho - 1) / 4
+    neg = np.argmax(add == 0, axis=1)  # -x, the y with x + y = 0
+    inv = np.argmax(mul == 1, axis=1)  # 1/x for x != 0
+    inv4 = inv[add[add[1, 1], add[1, 1]]]
+    gamma_scale = mul[add[1, neg[inv[rho]]], inv4]  # (1 - 1/rho) / 4
+    Gamma_scale = mul[add[rho, neg[1]], inv4]       # (rho - 1) / 4
     # [a, j] and [a, J] of the h = 0 copy
     linear = mul[a, e]
     quadratic = add[mul[a, a], mul[e, a]]

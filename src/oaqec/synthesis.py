@@ -80,10 +80,6 @@ class CodeParams:
     m: int
     m_range: tuple[int, int]
 
-    @property
-    def in_admissible_range(self) -> bool:
-        return self.m_range[0] <= self.m <= self.m_range[1]
-
     def code_string(self) -> str:
         """Render as ((n,K,d+1))_{a^i b^j ...} with alphabet sizes descending."""
         counts: dict[int, int] = {}

@@ -1,19 +1,25 @@
 """Shared naive oracles, deliberately written as direct transcriptions of the
 definitions (independent double loops, no hashing, no early exits) so the
 optimized implementations have something dumb and trustworthy to agree with;
-and the hypothesis strategies that give the differential tests' random
-arrays a wide column, so every storage dtype meets the oracles.
+the hypothesis strategies that give the differential tests' random arrays a
+wide column, so every storage dtype meets the oracles; and the loader of the
+bundled reference codes, which only tests read.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
+from importlib import resources
 
+import numpy as np
 from hypothesis import strategies as st
 
 from oaqec.algebra import field_create
+from oaqec.formats import FIXTURES, code_from_ket_text
 from oaqec.schemes import DifferenceScheme
+from oaqec.synthesis import QuantumCode
 
 #: one alphabet just above the range of uint8, uint16 and uint32: an array
 #: with a column over it is stored as uint16, uint32 or int64
@@ -67,6 +73,24 @@ def naive_strength(rows, alphabets) -> int:
             break
         best = t
     return best
+
+
+def saturation_check(A) -> bool:
+    """True iff sum of (s_i - 1) over all columns equals r - 1."""
+    return sum(s - 1 for s in A.alphabets) == A.r - 1
+
+
+def saturated_hd_formula(r: int, m1: int, m2: int, s1: int, s2: int) -> set[int]:
+    """Distance set forced by saturation for a two-alphabet strength-2 array.
+
+    Enumerates {d1 + d2 : s1*d1 + s2*d2 = r, 0 <= d_i <= m_i}.
+    """
+    out = set()
+    for d1 in range(m1 + 1):
+        rem = r - s1 * d1
+        if rem >= 0 and rem % s2 == 0 and rem // s2 <= m2:
+            out.add(d1 + rem // s2)
+    return out
 
 
 def naive_distance_set(rows) -> set[int]:
@@ -158,11 +182,57 @@ def naive_scheme_witness(rows, s, t, sub):
     return None
 
 
+# --- scalar field arithmetic: one element at a time ---------------------------
+
+
+def field_add(f, a: int, b: int) -> int:
+    """a + b in the field f, digit by digit: the reference that
+    Field.add_table is tested against."""
+    p = f.p
+    out = 0
+    pi = 1
+    for _ in range(f.k):
+        out += ((a + b) % p) * pi
+        a //= p
+        b //= p
+        pi *= p
+    return out
+
+
+def field_neg(f, a: int) -> int:
+    """-a in the field f, digit by digit."""
+    p = f.p
+    out = 0
+    pi = 1
+    for _ in range(f.k):
+        out += (-a % p) * pi
+        a //= p
+        pi *= p
+    return out
+
+
+def field_sub(f, a: int, b: int) -> int:
+    return field_add(f, a, field_neg(f, b))
+
+
+def field_mul(f, a: int, b: int) -> int:
+    """a * b in the field f, read from its multiplication table."""
+    return f.mul_table.item(a, b)
+
+
+def field_inv(f, a: int) -> int:
+    """1/a in the field f: where 1 stands in a's row of the multiplication
+    table."""
+    if a == 0:
+        raise ZeroDivisionError("0 has no multiplicative inverse")
+    return int(np.argmax(f.mul_table[a] == 1))
+
+
 def naive_pow(f, a: int, n: int) -> int:
     """a^n in the field f, one multiplication at a time."""
     out = 1
     for _ in range(n):
-        out = f.mul(out, a)
+        out = field_mul(f, out, a)
     return out
 
 
@@ -179,14 +249,14 @@ def d_sss(s: int):
     strength 2 (NotPrimePower unless s is a prime power)."""
     f = field_create(s)
     D = DifferenceScheme(f.mul_table, s, strength=2, field=f)
-    if not naive_is_difference_scheme(D.rows, s, 2, sub=f.sub):
+    if not naive_is_difference_scheme(D.rows, s, 2, sub=functools.partial(field_sub, f)):
         raise AssertionError(f"the GF({s}) table is not a difference scheme")
     return D
 
 
 def naive_d_sss_rows(f):
     """The multiplication table of the field f, entry by entry."""
-    return [tuple(f.mul(a, b) for b in range(f.q)) for a in range(f.q)]
+    return [tuple(field_mul(f, a, b) for b in range(f.q)) for a in range(f.q)]
 
 
 def naive_d3_rows(s):
@@ -198,23 +268,25 @@ def naive_d_2s_odd_rows(f):
     """Width-2s scheme rows over an odd-order field f, one field operation
     at a time: rows (h, a), linear columns j*a and quadratic columns
     a^2 + J*a, the h = 1 copy scaled by the first non-square and shifted."""
+    add, sub = functools.partial(field_add, f), functools.partial(field_sub, f)
+    mul, inv = functools.partial(field_mul, f), functools.partial(field_inv, f)
     rho = naive_first_nonsquare(f)
-    inv4 = f.inv(f.add(f.add(1, 1), f.add(1, 1)))
-    gamma_scale = f.mul(f.sub(1, f.inv(rho)), inv4)
-    Gamma_scale = f.mul(f.sub(rho, 1), inv4)
+    inv4 = inv(add(add(1, 1), add(1, 1)))
+    gamma_scale = mul(sub(1, inv(rho)), inv4)
+    Gamma_scale = mul(sub(rho, 1), inv4)
     rows = []
     for h in (0, 1):
         for a in range(f.q):
             row = []
             for j in range(f.q):
-                v = f.mul(j, a)
+                v = mul(j, a)
                 if h:
-                    v = f.add(v, f.mul(f.mul(j, j), gamma_scale))
+                    v = add(v, mul(mul(j, j), gamma_scale))
                 row.append(v)
             for J in range(f.q):
-                v = f.add(f.mul(a, a), f.mul(J, a))
+                v = add(mul(a, a), mul(J, a))
                 if h:
-                    v = f.add(f.mul(rho, v), f.mul(f.mul(J, J), Gamma_scale))
+                    v = add(mul(rho, v), mul(mul(J, J), Gamma_scale))
                 row.append(v)
             rows.append(tuple(row))
     return rows
@@ -223,7 +295,7 @@ def naive_d_2s_odd_rows(f):
 def naive_d_2s_even_rows(big, s):
     """The multiplication table of the field `big` of order 2s, each entry
     reduced mod s."""
-    return [tuple(big.mul(a, b) % s for b in range(big.q)) for a in range(big.q)]
+    return [tuple(field_mul(big, a, b) % s for b in range(big.q)) for a in range(big.q)]
 
 
 def poly_mul(a, b, p) -> tuple[int, ...]:
@@ -247,7 +319,7 @@ def poly_eval(f, coeffs, point: int) -> int:
         raise ValueError("coeffs must be nonempty")
     acc = 0
     for c in reversed(coeffs):
-        acc = f.add(f.mul(acc, point), c)
+        acc = field_add(f, field_mul(f, acc, point), c)
     return acc
 
 
@@ -282,3 +354,17 @@ def parse_state_line(line: str) -> list[tuple[int, ...]]:
     if not _ORACLE_GAP.fullmatch("".join(parts[::2])):
         raise ValueError(f"text outside the kets in line: {line[:60]!r}")
     return [tuple(map(int, _ORACLE_SEP.split(body.strip()))) for body in parts[1::2]]
+
+
+# --- the bundled reference codes ------------------------------------------------
+
+
+def fixture_names() -> list[str]:
+    return sorted(FIXTURES)
+
+
+def load_fixture(name: str) -> tuple[QuantumCode, int]:
+    """A bundled reference code and the error count d it is claimed to correct."""
+    filename, d = FIXTURES[name]
+    text = (resources.files("oaqec.fixtures") / filename).read_text()
+    return code_from_ket_text(text, d), d

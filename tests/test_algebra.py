@@ -14,71 +14,44 @@ from oaqec.algebra import (
 )
 from oaqec.errors import NotPrimePower
 
-from conftest import naive_field_axiom_failure, naive_pow, poly_eval, poly_mul
+from conftest import (field_add, field_inv, field_neg, naive_field_axiom_failure, naive_pow,
+                      poly_eval, poly_mul)
 
 
 def test_prime_field_is_mod_arithmetic():
     f = field_create(5)
-    assert f.mul(3, 4) == 2
-    assert f.add(3, 4) == 2
-    assert f.sub(1, 3) == 3
-    assert f.neg(2) == 3
+    assert f.mul_table[3, 4] == 2
+    assert f.add_table[3, 4] == 2
 
 
 def test_gf4_tables_pinned():
     # reduction polynomial x^2 + x + 1; x * x = x + 1
     f = field_create(4)
     assert f.poly == (1, 1, 1)
-    assert f.mul(2, 2) == 3
-    assert f.mul(2, 3) == 1  # x * (x+1) = x^2 + x = 1
-    assert f.add(1, 1) == 0
-    assert f.add(2, 3) == 1
+    assert f.mul_table[2, 2] == 3
+    assert f.mul_table[2, 3] == 1  # x * (x+1) = x^2 + x = 1
+    assert f.add_table[1, 1] == 0
+    assert f.add_table[2, 3] == 1
 
 
 def test_gf8_tables_pinned():
     # reduction polynomial x^3 + x + 1; x * x^2 = x + 1
     f = field_create(8)
     assert f.poly == (1, 1, 0, 1)
-    assert f.mul(2, 4) == 3
+    assert f.mul_table[2, 4] == 3
 
 
 def test_gf9_pinned():
     # smallest irreducible is x^2 + 1
     f = field_create(9)
     assert f.poly == (1, 0, 1)
-    assert f.mul(3, 3) == f.neg(1)  # x * x = -1
+    assert f.mul_table[3, 3] == 2  # x * x = -1
 
 
 def test_not_prime_power():
     for q in (0, 1, 6, 10, 12, 100):
         with pytest.raises(NotPrimePower):
             field_create(q)
-
-
-def test_division_by_zero():
-    f = field_create(7)
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64])
-def test_field_axioms_exhaustive(q):
-    f = field_create(q)
-    els = list(range(f.q))
-    for a in els:
-        assert f.add(a, 0) == a
-        assert f.mul(a, 1) == a
-        assert f.add(a, f.neg(a)) == 0
-        if a:
-            assert f.mul(a, f.inv(a)) == 1
-    for a, b in itertools.product(els, repeat=2):
-        assert f.add(a, b) == f.add(b, a)
-        assert f.mul(a, b) == f.mul(b, a)
-        assert f.sub(a, b) == f.add(a, f.neg(b))
-    for a, b, c in itertools.product(els, repeat=3):
-        assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-        assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
 def test_field_create_deterministic():
@@ -109,9 +82,8 @@ def test_mul_table_matches_the_scalar_polynomial_product(q):
 def test_inv_and_pow_read_the_multiplication_table(q):
     f = field_create(q)
     for a in range(1, q):
-        assert f.mul_table[a, f.inv(a)] == 1
+        assert f.mul_table[a, field_inv(f, a)] == 1
         assert naive_pow(f, a, q - 1) == 1 and naive_pow(f, a, 1) == a
-        assert type(f.mul(a, a)) is int and type(f.inv(a)) is int
 
 
 @pytest.mark.parametrize("m", range(1, 13))
@@ -129,7 +101,7 @@ def test_add_table_matches_scalar_add_on_sampled_pairs(q):
     rng = random.Random(q)
     for _ in range(5000):
         a, b = rng.randrange(q), rng.randrange(q)
-        assert f.add_table[a, b] == f.add(a, b)
+        assert f.add_table[a, b] == field_add(f, a, b)
     assert f.add_table.dtype == np.uint16
 
 
@@ -138,21 +110,13 @@ def test_add_table_digit_sums_that_wrap_the_dtype(q):
     # digit sums of GF(251) reach 500, past the uint8 range of its table
     f = field_create(q)
     assert f.add_table.dtype == np.uint8
-    assert f.add_table.tolist() == [[f.add(a, b) for b in range(q)] for a in range(q)]
-
-
-@pytest.mark.parametrize("q", [2, 4, 7, 8, 9, 16, 25, 27, 32, 49, 64])
-def test_numpy_tables_match_scalar_arithmetic(q):
-    f = field_create(q)
-    for a, b in itertools.product(range(f.q), repeat=2):
-        assert f.add_table[a, b] == f.add(a, b)
-        assert f.mul_table[a, b] == f.mul(a, b)
+    assert f.add_table.tolist() == [[field_add(f, a, b) for b in range(q)] for a in range(q)]
 
 
 def _inverses(q):
     """Each element's inverse (0 for 0)."""
     f = field_create(q)
-    return [f.inv(a) if a else 0 for a in range(q)]
+    return [field_inv(f, a) if a else 0 for a in range(q)]
 
 
 @pytest.mark.parametrize("q", [q for q in range(2, 65) if is_prime_power(q)])
@@ -160,9 +124,9 @@ def test_every_field_up_to_order_64_satisfies_the_axioms(q):
     # fields check nothing when they are created; this is the check, on
     # every element, pair and triple of each field of order q <= 64
     f = field_create(q)
-    assert f.add_table.tolist() == [[f.add(a, b) for b in range(q)] for a in range(q)]
+    assert f.add_table.tolist() == [[field_add(f, a, b) for b in range(q)] for a in range(q)]
     assert naive_field_axiom_failure(f.add_table.tolist(), f.mul_table.tolist(),
-                                     [f.neg(a) for a in range(q)], _inverses(q)) is None
+                                     [field_neg(f, a) for a in range(q)], _inverses(q)) is None
 
 
 def test_axiom_oracle_sees_a_failing_triple():
@@ -173,7 +137,7 @@ def test_axiom_oracle_sees_a_failing_triple():
     table = f.mul_table.copy()
     table[2, 2], table[3, 3] = table[3, 3], table[2, 2]
     assert naive_field_axiom_failure(f.add_table.tolist(), table.tolist(),
-                                     [f.neg(a) for a in range(4)], _inverses(4)) == (
+                                     [field_neg(f, a) for a in range(4)], _inverses(4)) == (
         "distributivity or associativity fails at (2, 1, 2)")
 
 
@@ -183,7 +147,7 @@ def test_poly_eval():
     f2 = field_create(2)
     assert poly_eval(f2, (1, 1, 1), 1) == 1
     f4 = field_create(4)
-    assert poly_eval(f4, (0, 0, 1), 2) == f4.mul(2, 2) == 3
+    assert poly_eval(f4, (0, 0, 1), 2) == f4.mul_table[2, 2] == 3
     with pytest.raises(ValueError):
         poly_eval(f3, (), 1)
 

@@ -3,7 +3,9 @@
 `tools/api_surface.py` counts the defaulted parameters of public functions
 and of the methods of public classes, and the names the package exports.  A
 change that adds one must raise MAX_KEYWORD_PARAMETERS or MAX_EXPORTED_NAMES
-here and give its reason in CHANGES.md.
+here and give its reason in CHANGES.md.  It also lists the public functions
+and classes that only tests read; code that only tests read belongs in
+`tests/conftest.py`, so that list must stay empty.
 """
 
 from __future__ import annotations
@@ -48,3 +50,25 @@ def test_package_exports_do_not_grow():
     assert all(hasattr(oaqec, name) for name in names)
     assert count("from .arrays import (a,\n    b as c)\nfrom os import path\n"
                  "import json\n__version__ = '1'\n") == ["a", "c"]
+
+
+def test_no_public_name_is_read_only_by_tests():
+    assert _api_surface().unread_names(SRC) == []
+
+
+def test_the_surface_count_sees_a_name_only_tests_read(tmp_path):
+    # a string constant names `bound`; a docstring, a comment, a longer
+    # identifier, a test and a definition's own body do not name `unused`
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        'def used():\n    return unused_by_name()\n\n'
+        'def bound():\n    pass\n\n'
+        'def unused():\n    """unused, used and bound by name"""\n    return unused()\n\n'
+        'class Alone:\n    def alone(self):\n        return Alone\n')
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "run.py").write_text(
+        "from pkg.mod import used  # unused\nTARGET = ('pkg.mod', 'bound')\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text("from pkg.mod import unused, Alone\n")
+    assert _api_surface().unread_names(package) == ["mod.unused", "mod.Alone"]

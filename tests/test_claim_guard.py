@@ -2,9 +2,9 @@
 
 Only `oaqec.arrays` may store the claim slots of MixedLevelArray, make a
 `Certificate` or call its private constructor `_with_certificates`, and it
-stores the slots only where an array is made: in `MixedLevelArray.__init__`
-and in that constructor, which gives an array over the same matrix new
-certificates.  So no claim of an array changes after it is made.  The
+stores the slots only where an array is made: in `MixedLevelArray.__init__`,
+in that constructor, which gives an array over the same matrix new
+certificates, and in `_in_range_array`, which makes one without claims.  So no claim of an array changes after it is made.  The
 modules that build and certify arrays may not guard a claim with `assert`,
 which `python -O` strips.  Operations record claims, and checks run in two
 places: the builders in `synthesis` check a code's array where its
@@ -38,7 +38,7 @@ SRC = Path(oaqec.__file__).resolve().parent
 TOOLS = SRC.parents[1] / "tools"
 CLAIM_FIELDS = {"_strength", "_md"}
 #: the functions of arrays.py that may store a claim slot: where arrays are made
-CLAIM_MAKERS = {"MixedLevelArray.__init__", "_with_certificates"}
+CLAIM_MAKERS = {"MixedLevelArray.__init__", "_with_certificates", "_in_range_array"}
 NO_ASSERT = ("algebra.py", "arrays.py", "constructions.py", "schemes.py",
              "synthesis.py", "tables.py", "verify.py")
 
@@ -382,7 +382,7 @@ def test_independence_guard_has_teeth():
         "imports": (arrays_source + "\nfrom .verify import _slice_keys\n", verify_source),
         "module import": ("from . import verify\n" + arrays_source, verify_source),
         "pair scan": (arrays_source, verify_source.replace(
-            md_line, "md = distance_profile(rebuilt).md")),
+            md_line, "md = distance_profile(rebuilt)")),
         "key kernel": (arrays_source, verify_source.replace(
             md_line, "md = minimal_distance(rebuilt) + 0 * len(_slice_keys(kets, (), []))")),
     }

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import naive_ket_text, parse_state_line
+from conftest import fixture_names, load_fixture, naive_ket_text, parse_state_line
 from oaqec.errors import BadGeometry, ShapeMismatch
 from oaqec.formats import (
     code_from_ket_text,
@@ -17,8 +17,6 @@ from oaqec.formats import (
     code_record,
     code_to_ket_text,
     code_to_record_text,
-    fixture_names,
-    load_fixture,
     parse_ket_text,
     provenance_block,
 )

@@ -59,7 +59,7 @@ def check_scheme_lift(kind, s):
 def check_index_unity_distance(array, t):
     """An index-unity strength-t array meets distance n - t + 1 exactly."""
     assert array.r == math.prod(array.alphabets[:1]) ** t  # symmetric, unit index
-    assert distance_profile(array).md == array.n - t + 1
+    assert distance_profile(array) == array.n - t + 1
 
 
 def check_replacement_preserves_strength(parent, col, factors):
@@ -80,9 +80,9 @@ def check_product_strength_and_distance(A, B):
     t = min(A.strength, B.strength)
     ok, witness = is_orthogonal_array(P, t)
     assert ok, witness
-    md_a = distance_profile(A).md
-    md_b = distance_profile(B).md
-    assert distance_profile(P).md == min(md_a, md_b)
+    md_a = distance_profile(A)
+    md_b = distance_profile(B)
+    assert distance_profile(P) == min(md_a, md_b)
 
 
 def check_derivation_drops_one_strength(A, col, symbol):

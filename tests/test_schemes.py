@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import numpy as np
@@ -19,18 +20,22 @@ from oaqec.schemes import (
 
 from conftest import (
     d_sss,
+    field_add,
+    field_sub,
     naive_d3_rows,
     naive_d_2s_even_rows,
     naive_d_2s_odd_rows,
     naive_d_sss_rows,
     naive_is_difference_scheme,
+    naive_scheme_witness,
     naive_strength,
 )
 
 
 def group_sub(D):
     """Subtraction in the scheme's group: the field's, or Z_s's."""
-    return D.field.sub if D.field is not None else (lambda a, b: (a - b) % D.s)
+    return (functools.partial(field_sub, D.field) if D.field is not None
+            else lambda a, b: (a - b) % D.s)
 
 
 def test_d_sss_2_is_the_gf2_table():
@@ -120,7 +125,7 @@ def test_oa_from_scheme_d_2s_shape(s):
     # the s = 2 lift happens to be the even-weight code, whose true strength
     # (3) exceeds the claimed 2
     assert is_orthogonal_array(A, 2)[0]
-    assert distance_profile(A).md == 2 * s - 2
+    assert distance_profile(A) == 2 * s - 2
 
 
 
@@ -146,13 +151,21 @@ def test_scheme_lift_is_balanced_exactly_when_the_coset_oracle_passes(D):
         variants.append(DifferenceScheme(rows, D.s, field=D.field))
     for E in variants:
         for t in range(2, min(D.c, 3 if D.c <= 6 else 2) + 1):
-            assert is_orthogonal_array(oa_from_scheme(E), t)[0] == \
-                naive_is_difference_scheme(E.rows, E.s, t, sub=group_sub(E))
+            ok, witness = is_orthogonal_array(oa_from_scheme(E), t)
+            assert ok == naive_is_difference_scheme(E.rows, E.s, t, sub=group_sub(E))
+            # a lift is balanced on a column subset exactly when its scheme
+            # is, and both search the subsets in combinations order, so both
+            # fail first on the same one (every one, when s^(t-1) does not
+            # divide the row count)
+            naive = naive_scheme_witness(E.rows, E.s, t, group_sub(E))
+            assert (witness is None) == (naive is None)
+            assert witness is None or witness.columns == naive[0]
 
 
 @pytest.mark.parametrize("D", list(_schemes())[:-1], ids=repr)
 def test_oa_from_scheme_shifts_by_the_scheme_group(D):
-    add = D.field.add if D.field is not None else (lambda x, y: (x + y) % D.s)
+    add = (functools.partial(field_add, D.field) if D.field is not None
+           else lambda x, y: (x + y) % D.s)
     want = tuple(tuple(add(a, v) for a in row) for row in D.rows for v in range(D.s))
     assert oa_from_scheme(D).rows == want
 

@@ -16,8 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oaqec import arrays, cli, schemes, synthesis
 from oaqec.arrays import (MixedLevelArray, claim, delete_columns, distance_profile,
-                          ensure_checked, is_orthogonal_array, saturation_check,
-                          storage_dtype)
+                          ensure_checked, is_orthogonal_array, storage_dtype)
 from oaqec.constructions import bush, resolve_symmetric_oa
 from oaqec.errors import (
     BadFactorization,
@@ -33,7 +32,7 @@ from oaqec.errors import (
     SBoundViolated,
     SymbolOutOfRange,
 )
-from oaqec.formats import load_fixture, provenance_block
+from oaqec.formats import provenance_block
 from oaqec.synthesis import (
     OrthogonalPartition,
     QuantumCode,
@@ -55,7 +54,7 @@ from oaqec.synthesis import (
 from oaqec.tables import TABLE_IDS, expectations
 from oaqec.verify import cross_validate, verify_code
 
-from conftest import naive_canonical_basis, naive_is_oa
+from conftest import load_fixture, naive_canonical_basis, naive_is_oa, saturation_check
 from test_acceptance import corrupted
 
 
@@ -101,7 +100,7 @@ def test_admissible_m_range_window():
 def test_make_code_params_and_rendering():
     p = make_code_params(5, 2, (4, 2, 2, 2, 2), 1)
     assert (p.n, p.K, p.d_plus_1, p.m) == (5, 1, 3, 1)
-    assert p.in_admissible_range
+    assert p.m_range == (0, 1)
     assert p.code_string() == "((5,1,3))_{4^1 2^4}"
 
 
@@ -351,7 +350,7 @@ def test_split_driver_positive_dimension():
     p = code.params
     assert (p.n, p.K, p.d_plus_1, p.m) == (4, 12, 2, 12)
     assert sorted_alphabets(code) == (12, 12, 12, 2)
-    assert p.m_range == (0, 22) and p.in_admissible_range
+    assert p.m_range == (0, 22)
     assert verify_code(code, 1).passed
     assert cross_validate(code).agree
 
@@ -369,7 +368,7 @@ def test_split_driver_second_column():
     p = code.params
     assert (p.n, p.K, p.d_plus_1, p.m) == (6, 1, 3, 3)
     assert sorted_alphabets(code) == (12, 12, 12, 6, 2, 2)
-    assert not p.in_admissible_range  # sits above the published window
+    assert p.m > p.m_range[1]  # sits above the published window
     assert verify_code(code, 2).passed
 
 
@@ -450,7 +449,7 @@ def test_resplit_reproduces_bundled_code_from_merged_columns():
     blocks = [tuple(merge(k) for k in state) for state in fixture.basis]
     parent = claim(MixedLevelArray([r for b in blocks for r in b],
                                    (4, 4, 4, 4, 2, 2, 2)), strength=2)
-    assert distance_profile(parent).md == 3
+    assert distance_profile(parent) == 3
     part = OrthogonalPartition(parent, len(blocks), 2)
     merged = code_from_partitioned_oa(part, 3, construction="merged-bit reference input")
     assert merged.params.code_string() == "((7,8,3))_{4^4 2^3}"

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import oaqec
 from oaqec import arrays, verify
 from oaqec.errors import ClaimFailed, ProvenanceMissing
-from oaqec.formats import code_from_ket_text, load_fixture
+from oaqec.formats import code_from_ket_text
 from oaqec.constructions import bush
 from oaqec.synthesis import (OrthogonalPartition, QuantumCode, code_from_partitioned_oa,
                              make_code_params, theorem_5s2, theorem_tn)
@@ -31,7 +31,7 @@ from oaqec.verify import (
     verify_code,
 )
 
-from conftest import naive_cross_counts
+from conftest import load_fixture, naive_cross_counts
 from test_acceptance import corrupted, emitted_codes
 
 
