@@ -171,11 +171,14 @@ def test_oa_from_scheme_shifts_by_the_scheme_group(D):
 
 
 PRIME_POWERS_TO_37 = [s for s in range(2, 38) if is_prime_power(s)]
+#: the table-built _d_2s_odd against its scalar loop on every odd prime power
+#: up to 127, and _d_2s_even on the field of order 128
+D_2S_LARGER_ORDERS = [s for s in range(38, 128) if s % 2 and is_prime_power(s)] + [64]
 
 
 @pytest.mark.parametrize("build, s", [(d3_scheme, s) for s in range(2, 30)]
                          + [(d_sss, s) for s in PRIME_POWERS_TO_37]
-                         + [(d_2s, s) for s in PRIME_POWERS_TO_37],
+                         + [(d_2s, s) for s in PRIME_POWERS_TO_37 + D_2S_LARGER_ORDERS],
                          ids=lambda v: getattr(v, "__name__", v))
 def test_table_built_schemes_match_the_scalar_loops(build, s):
     D = build(s)
