@@ -60,12 +60,13 @@ keys, and a level with fewer level tuples than rows needs no sort.  A
 checked strength claim t settles more: a projection whose t largest
 alphabets multiply to r holds each of their level tuples once, so it is
 injective without a sort (an index-unity array's t-column projections and
-every projection above them).  A carried claim settles nothing.  When the
-search would visit more than (r-1)/2 projections, sorted or settled (a wide
-array with a large distance), `minimal_distance` runs the pair scan of
-`distance_profile` instead.  The budget prices a distance check as the
-r(r-1)/2 row pairs of a pair scan (`distance_check_cost`), whatever the
-claim spares.
+every projection above them), and a level whose projections it settles
+all is decided without visiting them one by one.  A carried claim settles
+nothing.  When the search would visit more than (r-1)/2 projections,
+sorted or settled (a wide array with a large distance), `minimal_distance`
+runs the pair scan of `distance_profile` instead.  The budget prices a
+distance check as the r(r-1)/2 row pairs of a pair scan
+(`distance_check_cost`), whatever the claim spares.
 """
 from __future__ import annotations
 
@@ -191,7 +192,8 @@ class MixedLevelArray:
     """An r x n read-only `matrix`, in storage_dtype(alphabets), with
     per-column alphabet sizes."""
 
-    __slots__ = ("matrix", "alphabets", "_strength", "_md")
+    # __weakref__: a process memo may key on a shared array without keeping it
+    __slots__ = ("matrix", "alphabets", "_strength", "_md", "__weakref__")
 
     def __init__(self, rows: np.ndarray | Iterable[Sequence[int]],
                  alphabets: Sequence[int]):
@@ -478,8 +480,10 @@ def _projection_md(A: MixedLevelArray, max_sorts: float) -> Optional[int]:
     A visited projection is sorted unless A carries a checked strength
     claim t and the t largest alphabets of its columns multiply to r: those
     t columns then hold every level tuple once (chs. 1 and 4), so the
-    projection, like the full-width one, is injective without a sort.  Such
-    a projection still counts as visited, so the hand-over to the pair scan
+    projection, like the full-width one, is injective without a sort.  When
+    that holds for the t largest of the k smallest alphabets, it holds for
+    every k-column projection, and the level is decided at once.  A settled
+    projection still counts as visited, so the hand-over to the pair scan
     does not depend on the claim.
     """
     r, n, alphabets = A.r, A.n, A.alphabets
@@ -498,6 +502,12 @@ def _projection_md(A: MixedLevelArray, max_sorts: float) -> Optional[int]:
     for k in range(1, n):
         if math.prod(smallest[:k]) < r:
             continue
+        if t and k >= t and math.prod(smallest[k - t:k]) == r:
+            # no k-projection's t largest alphabets multiply to less than
+            # these, and a passing strength check makes each product divide
+            # r: every projection of the level is settled
+            visited += math.comb(n, k)
+            return None if visited > max_sorts else n - k + 1
         for cols in itertools.combinations(range(n), k):
             visited += 1
             if visited > max_sorts:

@@ -20,14 +20,20 @@ load is one lookup and one read: `asset_get` finds a record by name and
 and certifies the payload; the digest goes into the ingredient trace.
 
 Work is not redone within a process, and arrays never change their claims,
-so one can be shared.  The table of `bush(s, t)` is built and validated
-once per (s, t), read-only in its storage dtype, and every call with those
-arguments returns the one array over it; a full factorial is built and
-certified once per (alphabets, index), and every call returns that array.
+so one can be shared.  A process shares, and every call with the same
+arguments returns the one read-only array made on the first:
+  * `bush(s, t)`, over a table built and validated once per (s, t);
+  * a full factorial, built and certified once per (alphabets, index);
+  * a prime-power piece (Bush or hyperoval with columns deleted), once per
+    (u, n_cols, t), and the product route's array, once per (s, n_cols, t):
+    `resolve_symmetric_oa` returns these with their claims unchecked, and
+    writes its ingredient note on every call.
 An asset payload is read and hashed on every load but certified once: a
 reload of the same bytes, for the same record parameters, returns the array
-its first load certified.  A manifest is read on every lookup and parsed
-once per its bytes, so an edit is seen at once.
+its first load certified.  A process never shares a registry lookup: a
+manifest is read on every lookup and parsed once per its bytes, so an edit
+is seen at once.  Nor does it share a check: checks return new arrays, so a
+row that checks a shared array leaves it unchecked for the next row.
 """
 
 from __future__ import annotations
@@ -95,18 +101,22 @@ def _bush_table(s: int, t: int) -> np.ndarray:
 
     The table grows one coefficient at a time, c_0 first: each row splits
     into s rows, one per c_j, and each cell adds c_j * x^j (an s x s slice
-    of the multiplication table) with one addition-table lookup.  The rows
-    come in np.indices order of (c_0, ..., c_{t-1}), c_{t-1} fastest."""
+    of the multiplication table) with one addition-table lookup.  The last
+    column grows with them, adding c_{t-1} to 0 at the last step and 0
+    before it, so the full table is made once, not stacked from a copy.
+    The rows come in np.indices order of (c_0, ..., c_{t-1}), c_{t-1}
+    fastest."""
     f = field_create(s)
     dtype = f.add_table.dtype
     points = np.arange(s)
     power = np.ones(s, dtype=dtype)  # x^j at every point x, with x^0 = 1
-    acc = np.zeros((1, s), dtype=dtype)
-    for _ in range(t):
-        acc = f.add_table[acc[:, None, :], f.mul_table[:, power][None, :, :]].reshape(-1, s)
+    acc = np.zeros((1, s + 1), dtype=dtype)
+    for j in range(t):
+        lead = points if j == t - 1 else np.zeros(s, dtype=dtype)
+        terms = np.column_stack([f.mul_table[:, power], lead])
+        acc = f.add_table[acc[:, None, :], terms[None, :, :]].reshape(-1, s + 1)
         power = f.mul_table[power, points]
-    lead = np.tile(np.arange(s, dtype=dtype), s ** (t - 1))
-    return lexsorted(np.hstack([acc, lead[:, None]]))
+    return lexsorted(acc)
 
 
 def hyperoval_oa(s: int) -> MixedLevelArray:
@@ -143,8 +153,10 @@ def _full_factorial(alphabets: tuple[int, ...], lam: int) -> MixedLevelArray:
     return certify(MixedLevelArray(table, alphabets), len(alphabets), 1 if lam == 1 else 0)
 
 
+@functools.lru_cache(maxsize=None)
 def _prime_power_piece(u: int, n_cols: int, t: int) -> MixedLevelArray | str:
-    """A symmetric index-unity OA(u^t, n_cols, u, t), or a reason string."""
+    """A symmetric index-unity OA(u^t, n_cols, u, t), or a reason string:
+    one array, its claims recorded unchecked, made once per (u, n_cols, t)."""
     if u < t - 1:
         return f"alphabet {u} is below the strength floor t-1 = {t - 1}"
     if u + 1 >= n_cols:
@@ -158,6 +170,20 @@ def _prime_power_piece(u: int, n_cols: int, t: int) -> MixedLevelArray | str:
         # index unity, so the distance is forced
         A = claim(A, md=n_cols - t + 1)
     return A
+
+
+@functools.lru_cache(maxsize=None)
+def _product_piece(s: int, n_cols: int, t: int) -> MixedLevelArray | str:
+    """The columnwise product of the prime-power pieces of s, or the first
+    piece's reason string: one array, its claims recorded unchecked, made
+    once per (s, n_cols, t)."""
+    pieces = []
+    for u in factorize_prime_powers(s):
+        piece = _prime_power_piece(u, n_cols, t)
+        if isinstance(piece, str):
+            return piece
+        pieces.append(piece)
+    return functools.reduce(multiply_oa, pieces)
 
 
 def resolve_symmetric_oa(s: int, n_cols: int, t: int,
@@ -185,21 +211,12 @@ def resolve_symmetric_oa(s: int, n_cols: int, t: int,
 
     factors = factorize_prime_powers(s)
     if len(factors) > 1:
-        pieces, bad = [], None
-        for u in factors:
-            piece = _prime_power_piece(u, n_cols, t)
-            if isinstance(piece, str):
-                bad = f"product: {piece}"
-                break
-            pieces.append(piece)
-        if bad is None:
-            out = pieces[0]
-            for piece in pieces[1:]:
-                out = multiply_oa(out, piece)
-            _note(f"OA({out.r},{n_cols},{s},{t}) as a columnwise product over "
+        product = _product_piece(s, n_cols, t)
+        if isinstance(product, MixedLevelArray):
+            _note(f"OA({product.r},{n_cols},{s},{t}) as a columnwise product over "
                   f"prime-power factors {factors}")
-            return out
-        failures.append(bad)
+            return product
+        failures.append(f"product: {product}")
 
     candidates = [rec for rec in asset_records().values()
                   if rec.alphabets == (s,) * rec.n

@@ -8,11 +8,22 @@ reaches an output.  A partition is also the one source of a code's distance
 floor h: its parent's minimal distance when that check ran (h exact), else
 the floor the construction guarantees (a lower bound).  A check returns a
 new array instead of marking its argument, so a partition keeps the checked
-parent the checks return."""
+parent the checks return.
+
+Rows of a catalogue share their ingredients, and a process builds each
+once: besides the arrays `constructions` shares, the lift of `d3_scheme(s)`
+that `theorem_5s2` splits, the prime-power base of `_base_52s(s)` (each
+with its ingredient notes, replayed into every row's provenance), and the
+prefix partition of a shared base array (`partition_by_prefix`).  A process
+never shares a check (`ensure_checked`, `measure_md`, `claim_blocks`, and so
+no `OrthogonalPartition` or `QuantumCode`), a row's own array (the output
+of `_split`) or a registry lookup (`asset_get`): every row runs every check
+on its own array."""
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -138,6 +149,11 @@ class OrthogonalPartition:
                 f"strength={self.strength})")
 
 
+#: partition_by_prefix results by base array (held weakly, keyed by
+#: identity), then by prefix width
+_PREFIX_PARTITIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def partition_by_prefix(A: MixedLevelArray, l: int) -> tuple[MixedLevelArray, int]:
     """Strip the first l columns and group rows by the removed prefix.
 
@@ -146,7 +162,17 @@ def partition_by_prefix(A: MixedLevelArray, l: int) -> tuple[MixedLevelArray, in
     group inherits strength A.strength - l, so the stripped array with K
     blocks is a partition of that strength.  The rows are sorted at most
     once: not at all when their keys (`arrays.row_keys`) never decrease, as
-    a Bush table's do with its trailing columns deleted (`sorted_rows`)."""
+    a Bush table's do with its trailing columns deleted (`sorted_rows`).
+
+    The result is made once per (A, l) and returned again while A lives:
+    the rows that partition one shared base array share its partition."""
+    by_width = _PREFIX_PARTITIONS.setdefault(A, {})
+    if l not in by_width:
+        by_width[l] = _prefix_partition(A, l)
+    return by_width[l]
+
+
+def _prefix_partition(A: MixedLevelArray, l: int) -> tuple[MixedLevelArray, int]:
     if not 0 <= l < A.n:
         raise ValueError(f"prefix width {l} out of range for {A.n} columns")
     if A.strength <= l:
@@ -454,13 +480,20 @@ def _lifted_code(B: MixedLevelArray, s: int, factors: tuple[int, ...],
 def theorem_5s2(s: int, factors, *, budget: Optional[int] = None) -> QuantumCode:
     """Distance-3 code on alphabets (s^2)^1 s^(4-k) f_1..f_k with defect m = s-1."""
     factors = _factors(factors, s)
+    B, notes = _d3_lift(s)
+    return _lifted_code(B, s, factors, budget, list(notes),
+                        "width-4 difference-scheme lift with index column")
+
+
+@functools.lru_cache(maxsize=None)
+def _d3_lift(s: int) -> tuple[MixedLevelArray, tuple[str, ...]]:
+    """The lift of d3_scheme(s) with its index column, claimed strength 2
+    and distance 3, and its ingredient notes: made once per s."""
     D = d3_scheme(s)
     # pairs sharing a scheme row at the same shift differ in 3 places
     B = claim(attach_index_column(oa_from_scheme(D), s), strength=2, md=3)
-    ingredients = [f"difference scheme D({D.r},{D.c},{s}) of width {D.c}",
-                   f"index column over {B.alphabets[0]} blocks"]
-    return _lifted_code(B, s, factors, budget, ingredients,
-                        "width-4 difference-scheme lift with index column")
+    return B, (f"difference scheme D({D.r},{D.c},{s}) of width {D.c}",
+               f"index column over {B.alphabets[0]} blocks")
 
 
 # --- ((4+k, 1, 3)) codes from a width-2s difference-scheme lift -----------------
@@ -469,12 +502,9 @@ def theorem_5s2(s: int, factors, *, budget: Optional[int] = None) -> QuantumCode
 def _base_52s(s: int, ingredients: list[str]) -> MixedLevelArray:
     """A strength-2, distance-3 array on (2s)^1 s^4 for any s >= 2 with one."""
     if is_prime_power(s):
-        # the saturated strength-2 array on (2s)^1 s^(2s) from the width-2s
-        # scheme; its five-column projection has distance exactly 3
-        sat = attach_index_column(oa_from_scheme(d_2s(s)), s)
-        ingredients.append(f"saturated lift of D({2 * s},{2 * s},{s})")
-        A = sat if sat.n == 5 else delete_columns(sat, range(5, sat.n))
-        return claim(A, strength=2, md=3)
+        A, notes = _d_2s_lift(s)
+        ingredients.extend(notes)
+        return A
     pieces = factorize_prime_powers(s)
     if 2 in pieces and 3 in pieces:
         # the bases for 2 and 3 would multiply to a 24-level first column,
@@ -487,6 +517,17 @@ def _base_52s(s: int, ingredients: list[str]) -> MixedLevelArray:
             # a unit-index piece has distance 4 > 3, so the product keeps P's
             P = multiply_oa(P, resolve_symmetric_oa(u, 5, 2, ingredients))
     return P
+
+
+@functools.lru_cache(maxsize=None)
+def _d_2s_lift(s: int) -> tuple[MixedLevelArray, tuple[str, ...]]:
+    """The base of _base_52s for a prime power s, and its ingredient notes:
+    made once per s."""
+    # the saturated strength-2 array on (2s)^1 s^(2s) from the width-2s
+    # scheme; its five-column projection has distance exactly 3
+    sat = attach_index_column(oa_from_scheme(d_2s(s)), s)
+    A = sat if sat.n == 5 else delete_columns(sat, range(5, sat.n))
+    return claim(A, strength=2, md=3), (f"saturated lift of D({2 * s},{2 * s},{s})",)
 
 
 def theorem_52s(s: int, factors, *, budget: Optional[int] = None) -> QuantumCode:

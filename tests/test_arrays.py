@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (levels_st, naive_distance_set, naive_is_oa, naive_strength,
                       saturated_hd_formula, saturation_check, with_wide_column)
@@ -381,6 +381,61 @@ def test_minimal_distance_under_a_checked_strength_matches_naive_oracle(case):
     assert arrays._projection_md(A, math.inf) == md
     # ensure_checked measures with the strength certificate it has just earned
     assert ensure_checked(claim(MixedLevelArray(rows, alphabets), strength=t, md=md)).verified
+
+
+def per_projection_md(rows, alphabets, t, max_sorts):
+    """The projection search one projection at a time, as the reference for
+    `_projection_md`: the same levels and visit count, a projection settled
+    when t (a checked strength, 0 for none) of its largest alphabets
+    multiply to the row count, any other one tested by a set of its tuples."""
+    r, n = len(rows), len(alphabets)
+
+    def injective(cols):
+        if t and math.prod(sorted(alphabets[c] for c in cols)[-t:]) == r:
+            return True
+        return len({tuple(row[c] for c in cols) for row in rows}) == r
+
+    if math.prod(alphabets) < r or not injective(range(n)):
+        return 0
+    visited = 0
+    for k in range(1, n):
+        if math.prod(sorted(alphabets)[:k]) < r:
+            continue
+        for cols in itertools.combinations(range(n), k):
+            visited += 1
+            if visited > max_sorts:
+                return None
+            if not injective(cols):
+                break
+        else:
+            return n - k + 1
+    return 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=checked_strength_arrays(), claimed=st.sampled_from(("checked", "carried", "false")),
+       max_sorts=st.sampled_from((0, 1, 3, math.inf)))
+# settled levels of C(4, 3) = 4 and C(3, 1) = 3 projections: one past the cap, and at it
+@example(case=(list(bush(3, 3).rows), [3] * 4, 3), claimed="checked", max_sorts=3)
+@example(case=(list(bush(2, 1).rows), [2] * 3, 1), claimed="checked", max_sorts=3)
+def test_projection_search_decides_a_level_as_the_per_projection_loop(case, claimed,
+                                                                      max_sorts):
+    rows, alphabets, t = case
+    if claimed == "false":
+        # the first entry moved to the next level: the strength-t claim fails
+        rows = [((rows[0][0] + 1) % alphabets[0],) + rows[0][1:]] + rows[1:]
+        assert not naive_is_oa(rows, alphabets, t)
+    A = claim(MixedLevelArray(rows, alphabets), strength=t)
+    if claimed == "checked":
+        A = certify(A, t)
+    md = min(naive_distance_set(rows))
+    got = arrays._projection_md(A, max_sorts)
+    # only a checked claim settles projections; a carried one, true or false, never
+    assert got == per_projection_md(rows, alphabets, t if claimed == "checked" else 0,
+                                    max_sorts)
+    assert got in (None, md)
+    if max_sorts == math.inf:
+        assert got == md
 
 
 def projection_sorts(A):

@@ -21,9 +21,9 @@ kernels of the reduction route in `verify`, and hands it only the array it
 rebuilds from the kets, which carries no claim to spare a check with.  No
 verdict reads the dict reduction `reduced_cross_matrix`: neither
 `verify_code` nor `cross_validate`, nor any function of `verify.py` they
-reach, names it.  Every module but the package
-`__init__` uses each name it imports, unless the import is marked
-`# noqa: F401` as a deliberate re-export.
+reach, names it.  Every module of the package but its `__init__`, and
+every test and tool script, uses each name it imports, unless the import
+is marked `# noqa: F401` as a deliberate re-export.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import oaqec
 
 SRC = Path(oaqec.__file__).resolve().parent
 TOOLS = SRC.parents[1] / "tools"
+TESTS = Path(__file__).resolve().parent
 CLAIM_FIELDS = {"_strength", "_md"}
 #: the functions of arrays.py that may store a claim slot: where arrays are made
 CLAIM_MAKERS = {"MixedLevelArray.__init__", "_with_certificates", "_in_range_array"}
@@ -448,12 +449,12 @@ def unused_imports(source: str) -> list[str]:
 
 def test_modules_use_every_name_they_import():
     offenders = {}
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
+    for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py"), *TOOLS.glob("*.py")]):
+        if path == SRC / "__init__.py":
             continue
         names = unused_imports(path.read_text())
         if names:
-            offenders[path.name] = names
+            offenders[f"{path.parent.name}/{path.name}"] = names
     assert offenders == {}
 
 

@@ -318,6 +318,23 @@ def test_the_asset_route_cuts_a_wider_asset_to_the_columns_asked(tmp_path, monke
     assert trace[-1] == f"OA(6,4,6,1) from asset oa_6_5_6_1 ({cyclic.sha256[:16]})"
 
 
+def test_an_edited_registry_is_seen_by_the_next_asset_route_lookup(tmp_path, monkeypatch):
+    monkeypatch.setenv(ASSET_DIR_ENV, str(tmp_path))
+    cyclic = constructions.asset_add(CYCLIC_6, "oa_6_5_6_1", tmp_path, None, 5)
+    trace = []
+    A = resolve_symmetric_oa(6, 4, 1, trace)
+    # the same name over another OA(6, 5, 6, 1): the constant rows
+    diagonal = "OA 6 5 1\n6 6 6 6 6\n" + "".join(f"{i} {i} {i} {i} {i}\n" for i in range(6))
+    edited = constructions.asset_add(diagonal, "oa_6_5_6_1", tmp_path, None, 5)
+    B = resolve_symmetric_oa(6, 4, 1, trace)
+    assert B.rows == tuple((i,) * 4 for i in range(6)) != A.rows
+    assert trace == [f"OA(6,4,6,1) from asset oa_6_5_6_1 ({rec.sha256[:16]})"
+                     for rec in (cyclic, edited)]
+    (tmp_path / "manifest.json").unlink()
+    with pytest.raises(IngredientUnavailable, match="assets: no registered array"):
+        resolve_symmetric_oa(6, 4, 1)
+
+
 def test_asset_corrupt_payload_rejected(tmp_path, monkeypatch):
     # flip one symbol of a valid asset and re-register it externally
     good = asset_get("oa_100_4_10_2")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import random
 from dataclasses import replace
@@ -14,9 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oaqec import arrays, cli, schemes, synthesis
+from oaqec import arrays, cli, constructions, schemes, synthesis
 from oaqec.arrays import (MixedLevelArray, claim, delete_columns, distance_profile,
-                          ensure_checked, is_orthogonal_array, storage_dtype)
+                          ensure_checked, storage_dtype)
 from oaqec.constructions import bush, resolve_symmetric_oa
 from oaqec.errors import (
     BadFactorization,
@@ -32,7 +31,7 @@ from oaqec.errors import (
     SBoundViolated,
     SymbolOutOfRange,
 )
-from oaqec.formats import provenance_block
+from oaqec.formats import code_to_ket_text, provenance_block
 from oaqec.synthesis import (
     OrthogonalPartition,
     QuantumCode,
@@ -623,6 +622,10 @@ def test_a_corrupted_scheme_fails_where_its_code_partition_is_formed(
     # schemes record their strength unchecked: the lift's claim is checked
     # where the partition is formed, and over budget both routes reject it
     monkeypatch.setattr(synthesis, name, _corrupted(getattr(schemes, name)))
+    # a lift is made once per process: build this test's from the corrupted
+    # scheme, uncached, and leave the process's lifts as they are
+    lift = {"d3_scheme": "_d3_lift", "d_2s": "_d_2s_lift"}[name]
+    monkeypatch.setattr(synthesis, lift, getattr(synthesis, lift).__wrapped__)
     with pytest.raises(ClaimFailed) as failure:
         theorem(s, [s])
     assert str(failure.value).startswith("strength 2 claim failed")
@@ -639,6 +642,56 @@ def test_provenance_records_route_and_ingredients():
     assert prov.ingredients
     assert prov.t_prime == 1 and prov.h >= 2
     assert any("asset" in ing for ing in prov.ingredients)
+
+
+# --- ingredients shared within a process --------------------------------------------
+
+
+@pytest.mark.parametrize("s,d,s1,route", [(9, 2, 3, "by polynomial construction"),
+                                          (6, 1, 2, "as a columnwise product")])
+def test_a_resolved_ingredient_is_shared_and_rows_leave_it_unchecked(s, d, s1, route):
+    first, second = [], []
+    A = resolve_symmetric_oa(s, 2 * d, d, first)
+    assert route in first[0]
+    # the code's array is a column split of this very array, and is checked
+    assert theorem_s1(s, d, s1).status() == "verified"
+    assert resolve_symmetric_oa(s, 2 * d, d, second) is A and second == first
+    assert not A.matrix.flags.writeable
+    assert not (A.strength_checked or A.md_checked)
+
+
+#: a recipe (theorem, s, d, l, factors, q_factors) of every builder and route:
+#: the d3 lift, the d_2s lift alone and times a polynomial piece, the
+#: polynomial route (through a prefix partition for t4), the product route
+#: and the asset route
+REBUILT = [("t1", 3, None, 0, [3], None), ("t2", 4, None, 0, [2, 2], None),
+           ("t2", 10, None, 0, [10], None), ("t3", 9, 2, 0, [3], None),
+           ("t4", 4, 1, 1, [2], None), ("c2", 6, 1, 0, [2, 3], None),
+           ("c3", 7, None, 0, [7], None), ("t5", 12, 1, 1, [2], [6, 2])]
+
+
+@pytest.mark.parametrize("recipe", REBUILT, ids=lambda recipe: f"{recipe[0]}-s{recipe[1]}")
+def test_a_rebuilt_recipe_replays_its_ingredient_notes(recipe):
+    # start cold, so that the first build makes every shared ingredient
+    for memo in (constructions._prime_power_piece, constructions._product_piece,
+                 synthesis._d3_lift, synthesis._d_2s_lift):
+        memo.cache_clear()
+    synthesis._PREFIX_PARTITIONS.clear()
+    first, second = build(*recipe), build(*recipe)
+    assert first.provenance.ingredients
+    assert provenance_block(second) == provenance_block(first)
+    assert code_to_ket_text(second) == code_to_ket_text(first)
+
+
+def test_rebuilding_a_recipe_runs_every_check_again():
+    # a process shares ingredients, never checks: every build checks its array
+    calls = []
+    for _ in range(3):
+        with mock.patch.object(arrays, "is_orthogonal_array",
+                               wraps=arrays.is_orthogonal_array) as check:
+            theorem_tn(4, 1, 1, [2])
+        calls.append(check.call_count)
+    assert calls[1] == calls[2] > 0
 
 
 def test_uncovered_parent_raises_claim_failed_under_optimize():

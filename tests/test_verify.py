@@ -24,7 +24,6 @@ from oaqec.synthesis import (OrthogonalPartition, QuantumCode, code_from_partiti
                              make_code_params, theorem_5s2, theorem_tn)
 from oaqec.verify import (
     MODES,
-    CrossValidation,
     ReductionWitness,
     cross_validate,
     reduced_cross_matrix,
