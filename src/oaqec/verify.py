@@ -1,13 +1,17 @@
 """Exact reduction checks certifying distances of compiled quantum codes.
 
 All coordinate subsets S of one size are decided together, in chunked numpy
-passes over subsets x the kets of all states, stacked.  The kets of a code
-are distinct, so a reduced cross matrix has an entry off its diagonal, or
-between two states, exactly when two kets agree on the complement of S.
-strict-uniform therefore passes S when no two kets collide on the
-complement and every state counts each level tuple on S block/prod(s_j)
-times.  definition-5 fails S when kets of two states collide on the
-complement, and otherwise compares the states' level counts on S.  Column
+passes over subsets x the kets of all states, stacked.  When a chunk would
+hold one subset and the product of all alphabets fits int64, they are
+decided one at a time instead, in combinations order, from complement and
+level keys built once per shared prefix (`_prefix_verdicts`), with the same
+verdicts.  The kets of a code are distinct, so a reduced cross matrix has
+an entry off its diagonal, or between two states, exactly when two kets
+agree on the complement of S.  strict-uniform therefore passes S when no
+two kets collide on the complement and every state counts each level tuple
+on S block/prod(s_j) times.  definition-5 fails S when kets of two states
+collide on the complement, and otherwise compares the states' level counts
+on S (`_definition5`, shared by both ways of deciding a level).  Column
 slices are keyed by exact int64 mixed-radix keys: a complement's key is a
 ket's full key minus its S columns' terms when the product of all alphabets
 fits int64, and `_slice_keys` keys each column set otherwise.  The
@@ -132,7 +136,9 @@ _SUBSET_WITNESSES = 4
 #: until it holds this many, and keeps the first this many
 _REPORT_WITNESSES = 8
 #: cap on subsets x kets keyed in one numpy pass of _decide_level or
-#: _explain_level, which bounds their scratch memory independently of C(n, d)
+#: _explain_level, which bounds their scratch memory independently of C(n, d);
+#: a code of more than half as many kets has its levels decided by
+#: _prefix_verdicts when its keys fit int64
 _CHUNK_CELLS = 1 << 12
 
 
@@ -140,6 +146,14 @@ def _chunks(subsets: list, kets: int) -> list[list]:
     """The subsets in runs of at most _CHUNK_CELLS subsets x kets (one at least)."""
     per_chunk = max(1, _CHUNK_CELLS // kets)
     return [subsets[lo:lo + per_chunk] for lo in range(0, len(subsets), per_chunk)]
+
+
+def _full_keys(code: QuantumCode) -> tuple[np.ndarray, np.ndarray]:
+    """Each ket's mixed-radix key over all columns, and each column's weight
+    in it, for a code whose product of alphabets fits _KEY_MAX."""
+    alphabets, n = code.params.alphabets, code.params.n
+    return (_slice_keys(code.kets, alphabets, range(n)),
+            np.array([prod(alphabets[c + 1:]) for c in range(n)], dtype=np.int64))
 
 
 def _subset_keyer(code: QuantumCode):
@@ -161,8 +175,7 @@ def _subset_keyer(code: QuantumCode):
                              for S in chunk.tolist()])
         return (lambda chunk: sliced(chunk, False),
                 lambda chunk, keys: sliced(chunk, True), columns)
-    full = _slice_keys(kets, alphabets, range(n))
-    weights = np.array([prod(alphabets[c + 1:]) for c in range(n)], dtype=np.int64)
+    full, weights = _full_keys(code)
 
     def complement_keys(chunk):
         keys = np.repeat(full[None], len(chunk), axis=0)
@@ -428,18 +441,130 @@ def _explain_level(code: QuantumCode, subsets: list, mode: str
     return explained
 
 
+def _definition5(keys: np.ndarray, s_keys: np.ndarray, K: int, block: int
+                 ) -> list[Optional[bool]]:
+    """The definition-5 verdicts of subsets from their complement keys and
+    S-keys, each an array of subsets x kets: a collision between two states
+    fails S, one within a state leaves S to the exact reductions (None),
+    and otherwise S passes when each state's sorted S-keys equal state 0's."""
+    s_keys = s_keys.reshape(len(keys), K, block)
+    s_keys.sort(axis=2)
+    same = np.all(s_keys == s_keys[:, :1], axis=(1, 2))
+    del s_keys
+    sorted_keys = np.sort(keys, axis=1)
+    collide = sorted_keys[:, 1:] == sorted_keys[:, :-1]
+    hit = np.any(collide, axis=1)
+    verdicts: list[Optional[bool]] = (~hit & same).tolist()
+    if hit.any():
+        # a stable sort, as numpy's default argsort of int64 takes scratch
+        # memory of its own, a peak-RSS cost on small codes
+        states = np.argsort(keys[hit], axis=1, kind="stable") // block
+        cross = np.any(collide[hit] & (states[:, 1:] != states[:, :-1]), axis=1)
+        for k, crossed in zip(np.flatnonzero(hit).tolist(), cross.tolist()):
+            verdicts[k] = False if crossed else None
+    return verdicts
+
+
+def _prefix_verdicts(code: QuantumCode, dp: int, strict: bool) -> list[Optional[bool]]:
+    """The verdicts of _decide_level on every dp-subset, in combinations
+    order, decided one subset at a time, for a code whose product of
+    alphabets fits _KEY_MAX.
+
+    The subsets come as the one-column extensions of each (dp-1)-column
+    prefix, as in arrays._first_unbalanced_subset (the two verification
+    routes share no code).  A prefix's complement key (the full key minus
+    its columns' terms) and, in strict-uniform mode, its level key (the
+    state number, then its levels) are each built one column at a time
+    from the keys of the prefix it shares the most columns with, so a
+    subset costs one subtraction and one sort, plus one multiply-add and
+    one bincount in strict-uniform mode.  Only one column is cast to int64
+    at a time.  A subset whose level product does not divide block fails
+    strict-uniform without keying, and so does every subset through such a
+    prefix; every other level key stays below K * block."""
+    K, block, N = code.params.K, code.kets_per_state, len(code.kets)
+    alphabets, n = code.params.alphabets, code.params.n
+    columns = np.ascontiguousarray(code.kets.T)
+    full, weights = _full_keys(code)
+
+    def minus_terms(keys: np.ndarray, c: int) -> np.ndarray:
+        """keys minus column c's terms of the full key, as a new array."""
+        out = columns[c].astype(np.int64)
+        out *= -weights[c]
+        out += keys
+        return out
+
+    def times_level(keys: Optional[np.ndarray], c: int) -> np.ndarray:
+        """keys times column c's alphabet plus its level, as a new array;
+        None stands for the state numbers, which are not kept."""
+        if keys is None:
+            out = np.arange(N, dtype=np.int64) // block
+            out *= alphabets[c]
+        else:
+            out = keys * alphabets[c]
+        out += columns[c]
+        return out
+
+    def uniform(c: int, size: int) -> bool:
+        """strict-uniform on the prefix and c, of level product size: no two
+        complement keys are equal, and the states' K * size level counts,
+        which add up to K * block, all equal block // size, exactly when
+        the smallest does."""
+        keys = minus_terms(comp[-1], c)
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():
+            return False
+        del keys
+        counts = np.bincount(times_level(level[-1], c), minlength=K * size)
+        return bool(counts.min() == block // size)
+
+    # comp[k] and level[k]: the keys of the prefix's first k columns
+    comp, prev = [full], ()
+    level: list = [None] if strict else []
+    verdicts: list[Optional[bool]] = []
+    for prefix in combinations(range(n - 1), dp - 1):
+        # keep the keys of the columns this prefix shares with the previous one
+        d = next((i for i, (u, v) in enumerate(zip(prev, prefix)) if u != v), len(prev))
+        del comp[d + 1:], level[d + 1:]
+        prev = prefix
+        extensions = range(prefix[-1] + 1 if prefix else 0, n)
+        size = prod(alphabets[c] for c in prefix)
+        if strict and block % size:
+            verdicts += [False] * len(extensions)
+            continue
+        for c in prefix[len(comp) - 1:]:
+            comp.append(minus_terms(comp[-1], c))
+            if strict:
+                level.append(times_level(level[-1], c))
+        for c in extensions:
+            if strict:
+                cells = size * alphabets[c]
+                verdicts.append(block % cells == 0 and uniform(c, cells))
+            else:
+                # definition-5's S-keys: the full key minus the complement key
+                keys = minus_terms(comp[-1], c)[None]
+                verdicts.append(_definition5(keys, full - keys, K, block)[0])
+    return verdicts
+
+
 def _decide_level(code: QuantumCode, dp: int, mode: str
                   ) -> list[tuple[tuple[int, ...], Optional[bool]]]:
-    """(S, passes) for every dp-subset S in combinations order, decided in
-    numpy passes over chunks of at most _CHUNK_CELLS subsets x kets, keyed
-    by _subset_keyer.  passes is None for a definition-5 subset on which
-    kets collide only within states: only the exact reductions decide it."""
+    """(S, passes) for every dp-subset S in combinations order.  passes is
+    None for a definition-5 subset on which kets collide only within
+    states: only the exact reductions decide it.
+
+    When a chunk would hold one subset and the product of the alphabets
+    fits _KEY_MAX, the subsets are decided one at a time from keys shared
+    along their prefixes (_prefix_verdicts); otherwise in numpy passes over
+    chunks of at most _CHUNK_CELLS subsets x kets, keyed by _subset_keyer.
+    The two give equal verdicts."""
     kets, K, block = code.kets, code.params.K, code.kets_per_state
     alphabets, n = code.params.alphabets, code.params.n
     subsets = list(combinations(range(n), dp))
     strict = mode == "strict-uniform"
     if not strict and K == 1:
         return [(S, True) for S in subsets]
+    if _CHUNK_CELLS // len(kets) <= 1 and prod(alphabets) <= _KEY_MAX:
+        return list(zip(subsets, _prefix_verdicts(code, dp, strict)))
     levels = [prod(alphabets[c] for c in S) for S in subsets]
     passes: list[Optional[bool]] = [False] * len(subsets)
     # a strict-uniform subset whose level count does not divide the state
@@ -471,23 +596,7 @@ def _decide_level(code: QuantumCode, dp: int, mode: str
             verdicts: list[Optional[bool]] = (
                 ~hit & ~np.logical_or.reduceat(bad, offsets)).tolist()
         else:
-            s_keys = s_keys_of(chunk, keys).reshape(len(rows), K, block)
-            s_keys.sort(axis=2)
-            same = np.all(s_keys == s_keys[:, :1], axis=(1, 2))
-            del s_keys
-            sorted_keys = np.sort(keys, axis=1)
-            collide = sorted_keys[:, 1:] == sorted_keys[:, :-1]
-            hit = np.any(collide, axis=1)
-            verdicts = (~hit & same).tolist()
-            if hit.any():
-                # a collision between two states fails S, and one within
-                # a state leaves S to the exact reductions; a stable sort,
-                # as numpy's default argsort of int64 takes scratch memory
-                # of its own, a peak-RSS cost on small codes
-                states = np.argsort(keys[hit], axis=1, kind="stable") // block
-                cross = np.any(collide[hit] & (states[:, 1:] != states[:, :-1]), axis=1)
-                for k, crossed in zip(np.flatnonzero(hit).tolist(), cross.tolist()):
-                    verdicts[k] = False if crossed else None
+            verdicts = _definition5(keys, s_keys_of(chunk, keys), K, block)
         for i, verdict in zip(rows, verdicts):
             passes[i] = verdict
     return list(zip(subsets, passes))

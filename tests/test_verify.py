@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -21,7 +23,7 @@ from oaqec.errors import ClaimFailed, ProvenanceMissing
 from oaqec.formats import code_from_ket_text
 from oaqec.constructions import bush
 from oaqec.synthesis import (OrthogonalPartition, QuantumCode, code_from_partitioned_oa,
-                             make_code_params, theorem_5s2, theorem_tn)
+                             make_code_params, theorem_5s2, theorem_s1, theorem_tn)
 from oaqec.verify import (
     MODES,
     ReductionWitness,
@@ -452,8 +454,21 @@ def test_decision_kernel_stays_exact_when_keys_re_rank(code, key_max):
         assert_matches_oracle(code)
 
 
+#: three alphabets of 2^21 levels: their product 2^63 just passes _KEY_MAX,
+#: so at one subset per chunk the _slice_keys chunks still decide each level
+#: (state 0 collides with itself off column 0, and with state 1 off column 2)
+BEYOND_KEY_MAX = QuantumCode(make_code_params(3, 1, (2 ** 21,) * 3, 2),
+                             [[(0, 1, 2), (5, 1, 2)], [(0, 1, 3), (7, 7, 7)]])
+
+
+def spy_prefix_walk():
+    """A spy on _prefix_verdicts, the one-subset-at-a-time level pass."""
+    return mock.patch.object(verify, "_prefix_verdicts", wraps=verify._prefix_verdicts)
+
+
 @settings(max_examples=100, deadline=None)
 @given(code=small_codes(), split=st.booleans())
+@example(code=BEYOND_KEY_MAX, split=False)
 def test_level_kernel_stays_exact_across_chunk_boundaries(code, split):
     # one subset per chunk, or the widest level split across two chunks
     # (in definition-5 mode, which keys every subset when K > 1)
@@ -461,8 +476,59 @@ def test_level_kernel_stays_exact_across_chunk_boundaries(code, split):
     per_chunk = -(-widest // 2)
     assert per_chunk < widest or widest == 1
     cells = per_chunk * len(code.kets) if split else 1
-    with mock.patch.object(verify, "_CHUNK_CELLS", cells):
+    with mock.patch.object(verify, "_CHUNK_CELLS", cells), spy_prefix_walk() as walk:
         assert_matches_oracle(code)
+    # at one subset per chunk the prefix walk decides every level whose
+    # keys fit int64: strict-uniform ones, and definition-5 ones when K > 1
+    lean = cells // len(code.kets) <= 1 and math.prod(code.params.alphabets) <= verify._KEY_MAX
+    strict_flags = {True, False} if code.params.K > 1 else {True}
+    assert {call.args[2] for call in walk.call_args_list} == (strict_flags if lean else set())
+
+
+@functools.cache
+def large_codes():
+    """The codes of the `construct` benchmark recipes with over 2,048 kets,
+    where a chunk holds one subset, ((8,8,4))_{8^7 2^1} and
+    ((5,1,3))_{49^3 7^2}, then a one-ket mutant of each."""
+    codes = (theorem_tn(8, 3, 1, [2]), theorem_s1(49, 2, 7))
+    return codes + tuple(corrupt(code) for code in codes)
+
+
+@pytest.mark.parametrize("index", range(4), ids=["884", "513", "884-mutant", "513-mutant"])
+def test_prefix_walk_matches_one_chunk_per_level_on_large_codes(index):
+    code = large_codes()[index]
+    assert verify._CHUNK_CELLS // len(code.kets) <= 1
+    verdicts = set()
+    for mode in MODES:
+        for dp in range(1, code.params.d_plus_1):
+            with spy_prefix_walk() as walk:
+                walked = verify._decide_level(code, dp, mode)
+            assert walk.called == (mode == "strict-uniform" or code.params.K > 1)
+            # the whole level in one chunk
+            cells = math.comb(code.params.n, dp) * len(code.kets)
+            with mock.patch.object(verify, "_CHUNK_CELLS", cells), spy_prefix_walk() as walk:
+                chunked = verify._decide_level(code, dp, mode)
+            assert not walk.called
+            assert walked == chunked
+            verdicts.update(passed for _, passed in walked)
+    assert verdicts == ({True, False} if index >= 2 else {True})
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_prefix_walk_scratch_memory_stays_within_twelve_words_per_ket(mode):
+    # the complement and level keys of the two prefix columns take 4 int64
+    # words per ket; a copy of the ket matrix as int64 would take 8 more
+    code = large_codes()[0]
+    verify._decide_level(code, 3, mode)
+    with spy_prefix_walk() as walk:
+        tracemalloc.start()
+        try:
+            verify._decide_level(code, 3, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert walk.called
+    assert peak <= 12 * 8 * len(code.kets)
 
 
 #: definition-5 verdicts at level 2, in combinations order: failing,
